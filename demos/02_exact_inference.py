@@ -20,8 +20,7 @@ graph = rs.random_region_graph(num_vars=5, depth=2, repetitions=2, seed=9)
 circuit = rs.construct_circuit(graph, classes_C=2, sums_S=2, leaves_I=2,
                                leaf_family="bernoulli")
 params = rs.init_parameters(circuit, seed=9)
-for _, arr in params.named_arrays():
-    arr += rng.normal(0, 1.0, arr.shape)
+params.flat += rng.normal(0, 1.0, params.flat.shape)
 
 X = np.array(enumerate_assignments(5), dtype=float)
 roots = rs.forward_log(circuit, params, X)

@@ -42,12 +42,10 @@ from .inference import (
     log_marginal_input,
     uniform_log_prior,
 )
-from .leaves import BernoulliLeaf, GaussianLeaf, leaf_log_density, leaf_log_density_batch
 from .model_io import load_model, model_to_dict, save_model
 from .region_graph import RegionGraph, random_region_graph, validate_region_graph
 from .synthetic import make_synthetic_classes, make_uniform_noise
 from .training import (
-    AdamState,
     TrainConfig,
     adam_step,
     backward_gradients,

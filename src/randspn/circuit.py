@@ -15,7 +15,8 @@ nodes mixing a block of ``leaves_I`` distributions over that variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,60 +95,87 @@ class Circuit:
         return depth(self.root_block)
 
 
-@dataclass
-class ParameterSet:
-    """Raw trainable parameters, keyed by the owning block's index.
+GROUPS = ("sum_logits", "leaf_means", "leaf_log_vars", "leaf_logits")
 
-    ``sum_logits[b]`` has one row per sum node and one column per input
-    column; normalized weights are softmax rows. ``leaf_means[b]`` holds a
-    (width, scope size) matrix of Gaussian means, ``leaf_log_vars`` the
-    matching log-variances when variance training is on. Bernoulli circuits
-    use ``leaf_logits`` (success log-odds) instead of means.
+
+class ParamSlot(NamedTuple):
+    """Where one block's parameter matrix lives in ``ParameterSet.flat``."""
+
+    group: str  # one of GROUPS
+    block: int  # owning block index
+    region: int  # owning region index, the key used in model files
+    offset: int
+    shape: tuple[int, int]
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def view(self, flat: np.ndarray) -> np.ndarray:
+        return flat[self.offset : self.offset + self.size].reshape(self.shape)
+
+
+def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[ParamSlot, ...]:
+    """Every parameter matrix of the circuit, in ``ParameterSet.flat`` order.
+
+    This is the one place per-block parameter shapes are decided. A sum block
+    has one logit row per node and one column per input column; a leaf block
+    has one row per node and one column per scope variable, holding Gaussian
+    means (plus log-variances when ``train_variance``) or Bernoulli logits.
+    Slots are grouped in ``GROUPS`` order and sorted by block index within a
+    group.
+    """
+    if circuit.leaf_family == BERNOULLI:
+        leaf_groups = ("leaf_logits",)
+    elif train_variance:
+        leaf_groups = ("leaf_means", "leaf_log_vars")
+    else:
+        leaf_groups = ("leaf_means",)
+    entries = []
+    for block in circuit.blocks:
+        if block.kind == SUM:
+            entries.append(("sum_logits", block, sum(b.width for b in block.inputs)))
+        elif block.kind == LEAF:
+            entries.extend((group, block, len(block.scope)) for group in leaf_groups)
+    entries.sort(key=lambda entry: GROUPS.index(entry[0]))  # stable: block order kept
+
+    slots = []
+    offset = 0
+    for group, block, columns in entries:
+        slot = ParamSlot(group, block.index, block.node.index, offset, (block.width, columns))
+        slots.append(slot)
+        offset += slot.size
+    return tuple(slots)
+
+
+class ParameterSet:
+    """Trainable parameters: one contiguous float64 vector with named views.
+
+    ``flat`` holds every parameter in ``layout`` order. ``sum_logits[b]`` is
+    the logit matrix of sum block ``b``, one row per sum node and one column
+    per input column; normalized weights are softmax rows. ``leaf_means[b]``
+    holds a (width, scope size) matrix of Gaussian means, ``leaf_log_vars``
+    the matching log-variances when variance training is on (None
+    otherwise). Bernoulli circuits use ``leaf_logits`` (success log-odds)
+    instead of means. Every named matrix is a view into ``flat``.
     """
 
-    sum_logits: dict[int, np.ndarray] = field(default_factory=dict)
-    leaf_means: dict[int, np.ndarray] = field(default_factory=dict)
-    leaf_log_vars: dict[int, np.ndarray] | None = None
-    leaf_logits: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def named_arrays(self):
-        """Deterministic (name, array) listing of every parameter tensor."""
-        out = []
-        for idx in sorted(self.sum_logits):
-            out.append((("sum_logits", idx), self.sum_logits[idx]))
-        for idx in sorted(self.leaf_means):
-            out.append((("leaf_means", idx), self.leaf_means[idx]))
-        if self.leaf_log_vars is not None:
-            for idx in sorted(self.leaf_log_vars):
-                out.append((("leaf_log_vars", idx), self.leaf_log_vars[idx]))
-        for idx in sorted(self.leaf_logits):
-            out.append((("leaf_logits", idx), self.leaf_logits[idx]))
-        return out
-
-    def get(self, name):
-        group, idx = name
-        table = getattr(self, group)
-        return table[idx]
+    def __init__(self, layout: tuple[ParamSlot, ...], flat: np.ndarray | None = None):
+        self.layout = layout
+        self.flat = np.zeros(sum(slot.size for slot in layout)) if flat is None else flat
+        views: dict[str, dict[int, np.ndarray]] = {group: {} for group in GROUPS}
+        for slot in layout:
+            views[slot.group][slot.block] = slot.view(self.flat)
+        self.sum_logits = views["sum_logits"]
+        self.leaf_means = views["leaf_means"]
+        self.leaf_log_vars = views["leaf_log_vars"] or None
+        self.leaf_logits = views["leaf_logits"]
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(
-            sum_logits={k: v.copy() for k, v in self.sum_logits.items()},
-            leaf_means={k: v.copy() for k, v in self.leaf_means.items()},
-            leaf_log_vars=None
-            if self.leaf_log_vars is None
-            else {k: v.copy() for k, v in self.leaf_log_vars.items()},
-            leaf_logits={k: v.copy() for k, v in self.leaf_logits.items()},
-        )
+        return ParameterSet(self.layout, self.flat.copy())
 
     def zeros_like(self) -> "ParameterSet":
-        return ParameterSet(
-            sum_logits={k: np.zeros_like(v) for k, v in self.sum_logits.items()},
-            leaf_means={k: np.zeros_like(v) for k, v in self.leaf_means.items()},
-            leaf_log_vars=None
-            if self.leaf_log_vars is None
-            else {k: np.zeros_like(v) for k, v in self.leaf_log_vars.items()},
-            leaf_logits={k: np.zeros_like(v) for k, v in self.leaf_logits.items()},
-        )
+        return ParameterSet(self.layout)
 
 
 def construct_circuit(
@@ -315,20 +343,13 @@ def validate_circuit(circuit: Circuit) -> ValidationReport:
 
 def count_parameters(circuit: Circuit, train_variance: bool = False) -> dict[str, int]:
     """Exact parameter counts for the circuit's blocks."""
-    num_sum_logits = 0
-    num_leaf_params = 0
-    for block in circuit.blocks:
-        if block.kind == SUM:
-            num_sum_logits += block.width * sum(b.width for b in block.inputs)
-        elif block.kind == LEAF:
-            per_node = len(block.scope)
-            if circuit.leaf_family == GAUSSIAN and train_variance:
-                per_node *= 2
-            num_leaf_params += block.width * per_node
+    layout = parameter_layout(circuit, train_variance)
+    num_sum_logits = sum(slot.size for slot in layout if slot.group == "sum_logits")
+    total = sum(slot.size for slot in layout)
     return {
         "num_sum_logits": num_sum_logits,
-        "num_leaf_params": num_leaf_params,
-        "total": num_sum_logits + num_leaf_params,
+        "num_leaf_params": total - num_sum_logits,
+        "total": total,
     }
 
 
@@ -343,27 +364,26 @@ def init_parameters(
     Sum logits start near zero (spread 1e-2) so every mixture begins close
     to uniform. Gaussian means are standard normal draws, rescaled per
     feature to ``mean + std * z`` when ``feature_stats = (means, stds)`` of
-    the training data are supplied.
+    the training data are supplied. Trainable log-variances start at 0.
+    Draws are taken block by block, in block index order.
     """
     rng = np.random.default_rng(seed)
-    params = ParameterSet()
-    if train_variance and circuit.leaf_family == GAUSSIAN:
-        params.leaf_log_vars = {}
+    params = ParameterSet(parameter_layout(circuit, train_variance))
     mu, sd = (None, None) if feature_stats is None else feature_stats
 
     for block in circuit.blocks:
         if block.kind == SUM:
-            k = sum(b.width for b in block.inputs)
-            params.sum_logits[block.index] = rng.normal(0.0, 1e-2, size=(block.width, k))
+            logits = params.sum_logits[block.index]
+            logits[...] = rng.normal(0.0, 1e-2, size=logits.shape)
         elif block.kind == LEAF:
-            scope = list(block.scope)
-            z = rng.standard_normal((block.width, len(scope)))
             if circuit.leaf_family == BERNOULLI:
-                params.leaf_logits[block.index] = z
+                logits = params.leaf_logits[block.index]
+                logits[...] = rng.standard_normal(logits.shape)
                 continue
+            means = params.leaf_means[block.index]
+            z = rng.standard_normal(means.shape)
             if mu is not None:
+                scope = list(block.scope)
                 z = np.asarray(mu)[scope] + np.asarray(sd)[scope] * z
-            params.leaf_means[block.index] = z
-            if params.leaf_log_vars is not None:
-                params.leaf_log_vars[block.index] = np.zeros((block.width, len(scope)))
+            means[...] = z
     return params

@@ -22,24 +22,27 @@ from .leaves import (
 NEG_INF = -np.inf
 
 
+def logsumexp(z: np.ndarray):
+    """Max-shifted log-sum-exp over the last axis: the one LSE kernel.
+
+    Returns ``(lse, e, total)`` with ``m`` the row max, ``e = exp(z - m)``,
+    ``total = e.sum(-1)`` and ``lse = m + log(total)``; ``e / total`` are
+    the softmax responsibilities. A row with no finite maximum (all -inf)
+    is dead: its ``lse`` is -inf, never NaN, and its ``total`` is 1, so its
+    responsibilities are 0.
+    """
+    m = z.max(axis=-1)
+    alive = np.isfinite(m)
+    safe_m = np.where(alive, m, 0.0)
+    e = np.exp(z - safe_m[..., None])
+    total = np.where(alive, e.sum(axis=-1), 1.0)
+    lse = np.where(alive, safe_m + np.log(total), NEG_INF)
+    return lse, e, total
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise normalized log-weights of a logit matrix."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def weighted_logsumexp(values: np.ndarray, log_weights: np.ndarray) -> np.ndarray:
-    """log sum_k exp(values[n, k] + log_weights[s, k]) -> (N, S).
-
-    Stable under -inf inputs: a row whose inputs are all -inf yields -inf,
-    never NaN.
-    """
-    z = values[:, None, :] + log_weights[None, :, :]
-    m = z.max(axis=2)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = safe_m + np.log(np.exp(z - safe_m[:, :, None]).sum(axis=2))
-    return np.where(np.isfinite(m), out, NEG_INF)
+    return logits - logsumexp(logits)[0][..., None]
 
 
 def sum_block_forward(values: np.ndarray, logits: np.ndarray) -> np.ndarray:
@@ -48,8 +51,8 @@ def sum_block_forward(values: np.ndarray, logits: np.ndarray) -> np.ndarray:
     Evaluated as LSE(logits + values) - LSE(logits), so a sum over all-zero
     inputs (everything marginalized) is exactly zero.
     """
-    norm = weighted_logsumexp(np.zeros((1, logits.shape[1])), logits)
-    return weighted_logsumexp(values, logits) - norm
+    norm = logsumexp(np.zeros((1, logits.shape[1]))[:, None, :] + logits[None, :, :])[0]
+    return logsumexp(values[:, None, :] + logits[None, :, :])[0] - norm
 
 
 def _leaf_table(circuit, params, block, batch, missing):
@@ -182,7 +185,7 @@ def log_marginal_input(circuit, params, batch, log_prior=None, missing=None) -> 
         log_prior = uniform_log_prior(circuit.classes_C)
     log_prior = _check_prior(log_prior, circuit.classes_C)
     roots = forward_log(circuit, params, batch, missing)
-    return weighted_logsumexp(roots, log_prior[None, :])[:, 0]
+    return logsumexp(roots + log_prior[None, :])[0]
 
 
 def conditional_log(

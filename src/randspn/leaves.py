@@ -9,39 +9,12 @@ enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInput
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR = 1e-4
-
-
-@dataclass
-class GaussianLeaf:
-    scope: tuple[int, ...]
-    means: np.ndarray                  # (d,)
-    variances: np.ndarray | None = None  # (d,), defaults to all ones
-
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=float)
-        if self.variances is None:
-            self.variances = np.ones_like(self.means)
-        else:
-            self.variances = np.asarray(self.variances, dtype=float)
-            if np.any(self.variances <= 0):
-                raise InvalidInput("Gaussian leaf variances must be positive")
-
-
-@dataclass
-class BernoulliLeaf:
-    scope: tuple[int, ...]
-    success_logits: np.ndarray  # (d,)
-
-    def __post_init__(self):
-        self.success_logits = np.asarray(self.success_logits, dtype=float)
 
 
 def _check_observed_finite(x, missing):
@@ -98,28 +71,3 @@ def bernoulli_block_log_mass(x, success_logits, missing=None):
 def clamped_variances(log_vars):
     """Trainable variances with the degenerate-Gaussian floor applied."""
     return np.maximum(np.exp(np.asarray(log_vars, dtype=float)), VARIANCE_FLOOR)
-
-
-def leaf_log_density(leaf, x, missing=None) -> float:
-    """Log-density of a single leaf node at one assignment over its scope."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    mask = None if missing is None else np.asarray(missing, bool).reshape(1, -1)
-    if isinstance(leaf, GaussianLeaf):
-        out = gaussian_block_log_density(x, leaf.means[None, :], leaf.variances[None, :], mask)
-    elif isinstance(leaf, BernoulliLeaf):
-        out = bernoulli_block_log_mass(x, leaf.success_logits[None, :], mask)
-    else:
-        raise InvalidInput(f"unknown leaf type {type(leaf).__name__}")
-    return float(out[0, 0])
-
-
-def leaf_log_density_batch(leaf, batch, missing=None) -> np.ndarray:
-    """Vectorized ``leaf_log_density`` over the rows of ``batch``. Returns (N,)."""
-    batch = np.asarray(batch, dtype=float)
-    if isinstance(leaf, GaussianLeaf):
-        out = gaussian_block_log_density(batch, leaf.means[None, :], leaf.variances[None, :], missing)
-    elif isinstance(leaf, BernoulliLeaf):
-        out = bernoulli_block_log_mass(batch, leaf.success_logits[None, :], missing)
-    else:
-        raise InvalidInput(f"unknown leaf type {type(leaf).__name__}")
-    return out[:, 0]

@@ -21,11 +21,10 @@ import numpy as np
 
 from .circuit import (
     Circuit,
-    LEAF,
     ParameterSet,
-    SUM,
     construct_circuit,
     count_parameters,
+    parameter_layout,
 )
 from .data import Scaling
 from .errors import DataFormatError, InvalidInput, ModelVersionError
@@ -60,7 +59,7 @@ def _decode_array(entry, encoding, where):
         raise DataFormatError(
             f"parameter {where}: {flat.size} values do not fill shape {list(shape)}"
         )
-    return flat.reshape(shape).copy()
+    return flat.reshape(shape)
 
 
 def model_to_dict(
@@ -81,31 +80,10 @@ def model_to_dict(
     groups = {"sum_logits": {}, "leaf_means": {}, "leaf_logits": {}}
     if params.leaf_log_vars is not None:
         groups["leaf_log_vars"] = {}
-    for region in graph.regions:
-        rid = str(region.index)
-        block = circuit.region_block[region.index]
-        if block.kind == SUM:
-            groups["sum_logits"][rid] = _encode_array(
-                params.sum_logits[block.index], encoding
-            )
-        leaf_block = (
-            block
-            if block.kind == LEAF
-            else circuit.leaf_input_block.get(region.index)
+    for slot in params.layout:
+        groups[slot.group][str(slot.region)] = _encode_array(
+            slot.view(params.flat), encoding
         )
-        if leaf_block is not None:
-            if circuit.leaf_family == "gaussian":
-                groups["leaf_means"][rid] = _encode_array(
-                    params.leaf_means[leaf_block.index], encoding
-                )
-                if params.leaf_log_vars is not None:
-                    groups["leaf_log_vars"][rid] = _encode_array(
-                        params.leaf_log_vars[leaf_block.index], encoding
-                    )
-            else:
-                groups["leaf_logits"][rid] = _encode_array(
-                    params.leaf_logits[leaf_block.index], encoding
-                )
 
     return {
         "format": FORMAT_NAME,
@@ -194,40 +172,21 @@ def dict_to_model(document: dict):
         leaf_family=leaf_family,
     )
 
-    params = ParameterSet()
-    if document.get("train_variance"):
-        params.leaf_log_vars = {}
-
-    def fetch(group, rid, expected_shape, block_index, target):
-        entry = stored_params.get(group, {}).get(str(rid))
+    params = ParameterSet(
+        parameter_layout(circuit, bool(document.get("train_variance")))
+    )
+    for slot in params.layout:
+        where = f"{slot.group}[{slot.region}]"
+        entry = stored_params.get(slot.group, {}).get(str(slot.region))
         if entry is None:
-            raise DataFormatError(f"missing {group} for region {rid}")
-        arr = _decode_array(entry, encoding, f"{group}[{rid}]")
-        if arr.shape != expected_shape:
+            raise DataFormatError(f"missing {slot.group} for region {slot.region}")
+        arr = _decode_array(entry, encoding, where)
+        if arr.shape != slot.shape:
             raise DataFormatError(
-                f"wiring-width mismatch for {group}[{rid}]: file has shape "
-                f"{list(arr.shape)}, circuit expects {list(expected_shape)}"
+                f"wiring-width mismatch for {where}: file has shape "
+                f"{list(arr.shape)}, circuit expects {list(slot.shape)}"
             )
-        target[block_index] = arr
-
-    for region in graph.regions:
-        block = circuit.region_block[region.index]
-        if block.kind == SUM:
-            k = sum(b.width for b in block.inputs)
-            fetch("sum_logits", region.index, (block.width, k), block.index, params.sum_logits)
-        leaf_block = (
-            block
-            if block.kind == LEAF
-            else circuit.leaf_input_block.get(region.index)
-        )
-        if leaf_block is not None:
-            d = len(leaf_block.scope)
-            if leaf_family == "gaussian":
-                fetch("leaf_means", region.index, (leaf_block.width, d), leaf_block.index, params.leaf_means)
-                if params.leaf_log_vars is not None:
-                    fetch("leaf_log_vars", region.index, (leaf_block.width, d), leaf_block.index, params.leaf_log_vars)
-            else:
-                fetch("leaf_logits", region.index, (leaf_block.width, d), leaf_block.index, params.leaf_logits)
+        slot.view(params.flat)[...] = arr
 
     meta = {
         "structure": {k: v for k, v in structure.items() if k not in ("regions", "partitions")},

@@ -11,14 +11,14 @@ and dropped product columns receive exactly zero gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, GAUSSIAN, LEAF, PRODUCT, ParameterSet
 from .data import batch_iterator
 from .errors import InvalidInput, NumericFailure
-from .inference import forward_log, sum_block_inputs
+from .inference import forward_log, logsumexp, sum_block_inputs
 from .leaves import VARIANCE_FLOOR, clamped_variances
 
 
@@ -60,20 +60,12 @@ def _check_roots_labels(roots, labels):
     return roots, labels.astype(int)
 
 
-def _row_logsumexp(a):
-    m = a.max(axis=1)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(np.exp(a - safe[:, None]).sum(axis=1))
-    return np.where(np.isfinite(m), out, -np.inf)
-
-
 def cross_entropy(roots, labels) -> float:
     """Mean negative log class posterior implied by the root log-values."""
     roots, labels = _check_roots_labels(roots, labels)
     picked = roots[np.arange(len(labels)), labels - 1]
     with np.errstate(invalid="ignore"):  # -inf roots surface as NaN downstream
-        return float(-(picked - _row_logsumexp(roots)).mean())
+        return float(-(picked - logsumexp(roots)[0]).mean())
 
 
 def neg_log_likelihood(roots, labels, num_vars: int) -> float:
@@ -99,7 +91,7 @@ def _objective_root_gradient(roots, labels, num_vars, lam):
     onehot[np.arange(n), labels - 1] = 1.0
     grad = np.zeros((n, c))
     if lam > 0.0:
-        lse = _row_logsumexp(roots)
+        lse = logsumexp(roots)[0]
         posterior = np.exp(roots - lse[:, None])
         grad += lam * (-(onehot - posterior) / n)
     if lam < 1.0:
@@ -164,20 +156,17 @@ def backward_gradients(
                 accumulate(left, g3.sum(axis=2))
                 accumulate(right, g3.sum(axis=1))
                 continue
-            # sum block: responsibilities are softmax over (logits + inputs)
+            # sum block: responsibilities are softmax over (logits + inputs);
+            # dead rows (all inputs dropped) have zero responsibilities
             logits = params.sum_logits[block.index]
             x = sum_block_inputs(tables, block, sum_dropout)
-            z = x[:, None, :] + logits[None, :, :]
-            m = z.max(axis=2)
-            alive = np.isfinite(m)  # dead rows (all inputs dropped) get no gradient
-            ez = np.exp(z - np.where(alive, m, 0.0)[:, :, None])
-            denom = np.where(alive, ez.sum(axis=2), 1.0)
-            r = ez / denom[:, :, None]
+            lse, ez, total = logsumexp(x[:, None, :] + logits[None, :, :])
+            r = ez / total[:, :, None]
             d_x = np.einsum("ns,nsk->nk", g, r)
-            g_alive = np.where(alive, g, 0.0)
+            g_alive = np.where(np.isfinite(lse), g, 0.0)
             # same computation path as r so fully-marginalized inputs cancel exactly
-            ew = np.exp(logits - logits.max(axis=1, keepdims=True))
-            softmax_w = ew / ew.sum(axis=1, keepdims=True)
+            _, ew, ew_total = logsumexp(logits)
+            softmax_w = ew / ew_total[:, None]
             grads.sum_logits[block.index][...] = np.einsum(
                 "ns,nsk->sk", g, r
             ) - softmax_w * g_alive.sum(axis=0)[:, None]
@@ -255,36 +244,34 @@ def sample_sum_dropout_mask(
 
 @dataclass
 class AdamState:
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Step counter and moment vectors, aligned with ``ParameterSet.flat``."""
+
+    step: int
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def initial(cls, params: ParameterSet) -> "AdamState":
-        state = cls()
-        for name, arr in params.named_arrays():
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        return state
+        return cls(0, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState, config):
     """One bias-corrected adaptive-moment update. Returns (params, state)."""
-    new_params = params.copy()
-    new_state = AdamState(step=state.step + 1)
-    t = new_state.step
-    for name, g in grads.named_arrays():
-        if not np.all(np.isfinite(g)):
-            raise NumericFailure(f"non-finite gradient for parameter {name}")
-        m = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        v = config.beta2 * state.v[name] + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
-        target = new_params.get(name)
-        target -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-        new_state.m[name] = m
-        new_state.v[name] = v
-    return new_params, new_state
+    g = grads.flat
+    finite = np.isfinite(g)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        slot = next(s for s in grads.layout if first < s.offset + s.size)
+        raise NumericFailure(
+            f"non-finite gradient for parameter {(slot.group, slot.block)}"
+        )
+    t = state.step + 1
+    m = config.beta1 * state.m + (1.0 - config.beta1) * g
+    v = config.beta2 * state.v + (1.0 - config.beta2) * g * g
+    m_hat = m / (1.0 - config.beta1**t)
+    v_hat = v / (1.0 - config.beta2**t)
+    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    return ParameterSet(params.layout, flat), AdamState(t, m, v)
 
 
 def evaluate_metrics(circuit, params, features, labels, lam, eval_batch=1024):

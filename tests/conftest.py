@@ -20,8 +20,7 @@ def random_circuit(rng, num_vars=None, leaf_family="gaussian", max_dims=None):
 
 
 def randomize_params(params, rng, spread=1.0):
-    for _, arr in params.named_arrays():
-        arr += rng.normal(0.0, spread, arr.shape)
+    params.flat += rng.normal(0.0, spread, params.flat.shape)
     return params
 
 

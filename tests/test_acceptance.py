@@ -153,20 +153,15 @@ def test_criterion_04_gradient_correctness():
             for row_sums in grads.sum_logits.values():
                 worst_rowsum = max(worst_rowsum, float(np.abs(row_sums.sum(axis=1)).max()))
 
-            arrays = dict(params.named_arrays())
-
             def objective(work):
-                probe = params.copy()
-                for name, arr in probe.named_arrays():
-                    arr[...] = work[name]
+                probe = rs.ParameterSet(params.layout, work["flat"])
                 roots = rs.forward_log(circuit, probe, batch)
                 return rs.hybrid_objective(roots, labels, circuit.num_vars, lam)
 
-            fd = finite_diff_gradient(objective, arrays, 1e-4)
-            for name, analytic in grads.named_arrays():
-                approx = fd[name]
-                denom = np.maximum(np.maximum(np.abs(analytic), np.abs(approx)), 1e-2)
-                worst_rel = max(worst_rel, float((np.abs(analytic - approx) / denom).max()))
+            approx = finite_diff_gradient(objective, {"flat": params.flat}, 1e-4)["flat"]
+            analytic = grads.flat
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(approx)), 1e-2)
+            worst_rel = max(worst_rel, float((np.abs(analytic - approx) / denom).max()))
     elapsed = time.perf_counter() - started
     _report(4, f"20 circuits x 3 lambdas: max rel err {worst_rel:.1e} < 1e-4, "
                f"logit row-sums {worst_rowsum:.1e} < 1e-10 ({elapsed:.0f}s < 120s)",
@@ -301,10 +296,7 @@ def test_criterion_09_determinism_and_roundtrip(tmp_path):
     circuit_a, params_a, metrics_a = run()
     circuit_b, params_b, metrics_b = run()
     identical_metrics = metrics_a == metrics_b
-    identical_params = all(
-        np.array_equal(x, y)
-        for (_, x), (_, y) in zip(params_a.named_arrays(), params_b.named_arrays())
-    )
+    identical_params = np.array_equal(params_a.flat, params_b.flat)
 
     batch = rng.normal(size=(16, 9))
     before = rs.forward_log(circuit_a, params_a, batch)

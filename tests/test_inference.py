@@ -3,7 +3,7 @@ import pytest
 
 import randspn as rs
 from randspn.errors import InvalidInput
-from randspn.inference import weighted_logsumexp
+from randspn.inference import logsumexp
 from randspn.oracle import enumerate_assignments
 from conftest import quadrature_mass_2d, random_circuit, randomize_params
 
@@ -12,14 +12,14 @@ def test_weighted_sum_matches_linear_arithmetic():
     # one sum, weights (0.5, 0.5), children ln 0.2 and ln 0.4 -> ln 0.3
     values = np.log(np.array([[0.2, 0.4]]))
     log_w = np.log(np.array([[0.5, 0.5]]))
-    out = weighted_logsumexp(values, log_w)
+    out, _, _ = logsumexp(values[:, None, :] + log_w[None, :, :])
     assert out[0, 0] == pytest.approx(np.log(0.3), abs=1e-12)
 
 
 def test_weighted_logsumexp_handles_all_neg_inf():
     values = np.full((2, 3), -np.inf)
     log_w = np.log(np.full((1, 3), 1 / 3))
-    out = weighted_logsumexp(values, log_w)
+    out, _, _ = logsumexp(values[:, None, :] + log_w[None, :, :])
     assert np.all(np.isneginf(out))
     assert not np.isnan(out).any()
 
@@ -99,7 +99,7 @@ def test_log_marginal_input(rng):
 
     # symmetric case: equal roots collapse to the shared value
     fake = np.full((3, 2), -1.234)
-    mix = weighted_logsumexp(fake, rs.uniform_log_prior(2)[None, :])[:, 0]
+    mix, _, _ = logsumexp(fake + rs.uniform_log_prior(2)[None, :])
     np.testing.assert_allclose(mix, -1.234, atol=1e-12)
 
     got = rs.log_marginal_input(circuit, params, batch)
@@ -200,7 +200,7 @@ def test_scale_stability_leaf_shift(rng):
     batch = rng.normal(size=(3, 4))
     _, tables = rs.forward_log(circuit, params, batch, return_tables=True)
 
-    from randspn.inference import log_softmax, sum_block_inputs, weighted_logsumexp
+    from randspn.inference import log_softmax, sum_block_inputs
 
     def forward_with_shift(k, var):
         shifted = {}
@@ -218,9 +218,8 @@ def test_scale_stability_leaf_shift(rng):
                     shifted[block.index] = t.reshape(len(batch), block.width)
                 elif block.kind == "sum":
                     x = sum_block_inputs(shifted, block)
-                    shifted[block.index] = weighted_logsumexp(
-                        x, log_softmax(params.sum_logits[block.index])
-                    )
+                    log_w = log_softmax(params.sum_logits[block.index])
+                    shifted[block.index], _, _ = logsumexp(x[:, None, :] + log_w[None, :, :])
         return shifted[circuit.root_block.index]
 
     base = forward_with_shift(0.0, 1)

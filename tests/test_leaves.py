@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import randspn as rs
 from randspn.errors import InvalidInput
 from randspn.leaves import (
     bernoulli_block_log_mass,
@@ -11,42 +10,48 @@ from randspn.leaves import (
 
 
 def test_gaussian_at_its_mean():
-    leaf = rs.GaussianLeaf(scope=(0,), means=np.array([1.7]))
-    value = rs.leaf_log_density(leaf, np.array([1.7]))
+    value = gaussian_block_log_density(np.array([[1.7]]), np.array([[1.7]]))[0, 0]
     assert value == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
     assert value == pytest.approx(-0.9189385, abs=1e-6)
 
 
 def test_all_missing_gives_log_one():
-    leaf = rs.GaussianLeaf(scope=(0,), means=np.array([3.0]))
-    assert rs.leaf_log_density(leaf, np.array([99.0]), missing=[True]) == 0.0
+    value = gaussian_block_log_density(
+        np.array([[99.0]]), np.array([[3.0]]), missing=np.array([[True]])
+    )[0, 0]
+    assert value == 0.0
 
 
 def test_fair_coin_pair():
-    leaf = rs.BernoulliLeaf(scope=(0, 1), success_logits=np.zeros(2))
-    value = rs.leaf_log_density(leaf, np.array([1.0, 0.0]))
+    value = bernoulli_block_log_mass(np.array([[1.0, 0.0]]), np.zeros((1, 2)))[0, 0]
     assert value == pytest.approx(np.log(0.25), abs=1e-12)
 
 
 def test_non_finite_observation_rejected():
-    leaf = rs.GaussianLeaf(scope=(0,), means=np.array([0.0]))
+    means = np.array([[0.0]])
     with pytest.raises(InvalidInput):
-        rs.leaf_log_density(leaf, np.array([np.nan]))
+        gaussian_block_log_density(np.array([[np.nan]]), means)
     # but a masked non-finite value is marginalized away
-    assert rs.leaf_log_density(leaf, np.array([np.nan]), missing=[True]) == 0.0
+    masked = gaussian_block_log_density(
+        np.array([[np.nan]]), means, missing=np.array([[True]])
+    )
+    assert masked[0, 0] == 0.0
 
 
 def test_batch_matches_scalar_and_is_deterministic(rng):
-    leaf = rs.GaussianLeaf(
-        scope=(0, 1, 2), means=rng.normal(size=3), variances=rng.uniform(0.5, 2.0, 3)
-    )
+    # one leaf node over three variables
+    means = rng.normal(size=3)[None, :]
+    variances = rng.uniform(0.5, 2.0, 3)[None, :]
     batch = rng.normal(size=(4, 3))
     batch[1] = batch[0]
-    out = rs.leaf_log_density_batch(leaf, batch)
+    out = gaussian_block_log_density(batch, means, variances)[:, 0]
     assert out[0] == out[1]
-    assert out[2] == pytest.approx(rs.leaf_log_density(leaf, batch[2]), abs=1e-12)
+    single = gaussian_block_log_density(batch[2:3], means, variances)[0, 0]
+    assert out[2] == pytest.approx(single, abs=1e-12)
 
-    masked = rs.leaf_log_density_batch(leaf, batch, missing=np.ones_like(batch, bool))
+    masked = gaussian_block_log_density(
+        batch, means, variances, missing=np.ones_like(batch, bool)
+    )[:, 0]
     np.testing.assert_array_equal(masked, np.zeros(4))
 
 

@@ -39,8 +39,7 @@ def test_decimal_roundtrip_preserves_values(tmp_path, rng):
     rs.save_model(circuit, params, path, encoding="decimal")
     _, loaded_params, meta = rs.load_model(path)
     assert meta["param_encoding"] == "decimal"
-    for (_, a), (_, b) in zip(params.named_arrays(), loaded_params.named_arrays()):
-        np.testing.assert_array_equal(a, b)  # repr round-trips float64 exactly
+    np.testing.assert_array_equal(params.flat, loaded_params.flat)  # repr round-trips float64 exactly
 
 
 def test_scaling_and_counts_survive_roundtrip(tmp_path, rng):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import randspn as rs
+from randspn.circuit import ParamSlot
 from randspn.errors import InvalidInput, NumericFailure
+from randspn.training import AdamState
 from randspn.oracle import finite_diff_gradient
 from conftest import random_circuit, randomize_params
 
@@ -59,21 +61,16 @@ def _fd_check(circuit, params, batch, labels, lam, missing=None, sum_dropout=Non
     grads, _ = rs.backward_gradients(
         circuit, params, batch, labels, lam, missing, sum_dropout
     )
-    arrays = dict(params.named_arrays())
 
     def objective(work):
-        probe = params.copy()
-        for name, arr in probe.named_arrays():
-            arr[...] = work[name]
+        probe = rs.ParameterSet(params.layout, work["flat"])
         roots = rs.forward_log(circuit, probe, batch, missing, sum_dropout)
         return rs.hybrid_objective(roots, labels, circuit.num_vars, lam)
 
-    fd = finite_diff_gradient(objective, arrays, step)
-    worst = 0.0
-    for name, analytic in grads.named_arrays():
-        approx = fd[name]
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(approx)), 1e-2)
-        worst = max(worst, float((np.abs(analytic - approx) / denom).max()))
+    approx = finite_diff_gradient(objective, {"flat": params.flat}, step)["flat"]
+    analytic = grads.flat
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(approx)), 1e-2)
+    worst = float((np.abs(analytic - approx) / denom).max())
     assert worst < tol, f"gradient mismatch {worst}"
     return grads
 
@@ -205,9 +202,10 @@ def test_dropping_all_but_one_product(rng):
 
 def test_adam_first_step_and_determinism():
     config = rs.TrainConfig(lam=1.0, epochs=1, learning_rate=1e-3)
-    params = rs.ParameterSet(sum_logits={0: np.array([[0.5, -0.5]])})
-    grads = rs.ParameterSet(sum_logits={0: np.array([[0.2, -3.0]])})
-    state = rs.AdamState.initial(params)
+    layout = (ParamSlot("sum_logits", 0, 0, 0, (1, 2)),)
+    params = rs.ParameterSet(layout, np.array([0.5, -0.5]))
+    grads = rs.ParameterSet(layout, np.array([0.2, -3.0]))
+    state = AdamState.initial(params)
     updated, state = rs.adam_step(params, grads, state, config)
     g = grads.sum_logits[0]
     expected = params.sum_logits[0] - config.learning_rate * g / (
@@ -217,14 +215,14 @@ def test_adam_first_step_and_determinism():
     assert state.step == 1
 
     # zero gradient on a fresh optimizer: parameter untouched, counter advances
-    zero = rs.ParameterSet(sum_logits={0: np.zeros((1, 2))})
-    updated2, fresh = rs.adam_step(params, zero, rs.AdamState.initial(params), config)
+    zero = rs.ParameterSet(layout, np.zeros(2))
+    updated2, fresh = rs.adam_step(params, zero, AdamState.initial(params), config)
     np.testing.assert_array_equal(updated2.sum_logits[0], params.sum_logits[0])
     assert fresh.step == 1
 
     with pytest.raises(NumericFailure):
-        bad = rs.ParameterSet(sum_logits={0: np.array([[np.nan, 0.0]])})
-        rs.adam_step(params, bad, rs.AdamState.initial(params), config)
+        bad = rs.ParameterSet(layout, np.array([np.nan, 0.0]))
+        rs.adam_step(params, bad, AdamState.initial(params), config)
 
 
 def test_adam_runs_are_bit_identical(rng):
@@ -235,15 +233,14 @@ def test_adam_runs_are_bit_identical(rng):
 
     def run():
         p = params.copy()
-        state = rs.AdamState.initial(p)
+        state = AdamState.initial(p)
         for _ in range(5):
             grads, _ = rs.backward_gradients(circuit, p, batch, labels, config.lam)
             p, state = rs.adam_step(p, grads, state, config)
         return p
 
     a, b = run(), run()
-    for (_, x), (_, y) in zip(a.named_arrays(), b.named_arrays()):
-        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a.flat, b.flat)
 
 
 def test_objective_decreases_on_convex_toy():
@@ -258,7 +255,7 @@ def test_objective_decreases_on_convex_toy():
     batch = rng.normal(0.5, 1.0, (50, 1))
     labels = np.ones(50, dtype=int)
     config = rs.TrainConfig(lam=0.0, epochs=1, learning_rate=1e-4)
-    state = rs.AdamState.initial(params)
+    state = AdamState.initial(params)
     values = []
     for _ in range(10):
         grads, obj = rs.backward_gradients(circuit, params, batch, labels, 0.0)
@@ -286,8 +283,7 @@ def test_train_zero_epochs_returns_params_unchanged(rng):
         circuit, params, data, None, rs.TrainConfig(epochs=0)
     )
     assert metrics == []
-    for (_, a), (_, b) in zip(params.named_arrays(), trained.named_arrays()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(params.flat, trained.flat)
 
 
 def _blob_dataset(n=200, num_vars=4, seed=0):
@@ -330,8 +326,7 @@ def test_train_is_deterministic_and_supports_warm_start():
     p1, m1 = rs.train(circuit, params, data, None, config)
     p2, m2 = rs.train(circuit, params, data, None, config)
     assert m1 == m2
-    for (_, a), (_, b) in zip(p1.named_arrays(), p2.named_arrays()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(p1.flat, p2.flat)
 
     # warm start at a different trade-off continues from the trained state
     post = rs.TrainConfig(lam=0.0, epochs=2, batch_size=30, seed=12)
