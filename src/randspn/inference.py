@@ -49,10 +49,12 @@ def sum_block_forward(values: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Mixture outputs log sum_k softmax(logits)[s, k] exp(values[n, k]).
 
     Evaluated as LSE(logits + values) - LSE(logits), so a sum over all-zero
-    inputs (everything marginalized) is exactly zero.
+    inputs (everything marginalized) is exactly zero. That cancellation needs
+    both LSEs to add the same terms in the same order, so both reduce
+    row-major tables, whatever the memory layout of ``values``.
     """
-    norm = logsumexp(np.zeros((1, logits.shape[1]))[:, None, :] + logits[None, :, :])[0]
-    return logsumexp(values[:, None, :] + logits[None, :, :])[0] - norm
+    z = np.add(values[:, None, :], logits[None, :, :], order="C")
+    return logsumexp(z)[0] - logsumexp(np.ascontiguousarray(logits))[0]
 
 
 def _leaf_table(circuit, params, block, batch, missing):

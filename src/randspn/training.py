@@ -160,7 +160,9 @@ def backward_gradients(
             # dead rows (all inputs dropped) have zero responsibilities
             logits = params.sum_logits[block.index]
             x = sum_block_inputs(tables, block, sum_dropout)
-            lse, ez, total = logsumexp(x[:, None, :] + logits[None, :, :])
+            # row-major as in sum_block_forward, so all-zero inputs give r == softmax_w
+            z = np.add(x[:, None, :], logits[None, :, :], order="C")
+            lse, ez, total = logsumexp(z)
             r = ez / total[:, :, None]
             d_x = np.einsum("ns,nsk->nk", g, r)
             g_alive = np.where(np.isfinite(lse), g, 0.0)

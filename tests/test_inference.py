@@ -46,6 +46,21 @@ def test_all_missing_roots_are_zero(rng):
     np.testing.assert_array_equal(roots, np.zeros_like(roots))
 
 
+@pytest.mark.parametrize("leaf_family", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("batch_size", [1, 2, 4])
+def test_all_missing_log_px_is_exactly_zero(leaf_family, batch_size):
+    # desk configuration: with more than one row, some sum blocks receive
+    # column-major input tables, which must not change the cancellation
+    graph = rs.random_region_graph(64, 2, 8, seed=1)
+    circuit = rs.construct_circuit(graph, 10, 8, 8, leaf_family)
+    params = rs.init_parameters(circuit, seed=1)
+    batch = np.zeros((batch_size, 64))
+    log_px = rs.log_marginal_input(
+        circuit, params, batch, missing=np.ones_like(batch, bool)
+    )
+    assert np.all(log_px == 0.0)
+
+
 def test_shape_mismatch_rejected(rng):
     circuit, params = random_circuit(rng, num_vars=5)
     with pytest.raises(InvalidInput):
