@@ -144,7 +144,22 @@ def _rebuild_graph(structure) -> RegionGraph:
 
 
 def dict_to_model(document: dict):
-    """Rebuild (circuit, params, meta) from a parsed model document."""
+    """Rebuild (circuit, params, meta) from a parsed model document.
+
+    Every fault in the document raises DataFormatError, or its subclass
+    ModelVersionError for an unsupported format version.
+    """
+    try:
+        return _decode_document(document)
+    except DataFormatError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        # wrong JSON types or indices, or a structure that construct_circuit
+        # rejects (StructureError and InvalidInput are ValueErrors)
+        raise DataFormatError(f"invalid model file: {exc}") from exc
+
+
+def _decode_document(document: dict):
     try:
         if document.get("format") != FORMAT_NAME:
             raise DataFormatError(f"not a {FORMAT_NAME} file")
@@ -207,7 +222,7 @@ def load_model(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(document, dict):
         raise DataFormatError(f"{path}: expected a JSON object")

@@ -60,7 +60,7 @@ def test_usage_errors_exit_2(tmp_path, blob_csv, capsys):
                  "--out", str(tmp_path / "y")]) == 2
 
 
-def test_data_errors_exit_3(tmp_path, blob_csv):
+def test_data_errors_exit_3(tmp_path, blob_csv, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     model = _train(tmp_path, blob_csv)
@@ -70,6 +70,19 @@ def test_data_errors_exit_3(tmp_path, blob_csv):
     missing_file = tmp_path / "nothere.csv"
     assert main(["eval", "--model", str(model), "--data", f"csv:{missing_file}",
                  "--out", str(tmp_path / "e")]) == 3
+
+    # a malformed model file is a data error too, reported without a traceback
+    capsys.readouterr()
+    for mutate in (lambda d: d.update(parameters=[]),
+                   lambda d: d["structure"].update(num_classes=0)):
+        doc = json.loads(model.read_text())
+        mutate(doc)
+        broken = tmp_path / "broken.model.json"
+        broken.write_text(json.dumps(doc))
+        assert main(["eval", "--model", str(broken), "--data", f"csv:{blob_csv}",
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
 
 
 def test_eval_overfit_model_and_prior_flag(tmp_path, blob_csv, capsys):

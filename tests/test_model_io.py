@@ -103,6 +103,9 @@ def test_malformed_and_invalid_files(tmp_path, rng):
     path.write_text("{not json")
     with pytest.raises(DataFormatError):
         rs.load_model(path)
+    path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    with pytest.raises(DataFormatError):
+        rs.load_model(path)
 
     circuit, params = _model(rng, num_vars=4)
     good = tmp_path / "model.json"
@@ -118,6 +121,32 @@ def test_malformed_and_invalid_files(tmp_path, rng):
     doc["structure"]["regions"][1][1] = doc["structure"]["regions"][1][1][:-1]
     path.write_text(json.dumps(doc))
     with pytest.raises((StructureError, DataFormatError)):
+        rs.load_model(path)
+
+
+def _self_referencing_partition(doc):
+    partition = doc["structure"]["partitions"][0]
+    partition[1] = partition[0]  # the region becomes its own child
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda d: d.update(parameters=[]), id="parameters-list"),
+    pytest.param(lambda d: d["structure"].update(regions=None), id="regions-null"),
+    pytest.param(lambda d: d["structure"].update(num_vars="4"), id="num-vars-string"),
+    pytest.param(lambda d: d["structure"]["regions"][1].__setitem__(1, ["a"]),
+                 id="scope-non-numeric"),
+    pytest.param(_self_referencing_partition, id="self-referencing-partition"),
+    pytest.param(lambda d: d["structure"].update(num_classes=0), id="zero-classes"),
+    pytest.param(lambda d: d.update(leaf_family="poisson"), id="unknown-leaf-family"),
+])
+def test_every_fault_in_the_file_is_a_data_format_error(tmp_path, rng, mutate):
+    circuit, params = _model(rng, num_vars=4)
+    path = tmp_path / "model.json"
+    rs.save_model(circuit, params, path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError):
         rs.load_model(path)
 
 
