@@ -131,20 +131,20 @@ def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[Pa
         leaf_groups = ("leaf_means", "leaf_log_vars")
     else:
         leaf_groups = ("leaf_means",)
-    entries = []
+    columns: dict[str, list] = {group: [] for group in GROUPS}
     for block in circuit.blocks:
         if block.kind == SUM:
-            entries.append(("sum_logits", block, sum(b.width for b in block.inputs)))
+            columns["sum_logits"].append((block, sum(b.width for b in block.inputs)))
         elif block.kind == LEAF:
-            entries.extend((group, block, len(block.scope)) for group in leaf_groups)
-    entries.sort(key=lambda entry: GROUPS.index(entry[0]))  # stable: block order kept
+            for group in leaf_groups:
+                columns[group].append((block, len(block.scope)))
 
     slots = []
     offset = 0
-    for group, block, columns in entries:
-        slot = ParamSlot(group, block.index, block.node.index, offset, (block.width, columns))
-        slots.append(slot)
-        offset += slot.size
+    for group in GROUPS:
+        for block, k in columns[group]:
+            slots.append(ParamSlot(group, block.index, block.node.index, offset, (block.width, k)))
+            offset += block.width * k
     return tuple(slots)
 
 

@@ -160,13 +160,13 @@ def backward_gradients(
             # dead rows (all inputs dropped) have zero responsibilities
             logits = params.sum_logits[block.index]
             x = sum_block_inputs(tables, block, sum_dropout)
-            # row-major as in sum_block_forward, so all-zero inputs give r == softmax_w
             z = np.add(x[:, None, :], logits[None, :, :], order="C")
             lse, ez, total = logsumexp(z)
             r = ez / total[:, :, None]
             d_x = np.einsum("ns,nsk->nk", g, r)
             g_alive = np.where(np.isfinite(lse), g, 0.0)
-            # same computation path as r so fully-marginalized inputs cancel exactly
+            # row-major z and the same kernel as for r, as in sum_block_forward,
+            # so fully-marginalized inputs cancel exactly
             _, ew, ew_total = logsumexp(logits)
             softmax_w = ew / ew_total[:, None]
             grads.sum_logits[block.index][...] = np.einsum(
