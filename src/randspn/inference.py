@@ -1,10 +1,13 @@
 """Batched log-domain circuit evaluation and probabilistic queries.
 
 Everything runs in the log domain: product blocks add the log-tables of
-their two child blocks (an outer sum realized by broadcasting), sum blocks
-apply a max-shifted log-sum-exp of (log-weight + input). Marginalization is
-a per-sample boolean mask of missing variables, which zeroes the matching
-leaf terms; conditioning is a difference of two marginal evaluations.
+their two child blocks (an outer sum realized by broadcasting). Sum blocks
+use the exp–matmul–log form of Einsum Networks (Peharz et al. 2020): with
+``m`` each row's largest input, a block's outputs are
+``log(exp(x - m) @ softmax(logits).T) + m``, so no (samples, sums, inputs)
+table is ever built. Marginalization is a per-sample boolean mask of
+missing variables, which zeroes the matching leaf terms; conditioning is a
+difference of two marginal evaluations.
 """
 
 from __future__ import annotations
@@ -22,39 +25,58 @@ from .leaves import (
 NEG_INF = -np.inf
 
 
-def logsumexp(z: np.ndarray):
+def logsumexp(z: np.ndarray) -> np.ndarray:
     """Max-shifted log-sum-exp over the last axis: the one LSE kernel.
 
-    Returns ``(lse, e, total)`` with ``m`` the row max, ``e = exp(z - m)``,
-    ``total = e.sum(-1)`` and ``lse = m + log(total)``; ``e / total`` are
-    the softmax responsibilities. A row with no finite maximum (all -inf)
-    is dead: its ``lse`` is -inf, never NaN, and its ``total`` is 1, so its
-    responsibilities are 0.
+    A row with no finite maximum (all -inf) is dead: its result is -inf,
+    never NaN.
     """
     m = z.max(axis=-1)
     alive = np.isfinite(m)
     safe_m = np.where(alive, m, 0.0)
-    e = np.exp(z - safe_m[..., None])
-    total = np.where(alive, e.sum(axis=-1), 1.0)
-    lse = np.where(alive, safe_m + np.log(total), NEG_INF)
-    return lse, e, total
+    total = np.where(alive, np.exp(z - safe_m[..., None]).sum(axis=-1), 1.0)
+    return np.where(alive, safe_m + np.log(total), NEG_INF)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise normalized log-weights of a logit matrix."""
-    return logits - logsumexp(logits)[0][..., None]
+    return logits - logsumexp(logits)[..., None]
+
+
+def sum_block_kernel(values: np.ndarray, logits: np.ndarray):
+    """The exp–matmul–log terms of a sum block, shared by forward and backward.
+
+    Returns ``(m, e, w, p)``: ``m`` is each row's largest input as an (N, 1)
+    column (-inf in a dead row, whose inputs are all -inf),
+    ``e = exp(values - m)`` (all 0 in a dead row), ``w = softmax(logits)``
+    and ``p = e @ w.T``, so the block's outputs are ``log p + m``.
+    """
+    m = values.max(axis=1, keepdims=True)
+    e = np.exp(values - np.where(np.isfinite(m), m, 0.0))
+    # softmax inline: through log_softmax a one-sample call costs a third more
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    return m, e, w, e @ w.T
 
 
 def sum_block_forward(values: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Mixture outputs log sum_k softmax(logits)[s, k] exp(values[n, k]).
 
-    Evaluated as LSE(logits + values) - LSE(logits), so a sum over all-zero
-    inputs (everything marginalized) is exactly zero. That cancellation needs
-    both LSEs to add the same terms in the same order, so both reduce
-    row-major tables, whatever the memory layout of ``values``.
+    Evaluated as ``log(exp(values - m) @ softmax(logits).T) + m`` with ``m``
+    the row max. A row whose inputs are all equal returns that value
+    exactly, since a mixture of equal components is that component: the
+    softmax rows need not sum to exactly 1, and this rule keeps a fully
+    marginalized input (all zeros) at exactly 0. A dead row (all inputs
+    -inf, as under sum dropout) is such a row, so it gives -inf, never NaN.
+    Precision limit: a live row underflows to -inf only when every term
+    ``log w[s, k] + values[n, k] - m`` (logit gap plus input gap) is below
+    about -700 nats; the largest input has no input gap, so that takes a
+    logit spread of about 700 nats.
     """
-    z = np.add(values[:, None, :], logits[None, :, :], order="C")
-    return logsumexp(z)[0] - logsumexp(np.ascontiguousarray(logits))[0]
+    m, _, _, p = sum_block_kernel(values, logits)
+    equal = values.min(axis=1, keepdims=True) == m
+    with np.errstate(divide="ignore"):  # an underflowed p of 0 stands for -inf
+        return np.log(np.where(equal, 1.0, p)) + m
 
 
 def _leaf_table(circuit, params, block, batch, missing):
@@ -187,7 +209,7 @@ def log_marginal_input(circuit, params, batch, log_prior=None, missing=None) -> 
         log_prior = uniform_log_prior(circuit.classes_C)
     log_prior = _check_prior(log_prior, circuit.classes_C)
     roots = forward_log(circuit, params, batch, missing)
-    return logsumexp(roots + log_prior[None, :])[0]
+    return logsumexp(roots + log_prior[None, :])
 
 
 def conditional_log(

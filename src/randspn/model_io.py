@@ -118,12 +118,25 @@ def save_model(circuit, params, path, scaling=None, provenance=None, encoding=RA
         handle.write(text)
 
 
+def _checked_int(structure, key, nullable=False):
+    """An int >= 1 (any int, or null, when ``nullable``) from the structure."""
+    value = structure[key]
+    if nullable and value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        not nullable and value < 1
+    ):
+        wanted = "an int or null" if nullable else "an int >= 1"
+        raise DataFormatError(f"structure field {key!r} must be {wanted}, got {value!r}")
+    return value
+
+
 def _rebuild_graph(structure) -> RegionGraph:
     graph = RegionGraph(
         num_vars=structure["num_vars"],
-        depth=structure["depth"],
-        repetitions=structure["repetitions"],
-        seed=structure["structure_seed"],
+        depth=_checked_int(structure, "depth"),
+        repetitions=_checked_int(structure, "repetitions"),
+        seed=_checked_int(structure, "structure_seed", nullable=True),
     )
     for idx, (level, scope) in enumerate(structure["regions"]):
         graph.regions.append(Region(idx, tuple(int(v) for v in scope), int(level)))

@@ -18,7 +18,7 @@ import numpy as np
 from .circuit import Circuit, GAUSSIAN, LEAF, PRODUCT, ParameterSet
 from .data import batch_iterator
 from .errors import InvalidInput, NumericFailure
-from .inference import forward_log, logsumexp, sum_block_inputs
+from .inference import forward_log, logsumexp, sum_block_inputs, sum_block_kernel
 from .leaves import VARIANCE_FLOOR, clamped_variances
 
 
@@ -65,7 +65,7 @@ def cross_entropy(roots, labels) -> float:
     roots, labels = _check_roots_labels(roots, labels)
     picked = roots[np.arange(len(labels)), labels - 1]
     with np.errstate(invalid="ignore"):  # -inf roots surface as NaN downstream
-        return float(-(picked - logsumexp(roots)[0]).mean())
+        return float(-(picked - logsumexp(roots)).mean())
 
 
 def neg_log_likelihood(roots, labels, num_vars: int) -> float:
@@ -91,7 +91,7 @@ def _objective_root_gradient(roots, labels, num_vars, lam):
     onehot[np.arange(n), labels - 1] = 1.0
     grad = np.zeros((n, c))
     if lam > 0.0:
-        lse = logsumexp(roots)[0]
+        lse = logsumexp(roots)
         posterior = np.exp(roots - lse[:, None])
         grad += lam * (-(onehot - posterior) / n)
     if lam < 1.0:
@@ -110,6 +110,22 @@ def _table_diagnostics(circuit, tables):
         elif np.isneginf(t).all(axis=1).any():
             notes.append(f"{block}: some sample rows are entirely -inf")
     return notes
+
+
+def sum_block_backward(values, logits, g):
+    """Gradients of ``sum_block_forward`` w.r.t. its inputs and its logits.
+
+    ``g`` is the gradient of the block's (N, S) outputs. With the kernel's
+    ``e``, ``w`` and ``p`` and ``r = g / p``, the input gradient is
+    ``e * (r @ w)`` and the logit gradient ``w * (r.T @ e - g.sum(0))``. An
+    output that is -inf (``p == 0``, as in a dead row) passes no gradient,
+    and a dropped column (``e == 0``) gets exactly zero input gradient.
+    """
+    _, e, w, p = sum_block_kernel(values, logits)
+    live = p > 0.0
+    g = np.where(live, g, 0.0)
+    r = g / np.where(live, p, 1.0)
+    return e * (r @ w), w * (r.T @ e - g.sum(axis=0)[:, None])
 
 
 def backward_gradients(
@@ -156,22 +172,9 @@ def backward_gradients(
                 accumulate(left, g3.sum(axis=2))
                 accumulate(right, g3.sum(axis=1))
                 continue
-            # sum block: responsibilities are softmax over (logits + inputs);
-            # dead rows (all inputs dropped) have zero responsibilities
-            logits = params.sum_logits[block.index]
             x = sum_block_inputs(tables, block, sum_dropout)
-            z = np.add(x[:, None, :], logits[None, :, :], order="C")
-            lse, ez, total = logsumexp(z)
-            r = ez / total[:, :, None]
-            d_x = np.einsum("ns,nsk->nk", g, r)
-            g_alive = np.where(np.isfinite(lse), g, 0.0)
-            # row-major z and the same kernel as for r, as in sum_block_forward,
-            # so fully-marginalized inputs cancel exactly
-            _, ew, ew_total = logsumexp(logits)
-            softmax_w = ew / ew_total[:, None]
-            grads.sum_logits[block.index][...] = np.einsum(
-                "ns,nsk->sk", g, r
-            ) - softmax_w * g_alive.sum(axis=0)[:, None]
+            d_x, d_logits = sum_block_backward(x, params.sum_logits[block.index], g)
+            grads.sum_logits[block.index][...] = d_logits
             offset = 0
             for src in block.inputs:
                 accumulate(src, d_x[:, offset : offset + src.width])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import randspn as rs
 
@@ -35,6 +36,30 @@ def quadrature_mass_2d(circuit, params, lo=-10.0, hi=10.0, points=401):
         density = np.exp(roots[:, c]).reshape(points, points)
         masses.append(np.trapezoid(np.trapezoid(density, axis, axis=1), axis))
     return np.asarray(masses)
+
+
+@st.composite
+def sum_block_cases(draw, max_n=16, max_k=64, max_s=10):
+    """(values, logits, constant-row mask) for one sum block.
+
+    Inputs carry random -inf columns, dead rows (all -inf) and constant rows
+    (all inputs equal, zero included); logit rows spread up to 600 nats.
+    """
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, max_k))
+    s = draw(st.integers(1, max_s))
+    spread = draw(st.floats(0.0, 600.0))
+    scale = draw(st.floats(0.0, 50.0))
+    drop_rate = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.uniform(-0.5, 0.5, (s, k)) * spread
+    values = rng.normal(0.0, scale, (n, k)) + rng.normal(0.0, 20.0)
+    values[rng.random((n, k)) < drop_rate] = -np.inf
+    constant = rng.random(n) < 0.25
+    values[constant] = rng.choice([0.0, rng.normal(0.0, 10.0)])
+    values[rng.random(n) < 0.2] = -np.inf
+    constant |= np.isneginf(values).all(axis=1)
+    return values, logits, constant
 
 
 @pytest.fixture

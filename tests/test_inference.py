@@ -1,25 +1,34 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp as reference_logsumexp
 
 import randspn as rs
 from randspn.errors import InvalidInput
-from randspn.inference import logsumexp
+from randspn.inference import logsumexp, sum_block_forward
 from randspn.oracle import enumerate_assignments
-from conftest import quadrature_mass_2d, random_circuit, randomize_params
+from conftest import (
+    quadrature_mass_2d,
+    random_circuit,
+    randomize_params,
+    sum_block_cases,
+)
 
 
 def test_weighted_sum_matches_linear_arithmetic():
     # one sum, weights (0.5, 0.5), children ln 0.2 and ln 0.4 -> ln 0.3
     values = np.log(np.array([[0.2, 0.4]]))
     log_w = np.log(np.array([[0.5, 0.5]]))
-    out, _, _ = logsumexp(values[:, None, :] + log_w[None, :, :])
+    out = logsumexp(values[:, None, :] + log_w[None, :, :])
     assert out[0, 0] == pytest.approx(np.log(0.3), abs=1e-12)
 
 
 def test_weighted_logsumexp_handles_all_neg_inf():
     values = np.full((2, 3), -np.inf)
     log_w = np.log(np.full((1, 3), 1 / 3))
-    out, _, _ = logsumexp(values[:, None, :] + log_w[None, :, :])
+    out = logsumexp(values[:, None, :] + log_w[None, :, :])
     assert np.all(np.isneginf(out))
     assert not np.isnan(out).any()
 
@@ -55,6 +64,58 @@ def test_all_missing_log_px_is_exactly_zero(leaf_family, batch_size):
     circuit = rs.construct_circuit(graph, 10, 8, 8, leaf_family)
     params = rs.init_parameters(circuit, seed=1)
     batch = np.zeros((batch_size, 64))
+    log_px = rs.log_marginal_input(
+        circuit, params, batch, missing=np.ones_like(batch, bool)
+    )
+    assert np.all(log_px == 0.0)
+
+
+def _reference_sum_block(values, logits):
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        joint = reference_logsumexp(values[:, None, :] + logits[None], axis=-1)
+        return joint - reference_logsumexp(logits, axis=-1)[None, :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_block_cases())
+def test_sum_block_forward_matches_reference_lse(case):
+    values, logits, constant = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sum_block_forward(values, logits)
+    expected = _reference_sum_block(values, logits)
+    assert got.shape == expected.shape
+    assert not np.isnan(got).any()
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(expected))
+    finite = np.isfinite(expected)
+    np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-12, atol=1e-12)
+    # a mixture of equal components is that component, bit for bit
+    np.testing.assert_array_equal(
+        got[constant], np.broadcast_to(values[constant, :1], got[constant].shape)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_vars=st.integers(1, 8),
+    depth=st.integers(1, 3),
+    repetitions=st.integers(1, 4),
+    sums=st.integers(1, 4),
+    leaves=st.integers(1, 4),
+    classes=st.integers(1, 4),
+    leaf_family=st.sampled_from(["gaussian", "bernoulli"]),
+    batch_size=st.integers(1, 16),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_all_missing_log_px_is_exactly_zero_on_random_circuits(
+    num_vars, depth, repetitions, sums, leaves, classes, leaf_family, batch_size, seed
+):
+    rng = np.random.default_rng(seed)
+    graph = rs.random_region_graph(num_vars, depth, repetitions, seed)
+    circuit = rs.construct_circuit(graph, classes, sums, leaves, leaf_family)
+    params = randomize_params(rs.init_parameters(circuit, seed=seed), rng, 2.0)
+    batch = rng.integers(0, 2, (batch_size, num_vars)).astype(float)
     log_px = rs.log_marginal_input(
         circuit, params, batch, missing=np.ones_like(batch, bool)
     )
@@ -114,7 +175,7 @@ def test_log_marginal_input(rng):
 
     # symmetric case: equal roots collapse to the shared value
     fake = np.full((3, 2), -1.234)
-    mix, _, _ = logsumexp(fake + rs.uniform_log_prior(2)[None, :])
+    mix = logsumexp(fake + rs.uniform_log_prior(2)[None, :])
     np.testing.assert_allclose(mix, -1.234, atol=1e-12)
 
     got = rs.log_marginal_input(circuit, params, batch)
@@ -234,7 +295,7 @@ def test_scale_stability_leaf_shift(rng):
                 elif block.kind == "sum":
                     x = sum_block_inputs(shifted, block)
                     log_w = log_softmax(params.sum_logits[block.index])
-                    shifted[block.index], _, _ = logsumexp(x[:, None, :] + log_w[None, :, :])
+                    shifted[block.index] = logsumexp(x[:, None, :] + log_w[None, :, :])
         return shifted[circuit.root_block.index]
 
     base = forward_with_shift(0.0, 1)

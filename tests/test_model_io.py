@@ -138,6 +138,25 @@ def _self_referencing_partition(doc):
     pytest.param(_self_referencing_partition, id="self-referencing-partition"),
     pytest.param(lambda d: d["structure"].update(num_classes=0), id="zero-classes"),
     pytest.param(lambda d: d.update(leaf_family="poisson"), id="unknown-leaf-family"),
+    pytest.param(lambda d: d["structure"].update(depth="x"), id="depth-string"),
+    pytest.param(lambda d: d["structure"].update(depth=0), id="depth-zero"),
+    pytest.param(lambda d: d["structure"].update(depth=1.5), id="depth-float"),
+    pytest.param(lambda d: d["structure"].update(depth=True), id="depth-bool"),
+    pytest.param(lambda d: d["structure"].update(depth=None), id="depth-null"),
+    pytest.param(lambda d: d["structure"].update(repetitions=-1),
+                 id="repetitions-negative"),
+    pytest.param(lambda d: d["structure"].update(repetitions="2"),
+                 id="repetitions-string"),
+    pytest.param(lambda d: d["structure"].update(repetitions=False),
+                 id="repetitions-bool"),
+    pytest.param(lambda d: d["structure"].update(structure_seed="7"),
+                 id="structure-seed-string"),
+    pytest.param(lambda d: d["structure"].update(structure_seed=7.0),
+                 id="structure-seed-float"),
+    pytest.param(lambda d: d["structure"].update(structure_seed=True),
+                 id="structure-seed-bool"),
+    pytest.param(lambda d: d["structure"].pop("structure_seed"),
+                 id="structure-seed-missing"),
 ])
 def test_every_fault_in_the_file_is_a_data_format_error(tmp_path, rng, mutate):
     circuit, params = _model(rng, num_vars=4)
@@ -148,6 +167,18 @@ def test_every_fault_in_the_file_is_a_data_format_error(tmp_path, rng, mutate):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError):
         rs.load_model(path)
+
+
+def test_null_structure_seed_loads(tmp_path, rng):
+    circuit, params = _model(rng, num_vars=4)
+    path = tmp_path / "model.json"
+    rs.save_model(circuit, params, path)
+    doc = json.loads(path.read_text())
+    doc["structure"]["structure_seed"] = None
+    path.write_text(json.dumps(doc))
+    loaded_circuit, loaded_params, meta = rs.load_model(path)
+    assert meta["structure"]["structure_seed"] is None
+    np.testing.assert_array_equal(loaded_params.flat, params.flat)
 
 
 def test_oracle_agreement_through_the_file(tmp_path, rng):

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import randspn as rs
 from randspn.circuit import ParamSlot
 from randspn.errors import InvalidInput, NumericFailure
-from randspn.training import AdamState
+from randspn.inference import sum_block_forward
+from randspn.training import AdamState, sum_block_backward
 from randspn.oracle import finite_diff_gradient
-from conftest import random_circuit, randomize_params
+from conftest import random_circuit, randomize_params, sum_block_cases
 
 
 def test_cross_entropy_examples():
@@ -123,6 +127,83 @@ def test_gradients_respect_masks_and_dropout(rng):
         np.testing.assert_array_equal(arr, np.zeros_like(arr))
     for arr in grads.sum_logits.values():
         assert np.abs(arr).max() < 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(sum_block_cases(max_n=6, max_k=12, max_s=4), st.integers(0, 2**32 - 1))
+def test_sum_block_gradients_match_finite_differences(case, seed):
+    values, logits, _ = case
+    g = np.random.default_rng(seed).normal(size=(len(values), len(logits)))
+    live = np.isfinite(sum_block_forward(values, logits))
+
+    def objective(work):
+        out = sum_block_forward(work["values"], work["logits"])
+        return float((g * out)[live].sum())
+
+    approx = finite_diff_gradient(objective, {"values": values, "logits": logits}, 1e-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d_values, d_logits = sum_block_backward(values, logits, g)
+    np.testing.assert_allclose(d_values, approx["values"], rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(d_logits, approx["logits"], rtol=1e-5, atol=1e-6)
+
+    # dropped columns and dead rows get exactly zero input gradient, and a
+    # dead row's output gradient reaches nothing
+    dropped = np.isneginf(values)
+    assert np.all(d_values[dropped] == 0.0)
+    dead = dropped.all(axis=1)
+    g_dead = g.copy()
+    g_dead[dead] = 1e300
+    again_values, again_logits = sum_block_backward(values, logits, g_dead)
+    np.testing.assert_array_equal(again_values, d_values)
+    np.testing.assert_array_equal(again_logits, d_logits)
+
+
+def test_gradients_with_a_dead_row_in_an_inner_sum_block(rng):
+    # one repetition loses a whole row of an inner sum block; the other
+    # repetition keeps every root finite, so the objective stays finite
+    graph = rs.random_region_graph(4, 2, 2, seed=0)
+    circuit = rs.construct_circuit(graph, 2, 2, 2)
+    params = randomize_params(rs.init_parameters(circuit, seed=5), rng, 0.4)
+    batch = rng.normal(size=(4, 4))
+    labels = rng.integers(1, 3, 4)
+    sum_dropout = rs.sample_sum_dropout_mask(circuit, 0.6, 4, rng)
+    inner = [b for b in sum_dropout if b != circuit.root_block.index]
+    assert len(inner) == 4  # the two repetitions split the root differently
+    sum_dropout[inner[0]][1] = False
+    roots, tables = rs.forward_log(
+        circuit, params, batch, sum_dropout=sum_dropout, return_tables=True
+    )
+    assert np.isneginf(tables[inner[0]][1]).all()
+    assert np.isfinite(roots).all()
+    _fd_check(circuit, params, batch, labels, 0.5, None, sum_dropout)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_vars=st.integers(2, 8),
+    leaf_family=st.sampled_from(["gaussian", "bernoulli"]),
+    batch_size=st.integers(1, 8),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_masked_inputs_get_exactly_zero_gradient(num_vars, leaf_family, batch_size, seed):
+    rng = np.random.default_rng(seed)
+    circuit, params = random_circuit(rng, num_vars=num_vars, leaf_family=leaf_family)
+    randomize_params(params, rng, 0.5)
+    batch = rng.integers(0, 2, (batch_size, num_vars)).astype(float)
+    labels = rng.integers(1, circuit.classes_C + 1, batch_size)
+    missing = rng.random((batch_size, num_vars)) < 0.3
+    hidden = rng.random(num_vars) < 0.5  # masked in every row
+    missing[:, hidden] = True
+    sum_dropout = rs.sample_sum_dropout_mask(circuit, 0.5, batch_size, rng)
+    grads, _ = rs.backward_gradients(
+        circuit, params, batch, labels, 0.5, missing, sum_dropout
+    )
+    leaf_grads = grads.leaf_means if leaf_family == "gaussian" else grads.leaf_logits
+    for block in circuit.leaf_blocks():
+        columns = hidden[list(block.scope)]
+        assert np.all(leaf_grads[block.index][:, columns] == 0.0)
+    assert np.isfinite(grads.flat).all()
 
 
 def test_non_finite_objective_raises_with_diagnostics(rng):
