@@ -38,6 +38,13 @@ for level, layer in enumerate(circuit.layer_order):
     kinds = ", ".join(f"{b.kind}x{b.width}" for b in layer)
     print(f"  layer {level}: {kinds}")
 
+# The engine evaluates a compiled plan: each layer splits into groups of
+# same-shape blocks that read the same source groups, and each group is one
+# stacked (G, N, width) tensor computed by one numpy call.
+print(f"\nlayer plan: {len(circuit.plan)} groups")
+for group in circuit.plan:
+    print(f"  group {group.index}: {group.kind}x{group.width} times {len(group.blocks)}")
+
 print(f"\nsum/product stack depth: {circuit.stack_depth()} (= 2 * depth)")
 print(f"circuit validation ok: {rs.validate_circuit(circuit).ok}")
 print(f"parameters: {rs.count_parameters(circuit)}")

@@ -11,6 +11,10 @@ order, are the inputs of every sum node in that region.
 The one structure Algorithm-style construction leaves open is a single
 variable: the root then has no partitions, so it holds ``classes_C`` sum
 nodes mixing a block of ``leaves_I`` distributions over that variable.
+
+Construction also compiles the blocks into a layer plan: each layer splits
+into groups of same-shape blocks that read the same source groups, so the
+engine evaluates a whole group with one stacked numpy call.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ GAUSSIAN, BERNOULLI = "gaussian", "bernoulli"
 class Block:
     """A block of identically-wired nodes attached to one region or partition."""
 
-    __slots__ = ("index", "kind", "node", "width", "inputs", "level")
+    __slots__ = ("index", "kind", "node", "width", "inputs", "level", "group", "position")
 
     def __init__(self, index, kind, node, width, inputs=()):
         self.index = index
@@ -44,6 +48,8 @@ class Block:
         self.width = width
         self.inputs: tuple[Block, ...] = tuple(inputs)
         self.level = 0
+        self.group = -1  # plan group index, set when the plan is compiled
+        self.position = -1  # index within that group
 
     @property
     def scope(self) -> tuple[int, ...]:
@@ -52,6 +58,72 @@ class Block:
 
     def __repr__(self):
         return f"Block#{self.index}({self.kind}, width={self.width}, scope={list(self.scope)})"
+
+
+class Group:
+    """Same-shape blocks of one layer, evaluated together as one tensor.
+
+    The group's table is a (G, N, width) tensor, row ``position`` of which
+    is the (N, width) table of member block ``blocks[position]``. Input
+    ``j`` of every member comes from the table of plan group
+    ``sources[j][0]``, at the member positions ``sources[j][1]`` (a slice
+    when they are consecutive, an index array otherwise); ``sources[j][2]``
+    is True when those positions are all distinct.
+    ``scope`` holds the (G, d) variable indices of a leaf group.
+    ``release`` lists the source groups this group is the last reader of.
+    """
+
+    __slots__ = ("index", "kind", "blocks", "width", "input_widths", "sources", "scope", "release")
+
+    def __init__(self, index: int, blocks: list[Block]):
+        first = blocks[0]
+        self.index = index
+        self.kind = first.kind
+        self.blocks = tuple(blocks)
+        self.width = first.width
+        self.input_widths = tuple(b.width for b in first.inputs)
+        sources = []
+        for j, src in enumerate(first.inputs):
+            positions = [b.inputs[j].position for b in blocks]
+            start = positions[0]
+            if positions == list(range(start, start + len(positions))):
+                at = slice(start, start + len(positions))  # reads as a view
+            else:
+                at = np.array(positions)
+            sources.append((src.group, at, len(set(positions)) == len(positions)))
+        self.sources = tuple(sources)
+        self.scope = np.array([b.scope for b in blocks]) if first.kind == LEAF else None
+        self.release: tuple[int, ...] = ()
+
+
+def compile_plan(layer_order: list[list[Block]]) -> list[Group]:
+    """Split every layer into groups of blocks one stacked call can evaluate.
+
+    Leaf blocks group by (width, scope size), products by (left width,
+    right width, source groups), sums by (width, input widths, source
+    groups). Groups follow layer order, and within a layer the order of
+    their first block; members keep block-index order. Sets each block's
+    ``group`` and ``position``.
+    """
+    plan: list[Group] = []
+    for layer in layer_order:
+        members: dict[tuple, list[Block]] = {}
+        for block in layer:
+            key = (
+                block.kind,
+                block.width,
+                len(block.scope) if block.kind == LEAF else 0,
+                tuple((b.width, b.group) for b in block.inputs),
+            )
+            members.setdefault(key, []).append(block)
+        for blocks in members.values():
+            for position, block in enumerate(blocks):
+                block.group, block.position = len(plan), position
+            plan.append(Group(len(plan), blocks))
+    last_reader = {src: group.index for group in plan for src, _, _ in group.sources}
+    for group in plan:
+        group.release = tuple(s for s, reader in last_reader.items() if reader == group.index)
+    return plan
 
 
 @dataclass
@@ -66,6 +138,7 @@ class Circuit:
     partition_block: dict[int, Block]    # partition index -> product block
     leaf_input_block: dict[int, Block]   # region index -> leaf block feeding a 1-var root
     layer_order: list[list[Block]]
+    plan: list[Group]                    # compiled layer plan, in evaluation order
 
     @property
     def num_vars(self) -> int:
@@ -122,8 +195,9 @@ def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[Pa
     has one logit row per node and one column per input column; a leaf block
     has one row per node and one column per scope variable, holding Gaussian
     means (plus log-variances when ``train_variance``) or Bernoulli logits.
-    Slots are grouped in ``GROUPS`` order and sorted by block index within a
-    group.
+    Slots come in ``GROUPS`` order; within each, plan group by plan group,
+    so every plan group's matrices are adjacent and form one
+    (G, rows, cols) block of ``flat`` (see ``ParameterSet.stacked``).
     """
     if circuit.leaf_family == BERNOULLI:
         leaf_groups = ("leaf_logits",)
@@ -132,12 +206,13 @@ def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[Pa
     else:
         leaf_groups = ("leaf_means",)
     columns: dict[str, list] = {group: [] for group in GROUPS}
-    for block in circuit.blocks:
-        if block.kind == SUM:
-            columns["sum_logits"].append((block, sum(b.width for b in block.inputs)))
-        elif block.kind == LEAF:
-            for group in leaf_groups:
-                columns[group].append((block, len(block.scope)))
+    for plan_group in circuit.plan:
+        for block in plan_group.blocks:
+            if block.kind == SUM:
+                columns["sum_logits"].append((block, sum(plan_group.input_widths)))
+            elif block.kind == LEAF:
+                for group in leaf_groups:
+                    columns[group].append((block, len(block.scope)))
 
     slots = []
     offset = 0
@@ -164,12 +239,23 @@ class ParameterSet:
         self.layout = layout
         self.flat = np.zeros(sum(slot.size for slot in layout)) if flat is None else flat
         views: dict[str, dict[int, np.ndarray]] = {group: {} for group in GROUPS}
+        self._slots = {}
         for slot in layout:
             views[slot.group][slot.block] = slot.view(self.flat)
+            self._slots[slot.group, slot.block] = slot
         self.sum_logits = views["sum_logits"]
         self.leaf_means = views["leaf_means"]
         self.leaf_log_vars = views["leaf_log_vars"] or None
         self.leaf_logits = views["leaf_logits"]
+
+    def stacked(self, group: str, plan_group: Group) -> np.ndarray:
+        """The (G, rows, cols) view of a plan group's ``group`` matrices.
+
+        Zero-copy: ``parameter_layout`` puts the members' slots side by side.
+        """
+        first = self._slots[group, plan_group.blocks[0].index]
+        end = first.offset + len(plan_group.blocks) * first.size
+        return self.flat[first.offset : end].reshape(len(plan_group.blocks), *first.shape)
 
     def copy(self) -> "ParameterSet":
         return ParameterSet(self.layout, self.flat.copy())
@@ -262,6 +348,7 @@ def construct_circuit(
         partition_block=partition_block,
         leaf_input_block=leaf_input_block,
         layer_order=layer_order,
+        plan=compile_plan(layer_order),
     )
 
 

@@ -53,6 +53,7 @@ from . import (
 )
 from .data import Scaling
 from .errors import DataFormatError, InvalidInput, NumericFailure
+from .inference import check_log_prior, logsumexp
 
 
 def _fmt(value) -> str:
@@ -146,7 +147,7 @@ def _prior_from_flag(args, circuit, meta, data):
         return uniform_log_prior(circuit.classes_C)
     stored = (meta or {}).get("provenance", {}).get("class_log_prior")
     if stored is not None:
-        return np.asarray(stored, dtype=float)
+        return check_log_prior(stored, circuit.classes_C)
     if data.labels is None:
         raise InvalidInput(
             "--prior empirical needs label frequencies, but neither the model "
@@ -268,9 +269,8 @@ def cmd_eval(args):
         "accuracy": float((predicted == data.labels).mean()),
         "ce": cross_entropy(roots, data.labels),
         "nll": neg_log_likelihood(roots, data.labels, circuit.num_vars),
-        "mean_log_px": float(
-            log_marginal_input(circuit, params, data.features, log_prior).mean()
-        ),
+        # log_marginal_input's formula, applied to the roots above
+        "mean_log_px": float(logsumexp(roots + log_prior[None, :]).mean()),
     }
     path = args.out + ".eval.csv"
     _write_csv(path, list(record), [list(record.values())])

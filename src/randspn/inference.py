@@ -1,20 +1,23 @@
 """Batched log-domain circuit evaluation and probabilistic queries.
 
-Everything runs in the log domain: product blocks add the log-tables of
-their two child blocks (an outer sum realized by broadcasting). Sum blocks
-use the exp–matmul–log form of Einsum Networks (Peharz et al. 2020): with
-``m`` each row's largest input, a block's outputs are
-``log(exp(x - m) @ softmax(logits).T) + m``, so no (samples, sums, inputs)
-table is ever built. Marginalization is a per-sample boolean mask of
-missing variables, which zeroes the matching leaf terms; conditioning is a
-difference of two marginal evaluations.
+Evaluation follows the circuit's compiled layer plan (``Circuit.plan``):
+every group of same-shape blocks is one (G, N, width) tensor, computed by
+one stacked numpy call per step, so Python dispatch scales with the number
+of groups, not of blocks. Everything runs in the log domain: product
+blocks add the log-tables of their two child blocks (an outer sum realized
+by broadcasting). Sum blocks use the exp–matmul–log form of Einsum Networks
+(Peharz et al. 2020): with ``m`` each row's largest input, a block's outputs
+are ``log(exp(x - m) @ softmax(logits).T) + m``, so no (samples, sums,
+inputs) table is ever built. Marginalization is a per-sample boolean mask
+of missing variables, which zeroes the matching leaf terms; conditioning is
+a difference of two marginal evaluations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, LEAF, PRODUCT, GAUSSIAN, ParameterSet
+from .circuit import Circuit, GAUSSIAN, LEAF, PRODUCT, Group, ParameterSet
 from .errors import InvalidInput
 from .leaves import (
     bernoulli_block_log_mass,
@@ -46,20 +49,23 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def sum_block_kernel(values: np.ndarray, logits: np.ndarray):
     """The exp–matmul–log terms of a sum block, shared by forward and backward.
 
-    Returns ``(m, e, w, p)``: ``m`` is each row's largest input as an (N, 1)
-    column (-inf in a dead row, whose inputs are all -inf),
+    ``values`` is a block's (N, K) input table and ``logits`` its (S, K)
+    logits, or (G, N, K) and (G, S, K) for a group of G blocks. Returns
+    ``(m, e, w, p)``: ``m`` is each row's largest input, kept as a trailing
+    axis of length 1 (-inf in a dead row, whose inputs are all -inf),
     ``e = exp(values - m)`` (all 0 in a dead row), ``w = softmax(logits)``
     and ``p = e @ w.T``, so the block's outputs are ``log p + m``.
     """
-    m = values.max(axis=1, keepdims=True)
-    e = np.exp(values - np.where(np.isfinite(m), m, 0.0))
+    m = values.max(axis=-1, keepdims=True)
+    e = values - np.where(np.isfinite(m), m, 0.0)
+    np.exp(e, out=e)  # in place: for a group, e is the largest temporary
     # softmax inline: through log_softmax a one-sample call costs a third more
-    w = np.exp(logits - logits.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
-    return m, e, w, e @ w.T
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    return m, e, w, e @ w.swapaxes(-1, -2)
 
 
-def sum_block_forward(values: np.ndarray, logits: np.ndarray) -> np.ndarray:
+def sum_block_forward(values: np.ndarray, logits: np.ndarray, kernel=None) -> np.ndarray:
     """Mixture outputs log sum_k softmax(logits)[s, k] exp(values[n, k]).
 
     Evaluated as ``log(exp(values - m) @ softmax(logits).T) + m`` with ``m``
@@ -72,36 +78,65 @@ def sum_block_forward(values: np.ndarray, logits: np.ndarray) -> np.ndarray:
     ``log w[s, k] + values[n, k] - m`` (logit gap plus input gap) is below
     about -700 nats; the largest input has no input gap, so that takes a
     logit spread of about 700 nats.
+
+    Shapes as in ``sum_block_kernel``; ``kernel`` takes that function's
+    result for these arguments when the caller already has it.
     """
-    m, _, _, p = sum_block_kernel(values, logits)
-    equal = values.min(axis=1, keepdims=True) == m
+    m, _, _, p = sum_block_kernel(values, logits) if kernel is None else kernel
+    equal = values.min(axis=-1, keepdims=True) == m
     with np.errstate(divide="ignore"):  # an underflowed p of 0 stands for -inf
         return np.log(np.where(equal, 1.0, p)) + m
 
 
-def _leaf_table(circuit, params, block, batch, missing):
-    scope = list(block.scope)
-    x = batch[:, scope]
-    mask = None if missing is None else missing[:, scope]
+def sum_block_inputs(tables, group: Group, sum_dropout=None) -> np.ndarray:
+    """The (G, N, K) input tensor of a sum group, dropout applied as -inf.
+
+    ``tables`` holds one (G, N, width) tensor per plan group; each member's
+    input columns are its source tables side by side. A member with a
+    keep-mask in ``sum_dropout`` (keyed by block index) gets its dropped
+    columns as -inf.
+    """
+    parts = [tables[src][positions] for src, positions, _ in group.sources]
+    x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    if sum_dropout and any(block.index in sum_dropout for block in group.blocks):
+        keep = np.stack([
+            np.broadcast_to(sum_dropout.get(block.index, True), x.shape[1:])
+            for block in group.blocks
+        ])
+        x = np.where(keep, x, NEG_INF)
+    return x
+
+
+def _leaf_group(circuit, params, group, batch, missing):
+    """(G, N, I) log-densities of a leaf group."""
+    x = np.take(batch, group.scope, axis=1)  # (N, G, d), contiguous along d
+    mask = None if missing is None else np.take(missing, group.scope, axis=1)
     if circuit.leaf_family == GAUSSIAN:
-        means = params.leaf_means[block.index]
         variances = (
             None
             if params.leaf_log_vars is None
-            else clamped_variances(params.leaf_log_vars[block.index])
+            else clamped_variances(params.stacked("leaf_log_vars", group))
         )
-        return gaussian_block_log_density(x, means, variances, mask)
-    return bernoulli_block_log_mass(x, params.leaf_logits[block.index], mask)
+        out = gaussian_block_log_density(
+            x, params.stacked("leaf_means", group), variances, mask
+        )
+    else:
+        out = bernoulli_block_log_mass(x, params.stacked("leaf_logits", group), mask)
+    return out.transpose(1, 0, 2)
 
 
-def sum_block_inputs(tables, block, sum_dropout=None):
-    """Concatenated input table of a sum block, with dropout applied as -inf."""
-    x = np.concatenate([tables[b.index] for b in block.inputs], axis=1)
-    if sum_dropout is not None:
-        keep = sum_dropout.get(block.index)
-        if keep is not None:
-            x = np.where(keep, x, NEG_INF)
-    return x
+class Tables(dict):
+    """Every block's (N, width) table from one forward pass, by block index.
+
+    Each table is a view into ``groups[g]``, the (G, N, width) tensor of plan
+    group ``g``; ``kernels`` maps each sum group's index to its
+    ``sum_block_kernel`` terms, which the backward pass reuses.
+    """
+
+    def __init__(self, circuit: Circuit, groups: list, kernels: dict):
+        super().__init__((b.index, groups[b.group][b.position]) for b in circuit.blocks)
+        self.groups = groups
+        self.kernels = kernels
 
 
 def _check_batch(circuit, batch, missing):
@@ -131,37 +166,39 @@ def forward_log(
 
     ``missing`` marks variables to marginalize per sample. ``sum_dropout``
     maps a sum block index to a boolean keep-mask over (sample, input
-    column); dropped columns enter the mixtures as -inf. Intermediate block
-    tables are discarded as soon as their consumers are done unless
-    ``return_tables`` is set.
+    column); dropped columns enter the mixtures as -inf. The circuit's plan
+    runs one group at a time, and a group's tensor is dropped after its last
+    reader unless ``return_tables`` is set; then the result is
+    ``(roots, tables)`` with ``tables`` a ``Tables``.
     """
     batch, missing = _check_batch(circuit, batch, missing)
-    tables: dict[int, np.ndarray] = {}
-    pending = {b.index: 0 for b in circuit.blocks}
-    for block in circuit.blocks:
-        for src in block.inputs:
-            pending[src.index] += 1
+    n = batch.shape[0]
+    tables: list = []
+    kernels = {}
+    for group in circuit.plan:
+        if group.kind == LEAF:
+            out = _leaf_group(circuit, params, group, batch, missing)
+        elif group.kind == PRODUCT:
+            (left, left_at, _), (right, right_at, _) = group.sources
+            t = tables[left][left_at][..., :, None] + tables[right][right_at][..., None, :]
+            out = t.reshape(len(group.blocks), n, group.width)
+        else:
+            x = sum_block_inputs(tables, group, sum_dropout)
+            logits = params.stacked("sum_logits", group)
+            kernel = sum_block_kernel(x, logits)
+            out = sum_block_forward(x, logits, kernel)
+            if return_tables:
+                kernels[group.index] = kernel
+            del x, kernel  # the largest temporaries: free them before the next group
+        tables.append(out)
+        if not return_tables:
+            for src in group.release:
+                tables[src] = None
 
-    for layer in circuit.layer_order:
-        for block in layer:
-            if block.kind == LEAF:
-                tables[block.index] = _leaf_table(circuit, params, block, batch, missing)
-            elif block.kind == PRODUCT:
-                left, right = block.inputs
-                t = tables[left.index][:, :, None] + tables[right.index][:, None, :]
-                tables[block.index] = t.reshape(batch.shape[0], block.width)
-            else:
-                x = sum_block_inputs(tables, block, sum_dropout)
-                tables[block.index] = sum_block_forward(x, params.sum_logits[block.index])
-            if not return_tables:
-                for src in block.inputs:
-                    pending[src.index] -= 1
-                    if pending[src.index] == 0:
-                        del tables[src.index]
-
-    roots = tables[circuit.root_block.index]
+    root = circuit.root_block
+    roots = tables[root.group][root.position]
     if return_tables:
-        return roots, tables
+        return roots, Tables(circuit, tables, kernels)
     return roots
 
 
@@ -178,7 +215,8 @@ def empirical_log_prior(labels, num_classes: int) -> np.ndarray:
         return np.log(counts / counts.sum())
 
 
-def _check_prior(log_prior, num_classes):
+def check_log_prior(log_prior, num_classes: int) -> np.ndarray:
+    """The prior as a float array; InvalidInput unless it is a normalized (C,) vector."""
     log_prior = np.asarray(log_prior, dtype=float)
     if log_prior.shape != (num_classes,):
         raise InvalidInput(f"prior must have shape ({num_classes},)")
@@ -190,7 +228,7 @@ def _check_prior(log_prior, num_classes):
 
 def log_joint(circuit, params, batch, log_prior, missing=None) -> np.ndarray:
     """Per-sample, per-class log p(x, c) = root_c(x) + log prior_c."""
-    log_prior = _check_prior(log_prior, circuit.classes_C)
+    log_prior = check_log_prior(log_prior, circuit.classes_C)
     roots = forward_log(circuit, params, batch, missing)
     return roots + log_prior[None, :]
 
@@ -207,7 +245,7 @@ def log_marginal_input(circuit, params, batch, log_prior=None, missing=None) -> 
     """Per-sample log p(x) = logsumexp_c (root_c + log prior_c)."""
     if log_prior is None:
         log_prior = uniform_log_prior(circuit.classes_C)
-    log_prior = _check_prior(log_prior, circuit.classes_C)
+    log_prior = check_log_prior(log_prior, circuit.classes_C)
     roots = forward_log(circuit, params, batch, missing)
     return logsumexp(roots + log_prior[None, :])
 
@@ -226,10 +264,10 @@ def conditional_log(
         raise InvalidInput("query and evidence masks must have the same shape")
     if np.any(query_mask & evidence_mask):
         raise InvalidInput("query and evidence masks overlap")
-    joint = log_marginal_input(
-        circuit, params, batch, log_prior, missing=~(query_mask | evidence_mask)
+    # joint and evidence marginals in one pass over the rows stacked twice
+    batch, _ = _check_batch(circuit, batch, None)
+    both = log_marginal_input(
+        circuit, params, np.concatenate([batch, batch]), log_prior,
+        missing=np.concatenate([~(query_mask | evidence_mask), ~evidence_mask]),
     )
-    evidence = log_marginal_input(
-        circuit, params, batch, log_prior, missing=~evidence_mask
-    )
-    return joint - evidence
+    return both[: len(batch)] - both[len(batch) :]

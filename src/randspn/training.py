@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, GAUSSIAN, LEAF, PRODUCT, ParameterSet
+from .circuit import BERNOULLI, Circuit, LEAF, PRODUCT, ParameterSet
 from .data import batch_iterator
 from .errors import InvalidInput, NumericFailure
-from .inference import forward_log, logsumexp, sum_block_inputs, sum_block_kernel
-from .leaves import VARIANCE_FLOOR, clamped_variances
+from .inference import forward_log, logsumexp, sum_block_kernel
+from .leaves import VARIANCE_FLOOR, clamped_variances, node_major
 
 
 @dataclass
@@ -112,20 +112,78 @@ def _table_diagnostics(circuit, tables):
     return notes
 
 
-def sum_block_backward(values, logits, g):
+def sum_block_backward(values, logits, g, kernel=None):
     """Gradients of ``sum_block_forward`` w.r.t. its inputs and its logits.
 
-    ``g`` is the gradient of the block's (N, S) outputs. With the kernel's
-    ``e``, ``w`` and ``p`` and ``r = g / p``, the input gradient is
-    ``e * (r @ w)`` and the logit gradient ``w * (r.T @ e - g.sum(0))``. An
-    output that is -inf (``p == 0``, as in a dead row) passes no gradient,
-    and a dropped column (``e == 0``) gets exactly zero input gradient.
+    ``g`` is the gradient of the block's (N, S) outputs, or (G, N, S) for a
+    group (shapes as in ``sum_block_kernel``). With the kernel's ``e``,
+    ``w`` and ``p`` and ``r = g / p``, the input gradient is ``e * (r @ w)``
+    and the logit gradient ``w * (r.T @ e - g.sum(0))``. An output that is
+    -inf (``p == 0``, as in a dead row) passes no gradient, and a dropped
+    column (``e == 0``) gets exactly zero input gradient. ``kernel`` takes
+    the forward pass's ``sum_block_kernel`` result, which saves recomputing
+    it from ``values`` and ``logits``.
     """
-    _, e, w, p = sum_block_kernel(values, logits)
+    _, e, w, p = sum_block_kernel(values, logits) if kernel is None else kernel
     live = p > 0.0
     g = np.where(live, g, 0.0)
     r = g / np.where(live, p, 1.0)
-    return e * (r @ w), w * (r.T @ e - g.sum(axis=0)[:, None])
+    d_logits = w * (r.swapaxes(-1, -2) @ e - g.sum(axis=-2)[..., None])
+    return e * (r @ w), d_logits
+
+
+def _accumulate(grad_tables, tables, source, value):
+    """Add ``value`` into the gradient of the source group's table.
+
+    A position repeated in the source's positions (a child region shared by
+    two partitions) must receive every term, so it goes through ``add.at``.
+    """
+    src, positions, unique = source
+    if grad_tables[src] is None:
+        grad_tables[src] = np.zeros_like(tables.groups[src])
+    if unique:
+        grad_tables[src][positions] += value
+    else:
+        np.add.at(grad_tables[src], positions, value)
+
+
+def _leaf_gradients(circuit, params, grads, group, g, batch, missing):
+    """Write a leaf group's parameter gradients from its (G, N, I) table gradient.
+
+    Loops over the I leaf nodes, as the forward leaf kernels do.
+    """
+    x = np.take(batch, group.scope, axis=1)  # (N, G, d)
+    masked = None if missing is None else np.flatnonzero(missing[:, group.scope])
+    g = np.ascontiguousarray(g.transpose(2, 1, 0))  # (I, N, G)
+
+    def weighted(i, terms):
+        """sum_n g[i, n, :] * terms[n], masked terms counting as exactly 0."""
+        if masked is not None:
+            np.put(terms, masked, 0.0)
+        return np.einsum("ng,ngv->gv", g[i], terms)
+
+    if circuit.leaf_family == BERNOULLI:
+        p = node_major(1.0 / (1.0 + np.exp(-params.stacked("leaf_logits", group))))
+        d_logits = grads.stacked("leaf_logits", group)
+        for i in range(len(g)):
+            d_logits[:, i, :] = weighted(i, x - p[i])
+        return
+    means = node_major(params.stacked("leaf_means", group))
+    d_means = grads.stacked("leaf_means", group)
+    trains_variance = params.leaf_log_vars is not None
+    if trains_variance:
+        log_vars = params.stacked("leaf_log_vars", group)
+        var = node_major(clamped_variances(log_vars))
+        active = np.exp(log_vars) > VARIANCE_FLOOR
+        d_log_vars = grads.stacked("leaf_log_vars", group)
+    else:
+        var = np.ones_like(means)
+    for i in range(len(g)):
+        diff = x - means[i]
+        d_means[:, i, :] = weighted(i, diff / var[i])
+        if trains_variance:
+            term = -0.5 + diff * diff / (2.0 * var[i])
+            d_log_vars[:, i, :] = weighted(i, term) * active[:, i, :]
 
 
 def backward_gradients(
@@ -150,67 +208,34 @@ def backward_gradients(
         )
 
     grads = params.zeros_like()
-    acc = {b.index: None for b in circuit.blocks}
-    acc[circuit.root_block.index] = _objective_root_gradient(
+    root = circuit.root_block
+    grad_tables: list = [None] * len(circuit.plan)
+    grad_tables[root.group] = np.zeros_like(tables.groups[root.group])
+    grad_tables[root.group][root.position] = _objective_root_gradient(
         roots, labels, circuit.num_vars, lam
     )
+    if missing is not None:
+        missing = np.asarray(missing, bool)
 
-    def accumulate(block, value):
-        if acc[block.index] is None:
-            acc[block.index] = value.copy()
+    for group in reversed(circuit.plan):
+        # each table gradient and sum kernel is read once: free it after
+        g, grad_tables[group.index] = grad_tables[group.index], None
+        if group.kind == LEAF:
+            _leaf_gradients(circuit, params, grads, group, g, batch, missing)
+        elif group.kind == PRODUCT:
+            left, right = group.sources
+            g4 = g.reshape(g.shape[:2] + group.input_widths)
+            _accumulate(grad_tables, tables, left, g4.sum(axis=3))
+            _accumulate(grad_tables, tables, right, g4.sum(axis=2))
         else:
-            acc[block.index] += value
-
-    for layer in reversed(circuit.layer_order):
-        for block in layer:
-            g = acc[block.index]
-            if g is None or block.kind == LEAF:
-                continue
-            if block.kind == PRODUCT:
-                left, right = block.inputs
-                g3 = g.reshape(g.shape[0], left.width, right.width)
-                accumulate(left, g3.sum(axis=2))
-                accumulate(right, g3.sum(axis=1))
-                continue
-            x = sum_block_inputs(tables, block, sum_dropout)
-            d_x, d_logits = sum_block_backward(x, params.sum_logits[block.index], g)
-            grads.sum_logits[block.index][...] = d_logits
+            d_x, d_logits = sum_block_backward(
+                None, None, g, tables.kernels.pop(group.index)
+            )
+            grads.stacked("sum_logits", group)[...] = d_logits
             offset = 0
-            for src in block.inputs:
-                accumulate(src, d_x[:, offset : offset + src.width])
-                offset += src.width
-
-    for block in circuit.leaf_blocks():
-        g = acc[block.index]
-        if g is None:
-            continue
-        scope = list(block.scope)
-        x = batch[:, scope]
-        observed = (
-            np.ones_like(x, dtype=bool)
-            if missing is None
-            else ~np.asarray(missing, bool)[:, scope]
-        )
-        if circuit.leaf_family == GAUSSIAN:
-            means = params.leaf_means[block.index]
-            if params.leaf_log_vars is None:
-                var = np.ones_like(means)
-            else:
-                var = clamped_variances(params.leaf_log_vars[block.index])
-            diff = x[:, None, :] - means[None, :, :]
-            score = np.where(observed[:, None, :], diff / var[None, :, :], 0.0)
-            grads.leaf_means[block.index][...] = np.einsum("ni,niv->iv", g, score)
-            if params.leaf_log_vars is not None:
-                active = np.exp(params.leaf_log_vars[block.index]) > VARIANCE_FLOOR
-                term = -0.5 + diff * diff / (2.0 * var[None, :, :])
-                term = np.where(observed[:, None, :], term, 0.0)
-                d_lv = np.einsum("ni,niv->iv", g, term) * active
-                grads.leaf_log_vars[block.index][...] = d_lv
-        else:
-            logits = params.leaf_logits[block.index]
-            p = 1.0 / (1.0 + np.exp(-logits))
-            score = np.where(observed[:, None, :], x[:, None, :] - p[None, :, :], 0.0)
-            grads.leaf_logits[block.index][...] = np.einsum("ni,niv->iv", g, score)
+            for source, width in zip(group.sources, group.input_widths):
+                _accumulate(grad_tables, tables, source, d_x[..., offset : offset + width])
+                offset += width
 
     return grads, objective
 

@@ -142,3 +142,51 @@ def test_data_aware_initialization_tracks_feature_stats():
         means = params.leaf_means[block.index]
         expected = mu[list(block.scope)]
         assert np.abs(means - expected[None, :]).max() < 0.1
+
+
+@pytest.mark.parametrize(
+    "config, kinds",
+    [
+        ((64, 2, 8, 10, 8, 8), ["leaf", "product", "sum", "product", "sum"]),
+        ((784, 3, 10, 10, 10, 10), ["leaf"] + ["product", "sum"] * 3),
+    ],
+)
+def test_plan_has_one_group_per_layer_on_even_splits(config, kinds):
+    num_vars, depth, repetitions, classes, sums, leaves = config
+    graph = rs.random_region_graph(num_vars, depth, repetitions, seed=1)
+    circuit = rs.construct_circuit(graph, classes, sums, leaves)
+    assert [group.kind for group in circuit.plan] == kinds
+    placed = [(b.group, b.position) for b in circuit.blocks]
+    assert sorted(placed) == sorted(
+        (g.index, k) for g in circuit.plan for k in range(len(g.blocks))
+    )
+    for group in circuit.plan:
+        for position, block in enumerate(group.blocks):
+            assert (block.group, block.position) == (group.index, position)
+            assert block.width == group.width
+            for (src, at, _), child in zip(group.sources, block.inputs):
+                assert (child.group, child.position) == (
+                    src, np.arange(len(circuit.plan[src].blocks))[at][position]
+                )
+
+
+@pytest.mark.parametrize("leaf_family, train_variance", [
+    ("gaussian", False), ("gaussian", True), ("bernoulli", False),
+])
+def test_stacked_parameters_are_zero_copy_views_of_flat(leaf_family, train_variance):
+    graph = rs.random_region_graph(5, 2, 4, seed=0)  # two leaf groups
+    circuit = rs.construct_circuit(graph, 2, 3, 2, leaf_family)
+    params = rs.init_parameters(circuit, seed=4, train_variance=train_variance)
+    names = {SUM: ["sum_logits"], PRODUCT: []}
+    names[LEAF] = (
+        ["leaf_logits"] if leaf_family == "bernoulli"
+        else ["leaf_means", "leaf_log_vars"] if train_variance else ["leaf_means"]
+    )
+    for group in circuit.plan:
+        for name in names[group.kind]:
+            stacked = params.stacked(name, group)
+            assert np.shares_memory(stacked, params.flat)
+            per_block = getattr(params, name)
+            np.testing.assert_array_equal(
+                stacked, np.stack([per_block[b.index] for b in group.blocks])
+            )

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import randspn as rs
 from randspn.cli import main, ranking_statistic
 
 
@@ -100,6 +101,39 @@ def test_eval_overfit_model_and_prior_flag(tmp_path, blob_csv, capsys):
     # balanced labels: empirical prior == uniform prior here, so log p(x)
     # matches; accuracy must match regardless
     assert record2["accuracy"] == record["accuracy"]
+
+
+def test_eval_log_px_equals_log_marginal_input(tmp_path, blob_csv):
+    # eval derives log p(x) from its one forward pass; the value is the
+    # one log_marginal_input gives, to the bit
+    model = _train(tmp_path, blob_csv)
+    circuit, params, _ = rs.load_model(model)
+    data = rs.load_csv(blob_csv)
+    priors = {"uniform": None, "empirical": rs.empirical_log_prior(data.labels, 2)}
+    for name, prior in priors.items():
+        out = tmp_path / f"ev-{name}"
+        assert main(["eval", "--model", str(model), "--data", f"csv:{blob_csv}",
+                     "--prior", name, "--out", str(out)]) == 0
+        header, row = (tmp_path / f"ev-{name}.eval.csv").read_text().splitlines()
+        got = row.split(",")[header.split(",").index("mean_log_px")]
+        want = rs.log_marginal_input(circuit, params, data.features, prior).mean()
+        assert got == repr(float(want))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_training_input_exits_4(tmp_path, blob_csv, capsys):
+    rows = blob_csv.read_text().splitlines()
+    rows[5] = "1e160," + rows[5].split(",", 1)[1]
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(rows) + "\n")
+    assert main([
+        "train", "--data", f"csv:{huge}", "--depth", "1", "--repetitions", "2",
+        "--sums", "2", "--leaves", "2", "--epochs", "1", "--scale", "none",
+        "--init", "normal", "--out", str(tmp_path / "h"),
+    ]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "Block#" in err
+    assert "Traceback" not in err
 
 
 def test_warm_start_post_training(tmp_path, blob_csv):

@@ -8,6 +8,7 @@ from scipy.special import logsumexp as reference_logsumexp
 import randspn as rs
 from randspn.errors import InvalidInput
 from randspn.inference import logsumexp, sum_block_forward
+from randspn.training import sum_block_backward
 from randspn.oracle import enumerate_assignments
 from conftest import (
     quadrature_mass_2d,
@@ -56,7 +57,7 @@ def test_all_missing_roots_are_zero(rng):
 
 
 @pytest.mark.parametrize("leaf_family", ["gaussian", "bernoulli"])
-@pytest.mark.parametrize("batch_size", [1, 2, 4])
+@pytest.mark.parametrize("batch_size", [1, 2, 4, 16])
 def test_all_missing_log_px_is_exactly_zero(leaf_family, batch_size):
     # desk configuration: with more than one row, some sum blocks receive
     # column-major input tables, which must not change the cancellation
@@ -276,7 +277,7 @@ def test_scale_stability_leaf_shift(rng):
     batch = rng.normal(size=(3, 4))
     _, tables = rs.forward_log(circuit, params, batch, return_tables=True)
 
-    from randspn.inference import log_softmax, sum_block_inputs
+    from randspn.inference import log_softmax
 
     def forward_with_shift(k, var):
         shifted = {}
@@ -293,7 +294,7 @@ def test_scale_stability_leaf_shift(rng):
                     t = shifted[left.index][:, :, None] + shifted[right.index][:, None, :]
                     shifted[block.index] = t.reshape(len(batch), block.width)
                 elif block.kind == "sum":
-                    x = sum_block_inputs(shifted, block)
+                    x = np.concatenate([shifted[b.index] for b in block.inputs], axis=1)
                     log_w = log_softmax(params.sum_logits[block.index])
                     shifted[block.index] = logsumexp(x[:, None, :] + log_w[None, :, :])
         return shifted[circuit.root_block.index]
@@ -320,3 +321,35 @@ def test_streaming_matches_table_mode(rng):
     full, tables = rs.forward_log(circuit, params, batch, return_tables=True)
     np.testing.assert_array_equal(lean, full)
     assert len(tables) == len(circuit.blocks)
+
+
+def test_sum_group_call_equals_block_calls_bit_for_bit(rng):
+    # 4 blocks of 3 sums over 5 inputs, with dropped columns and a dead row
+    values = rng.normal(0.0, 3.0, (4, 6, 5))
+    values[rng.random((4, 6, 5)) < 0.3] = -np.inf
+    values[1, 2] = -np.inf
+    logits = rng.normal(0.0, 2.0, (4, 3, 5))
+    g = rng.normal(size=(4, 6, 3))
+    out = sum_block_forward(values, logits)
+    d_values, d_logits = sum_block_backward(values, logits, g)
+    for k in range(4):
+        np.testing.assert_array_equal(out[k], sum_block_forward(values[k], logits[k]))
+        block_d_values, block_d_logits = sum_block_backward(values[k], logits[k], g[k])
+        np.testing.assert_array_equal(d_values[k], block_d_values)
+        np.testing.assert_array_equal(d_logits[k], block_d_logits)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_observation_gives_minus_inf_without_warning(rng):
+    # a finite observation so far out that its squared distance overflows
+    # has density 0: the forward pass returns -inf for its row, silently
+    circuit, params = random_circuit(rng, num_vars=4)
+    batch = rng.normal(size=(3, 4))
+    batch[1, 2] = 1e160
+    roots = rs.forward_log(circuit, params, batch)
+    assert np.isneginf(roots[1]).all()
+    assert np.isfinite(roots[[0, 2]]).all()
+    assert np.isneginf(rs.log_marginal_input(circuit, params, batch)[1])
+    missing = np.zeros_like(batch, bool)
+    missing[1, 2] = True
+    assert np.isfinite(rs.forward_log(circuit, params, batch, missing)).all()

@@ -112,3 +112,37 @@ def test_variance_floor_applies_to_trainable_variances():
 
     assert clamped_variances(np.array([-100.0]))[0] == pytest.approx(1e-4)
     assert clamped_variances(np.array([0.0]))[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "gaussian-var", "bernoulli"])
+def test_group_call_equals_block_calls_bit_for_bit(rng, family):
+    # a group of 3 blocks with scope size 4 and 5 leaf nodes each
+    x = rng.normal(size=(6, 3, 4))
+    params = rng.normal(size=(3, 5, 4))
+    variances = np.exp(rng.normal(size=(3, 5, 4)))
+    missing = rng.random((6, 3, 4)) < 0.3
+    if family == "bernoulli":
+        x = (x > 0).astype(float)
+
+    def kernel(x, p, v, m):
+        if family == "bernoulli":
+            return bernoulli_block_log_mass(x, p, m)
+        return gaussian_block_log_density(x, p, v if family == "gaussian-var" else None, m)
+
+    for mask in (None, missing):
+        group = kernel(x, params, variances, mask)
+        assert group.shape == (6, 3, 5)
+        for g in range(3):
+            block = kernel(x[:, g], params[g], variances[g], None if mask is None else mask[:, g])
+            np.testing.assert_array_equal(group[:, g], block)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_observation_has_log_density_minus_inf():
+    # (1e160 - mean)^2 overflows: density 0, no RuntimeWarning
+    x = np.array([[1e160, 0.0], [0.5, 0.0]])
+    out = gaussian_block_log_density(x, np.zeros((3, 2)), np.ones((3, 2)))
+    assert np.isneginf(out[0]).all()
+    assert np.isfinite(out[1]).all()
+    masked = gaussian_block_log_density(x, np.zeros((3, 2)), None, x > 1e100)
+    assert np.isfinite(masked).all()

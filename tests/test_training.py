@@ -9,7 +9,7 @@ from randspn.circuit import ParamSlot
 from randspn.errors import InvalidInput, NumericFailure
 from randspn.inference import sum_block_forward
 from randspn.training import AdamState, sum_block_backward
-from randspn.oracle import finite_diff_gradient
+from randspn.oracle import enumerate_assignments, finite_diff_gradient, load_model_dict
 from conftest import random_circuit, randomize_params, sum_block_cases
 
 
@@ -221,6 +221,7 @@ def test_non_finite_objective_raises_with_diagnostics(rng):
             circuit, params, batch, labels, 1.0, sum_dropout={root.index: keep}
         )
     assert any("-inf" in note for note in excinfo.value.diagnostics)
+    assert any("Block#" in note for note in excinfo.value.diagnostics)
 
 
 def test_input_dropout_mask_sampler(rng):
@@ -414,3 +415,42 @@ def test_train_is_deterministic_and_supports_warm_start():
     p3, m3 = rs.train(circuit, p1, data, None, post)
     assert len(m3) == 2
     assert m3[0]["nll"] <= m1[-1]["nll"] + 0.05
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_observation_fails_training_with_numeric_failure(rng):
+    circuit, params = random_circuit(rng, num_vars=4)
+    batch = rng.normal(size=(3, 4))
+    batch[1, 2] = 1e160
+    labels = rng.integers(1, circuit.classes_C + 1, 3)
+    for lam in (0.0, 0.2, 1.0):
+        with pytest.raises(NumericFailure) as excinfo:
+            rs.backward_gradients(circuit, params, batch, labels, lam)
+        assert any("Block#" in note for note in excinfo.value.diagnostics)
+
+
+def test_shared_child_regions_and_two_leaf_groups():
+    # the two things a compiled plan can get wrong: a child region read by
+    # two partitions (its gradient must sum both), and a layer split into
+    # groups of different shapes (leaf scopes of sizes 1 and 2)
+    graph = rs.random_region_graph(5, 2, 4, seed=0)
+    assert sum(len(r.parent_partitions) >= 2 for r in graph.regions) == 4
+    assert {len(r.scope) for r in graph.leaf_regions()} == {1, 2}
+    rng = np.random.default_rng(11)
+
+    circuit = rs.construct_circuit(graph, 2, 2, 2)
+    assert [g.kind for g in circuit.plan].count("leaf") == 2
+    assert not all(unique for g in circuit.plan for _, _, unique in g.sources)
+    params = randomize_params(rs.init_parameters(circuit, seed=3, train_variance=True), rng, 0.4)
+    batch = rng.normal(size=(4, 5))
+    labels = rng.integers(1, 3, 4)
+    missing = rng.random((4, 5)) < 0.3
+    sum_dropout = rs.sample_sum_dropout_mask(circuit, 0.7, 4, rng)
+    _fd_check(circuit, params, batch, labels, 0.5, missing, sum_dropout)
+
+    bernoulli = rs.construct_circuit(graph, 2, 2, 2, "bernoulli")
+    params = randomize_params(rs.init_parameters(bernoulli, seed=3), rng)
+    oracle = load_model_dict(rs.model_to_dict(bernoulli, params))
+    X = np.array(enumerate_assignments(5), dtype=float)
+    expected = np.log([oracle.evaluate(list(x)) for x in X])
+    np.testing.assert_allclose(rs.forward_log(bernoulli, params, X), expected, atol=1e-9)
