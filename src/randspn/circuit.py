@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, StructureError
+from .leaves import bernoulli_terms, clamped_variances, gaussian_terms
 from .region_graph import (
     Region,
     RegionGraph,
@@ -223,21 +224,40 @@ def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[Pa
     return tuple(slots)
 
 
-class ParameterSet:
-    """Trainable parameters: one contiguous float64 vector with named views.
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the last axis: the weights of sum nodes."""
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
-    ``flat`` holds every parameter in ``layout`` order. ``sum_logits[b]`` is
-    the logit matrix of sum block ``b``, one row per sum node and one column
-    per input column; normalized weights are softmax rows. ``leaf_means[b]``
-    holds a (width, scope size) matrix of Gaussian means, ``leaf_log_vars``
-    the matching log-variances when variance training is on (None
-    otherwise). Bernoulli circuits use ``leaf_logits`` (success log-odds)
-    instead of means. Every named matrix is a view into ``flat``.
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class ParameterSet:
+    """Trainable parameters: a value holding one read-only float64 vector.
+
+    ``flat`` is a private copy of the vector it was built from, holding
+    every parameter in ``layout`` order. ``sum_logits[b]`` is the logit
+    matrix of sum block ``b``, one row per sum node and one column per input
+    column; normalized weights are softmax rows. ``leaf_means[b]`` holds a
+    (width, scope size) matrix of Gaussian means, ``leaf_log_vars`` the
+    matching log-variances when variance training is on (None otherwise).
+    Bernoulli circuits use ``leaf_logits`` (success log-odds) instead of
+    means. Every named matrix is a read-only view into ``flat``; new values
+    make a new set, e.g. ``ParameterSet(params.layout, params.flat + noise)``.
+
+    ``terms(group)`` derives what the kernels read from a plan group's
+    parameters on first use and keeps it, so a set pays for it once however
+    many batches it evaluates.
     """
 
     def __init__(self, layout: tuple[ParamSlot, ...], flat: np.ndarray | None = None):
         self.layout = layout
-        self.flat = np.zeros(sum(slot.size for slot in layout)) if flat is None else flat
+        size = sum(slot.size for slot in layout)
+        self.flat = _read_only(np.zeros(size) if flat is None else np.array(flat, dtype=float))
         views: dict[str, dict[int, np.ndarray]] = {group: {} for group in GROUPS}
         self._slots = {}
         for slot in layout:
@@ -247,21 +267,46 @@ class ParameterSet:
         self.leaf_means = views["leaf_means"]
         self.leaf_log_vars = views["leaf_log_vars"] or None
         self.leaf_logits = views["leaf_logits"]
+        self._terms: dict[int, object] = {}
 
-    def stacked(self, group: str, plan_group: Group) -> np.ndarray:
+    def stacked(self, group: str, plan_group: Group, flat: np.ndarray | None = None) -> np.ndarray:
         """The (G, rows, cols) view of a plan group's ``group`` matrices.
 
         Zero-copy: ``parameter_layout`` puts the members' slots side by side.
+        A vector in this set's layout given as ``flat`` is viewed in place of
+        ``self.flat``, so a caller can fill a writable one group by group.
         """
         first = self._slots[group, plan_group.blocks[0].index]
         end = first.offset + len(plan_group.blocks) * first.size
-        return self.flat[first.offset : end].reshape(len(plan_group.blocks), *first.shape)
+        flat = self.flat if flat is None else flat
+        return flat[first.offset : end].reshape(len(plan_group.blocks), *first.shape)
+
+    def terms(self, plan_group: Group):
+        """What the kernels read from a plan group's parameters, computed once.
+
+        A sum group gives its (G, S, K) softmax weights. A leaf group gives
+        ``leaves.gaussian_terms`` (clamped variances with variance training)
+        or ``leaves.bernoulli_terms``, node-major. Every array is read-only.
+        """
+        terms = self._terms.get(plan_group.index)
+        if terms is None:
+            if plan_group.kind == SUM:
+                terms = softmax(self.stacked("sum_logits", plan_group))
+            elif self.leaf_logits:
+                terms = bernoulli_terms(self.stacked("leaf_logits", plan_group))
+            else:
+                variances = None
+                if self.leaf_log_vars is not None:
+                    variances = clamped_variances(self.stacked("leaf_log_vars", plan_group))
+                terms = gaussian_terms(self.stacked("leaf_means", plan_group), variances)
+            for array in terms if isinstance(terms, tuple) else (terms,):
+                if array is not None:
+                    _read_only(array)
+            self._terms[plan_group.index] = terms
+        return terms
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(self.layout, self.flat.copy())
-
-    def zeros_like(self) -> "ParameterSet":
-        return ParameterSet(self.layout)
+        return ParameterSet(self.layout, self.flat)
 
 
 def construct_circuit(
@@ -455,22 +500,24 @@ def init_parameters(
     Draws are taken block by block, in block index order.
     """
     rng = np.random.default_rng(seed)
-    params = ParameterSet(parameter_layout(circuit, train_variance))
+    layout = parameter_layout(circuit, train_variance)
+    slots = {(slot.group, slot.block): slot for slot in layout}
+    flat = np.zeros(sum(slot.size for slot in layout))
     mu, sd = (None, None) if feature_stats is None else feature_stats
 
     for block in circuit.blocks:
         if block.kind == SUM:
-            logits = params.sum_logits[block.index]
+            logits = slots["sum_logits", block.index].view(flat)
             logits[...] = rng.normal(0.0, 1e-2, size=logits.shape)
         elif block.kind == LEAF:
             if circuit.leaf_family == BERNOULLI:
-                logits = params.leaf_logits[block.index]
+                logits = slots["leaf_logits", block.index].view(flat)
                 logits[...] = rng.standard_normal(logits.shape)
                 continue
-            means = params.leaf_means[block.index]
+            means = slots["leaf_means", block.index].view(flat)
             z = rng.standard_normal(means.shape)
             if mu is not None:
                 scope = list(block.scope)
                 z = np.asarray(mu)[scope] + np.asarray(sd)[scope] * z
             means[...] = z
-    return params
+    return ParameterSet(layout, flat)

@@ -147,7 +147,10 @@ def _prior_from_flag(args, circuit, meta, data):
         return uniform_log_prior(circuit.classes_C)
     stored = (meta or {}).get("provenance", {}).get("class_log_prior")
     if stored is not None:
-        return check_log_prior(stored, circuit.classes_C)
+        try:
+            return check_log_prior(stored, circuit.classes_C)
+        except (TypeError, ValueError) as exc:  # InvalidInput included
+            raise DataFormatError(f"model provenance class_log_prior: {exc}") from exc
     if data.labels is None:
         raise InvalidInput(
             "--prior empirical needs label frequencies, but neither the model "

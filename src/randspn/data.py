@@ -82,8 +82,13 @@ class Dataset:
         return self.features.shape[1]
 
     def feature_stats(self):
-        """Per-feature (means, stds) for data-aware parameter initialization."""
-        return self.features.mean(axis=0), self.features.std(axis=0)
+        """Per-feature (means, stds) for data-aware parameter initialization.
+
+        A std whose squares overflow is inf, without a warning; training
+        from it then fails with NumericFailure.
+        """
+        with np.errstate(over="ignore"):
+            return self.features.mean(axis=0), self.features.std(axis=0)
 
 
 def _read_be_u32(data: bytes, offset: int, path: str) -> int:

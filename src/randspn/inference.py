@@ -15,15 +15,13 @@ a difference of two marginal evaluations.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .circuit import Circuit, GAUSSIAN, LEAF, PRODUCT, Group, ParameterSet
+from .circuit import Circuit, GAUSSIAN, LEAF, PRODUCT, Group, ParameterSet, softmax
 from .errors import InvalidInput
-from .leaves import (
-    bernoulli_block_log_mass,
-    clamped_variances,
-    gaussian_block_log_density,
-)
+from .leaves import bernoulli_block_log_mass, gaussian_block_log_density
 
 NEG_INF = -np.inf
 
@@ -46,23 +44,48 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - logsumexp(logits)[..., None]
 
 
-def sum_block_kernel(values: np.ndarray, logits: np.ndarray):
+# additive shift of a sum input column, indexed by its keep flag
+_DROP_SHIFT = np.array([NEG_INF, 0.0])
+
+
+class SumKernel(NamedTuple):
     """The exp–matmul–log terms of a sum block, shared by forward and backward.
 
-    ``values`` is a block's (N, K) input table and ``logits`` its (S, K)
-    logits, or (G, N, K) and (G, S, K) for a group of G blocks. Returns
-    ``(m, e, w, p)``: ``m`` is each row's largest input, kept as a trailing
-    axis of length 1 (-inf in a dead row, whose inputs are all -inf),
-    ``e = exp(values - m)`` (all 0 in a dead row), ``w = softmax(logits)``
-    and ``p = e @ w.T``, so the block's outputs are ``log p + m``.
+    ``m`` is each row's largest kept input, kept as a trailing axis of
+    length 1 (-inf in a dead row, whose kept inputs are all -inf);
+    ``e = exp(values - m)`` on kept columns and 0 on dropped ones (all 0 in
+    a dead row); ``w`` the softmax weights; ``p = e @ w.T``, so the block's
+    outputs are ``log p + m``; ``equal`` marks rows whose inputs, a dropped
+    column counted as -inf, are all equal (dead rows included).
     """
-    m = values.max(axis=-1, keepdims=True)
+
+    m: np.ndarray
+    e: np.ndarray
+    w: np.ndarray
+    p: np.ndarray
+    equal: np.ndarray
+
+
+def sum_block_kernel(values: np.ndarray, weights: np.ndarray, keep=None) -> SumKernel:
+    """The ``SumKernel`` of a sum block, or of a group of sum blocks.
+
+    ``values`` is a block's (N, K) input table and ``weights`` its (S, K)
+    softmax weights, or (G, N, K) and (G, S, K) for a group of G blocks.
+    ``keep``, shaped like ``values`` or None, marks the columns sum dropout
+    keeps; a dropped column acts as an input of -inf. The -inf never enters
+    ``np.exp``, whose slow path for it costs several times the fast one:
+    dropped columns are clamped to ``exp(0)`` and then multiplied by 0.
+    """
+    masked = values if keep is None else values + _DROP_SHIFT.take(keep)
+    m = masked.max(axis=-1, keepdims=True)
+    equal = masked.min(axis=-1, keepdims=True) == m
     e = values - np.where(np.isfinite(m), m, 0.0)
+    if keep is not None:
+        np.minimum(e, 0.0, out=e)  # a dropped column may exceed the kept max
     np.exp(e, out=e)  # in place: for a group, e is the largest temporary
-    # softmax inline: through log_softmax a one-sample call costs a third more
-    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    w /= w.sum(axis=-1, keepdims=True)
-    return m, e, w, e @ w.swapaxes(-1, -2)
+    if keep is not None:
+        e *= keep
+    return SumKernel(m, e, weights, e @ weights.swapaxes(-1, -2), equal)
 
 
 def sum_block_forward(values: np.ndarray, logits: np.ndarray, kernel=None) -> np.ndarray:
@@ -80,31 +103,32 @@ def sum_block_forward(values: np.ndarray, logits: np.ndarray, kernel=None) -> np
     logit spread of about 700 nats.
 
     Shapes as in ``sum_block_kernel``; ``kernel`` takes that function's
-    result for these arguments when the caller already has it.
+    result when the caller already has it (then values and logits are not
+    read).
     """
-    m, _, _, p = sum_block_kernel(values, logits) if kernel is None else kernel
-    equal = values.min(axis=-1, keepdims=True) == m
+    if kernel is None:
+        kernel = sum_block_kernel(values, softmax(logits))
     with np.errstate(divide="ignore"):  # an underflowed p of 0 stands for -inf
-        return np.log(np.where(equal, 1.0, p)) + m
+        return np.log(np.where(kernel.equal, 1.0, kernel.p)) + kernel.m
 
 
-def sum_block_inputs(tables, group: Group, sum_dropout=None) -> np.ndarray:
-    """The (G, N, K) input tensor of a sum group, dropout applied as -inf.
+def sum_block_inputs(tables, group: Group, sum_dropout=None):
+    """The (G, N, K) input tensor of a sum group and its keep-mask.
 
     ``tables`` holds one (G, N, width) tensor per plan group; each member's
-    input columns are its source tables side by side. A member with a
-    keep-mask in ``sum_dropout`` (keyed by block index) gets its dropped
-    columns as -inf.
+    input columns are its source tables side by side. The keep-mask is None
+    without sum dropout; otherwise a (G, N, K) boolean tensor, True for a
+    member without a mask in ``sum_dropout`` (keyed by block index).
     """
     parts = [tables[src][positions] for src, positions, _ in group.sources]
     x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    keep = None
     if sum_dropout and any(block.index in sum_dropout for block in group.blocks):
         keep = np.stack([
             np.broadcast_to(sum_dropout.get(block.index, True), x.shape[1:])
             for block in group.blocks
         ])
-        x = np.where(keep, x, NEG_INF)
-    return x
+    return x, keep
 
 
 def _leaf_group(circuit, params, group, batch, missing):
@@ -112,16 +136,9 @@ def _leaf_group(circuit, params, group, batch, missing):
     x = np.take(batch, group.scope, axis=1)  # (N, G, d), contiguous along d
     mask = None if missing is None else np.take(missing, group.scope, axis=1)
     if circuit.leaf_family == GAUSSIAN:
-        variances = (
-            None
-            if params.leaf_log_vars is None
-            else clamped_variances(params.stacked("leaf_log_vars", group))
-        )
-        out = gaussian_block_log_density(
-            x, params.stacked("leaf_means", group), variances, mask
-        )
+        out = gaussian_block_log_density(x, None, None, mask, params.terms(group))
     else:
-        out = bernoulli_block_log_mass(x, params.stacked("leaf_logits", group), mask)
+        out = bernoulli_block_log_mass(x, None, mask, params.terms(group))
     return out.transpose(1, 0, 2)
 
 
@@ -183,13 +200,12 @@ def forward_log(
             t = tables[left][left_at][..., :, None] + tables[right][right_at][..., None, :]
             out = t.reshape(len(group.blocks), n, group.width)
         else:
-            x = sum_block_inputs(tables, group, sum_dropout)
-            logits = params.stacked("sum_logits", group)
-            kernel = sum_block_kernel(x, logits)
-            out = sum_block_forward(x, logits, kernel)
+            x, keep = sum_block_inputs(tables, group, sum_dropout)
+            kernel = sum_block_kernel(x, params.terms(group), keep)
+            out = sum_block_forward(None, None, kernel)
             if return_tables:
                 kernels[group.index] = kernel
-            del x, kernel  # the largest temporaries: free them before the next group
+            del x, keep, kernel  # the largest temporaries: free them before the next group
         tables.append(out)
         if not return_tables:
             for src in group.release:

@@ -5,9 +5,18 @@ same as dropping its univariate term: masked entries contribute exactly 0 in
 the log domain. Gaussian leaves are the working default; Bernoulli leaves
 exist so that discrete circuits can be checked against exhaustive
 enumeration.
+
+The kernels mask once per call: masked entries of the input become 0 and a
+0/1 observed factor multiplies every per-variable term before it is summed
+over the scope, so a masked term is exactly 0 whatever the parameters. The
+parameter terms they read (node-major means, log-variances, log-masses) come
+from ``gaussian_terms`` and ``bernoulli_terms``, which ``ParameterSet``
+computes once per parameter set.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,50 +24,88 @@ from .errors import InvalidInput
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR = 1e-4
+# observed factor, indexed by the missing mask: 1 observed, 0 marginalized
+_OBSERVED = np.array([1.0, 0.0])
 
 
-def _check_observed_finite(x, missing):
-    observed = x if missing is None else np.where(missing, 0.0, x)
-    if not np.all(np.isfinite(observed)):
-        raise InvalidInput("observed values must be finite")
+class GaussianTerms(NamedTuple):
+    """Node-major Gaussian parameters: (I, d) for a block, (I, G, d) for a group.
 
-
-def _summed_over_scope(x, missing, num_nodes, node_terms):
-    """Sum each leaf node's per-variable log-terms over the scope.
-
-    ``node_terms(i)`` returns a fresh array of node ``i``'s terms, shaped
-    like ``x``; masked entries count as exactly 0. Returns
-    ``x.shape[:-1] + (num_nodes,)``. Looping over the nodes keeps every
-    temporary the size of ``x``.
+    The variance fields are None for unit variances.
     """
-    masked = None if missing is None else np.flatnonzero(missing)
-    out = np.empty(x.shape[:-1] + (num_nodes,))
-    for i in range(num_nodes):
-        terms = node_terms(i)
-        if masked is not None:
-            np.put(terms, masked, 0.0)
-        out[..., i] = terms.sum(axis=-1)
-    return out
+
+    means: np.ndarray
+    variances: np.ndarray | None
+    log_variances: np.ndarray | None
+    inv_variances: np.ndarray | None
 
 
-def _check_shapes(x, params, missing):
-    if (
-        x.ndim not in (2, 3)
-        or params.ndim != x.ndim
-        or x.shape[1:-1] != params.shape[:-2]
-        or x.shape[-1] != params.shape[-1]
-    ):
-        raise InvalidInput(f"shape mismatch: batch {x.shape} vs parameters {params.shape}")
-    if missing is not None and np.shape(missing) != x.shape:
-        raise InvalidInput(f"shape mismatch: batch {x.shape} vs mask {np.shape(missing)}")
+class BernoulliTerms(NamedTuple):
+    """Node-major log success and failure probabilities, shaped as ``GaussianTerms``."""
+
+    log_p: np.ndarray
+    log_q: np.ndarray
 
 
 def node_major(params):
     """(I, d) or (I, G, d) contiguous copy, so each node's row is contiguous."""
+    if params.ndim not in (2, 3):
+        raise InvalidInput(f"leaf parameters must be (I, d) or (G, I, d), got {params.shape}")
     return np.ascontiguousarray(np.moveaxis(params, -2, 0))
 
 
-def gaussian_block_log_density(x, means, variances=None, missing=None):
+def gaussian_terms(means, variances=None) -> GaussianTerms:
+    """The terms ``gaussian_block_log_density`` reads, from (I, d) or (G, I, d) parameters."""
+    mu = node_major(np.asarray(means, dtype=float))
+    if variances is None:
+        return GaussianTerms(mu, None, None, None)
+    var = node_major(np.asarray(variances, dtype=float))
+    return GaussianTerms(mu, var, np.log(var), 1.0 / var)
+
+
+def bernoulli_terms(success_logits) -> BernoulliTerms:
+    """The terms ``bernoulli_block_log_mass`` reads, from success log-odds."""
+    logits = np.asarray(success_logits, dtype=float)
+    # log sigmoid(l) = -log1p(exp(-l)), computed stably on both branches
+    return BernoulliTerms(
+        node_major(-np.logaddexp(0.0, -logits)), node_major(-np.logaddexp(0.0, logits))
+    )
+
+
+def masked_input(x, node_params, missing):
+    """Check shapes; return ``x`` with masked entries 0 and the observed factor.
+
+    ``node_params`` is any node-major term array of the block or group. The
+    factor is None without a mask. Raises InvalidInput unless every observed
+    value is finite.
+    """
+    x = np.asarray(x, dtype=float)
+    if (
+        x.ndim not in (2, 3)
+        or node_params.ndim != x.ndim
+        or x.shape[1:] != node_params.shape[1:]
+    ):
+        raise InvalidInput(
+            f"shape mismatch: batch {x.shape} vs node-major parameters {node_params.shape}"
+        )
+    observed = None
+    if missing is not None:
+        missing = np.asarray(missing, dtype=bool)
+        if missing.shape != x.shape:
+            raise InvalidInput(f"shape mismatch: batch {x.shape} vs mask {missing.shape}")
+        x = np.where(missing, 0.0, x)
+        observed = _OBSERVED.take(missing)
+    if not np.isfinite(x).all():
+        raise InvalidInput("observed values must be finite")
+    return x, observed
+
+
+def _scope_dot(a, node_terms):
+    """sum_d a[..., d] * node_terms[i, ..., d] for every node i: shape a.shape[:-1] + (I,)."""
+    return np.einsum("...d,i...d->...i", a, node_terms)
+
+
+def gaussian_block_log_density(x, means, variances=None, missing=None, terms=None):
     """Log-densities of a block, or a group of blocks, of factorized Gaussians.
 
     One block: x is (N, d), the values of its scope variables; means is
@@ -66,60 +113,50 @@ def gaussian_block_log_density(x, means, variances=None, missing=None):
     (N, d) boolean mask whose True entries are marginalized out. Returns
     (N, I). A group of G blocks adds a group axis: x and missing are
     (N, G, d), means and variances (G, I, d), and the result is (N, G, I).
+    ``terms`` takes ``gaussian_terms(means, variances)`` when the caller
+    already has it; means and variances are then not read.
     An observed value whose squared distance to a mean overflows has
     log-density -inf, without a warning.
     """
-    x = np.asarray(x, dtype=float)
-    means = np.asarray(means, dtype=float)
-    _check_shapes(x, means, missing)
-    _check_observed_finite(x, missing)
-    mu = node_major(means)
-    # in place and without a variance array when there is none: the leaf
-    # kernel is a large share of a single-sample query
-    if variances is None:
-
-        def node_terms(i):  # -0.5 * (log 2 pi + (x - mu)^2)
-            t = x - mu[i]
-            t *= t
-            t += LOG_2PI
-            t *= -0.5
-            return t
-
-    else:
-        var = node_major(np.asarray(variances, dtype=float))
-        const = LOG_2PI + np.log(var)
-
-        def node_terms(i):  # -0.5 * (log 2 pi + log var + (x - mu)^2 / var)
-            t = x - mu[i]
-            t *= t
-            t /= var[i]
-            t += const[i]
-            t *= -0.5
-            return t
-
+    if terms is None:
+        terms = gaussian_terms(means, variances)
+    mu, _, log_var, inv_var = terms
+    x, observed = masked_input(x, mu, missing)
+    # one node per step keeps every temporary the size of x
+    quad = np.empty(x.shape[:-1] + (len(mu),))
     with np.errstate(over="ignore"):
-        return _summed_over_scope(x, missing, means.shape[-2], node_terms)
+        for i in range(len(mu)):
+            diff = x - mu[i]
+            if observed is not None:
+                diff *= observed  # before squaring: a masked term is exactly 0
+            scaled = diff if inv_var is None else diff * inv_var[i]
+            quad[..., i] = np.einsum("...d,...d->...", diff, scaled)
+    # -0.5 * (log 2 pi * #observed + sum of observed log variances + quad)
+    if observed is None:
+        count = x.shape[-1]
+        if log_var is not None:
+            quad += log_var.sum(axis=-1).T
+    else:
+        count = observed.sum(axis=-1)[..., None]
+        if log_var is not None:
+            quad += _scope_dot(observed, log_var)
+    quad += LOG_2PI * count
+    quad *= -0.5
+    return quad
 
 
-def bernoulli_block_log_mass(x, success_logits, missing=None):
+def bernoulli_block_log_mass(x, success_logits, missing=None, terms=None):
     """Log-masses of a block, or a group of blocks, of factorized Bernoullis.
 
     Shapes as in ``gaussian_block_log_density``, with success log-odds in
-    place of means; x entries are in {0, 1}.
+    place of means; x entries are in {0, 1}. ``terms`` takes
+    ``bernoulli_terms(success_logits)`` when the caller already has it.
     """
-    x = np.asarray(x, dtype=float)
-    logits = np.asarray(success_logits, dtype=float)
-    _check_shapes(x, logits, missing)
-    _check_observed_finite(x, missing)
-    # log sigmoid(l) = -log1p(exp(-l)), computed stably on both branches
-    log_p = node_major(-np.logaddexp(0.0, -logits))
-    log_q = node_major(-np.logaddexp(0.0, logits))
-    x_q = 1.0 - x
-
-    def node_terms(i):
-        return x * log_p[i] + x_q * log_q[i]
-
-    return _summed_over_scope(x, missing, logits.shape[-2], node_terms)
+    if terms is None:
+        terms = bernoulli_terms(success_logits)
+    x, observed = masked_input(x, terms.log_p, missing)
+    failures = (1.0 if observed is None else observed) - x  # 0 where masked
+    return _scope_dot(x, terms.log_p) + _scope_dot(failures, terms.log_q)
 
 
 def clamped_variances(log_vars):

@@ -200,10 +200,9 @@ def _decode_document(document: dict):
         leaf_family=leaf_family,
     )
 
-    params = ParameterSet(
-        parameter_layout(circuit, bool(document.get("train_variance")))
-    )
-    for slot in params.layout:
+    layout = parameter_layout(circuit, bool(document.get("train_variance")))
+    flat = np.zeros(sum(slot.size for slot in layout))
+    for slot in layout:
         where = f"{slot.group}[{slot.region}]"
         entry = stored_params.get(slot.group, {}).get(str(slot.region))
         if entry is None:
@@ -214,7 +213,8 @@ def _decode_document(document: dict):
                 f"wiring-width mismatch for {where}: file has shape "
                 f"{list(arr.shape)}, circuit expects {list(slot.shape)}"
             )
-        slot.view(params.flat)[...] = arr
+        slot.view(flat)[...] = arr
+    params = ParameterSet(layout, flat)
 
     meta = {
         "structure": {k: v for k, v in structure.items() if k not in ("regions", "partitions")},

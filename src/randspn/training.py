@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BERNOULLI, Circuit, LEAF, PRODUCT, ParameterSet
+from .circuit import BERNOULLI, Circuit, LEAF, PRODUCT, ParameterSet, softmax
 from .data import batch_iterator
 from .errors import InvalidInput, NumericFailure
 from .inference import forward_log, logsumexp, sum_block_kernel
-from .leaves import VARIANCE_FLOOR, clamped_variances, node_major
+from .leaves import VARIANCE_FLOOR, masked_input
 
 
 @dataclass
@@ -124,7 +124,9 @@ def sum_block_backward(values, logits, g, kernel=None):
     the forward pass's ``sum_block_kernel`` result, which saves recomputing
     it from ``values`` and ``logits``.
     """
-    _, e, w, p = sum_block_kernel(values, logits) if kernel is None else kernel
+    if kernel is None:
+        kernel = sum_block_kernel(values, softmax(logits))
+    _, e, w, p, _ = kernel
     live = p > 0.0
     g = np.where(live, g, 0.0)
     r = g / np.where(live, p, 1.0)
@@ -147,43 +149,49 @@ def _accumulate(grad_tables, tables, source, value):
         np.add.at(grad_tables[src], positions, value)
 
 
-def _leaf_gradients(circuit, params, grads, group, g, batch, missing):
-    """Write a leaf group's parameter gradients from its (G, N, I) table gradient.
+def _leaf_gradients(circuit, params, d_flat, group, g, batch, missing):
+    """Write a leaf group's parameter gradients into ``d_flat``.
 
-    Loops over the I leaf nodes, as the forward leaf kernels do.
+    ``g`` is the group's (G, N, I) table gradient. Reads the set's leaf
+    terms and masks as the forward kernel does, looping over the I leaf
+    nodes: a node's difference is 0 on a masked entry, so the entry adds
+    exactly 0 to every gradient.
     """
-    x = np.take(batch, group.scope, axis=1)  # (N, G, d)
-    masked = None if missing is None else np.flatnonzero(missing[:, group.scope])
+    terms = params.terms(group)
+    x, observed = masked_input(
+        np.take(batch, group.scope, axis=1),  # (N, G, d)
+        terms[0],
+        None if missing is None else missing[:, group.scope],
+    )
     g = np.ascontiguousarray(g.transpose(2, 1, 0))  # (I, N, G)
 
-    def weighted(i, terms):
-        """sum_n g[i, n, :] * terms[n], masked terms counting as exactly 0."""
-        if masked is not None:
-            np.put(terms, masked, 0.0)
-        return np.einsum("ng,ngv->gv", g[i], terms)
+    def weighted(i, values):
+        """sum_n g[i, n, :] * values[n]"""
+        return np.einsum("ng,ngv->gv", g[i], values)
+
+    def difference(i, centers):
+        diff = x - centers[i]
+        return diff if observed is None else diff * observed
 
     if circuit.leaf_family == BERNOULLI:
-        p = node_major(1.0 / (1.0 + np.exp(-params.stacked("leaf_logits", group))))
-        d_logits = grads.stacked("leaf_logits", group)
+        p = np.exp(terms.log_p)
+        d_logits = params.stacked("leaf_logits", group, d_flat)
         for i in range(len(g)):
-            d_logits[:, i, :] = weighted(i, x - p[i])
+            d_logits[:, i, :] = weighted(i, difference(i, p))
         return
-    means = node_major(params.stacked("leaf_means", group))
-    d_means = grads.stacked("leaf_means", group)
-    trains_variance = params.leaf_log_vars is not None
-    if trains_variance:
-        log_vars = params.stacked("leaf_log_vars", group)
-        var = node_major(clamped_variances(log_vars))
-        active = np.exp(log_vars) > VARIANCE_FLOOR
-        d_log_vars = grads.stacked("leaf_log_vars", group)
-    else:
-        var = np.ones_like(means)
+    mu, var, _, inv_var = terms
+    d_means = params.stacked("leaf_means", group, d_flat)
+    if var is not None:
+        active = np.moveaxis(var > VARIANCE_FLOOR, 0, -2)  # (G, I, d)
+        d_log_vars = params.stacked("leaf_log_vars", group, d_flat)
+        count = 1.0 if observed is None else observed
     for i in range(len(g)):
-        diff = x - means[i]
-        d_means[:, i, :] = weighted(i, diff / var[i])
-        if trains_variance:
-            term = -0.5 + diff * diff / (2.0 * var[i])
-            d_log_vars[:, i, :] = weighted(i, term) * active[:, i, :]
+        diff = difference(i, mu)
+        scaled = diff if inv_var is None else diff * inv_var[i]
+        d_means[:, i, :] = weighted(i, scaled)
+        if var is not None:
+            # d/d log var of -0.5 (log var + diff^2 / var); 0 where masked
+            d_log_vars[:, i, :] = weighted(i, 0.5 * (diff * scaled - count)) * active[:, i, :]
 
 
 def backward_gradients(
@@ -207,7 +215,7 @@ def backward_gradients(
             f"objective is {objective!r}", _table_diagnostics(circuit, tables)
         )
 
-    grads = params.zeros_like()
+    d_flat = np.zeros_like(params.flat)
     root = circuit.root_block
     grad_tables: list = [None] * len(circuit.plan)
     grad_tables[root.group] = np.zeros_like(tables.groups[root.group])
@@ -221,7 +229,7 @@ def backward_gradients(
         # each table gradient and sum kernel is read once: free it after
         g, grad_tables[group.index] = grad_tables[group.index], None
         if group.kind == LEAF:
-            _leaf_gradients(circuit, params, grads, group, g, batch, missing)
+            _leaf_gradients(circuit, params, d_flat, group, g, batch, missing)
         elif group.kind == PRODUCT:
             left, right = group.sources
             g4 = g.reshape(g.shape[:2] + group.input_widths)
@@ -231,13 +239,13 @@ def backward_gradients(
             d_x, d_logits = sum_block_backward(
                 None, None, g, tables.kernels.pop(group.index)
             )
-            grads.stacked("sum_logits", group)[...] = d_logits
+            params.stacked("sum_logits", group, d_flat)[...] = d_logits
             offset = 0
             for source, width in zip(group.sources, group.input_widths):
                 _accumulate(grad_tables, tables, source, d_x[..., offset : offset + width])
                 offset += width
 
-    return grads, objective
+    return ParameterSet(params.layout, d_flat), objective
 
 
 def sample_input_dropout_mask(num_vars, batch_size, keep_rate, rng) -> np.ndarray:
@@ -330,7 +338,6 @@ def train(circuit, params, train_data, valid_data, config: TrainConfig):
     metric rows. Warm starts are just calls with previously trained params.
     """
     rng = np.random.default_rng(config.seed)
-    params = params.copy()
     state = AdamState.initial(params)
     metrics = []
     for epoch in range(1, config.epochs + 1):

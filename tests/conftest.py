@@ -21,8 +21,8 @@ def random_circuit(rng, num_vars=None, leaf_family="gaussian", max_dims=None):
 
 
 def randomize_params(params, rng, spread=1.0):
-    params.flat += rng.normal(0.0, spread, params.flat.shape)
-    return params
+    """A new set: ``params`` plus normal noise of the given spread."""
+    return rs.ParameterSet(params.layout, params.flat + rng.normal(0.0, spread, params.flat.shape))
 
 
 def quadrature_mass_2d(circuit, params, lo=-10.0, hi=10.0, points=401):

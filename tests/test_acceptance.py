@@ -143,7 +143,7 @@ def test_criterion_04_gradient_correctness():
         train_variance = index % 5 == 0
         params = rs.init_parameters(circuit, seed=int(rng.integers(2**31)),
                                     train_variance=train_variance)
-        randomize_params(params, rng, 0.4)
+        params = randomize_params(params, rng, 0.4)
         assert rs.count_parameters(circuit, train_variance)["total"] <= 500
         batch = rng.normal(size=(5, num_vars))
         labels = rng.integers(1, circuit.classes_C + 1, 5)

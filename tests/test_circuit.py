@@ -114,7 +114,7 @@ def test_normalized_weights_sum_to_one(rng):
     circuit = rs.construct_circuit(graph, 3, 3, 2)
     params = rs.init_parameters(circuit, seed=3)
     for idx, logits in params.sum_logits.items():
-        logits += rng.normal(0, 2.0, logits.shape)
+        logits = logits + rng.normal(0, 2.0, logits.shape)
         weights = np.exp(log_softmax(logits))
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
@@ -190,3 +190,84 @@ def test_stacked_parameters_are_zero_copy_views_of_flat(leaf_family, train_varia
             np.testing.assert_array_equal(
                 stacked, np.stack([per_block[b.index] for b in group.blocks])
             )
+
+
+
+def _assert_read_only(circuit, params):
+    sum_group = next(g for g in circuit.plan if g.kind == SUM)
+    for array in (
+        params.flat,
+        params.sum_logits[circuit.root_block.index],
+        params.stacked("sum_logits", sum_group),
+    ):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        params.flat += 1.0
+
+
+def test_parameter_sets_are_read_only_values(tmp_path, rng):
+    graph = rs.random_region_graph(6, 2, 2, seed=3)
+    circuit = rs.construct_circuit(graph, 2, 2, 2)
+    params = rs.init_parameters(circuit, seed=1, train_variance=True)
+    _assert_read_only(circuit, params)
+    _assert_read_only(circuit, params.copy())
+    rs.save_model(circuit, params, tmp_path / "m.json")
+    _assert_read_only(circuit, rs.load_model(tmp_path / "m.json")[1])
+    grads, _ = rs.backward_gradients(
+        circuit, params, rng.normal(size=(3, 6)), np.array([1, 2, 1]), 0.5
+    )
+    _assert_read_only(circuit, grads)
+    state = rs.training.AdamState.initial(params)
+    updated, _ = rs.adam_step(params, grads, state, rs.TrainConfig())
+    _assert_read_only(circuit, updated)
+
+
+def test_a_parameter_set_copies_the_vector_it_is_built_from():
+    graph = rs.random_region_graph(4, 1, 1, seed=0)
+    circuit = rs.construct_circuit(graph, 1, 1, 2)
+    params = rs.init_parameters(circuit, seed=0)
+    source = params.flat.copy()
+    built = rs.ParameterSet(params.layout, source)
+    batch = np.zeros((2, 4))
+    before = rs.forward_log(circuit, built, batch)
+    source += 5.0
+    np.testing.assert_array_equal(built.flat, params.flat)
+    np.testing.assert_array_equal(rs.forward_log(circuit, built, batch), before)
+
+
+@pytest.mark.parametrize("leaf_family, train_variance", [
+    ("gaussian", False), ("gaussian", True), ("bernoulli", False),
+])
+def test_memoized_terms_equal_fresh_computation(leaf_family, train_variance):
+    from randspn.circuit import softmax
+    from randspn.leaves import bernoulli_terms, clamped_variances, gaussian_terms
+
+    graph = rs.random_region_graph(5, 2, 4, seed=0)  # two leaf groups
+    circuit = rs.construct_circuit(graph, 2, 3, 2, leaf_family)
+    params = rs.init_parameters(circuit, seed=4, train_variance=train_variance)
+    params = rs.ParameterSet(params.layout, params.flat + np.linspace(-3, 3, params.flat.size))
+    for group in circuit.plan:
+        if group.kind == PRODUCT:
+            continue
+        terms = params.terms(group)
+        assert params.terms(group) is terms  # computed once, then kept
+        if group.kind == SUM:
+            fresh = softmax(params.stacked("sum_logits", group))
+        elif leaf_family == "bernoulli":
+            fresh = bernoulli_terms(params.stacked("leaf_logits", group))
+        else:
+            variances = (
+                clamped_variances(params.stacked("leaf_log_vars", group))
+                if train_variance else None
+            )
+            fresh = gaussian_terms(params.stacked("leaf_means", group), variances)
+        for got, want in zip(*(
+            (t,) if isinstance(t, np.ndarray) else t for t in (terms, fresh)
+        )):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+                assert not got.flags.writeable

@@ -136,6 +136,37 @@ def test_overflowing_training_input_exits_4(tmp_path, blob_csv, capsys):
     assert "Traceback" not in err
 
 
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_training_input_with_data_init_exits_4(tmp_path, blob_csv, capsys):
+    # the default --init data reads the feature std, which overflows silently
+    rows = blob_csv.read_text().splitlines()
+    rows[5] = "1e160," + rows[5].split(",", 1)[1]
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(rows) + "\n")
+    assert main([
+        "train", "--data", f"csv:{huge}", "--depth", "1", "--repetitions", "2",
+        "--sums", "2", "--leaves", "2", "--epochs", "1", "--scale", "none",
+        "--out", str(tmp_path / "h"),
+    ]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "Traceback" not in err
+
+
+def test_a_bad_stored_prior_is_a_data_error(tmp_path, blob_csv, capsys):
+    model = _train(tmp_path, blob_csv)
+    for mutate in (lambda prior: prior + [-1.0], lambda prior: [v - 1.0 for v in prior]):
+        doc = json.loads(model.read_text())
+        doc["provenance"]["class_log_prior"] = mutate(doc["provenance"]["class_log_prior"])
+        broken = tmp_path / "prior.model.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(broken), "--data", f"csv:{blob_csv}",
+                     "--prior", "empirical", "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "class_log_prior" in err
+
+
 def test_warm_start_post_training(tmp_path, blob_csv):
     model = _train(tmp_path, blob_csv)
     argv = [

@@ -50,7 +50,7 @@ def test_product_blocks_add_log_values(rng):
 
 def test_all_missing_roots_are_zero(rng):
     circuit, params = random_circuit(rng)
-    randomize_params(params, rng)
+    params = randomize_params(params, rng)
     batch = rng.normal(size=(4, circuit.num_vars))
     roots = rs.forward_log(circuit, params, batch, missing=np.ones_like(batch, bool))
     np.testing.assert_array_equal(roots, np.zeros_like(roots))
@@ -192,7 +192,7 @@ def test_log_marginal_input(rng):
 
 def test_conditional_log(rng):
     circuit, params = random_circuit(rng, num_vars=4)
-    randomize_params(params, rng, 0.5)
+    params = randomize_params(params, rng, 0.5)
     batch = rng.normal(size=(3, 4))
     query = np.zeros((3, 4), bool)
     query[:, :2] = True
@@ -230,7 +230,7 @@ def test_discrete_normalization_brute_force(rng):
         circuit, params = random_circuit(
             rng, num_vars=int(rng.integers(2, 7)), leaf_family="bernoulli"
         )
-        randomize_params(params, rng)
+        params = randomize_params(params, rng)
         X = np.array(enumerate_assignments(circuit.num_vars), dtype=float)
         roots = rs.forward_log(circuit, params, X)
         np.testing.assert_allclose(np.exp(roots).sum(axis=0), 1.0, atol=1e-9)
@@ -239,7 +239,7 @@ def test_discrete_normalization_brute_force(rng):
 def test_continuous_normalization_quadrature(rng):
     for _ in range(3):
         circuit, params = random_circuit(rng, num_vars=2)
-        randomize_params(params, rng, 0.8)
+        params = randomize_params(params, rng, 0.8)
         masses = quadrature_mass_2d(circuit, params)
         np.testing.assert_allclose(masses, 1.0, atol=1e-4)
 
@@ -249,7 +249,7 @@ def test_marginal_consistency_against_enumeration(rng):
         circuit, params = random_circuit(
             rng, num_vars=int(rng.integers(2, 7)), leaf_family="bernoulli"
         )
-        randomize_params(params, rng)
+        params = randomize_params(params, rng)
         n = circuit.num_vars
         X = np.array(enumerate_assignments(n), dtype=float)
         roots = np.exp(rs.forward_log(circuit, params, X))
@@ -306,7 +306,7 @@ def test_scale_stability_leaf_shift(rng):
 
 def test_no_nan_under_stress(rng):
     circuit, params = random_circuit(rng, num_vars=6)
-    randomize_params(params, rng, 3.0)
+    params = randomize_params(params, rng, 3.0)
     batch = rng.normal(0, 50, size=(8, 6))
     missing = rng.random((8, 6)) < 0.3
     masks = rs.sample_sum_dropout_mask(circuit, 0.4, 8, rng)

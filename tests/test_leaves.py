@@ -146,3 +146,32 @@ def test_overflowing_observation_has_log_density_minus_inf():
     assert np.isfinite(out[1]).all()
     masked = gaussian_block_log_density(x, np.zeros((3, 2)), None, x > 1e100)
     assert np.isfinite(masked).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["gaussian", "gaussian-var", "bernoulli"])
+def test_masked_entries_contribute_exactly_zero(rng, family):
+    # a masked entry's term is exactly 0 whatever its parameter (|mean| =
+    # 1e200, whose squared distance would overflow) or its value (NaN)
+    x = rng.normal(size=(5, 3, 4))
+    params = rng.normal(size=(3, 2, 4))
+    variances = np.exp(rng.normal(size=(3, 2, 4)))
+    missing = rng.random((5, 3, 4)) < 0.4
+    missing[:, :, 1] = True
+    if family == "bernoulli":
+        x = (x > 0).astype(float)
+
+    def kernel(x, p):
+        if family == "bernoulli":
+            return bernoulli_block_log_mass(x, p, missing)
+        return gaussian_block_log_density(
+            x, p, variances if family == "gaussian-var" else None, missing
+        )
+
+    base = kernel(np.where(missing, 0.0, x), params)
+    wild_x = np.where(missing, np.nan, x)
+    wild_params = params.copy()
+    wild_params[..., 1] = 1e200
+    np.testing.assert_array_equal(kernel(wild_x, params), base)
+    np.testing.assert_array_equal(kernel(x, wild_params), base)
+    assert np.isfinite(base).all()

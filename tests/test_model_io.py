@@ -11,7 +11,7 @@ from conftest import random_circuit, randomize_params
 
 def _model(rng, **kwargs):
     circuit, params = random_circuit(rng, **kwargs)
-    randomize_params(params, rng, 0.5)
+    params = randomize_params(params, rng, 0.5)
     return circuit, params
 
 
@@ -185,7 +185,7 @@ def test_oracle_agreement_through_the_file(tmp_path, rng):
     from randspn.oracle import brute_force_mass, enumerate_assignments, load_model_file
 
     circuit, params = random_circuit(rng, num_vars=5, leaf_family="bernoulli")
-    randomize_params(params, rng)
+    params = randomize_params(params, rng)
     path = tmp_path / "model.json"
     rs.save_model(circuit, params, path)
     model = load_model_file(path)

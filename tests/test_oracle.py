@@ -19,7 +19,7 @@ from conftest import random_circuit, randomize_params
 
 def _random_discrete_model(rng, num_vars=None):
     circuit, params = random_circuit(rng, num_vars=num_vars, leaf_family="bernoulli")
-    randomize_params(params, rng)
+    params = randomize_params(params, rng)
     return circuit, params, load_model_dict(model_to_dict(circuit, params))
 
 
@@ -27,7 +27,11 @@ def test_single_bernoulli_leaf_model():
     graph = rs.random_region_graph(1, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, 1, 1, 1, leaf_family="bernoulli")
     params = rs.init_parameters(circuit, seed=0)
-    params.leaf_logits[circuit.leaf_input_block[0].index][:] = 0.0  # p = 0.5
+    block = circuit.leaf_input_block[0].index
+    slot = next(s for s in params.layout if (s.group, s.block) == ("leaf_logits", block))
+    flat = params.flat.copy()
+    slot.view(flat)[:] = 0.0  # p = 0.5
+    params = rs.ParameterSet(params.layout, flat)
     model = load_model_dict(model_to_dict(circuit, params))
     table = brute_force_mass(model)
     np.testing.assert_allclose(table, np.log(0.5), atol=1e-12)

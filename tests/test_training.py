@@ -82,7 +82,7 @@ def _fd_check(circuit, params, batch, labels, lam, missing=None, sum_dropout=Non
 def test_gradients_match_finite_differences(rng):
     for lam in (0.0, 0.5, 1.0):
         circuit, params = random_circuit(rng, num_vars=int(rng.integers(2, 7)))
-        randomize_params(params, rng, 0.4)
+        params = randomize_params(params, rng, 0.4)
         batch = rng.normal(size=(5, circuit.num_vars))
         labels = rng.integers(1, circuit.classes_C + 1, 5)
         grads = _fd_check(circuit, params, batch, labels, lam)
@@ -94,7 +94,7 @@ def test_gradients_with_trainable_variances(rng):
     graph = rs.random_region_graph(5, 2, 1, seed=8)
     circuit = rs.construct_circuit(graph, 2, 2, 2)
     params = rs.init_parameters(circuit, seed=1, train_variance=True)
-    randomize_params(params, rng, 0.3)
+    params = randomize_params(params, rng, 0.3)
     batch = rng.normal(size=(4, 5))
     labels = rng.integers(1, 3, 4)
     _fd_check(circuit, params, batch, labels, 0.5)
@@ -102,7 +102,7 @@ def test_gradients_with_trainable_variances(rng):
 
 def test_gradients_with_bernoulli_leaves(rng):
     circuit, params = random_circuit(rng, num_vars=5, leaf_family="bernoulli")
-    randomize_params(params, rng, 0.7)
+    params = randomize_params(params, rng, 0.7)
     batch = rng.integers(0, 2, (6, 5)).astype(float)
     labels = rng.integers(1, circuit.classes_C + 1, 6)
     _fd_check(circuit, params, batch, labels, 0.5)
@@ -110,7 +110,7 @@ def test_gradients_with_bernoulli_leaves(rng):
 
 def test_gradients_respect_masks_and_dropout(rng):
     circuit, params = random_circuit(rng, num_vars=6)
-    randomize_params(params, rng, 0.4)
+    params = randomize_params(params, rng, 0.4)
     batch = rng.normal(size=(4, 6))
     labels = rng.integers(1, circuit.classes_C + 1, 4)
     missing = rng.random((4, 6)) < 0.4
@@ -159,6 +159,37 @@ def test_sum_block_gradients_match_finite_differences(case, seed):
     np.testing.assert_array_equal(again_logits, d_logits)
 
 
+
+@pytest.mark.filterwarnings("error")
+def test_sum_dropout_kernel_matches_the_minus_inf_formulation(rng):
+    # dropping columns through the keep-mask gives bit for bit what writing
+    # -inf into them does, forward and backward, in a dead row too
+    from randspn.circuit import softmax
+    from randspn.inference import sum_block_kernel
+
+    values = rng.normal(0.0, 5.0, (3, 6, 10))
+    logits = rng.normal(0.0, 2.0, (3, 4, 10))
+    keep = rng.random(values.shape) < 0.6
+    keep[..., 0] = True
+    values[0, 1, 3:] = 1e300  # dropped columns far above the kept maximum
+    keep[0, 1, 3:] = False
+    values[1, 2] = -np.inf  # a dead row: every kept input is -inf
+    values[1, 2, ~keep[1, 2]] = 7.0
+    values[2, 3] = 0.0  # an equal row
+    keep[2, 3] = True
+    g = rng.normal(size=(3, 6, 4))
+
+    kernel = sum_block_kernel(values, softmax(logits), keep)
+    dropped = np.where(keep, values, -np.inf)
+    out = sum_block_forward(None, None, kernel)
+    np.testing.assert_array_equal(out, sum_block_forward(dropped, logits))
+    assert np.isneginf(out[1, 2]).all() and np.all(out[2, 3] == 0.0)
+    for got, want in zip(
+        sum_block_backward(None, None, g, kernel), sum_block_backward(dropped, logits, g)
+    ):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_gradients_with_a_dead_row_in_an_inner_sum_block(rng):
     # one repetition loses a whole row of an inner sum block; the other
     # repetition keeps every root finite, so the objective stays finite
@@ -189,7 +220,7 @@ def test_gradients_with_a_dead_row_in_an_inner_sum_block(rng):
 def test_masked_inputs_get_exactly_zero_gradient(num_vars, leaf_family, batch_size, seed):
     rng = np.random.default_rng(seed)
     circuit, params = random_circuit(rng, num_vars=num_vars, leaf_family=leaf_family)
-    randomize_params(params, rng, 0.5)
+    params = randomize_params(params, rng, 0.5)
     batch = rng.integers(0, 2, (batch_size, num_vars)).astype(float)
     labels = rng.integers(1, circuit.classes_C + 1, batch_size)
     missing = rng.random((batch_size, num_vars)) < 0.3
@@ -204,6 +235,41 @@ def test_masked_inputs_get_exactly_zero_gradient(num_vars, leaf_family, batch_si
         columns = hidden[list(block.scope)]
         assert np.all(leaf_grads[block.index][:, columns] == 0.0)
     assert np.isfinite(grads.flat).all()
+
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("leaf_family", ["gaussian", "bernoulli"])
+def test_masked_entries_add_exactly_zero_to_gradients(rng, leaf_family):
+    # variable 2 is masked in every row: a NaN value there and a parameter of
+    # 1e200 (squared distance overflows) leave every gradient unchanged
+    graph = rs.random_region_graph(6, 2, 2, seed=1)
+    circuit = rs.construct_circuit(graph, 2, 2, 2, leaf_family)
+    params = randomize_params(
+        rs.init_parameters(circuit, seed=2, train_variance=leaf_family == "gaussian"), rng, 0.4
+    )
+    batch = rng.integers(0, 2, (5, 6)).astype(float)
+    labels = rng.integers(1, 3, 5)
+    missing = rng.random((5, 6)) < 0.3
+    missing[:, 2] = True
+    name = "leaf_means" if leaf_family == "gaussian" else "leaf_logits"
+    wild = params.flat.copy()
+    columns = np.zeros(params.flat.shape, bool)
+    for slot in params.layout:
+        scope = circuit.blocks[slot.block].scope
+        if slot.group == name and 2 in scope:
+            slot.view(wild)[:, scope.index(2)] = 1e200
+            slot.view(columns)[:, scope.index(2)] = True
+    wild_batch = batch.copy()
+    wild_batch[:, 2] = np.nan
+
+    grads, objective = rs.backward_gradients(circuit, params, batch, labels, 0.5, missing)
+    wild_grads, wild_objective = rs.backward_gradients(
+        circuit, rs.ParameterSet(params.layout, wild), wild_batch, labels, 0.5, missing
+    )
+    assert columns.any() and wild_objective == objective
+    np.testing.assert_array_equal(wild_grads.flat, grads.flat)
+    assert np.all(grads.flat[columns] == 0.0)
 
 
 def test_non_finite_objective_raises_with_diagnostics(rng):
@@ -330,9 +396,11 @@ def test_objective_decreases_on_convex_toy():
     graph = rs.random_region_graph(1, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, 1, 1, 3)
     params = rs.init_parameters(circuit, seed=4)
-    params.leaf_means[circuit.leaf_input_block[0].index][:] = np.array(
-        [[-1.0], [0.0], [2.0]]
-    )
+    block = circuit.leaf_input_block[0].index
+    slot = next(s for s in params.layout if (s.group, s.block) == ("leaf_means", block))
+    flat = params.flat.copy()
+    slot.view(flat)[:] = np.array([[-1.0], [0.0], [2.0]])
+    params = rs.ParameterSet(params.layout, flat)
     rng = np.random.default_rng(1)
     batch = rng.normal(0.5, 1.0, (50, 1))
     labels = np.ones(50, dtype=int)
