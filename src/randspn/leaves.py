@@ -124,9 +124,10 @@ def gaussian_block_log_density(x, means, variances=None, missing=None, terms=Non
     x, observed = masked_input(x, mu, missing)
     # one node per step keeps every temporary the size of x
     quad = np.empty(x.shape[:-1] + (len(mu),))
+    diff = np.empty_like(x)  # one for all nodes: fresh pages cost more than the math
     with np.errstate(over="ignore"):
         for i in range(len(mu)):
-            diff = x - mu[i]
+            np.subtract(x, mu[i], out=diff)
             if observed is not None:
                 diff *= observed  # before squaring: a masked term is exactly 0
             scaled = diff if inv_var is None else diff * inv_var[i]

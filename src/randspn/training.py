@@ -169,9 +169,13 @@ def _leaf_gradients(circuit, params, d_flat, group, g, batch, missing):
         """sum_n g[i, n, :] * values[n]"""
         return np.einsum("ng,ngv->gv", g[i], values)
 
+    buffer = np.empty_like(x)  # one for all nodes: fresh pages cost more than the math
+
     def difference(i, centers):
-        diff = x - centers[i]
-        return diff if observed is None else diff * observed
+        diff = np.subtract(x, centers[i], out=buffer)
+        if observed is not None:
+            diff *= observed
+        return diff
 
     if circuit.leaf_family == BERNOULLI:
         p = np.exp(terms.log_p)
