@@ -14,7 +14,10 @@ nodes mixing a block of ``leaves_I`` distributions over that variable.
 
 Construction also compiles the blocks into a layer plan: each layer splits
 into groups of same-shape blocks that read the same source groups, so the
-engine evaluates a whole group with one stacked numpy call.
+engine evaluates a whole group with one stacked numpy call. Product groups
+stay in the plan as the description of the partitions, but the engine folds
+them into the sum groups above them: a sum group reads its products' factor
+tables directly, through the take indices the plan resolves once.
 """
 
 from __future__ import annotations
@@ -61,6 +64,22 @@ class Block:
         return f"Block#{self.index}({self.kind}, width={self.width}, scope={list(self.scope)})"
 
 
+class Run(NamedTuple):
+    """Consecutive partitions of a folded sum group with the same factor groups.
+
+    Partitions ``parts`` of every member fill input columns ``columns``,
+    ``shape = (partitions, left width, right width)`` in row-major order.
+    ``left`` and ``right`` are ``(read, slots)``: the factor tables are
+    slots ``slots`` of the take along ``Group.reads[read]``.
+    """
+
+    parts: slice
+    columns: slice
+    left: tuple[int, slice]
+    right: tuple[int, slice]
+    shape: tuple[int, int, int]
+
+
 class Group:
     """Same-shape blocks of one layer, evaluated together as one tensor.
 
@@ -71,10 +90,22 @@ class Group:
     when they are consecutive, an index array otherwise); ``sources[j][2]``
     is True when those positions are all distinct.
     ``scope`` holds the (G, d) variable indices of a leaf group.
-    ``release`` lists the source groups this group is the last reader of.
+
+    What the engine reads at run time is ``reads``: one ``(group, at,
+    distinct)`` per plan group whose table a sum group takes rows of, with
+    ``at`` a (G, k) index array and ``distinct`` True when its entries are
+    all distinct. A sum group over products folds them in: it takes their
+    factors, in (left ‖ right) × partition order, and ``runs`` (see ``Run``)
+    says which slots of which take multiply into which input columns. A sum
+    group that mixes leaves directly (a single-variable root) has one read
+    of one slot and no runs; leaf and product groups read nothing.
+    ``release`` lists the groups this group is the last reader of.
     """
 
-    __slots__ = ("index", "kind", "blocks", "width", "input_widths", "sources", "scope", "release")
+    __slots__ = (
+        "index", "kind", "blocks", "width", "input_widths", "sources", "scope",
+        "reads", "runs", "release",
+    )
 
     def __init__(self, index: int, blocks: list[Block]):
         first = blocks[0]
@@ -94,7 +125,54 @@ class Group:
             sources.append((src.group, at, len(set(positions)) == len(positions)))
         self.sources = tuple(sources)
         self.scope = np.array([b.scope for b in blocks]) if first.kind == LEAF else None
+        self.reads, self.runs = _fold(blocks) if first.kind == SUM else ((), ())
         self.release: tuple[int, ...] = ()
+
+
+def _fold(blocks: list[Block]):
+    """The ``reads`` and ``runs`` of a sum group (see ``Group``)."""
+    first = blocks[0]
+    folded = first.inputs[0].kind == PRODUCT
+
+    def slots(block):
+        """The blocks whose tables ``block`` reads: its products' factors, or its leaves."""
+        if not folded:
+            return list(block.inputs)  # a single-variable root mixes its leaves
+        return [p.inputs[side] for side in (0, 1) for p in block.inputs]
+
+    rows = [slots(block) for block in blocks]
+    slot_groups = [child.group for child in rows[0]]
+    reads, where = [], {}  # where[slot] = (read, slot's index within that take)
+    for src in dict.fromkeys(slot_groups):
+        taken = [s for s, g in enumerate(slot_groups) if g == src]
+        where.update((s, (len(reads), k)) for k, s in enumerate(taken))
+        at = np.array([[row[s].position for s in taken] for row in rows])
+        reads.append((src, at, len(set(at.flat)) == at.size))
+    if not folded:
+        return tuple(reads), ()
+
+    def factors(j):
+        left, right = first.inputs[j].inputs
+        return left.group, right.group, left.width, right.width
+
+    parts = len(first.inputs)
+    runs, start, column = [], 0, 0
+    while start < parts:
+        end = start + 1
+        while end < parts and factors(end) == factors(start):
+            end += 1
+        _, _, wl, wr = factors(start)
+        count = end - start
+        (lr, lk), (rr, rk) = where[start], where[parts + start]
+        runs.append(Run(
+            slice(start, end),
+            slice(column, column + count * wl * wr),
+            (lr, slice(lk, lk + count)),
+            (rr, slice(rk, rk + count)),
+            (count, wl, wr),
+        ))
+        start, column = end, column + count * wl * wr
+    return tuple(reads), tuple(runs)
 
 
 def compile_plan(layer_order: list[list[Block]]) -> list[Group]:
@@ -121,7 +199,7 @@ def compile_plan(layer_order: list[list[Block]]) -> list[Group]:
             for position, block in enumerate(blocks):
                 block.group, block.position = len(plan), position
             plan.append(Group(len(plan), blocks))
-    last_reader = {src: group.index for group in plan for src, _, _ in group.sources}
+    last_reader = {src: group.index for group in plan for src, _, _ in group.reads}
     for group in plan:
         group.release = tuple(s for s, reader in last_reader.items() if reader == group.index)
     return plan

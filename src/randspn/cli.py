@@ -148,6 +148,8 @@ def _prior_from_flag(args, circuit, meta, data):
     stored = (meta or {}).get("provenance", {}).get("class_log_prior")
     if stored is not None:
         try:
+            # a class absent from the training labels has prior log 0, stored as null
+            stored = [-np.inf if v is None else v for v in stored]
             return check_log_prior(stored, circuit.classes_C)
         except (TypeError, ValueError) as exc:  # InvalidInput included
             raise DataFormatError(f"model provenance class_log_prior: {exc}") from exc
@@ -219,8 +221,9 @@ def cmd_train(args):
         "sum_keep": config.sum_keep,
         "seed": config.seed,
         "warm_start": args.warm_start,
-        "class_log_prior": [
-            float(v) for v in empirical_log_prior(train_set.labels, circuit.classes_C)
+        "class_log_prior": [  # null for log 0: strict JSON has no -Infinity
+            float(v) if np.isfinite(v) else None
+            for v in empirical_log_prior(train_set.labels, circuit.classes_C)
         ],
     }
     model_path = args.out + ".model.json"

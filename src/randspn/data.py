@@ -197,14 +197,26 @@ def load_csv(path, label_column: int | str | None = "last", has_header=False) ->
 
 
 def scale_features(dataset: Dataset, mode: str) -> Dataset:
-    """Fit a scaling on this dataset and apply it, recording the statistics."""
+    """Fit a scaling on this dataset and apply it, recording the statistics.
+
+    Z-scoring raises DataFormatError, without a warning, for a column whose
+    mean or standard deviation overflows (finite values near 1e154 or
+    beyond): its statistics could not be stored or applied.
+    """
     if mode == SCALE_NONE:
         scaling = Scaling(mode=SCALE_NONE)
     elif mode == SCALE_DIVMAX:
         scaling = Scaling(mode=SCALE_DIVMAX, max_value=float(dataset.features.max()))
     elif mode == SCALE_ZSCORE:
-        means = dataset.features.mean(axis=0)
-        stds = np.maximum(dataset.features.std(axis=0), 1e-6)
+        with np.errstate(over="ignore"):
+            means = dataset.features.mean(axis=0)
+            stds = np.maximum(dataset.features.std(axis=0), 1e-6)
+        bad = ~(np.isfinite(means) & np.isfinite(stds))
+        if bad.any():
+            raise DataFormatError(
+                f"feature {int(np.argmax(bad))}: values too large to z-score "
+                "(their mean or standard deviation overflows)"
+            )
         scaling = Scaling(mode=SCALE_ZSCORE, means=means, stds=stds)
     else:
         raise InvalidInput(f"unknown scaling mode {mode!r}")

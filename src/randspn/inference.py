@@ -3,18 +3,22 @@
 Evaluation follows the circuit's compiled layer plan (``Circuit.plan``):
 every group of same-shape blocks is one (G, N, width) tensor, computed by
 one stacked numpy call per step, so Python dispatch scales with the number
-of groups, not of blocks. Everything runs in the log domain: product
-blocks add the log-tables of their two child blocks (an outer sum realized
-by broadcasting). Sum blocks use the exp–matmul–log form of Einsum Networks
-(Peharz et al. 2020): with ``m`` each row's largest input, a block's outputs
-are ``log(exp(x - m) @ softmax(logits).T) + m``, so no (samples, sums,
-inputs) table is ever built. Marginalization is a per-sample boolean mask
-of missing variables, which zeroes the matching leaf terms; conditioning is
-a difference of two marginal evaluations.
+of groups, not of blocks. Tables hold log-values. Sum blocks use the
+exp–matmul–log form of Einsum Networks (Peharz et al. 2020): with ``m`` a
+per-row shift, a block's outputs are ``log(x @ softmax(logits).T) + m``,
+where ``x`` holds its inputs in the linear domain, divided by ``exp(m)``.
+Product blocks are folded into the sums that read them (the einsum layer):
+a sum group exps each factor table once, shifted by its row max, and its
+inputs are the outer products of the factors: the only product table is
+the sum group's own linear-domain input ``x``. Marginalization
+is a per-sample boolean mask of missing variables, which zeroes the
+matching leaf terms; conditioning is a difference of two marginal
+evaluations.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -46,17 +50,21 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 # additive shift of a sum input column, indexed by its keep flag
 _DROP_SHIFT = np.array([NEG_INF, 0.0])
+# a folded sum row whose outputs all lie below this is recomputed (sum_group_kernel)
+_FAINT = 2.0**-900
+_LOWEST = np.finfo(float).min
 
 
 class SumKernel(NamedTuple):
-    """The exp–matmul–log terms of a sum block, shared by forward and backward.
+    """The exp–matmul–log terms of a sum group, shared by forward and backward.
 
-    ``m`` is each row's largest kept input, kept as a trailing axis of
-    length 1 (-inf in a dead row, whose kept inputs are all -inf);
-    ``e = exp(values - m)`` on kept columns and 0 on dropped ones (all 0 in
-    a dead row); ``w`` the softmax weights; ``p = e @ w.T``, so the block's
-    outputs are ``log p + m``; ``equal`` marks rows whose inputs, a dropped
-    column counted as -inf, are all equal (dead rows included).
+    ``m`` is each row's shift, kept as a trailing axis of length 1 (-inf in
+    a dead row, whose kept inputs are all -inf); ``e`` the inputs in the
+    linear domain divided by ``exp(m)``, 0 on dropped columns (all 0 in a
+    dead row); ``w`` the softmax weights; ``p = e @ w.T``, so the outputs
+    are ``log p + m``; ``equal`` marks rows whose inputs, a dropped column
+    counted as -inf, are all equal, which the outputs give as ``m`` exactly
+    (a dead row either is one or has ``p == 0``).
     """
 
     m: np.ndarray
@@ -66,16 +74,13 @@ class SumKernel(NamedTuple):
     equal: np.ndarray
 
 
-def sum_block_kernel(values: np.ndarray, weights: np.ndarray, keep=None) -> SumKernel:
-    """The ``SumKernel`` of a sum block, or of a group of sum blocks.
+def _mix(m, e, weights, equal) -> SumKernel:
+    """The one mixing core: ``p = e @ w.T`` for every row of every member."""
+    return SumKernel(m, e, weights, e @ weights.swapaxes(-1, -2), equal)
 
-    ``values`` is a block's (N, K) input table and ``weights`` its (S, K)
-    softmax weights, or (G, N, K) and (G, S, K) for a group of G blocks.
-    ``keep``, shaped like ``values`` or None, marks the columns sum dropout
-    keeps; a dropped column acts as an input of -inf. The -inf never enters
-    ``np.exp``, whose slow path for it costs several times the fast one:
-    dropped columns are clamped to ``exp(0)`` and then multiplied by 0.
-    """
+
+def _log_inputs(values, keep):
+    """(m, e, equal) of log-domain inputs: shift by the largest kept value, exp."""
     masked = values if keep is None else values + _DROP_SHIFT.take(keep)
     m = masked.max(axis=-1, keepdims=True)
     equal = masked.min(axis=-1, keepdims=True) == m
@@ -85,7 +90,22 @@ def sum_block_kernel(values: np.ndarray, weights: np.ndarray, keep=None) -> SumK
     np.exp(e, out=e)  # in place: for a group, e is the largest temporary
     if keep is not None:
         e *= keep
-    return SumKernel(m, e, weights, e @ weights.swapaxes(-1, -2), equal)
+    return m, e, equal
+
+
+def sum_block_kernel(values: np.ndarray, weights: np.ndarray, keep=None) -> SumKernel:
+    """The ``SumKernel`` of a sum block, or a group of them, on log-domain inputs.
+
+    ``values`` is a block's (N, K) input table and ``weights`` its (S, K)
+    softmax weights, or (G, N, K) and (G, S, K) for a group of G blocks.
+    ``keep``, shaped like ``values`` or None, marks the columns sum dropout
+    keeps; a dropped column acts as an input of -inf. The shift ``m`` is the
+    largest kept input. The -inf never enters ``np.exp``, whose slow path
+    for it costs several times the fast one: dropped columns are clamped to
+    ``exp(0)`` and then multiplied by 0.
+    """
+    m, e, equal = _log_inputs(values, keep)
+    return _mix(m, e, weights, equal)
 
 
 def sum_block_forward(values: np.ndarray, logits: np.ndarray, kernel=None) -> np.ndarray:
@@ -103,8 +123,8 @@ def sum_block_forward(values: np.ndarray, logits: np.ndarray, kernel=None) -> np
     logit spread of about 700 nats.
 
     Shapes as in ``sum_block_kernel``; ``kernel`` takes that function's
-    result when the caller already has it (then values and logits are not
-    read).
+    result, or ``sum_group_kernel``'s, when the caller already has it (then
+    values and logits are not read).
     """
     if kernel is None:
         kernel = sum_block_kernel(values, softmax(logits))
@@ -112,23 +132,115 @@ def sum_block_forward(values: np.ndarray, logits: np.ndarray, kernel=None) -> np
         return np.log(np.where(kernel.equal, 1.0, kernel.p)) + kernel.m
 
 
-def sum_block_inputs(tables, group: Group, sum_dropout=None):
-    """The (G, N, K) input tensor of a sum group and its keep-mask.
+def _keep_mask(group: Group, sum_dropout, shape):
+    """(G, N, K) keep-mask of a sum group, or None if no member has a mask."""
+    if not sum_dropout or not any(block.index in sum_dropout for block in group.blocks):
+        return None
+    return np.stack([
+        np.broadcast_to(sum_dropout.get(block.index, True), shape) for block in group.blocks
+    ])
 
-    ``tables`` holds one (G, N, width) tensor per plan group; each member's
-    input columns are its source tables side by side. The keep-mask is None
-    without sum dropout; otherwise a (G, N, K) boolean tensor, True for a
-    member without a mask in ``sum_dropout`` (keyed by block index).
+
+def sum_block_inputs(tables, group: Group, sum_dropout=None):
+    """(m, e, equal, keep) of a sum group, its products folded in.
+
+    ``tables`` holds one (G, N, width) log-value tensor per plan group. The
+    group takes the rows of its factor tables (``group.reads``), subtracts
+    each row's max and exps them in place. A member's input columns for the
+    partitions of a run (``group.runs``) are then the outer products
+    ``e_l ⊗ e_r`` of its factors, with shift ``m_l + m_r``; a sum over
+    several partitions shifts each row by the largest of these, ``m``, and
+    scales partition j by ``exp(m_j - m)``, its log added to the left factor
+    before the exp. The keep-mask, None without sum dropout and True for a
+    member without a mask in ``sum_dropout`` (keyed by block index),
+    multiplies the columns. A row is ``equal`` iff every
+    factor row is all-equal, every partition has shift ``m`` and no column
+    is dropped: its inputs are then all equal to ``m``. A group with no
+    runs mixes a leaf table directly, as ``sum_block_kernel`` does.
     """
-    parts = [tables[src][positions] for src, positions, _ in group.sources]
-    x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-    keep = None
-    if sum_dropout and any(block.index in sum_dropout for block in group.blocks):
-        keep = np.stack([
-            np.broadcast_to(sum_dropout.get(block.index, True), x.shape[1:])
-            for block in group.blocks
-        ])
-    return x, keep
+    if not group.runs:
+        (src, at, _), = group.reads
+        values = tables[src].take(at[:, 0], axis=0)
+        keep = _keep_mask(group, sum_dropout, values.shape[1:])
+        return (*_log_inputs(values, keep), keep)
+    factors = []
+    for src, at, _ in group.reads:
+        f = tables[src].take(at, axis=0)  # (G, k, N, width)
+        fm = f.max(axis=-1)
+        f -= np.maximum(fm, _LOWEST)[..., None]  # a dead row (max -inf) stays -inf
+        factors.append((f, fm.swapaxes(1, 2)))
+    shifts = []
+    for run in group.runs:
+        (left, left_slots), (right, right_slots) = run.left, run.right
+        shifts.append(factors[left][1][..., left_slots] + factors[right][1][..., right_slots])
+    shifts = shifts[0] if len(shifts) == 1 else np.concatenate(shifts, axis=-1)  # (G, N, J)
+    m = shifts
+    if shifts.shape[-1] > 1:
+        m = shifts.max(axis=-1, keepdims=True)
+        gaps = (shifts - np.maximum(m, _LOWEST)).swapaxes(1, 2)[..., None]  # (G, J, N, 1)
+        for run in group.runs:
+            left, left_slots = run.left
+            factors[left][0][:, left_slots] += gaps[:, run.parts]
+    # all zeros now iff every factor row is all-equal and every partition's shift is m
+    differ = False
+    for f, _ in factors:
+        differ = differ | f.any(axis=(1, 3))
+        np.exp(f, out=f)
+    equal = ~differ[..., None]
+    size, n, _ = m.shape
+    x = np.empty((size, n, group.runs[-1].columns.stop))
+    for run in group.runs:
+        (left, left_slots), (right, right_slots) = run.left, run.right
+        np.multiply(
+            factors[left][0][:, left_slots].transpose(0, 2, 1, 3)[..., :, None],
+            factors[right][0][:, right_slots].transpose(0, 2, 1, 3)[..., None, :],
+            out=x[..., run.columns].reshape((size, n) + run.shape, copy=False),
+        )
+    keep = _keep_mask(group, sum_dropout, x.shape[1:])
+    if keep is not None:
+        x *= keep
+        equal &= keep.all(axis=-1, keepdims=True)
+    return m, x, equal, keep
+
+
+def sum_group_kernel(tables, group: Group, weights, sum_dropout=None) -> SumKernel:
+    """The ``SumKernel`` of a plan sum group, from its inputs' tables.
+
+    Under sum dropout the shift ``m_l + m_r`` may belong to a dropped
+    column, and every kept column may then lie so far below it that all
+    of a row's outputs underflow to 0, or to subnormals that keep only a
+    few bits, while ``m`` is finite. Such a row, one whose outputs ``p``
+    are all below ``2**-900`` (about 624 nats below the shift), is
+    recomputed from its log-domain product values with its largest kept
+    value as the shift, as ``sum_block_kernel`` would.
+    """
+    m, e, equal, keep = sum_block_inputs(tables, group, sum_dropout)
+    kernel = _mix(m, e, weights, equal)
+    if keep is not None and group.runs:
+        lost = (kernel.p.max(axis=-1) < _FAINT) & (m[..., 0] > NEG_INF)
+        if lost.any():
+            _rescue(tables, group, kernel, keep, np.nonzero(lost))
+    return kernel
+
+
+def _rescue(tables, group, kernel, keep, rows):
+    """Recompute the kernel terms of the (member, sample) ``rows`` in the log domain."""
+    members, samples = rows
+    values = []
+    for run in group.runs:
+        factors = []
+        for read, slots in (run.left, run.right):
+            src, at, _ = group.reads[read]
+            factors.append(tables[src][at[members][:, slots], samples[:, None]])
+        left, right = factors  # (R, partitions, width)
+        values.append((left[..., :, None] + right[..., None, :]).reshape(len(members), -1))
+    again = sum_block_kernel(
+        np.concatenate(values, axis=-1)[:, None, :],
+        kernel.w[members],
+        keep[members, samples][:, None, :],
+    )
+    for name in ("m", "e", "p", "equal"):
+        getattr(kernel, name)[members, samples] = getattr(again, name)[:, 0]
 
 
 def _leaf_group(circuit, params, group, batch, missing):
@@ -142,18 +254,37 @@ def _leaf_group(circuit, params, group, batch, missing):
     return out.transpose(1, 0, 2)
 
 
-class Tables(dict):
-    """Every block's (N, width) table from one forward pass, by block index.
+class Tables(Mapping):
+    """Every block's (N, width) log-value table from one forward pass, by block index.
 
-    Each table is a view into ``groups[g]``, the (G, N, width) tensor of plan
-    group ``g``; ``kernels`` maps each sum group's index to its
-    ``sum_block_kernel`` terms, which the backward pass reuses.
+    A read-only mapping. A leaf or sum block's table is a read-only view into
+    ``groups[g]``, the (G, N, width) tensor of plan group ``g``; a product
+    block's is computed on access from its factors' tables (product groups
+    hold None in ``groups``: the sums fold them in). ``kernels`` maps each
+    sum group's index to its ``SumKernel``, which the backward pass reuses.
     """
 
     def __init__(self, circuit: Circuit, groups: list, kernels: dict):
-        super().__init__((b.index, groups[b.group][b.position]) for b in circuit.blocks)
+        self._blocks = circuit.blocks
         self.groups = groups
         self.kernels = kernels
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        if not 0 <= index < len(self._blocks):
+            raise KeyError(index)
+        block = self._blocks[index]
+        if block.kind == PRODUCT:
+            left, right = (self[b.index] for b in block.inputs)
+            return (left[:, :, None] + right[:, None, :]).reshape(len(left), block.width)
+        view = self.groups[block.group][block.position]
+        view.flags.writeable = False
+        return view
+
+    def __iter__(self):
+        return iter(range(len(self._blocks)))
+
+    def __len__(self) -> int:
+        return len(self._blocks)
 
 
 def _check_batch(circuit, batch, missing):
@@ -189,23 +320,19 @@ def forward_log(
     ``(roots, tables)`` with ``tables`` a ``Tables``.
     """
     batch, missing = _check_batch(circuit, batch, missing)
-    n = batch.shape[0]
     tables: list = []
     kernels = {}
     for group in circuit.plan:
         if group.kind == LEAF:
             out = _leaf_group(circuit, params, group, batch, missing)
         elif group.kind == PRODUCT:
-            (left, left_at, _), (right, right_at, _) = group.sources
-            t = tables[left][left_at][..., :, None] + tables[right][right_at][..., None, :]
-            out = t.reshape(len(group.blocks), n, group.width)
+            out = None  # folded into the sum groups that read it
         else:
-            x, keep = sum_block_inputs(tables, group, sum_dropout)
-            kernel = sum_block_kernel(x, params.terms(group), keep)
+            kernel = sum_group_kernel(tables, group, params.terms(group), sum_dropout)
             out = sum_block_forward(None, None, kernel)
             if return_tables:
                 kernels[group.index] = kernel
-            del x, keep, kernel  # the largest temporaries: free them before the next group
+            del kernel  # the largest temporary: free it before the next group
         tables.append(out)
         if not return_tables:
             for src in group.release:

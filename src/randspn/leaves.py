@@ -131,7 +131,7 @@ def gaussian_block_log_density(x, means, variances=None, missing=None, terms=Non
             if observed is not None:
                 diff *= observed  # before squaring: a masked term is exactly 0
             scaled = diff if inv_var is None else diff * inv_var[i]
-            quad[..., i] = np.einsum("...d,...d->...", diff, scaled)
+            np.vecdot(diff, scaled, out=quad[..., i])
     # -0.5 * (log 2 pi * #observed + sum of observed log variances + quad)
     if observed is None:
         count = x.shape[-1]

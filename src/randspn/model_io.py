@@ -112,8 +112,9 @@ def model_to_dict(
 
 
 def save_model(circuit, params, path, scaling=None, provenance=None, encoding=RAW):
+    """Write a model file; a non-finite number anywhere raises ValueError."""
     document = model_to_dict(circuit, params, scaling, provenance, encoding)
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
@@ -230,11 +231,15 @@ def _decode_document(document: dict):
     return circuit, params, meta
 
 
+def _reject_constant(token):
+    raise DataFormatError(f"non-finite number {token} is not valid JSON")
+
+
 def load_model(path):
     """Load and structurally validate a model file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, parse_constant=_reject_constant)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(document, dict):

@@ -4,9 +4,11 @@ The objective is a convex combination of cross-entropy and the per-variable
 normalized negative log-likelihood of the labeled class root, weighted by
 ``lam`` (1 = purely discriminative, 0 = maximum likelihood). The gradient is
 reverse mode, derived by hand: sum blocks propagate softmax-weighted
-responsibilities, product blocks route their gradient to both factors, and
-leaves pick up the usual Gaussian/Bernoulli score terms. Masked-out inputs
-and dropped product columns receive exactly zero gradient.
+responsibilities to their product columns, each product column's gradient
+is summed straight into both factors' table gradients (products are folded
+into the sums, as in the forward pass), and leaves pick up the usual
+Gaussian/Bernoulli score terms. Masked-out inputs and dropped product
+columns receive exactly zero gradient.
 """
 
 from __future__ import annotations
@@ -102,9 +104,7 @@ def _objective_root_gradient(roots, labels, num_vars, lam):
 def _table_diagnostics(circuit, tables):
     notes = []
     for block in circuit.blocks:
-        t = tables.get(block.index)
-        if t is None:
-            continue
+        t = tables[block.index]
         if np.isnan(t).any():
             notes.append(f"{block}: table contains NaN")
         elif np.isneginf(t).all(axis=1).any():
@@ -121,8 +121,9 @@ def sum_block_backward(values, logits, g, kernel=None):
     and the logit gradient ``w * (r.T @ e - g.sum(0))``. An output that is
     -inf (``p == 0``, as in a dead row) passes no gradient, and a dropped
     column (``e == 0``) gets exactly zero input gradient. ``kernel`` takes
-    the forward pass's ``sum_block_kernel`` result, which saves recomputing
-    it from ``values`` and ``logits``.
+    the forward pass's ``SumKernel``, which saves recomputing it from
+    ``values`` and ``logits``; for a plan group with products folded in,
+    the input gradient is that of the product columns' log-values.
     """
     if kernel is None:
         kernel = sum_block_kernel(values, softmax(logits))
@@ -131,14 +132,18 @@ def sum_block_backward(values, logits, g, kernel=None):
     g = np.where(live, g, 0.0)
     r = g / np.where(live, p, 1.0)
     d_logits = w * (r.swapaxes(-1, -2) @ e - g.sum(axis=-2)[..., None])
-    return e * (r @ w), d_logits
+    d_e = r @ w
+    d_e *= e
+    return d_e, d_logits
 
 
 def _accumulate(grad_tables, tables, source, value):
     """Add ``value`` into the gradient of the source group's table.
 
-    A position repeated in the source's positions (a child region shared by
-    two partitions) must receive every term, so it goes through ``add.at``.
+    ``source`` is a ``Group.reads`` entry, with the take index cut to the
+    slots ``value`` covers. A position repeated in it (a child region
+    shared by two partitions) must receive every term, so it goes through
+    ``add.at``.
     """
     src, positions, unique = source
     if grad_tables[src] is None:
@@ -147,6 +152,27 @@ def _accumulate(grad_tables, tables, source, value):
         grad_tables[src][positions] += value
     else:
         np.add.at(grad_tables[src], positions, value)
+
+
+def _factor_gradients(grad_tables, tables, group, d_x):
+    """Route a sum group's input gradient to the tables it read.
+
+    ``d_x`` is the (G, N, K) gradient of the log-values of the group's
+    product columns. A product column adds its gradient to both factors, so
+    a left factor's gradient is the sum over the right width, and the other
+    way round. A group without runs read its inputs directly.
+    """
+    if not group.runs:
+        src, at, unique = group.reads[0]
+        _accumulate(grad_tables, tables, (src, at[:, 0], unique), d_x)
+        return
+    size, n, _ = d_x.shape
+    for run in group.runs:
+        d = d_x[..., run.columns].reshape((size, n) + run.shape, copy=False)
+        for (read, slots), axis in ((run.left, 4), (run.right, 3)):
+            src, at, unique = group.reads[read]
+            value = d.sum(axis=axis).transpose(0, 2, 1, 3)  # (G, partitions, N, width)
+            _accumulate(grad_tables, tables, (src, at[:, slots], unique), value)
 
 
 def _leaf_gradients(circuit, params, d_flat, group, g, batch, missing):
@@ -230,24 +256,19 @@ def backward_gradients(
         missing = np.asarray(missing, bool)
 
     for group in reversed(circuit.plan):
+        if group.kind == PRODUCT:
+            continue  # folded into the sum groups that read it
         # each table gradient and sum kernel is read once: free it after
         g, grad_tables[group.index] = grad_tables[group.index], None
         if group.kind == LEAF:
             _leaf_gradients(circuit, params, d_flat, group, g, batch, missing)
-        elif group.kind == PRODUCT:
-            left, right = group.sources
-            g4 = g.reshape(g.shape[:2] + group.input_widths)
-            _accumulate(grad_tables, tables, left, g4.sum(axis=3))
-            _accumulate(grad_tables, tables, right, g4.sum(axis=2))
         else:
             d_x, d_logits = sum_block_backward(
                 None, None, g, tables.kernels.pop(group.index)
             )
             params.stacked("sum_logits", group, d_flat)[...] = d_logits
-            offset = 0
-            for source, width in zip(group.sources, group.input_widths):
-                _accumulate(grad_tables, tables, source, d_x[..., offset : offset + width])
-                offset += width
+            _factor_gradients(grad_tables, tables, group, d_x)
+            del d_x
 
     return ParameterSet(params.layout, d_flat), objective
 

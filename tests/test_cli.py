@@ -153,6 +153,36 @@ def test_overflowing_training_input_with_data_init_exits_4(tmp_path, blob_csv, c
     assert err.startswith("numeric failure:") and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_zscore_on_an_overflowing_column_exits_3(tmp_path, blob_csv, capsys):
+    rows = blob_csv.read_text().splitlines()
+    rows[5] = "1e160," + rows[5].split(",", 1)[1]
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(rows) + "\n")
+    assert main([
+        "train", "--data", f"csv:{huge}", "--depth", "1", "--repetitions", "2",
+        "--sums", "2", "--leaves", "2", "--epochs", "1", "--scale", "zscore",
+        "--out", str(tmp_path / "h"),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "feature 0" in err and "Traceback" not in err
+    assert not (tmp_path / "h.model.json").exists()
+
+
+def test_a_class_absent_from_training_is_stored_as_a_null_prior(tmp_path, blob_csv):
+    # its log prior is -inf, which strict JSON cannot hold
+    model = _train(tmp_path, blob_csv, extra=("--classes", "3"))
+
+    def strict(token):
+        raise ValueError(token)
+
+    doc = json.loads(model.read_text(), parse_constant=strict)
+    prior = doc["provenance"]["class_log_prior"]
+    assert prior[2] is None and all(isinstance(v, float) for v in prior[:2])
+    assert main(["eval", "--model", str(model), "--data", f"csv:{blob_csv}",
+                 "--prior", "empirical", "--out", str(tmp_path / "e")]) == 0
+
+
 def test_a_bad_stored_prior_is_a_data_error(tmp_path, blob_csv, capsys):
     model = _train(tmp_path, blob_csv)
     for mutate in (lambda prior: prior + [-1.0], lambda prior: [v - 1.0 for v in prior]):

@@ -112,6 +112,19 @@ def test_scaling_modes():
         rs.scale_features(data, "minmax")
 
 
+@pytest.mark.filterwarnings("error")
+def test_zscore_of_an_overflowing_column_is_a_data_error():
+    # 1e160 is finite, but its square is not: the column cannot be z-scored
+    features = np.ones((4, 6))
+    features[:, 2] = [0.0, 1.0, 2.0, 3.0]
+    features[1, 3] = 1e160
+    with pytest.raises(DataFormatError, match="feature 3"):
+        rs.scale_features(rs.Dataset(features=features), "zscore")
+    features[1, 3] = 1e150  # squares still finite: a normal fit
+    scaled = rs.scale_features(rs.Dataset(features=features), "zscore")
+    assert np.isfinite(scaled.scaling.stds).all()
+
+
 def test_scaling_statistics_transfer_without_refit():
     train = rs.Dataset(features=np.array([[0.0], [10.0]]))
     fitted = rs.scale_features(train, "divmax")

@@ -56,18 +56,31 @@ def test_all_missing_roots_are_zero(rng):
     np.testing.assert_array_equal(roots, np.zeros_like(roots))
 
 
+def _all_missing_log_px(graph, leaf_family, batch_size):
+    circuit = rs.construct_circuit(graph, 10, 8, 8, leaf_family)
+    params = rs.init_parameters(circuit, seed=1)
+    batch = np.zeros((batch_size, graph.num_vars))
+    return rs.log_marginal_input(
+        circuit, params, batch, missing=np.ones_like(batch, bool)
+    )
+
+
 @pytest.mark.parametrize("leaf_family", ["gaussian", "bernoulli"])
-@pytest.mark.parametrize("batch_size", [1, 2, 4, 16])
+@pytest.mark.parametrize("batch_size", range(1, 17))
 def test_all_missing_log_px_is_exactly_zero(leaf_family, batch_size):
     # desk configuration: with more than one row, some sum blocks receive
     # column-major input tables, which must not change the cancellation
     graph = rs.random_region_graph(64, 2, 8, seed=1)
-    circuit = rs.construct_circuit(graph, 10, 8, 8, leaf_family)
-    params = rs.init_parameters(circuit, seed=1)
-    batch = np.zeros((batch_size, 64))
-    log_px = rs.log_marginal_input(
-        circuit, params, batch, missing=np.ones_like(batch, bool)
-    )
+    log_px = _all_missing_log_px(graph, leaf_family, batch_size)
+    assert np.all(log_px == 0.0)
+
+
+@pytest.mark.parametrize("leaf_family", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("batch_size", range(1, 17))
+def test_all_missing_log_px_is_exactly_zero_with_two_leaf_groups(leaf_family, batch_size):
+    # uneven splits: sums fold factors from two leaf groups and shared regions
+    graph = rs.random_region_graph(5, 2, 4, seed=0)
+    log_px = _all_missing_log_px(graph, leaf_family, batch_size)
     assert np.all(log_px == 0.0)
 
 

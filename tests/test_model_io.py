@@ -157,6 +157,9 @@ def _self_referencing_partition(doc):
                  id="structure-seed-bool"),
     pytest.param(lambda d: d["structure"].pop("structure_seed"),
                  id="structure-seed-missing"),
+    pytest.param(lambda d: d["provenance"].update(seed=float("nan")), id="nan-token"),
+    pytest.param(lambda d: d["structure"].update(num_vars=float("inf")),
+                 id="infinity-token"),
 ])
 def test_every_fault_in_the_file_is_a_data_format_error(tmp_path, rng, mutate):
     circuit, params = _model(rng, num_vars=4)
@@ -167,6 +170,16 @@ def test_every_fault_in_the_file_is_a_data_format_error(tmp_path, rng, mutate):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError):
         rs.load_model(path)
+
+
+def test_save_model_refuses_non_finite_numbers(tmp_path, rng):
+    circuit, params = _model(rng, num_vars=4)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError):
+        rs.save_model(circuit, params, path, provenance={"seed": float("nan")})
+    scaling = Scaling(mode="zscore", means=np.zeros(4), stds=np.array([1.0, np.inf, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        rs.save_model(circuit, params, path, scaling=scaling)
 
 
 def test_null_structure_seed_loads(tmp_path, rng):

@@ -1,8 +1,11 @@
 import ast
+import math
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import randspn as rs
 from randspn.model_io import model_to_dict
@@ -13,6 +16,7 @@ from randspn.oracle import (
     enumerate_assignments,
     finite_diff_gradient,
     load_model_dict,
+    load_model_file,
 )
 from conftest import random_circuit, randomize_params
 
@@ -156,3 +160,56 @@ def test_oracle_module_never_imports_the_engine():
         else:
             continue
         assert not names & engine_modules, f"oracle imports engine code: {names}"
+
+
+def _oracle_log_px(model, x, missing):
+    """log p(x) under a uniform class prior, marginalizing ``missing`` (a boolean row)."""
+    missing_set = np.flatnonzero(missing).tolist()
+    if model.leaf_family == "bernoulli":  # enumerate every completion
+        values = np.exp(brute_force_marginal(model, [int(v) for v in x], missing_set))
+    else:  # a Gaussian integrates to 1: the oracle drops its terms
+        values = model.evaluate(list(x), missing=missing_set)
+    return math.log(sum(values) / len(values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_vars=st.integers(1, 8),
+    depth=st.integers(1, 3),
+    repetitions=st.integers(1, 4),
+    sums=st.integers(1, 3),
+    leaves=st.integers(1, 3),
+    classes=st.integers(1, 3),
+    leaf_family=st.sampled_from(["gaussian", "bernoulli"]),
+    rows=st.integers(1, 2),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_engine_queries_match_the_oracle_through_a_model_file(
+    num_vars, depth, repetitions, sums, leaves, classes, leaf_family, rows, seed
+):
+    # the engine and the oracle each read the same saved file, so they share no code
+    rng = np.random.default_rng(seed)
+    graph = rs.random_region_graph(num_vars, depth, repetitions, seed)
+    circuit = rs.construct_circuit(graph, classes, sums, leaves, leaf_family)
+    params = randomize_params(rs.init_parameters(circuit, seed=seed), rng)
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory) / "model.json"
+        rs.save_model(circuit, params, path)
+        circuit, params, _ = rs.load_model(path)
+        model = load_model_file(path)
+    if leaf_family == "bernoulli":
+        batch = rng.integers(0, 2, (rows, num_vars)).astype(float)
+    else:
+        batch = rng.normal(size=(rows, num_vars))
+    missing = rng.random((rows, num_vars)) < 0.4
+    query = ~missing & (rng.random((rows, num_vars)) < 0.5)
+    evidence = ~missing & ~query
+
+    log_px = rs.log_marginal_input(circuit, params, batch, missing=missing)
+    conditional = rs.conditional_log(circuit, params, batch, query, evidence)
+    for i, x in enumerate(batch):
+        expected = _oracle_log_px(model, x, missing[i])
+        assert log_px[i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        joint = _oracle_log_px(model, x, ~(query[i] | evidence[i]))
+        given_evidence = _oracle_log_px(model, x, ~evidence[i])
+        assert conditional[i] == pytest.approx(joint - given_evidence, rel=1e-9, abs=1e-9)
