@@ -33,17 +33,24 @@ print(f"\nvalidation: {'ok' if report.ok else report.violations}")
 # --- the circuit -------------------------------------------------------------
 
 circuit = rs.construct_circuit(graph, classes_C=3, sums_S=2, leaves_I=2)
-print(f"\ncircuit: {len(circuit.blocks)} blocks in {len(circuit.layer_order)} layers")
-for level, layer in enumerate(circuit.layer_order):
-    kinds = ", ".join(f"{b.kind}x{b.width}" for b in layer)
-    print(f"  layer {level}: {kinds}")
+kinds = ", ".join(f"{b.kind}x{b.width}" for b in circuit.blocks)
+print(f"\ncircuit: {len(circuit.blocks)} blocks: {kinds}")
 
-# The engine evaluates a compiled plan: each layer splits into groups of
-# same-shape blocks that read the same source groups, and each group is one
-# stacked (G, N, width) tensor computed by one numpy call.
+# The engine evaluates a compiled plan: the leaf and sum blocks split into
+# groups of same-shape blocks that read the same groups, and each group is
+# one stacked (G, N, width) tensor computed by one numpy call. Product
+# blocks get no group: each sum group folds in its products, taking their
+# factors' tables and mixing the outer products.
 print(f"\nlayer plan: {len(circuit.plan)} groups")
 for group in circuit.plan:
     print(f"  group {group.index}: {group.kind}x{group.width} times {len(group.blocks)}")
+    for block in group.blocks if group.kind == "sum" else ():
+        folded = [b for b in block.inputs if b.kind == "product"]
+        splits = "; ".join(
+            " | ".join(f"{list(f.scope)} (group {f.group})" for f in product.inputs)
+            for product in folded
+        )
+        print(f"    {list(block.scope)} folds {splits}")
 
 print(f"\nsum/product stack depth: {circuit.stack_depth()} (= 2 * depth)")
 print(f"circuit validation ok: {rs.validate_circuit(circuit).ok}")

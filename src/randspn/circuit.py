@@ -12,12 +12,12 @@ The one structure Algorithm-style construction leaves open is a single
 variable: the root then has no partitions, so it holds ``classes_C`` sum
 nodes mixing a block of ``leaves_I`` distributions over that variable.
 
-Construction also compiles the blocks into a layer plan: each layer splits
-into groups of same-shape blocks that read the same source groups, so the
-engine evaluates a whole group with one stacked numpy call. Product groups
-stay in the plan as the description of the partitions, but the engine folds
-them into the sum groups above them: a sum group reads its products' factor
-tables directly, through the take indices the plan resolves once.
+Construction also compiles the leaf and sum blocks into a layer plan of
+groups of same-shape blocks that read the same groups, so the engine
+evaluates a whole group with one stacked numpy call. Product blocks get no
+group: the engine folds them into the sums that read them, and a sum group
+reads its products' factor tables directly, through the take indices the
+plan resolves once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ GAUSSIAN, BERNOULLI = "gaussian", "bernoulli"
 class Block:
     """A block of identically-wired nodes attached to one region or partition."""
 
-    __slots__ = ("index", "kind", "node", "width", "inputs", "level", "group", "position")
+    __slots__ = ("index", "kind", "node", "width", "inputs", "group", "position")
 
     def __init__(self, index, kind, node, width, inputs=()):
         self.index = index
@@ -51,8 +51,7 @@ class Block:
         self.node = node  # Region for leaf/sum blocks, Partition for products
         self.width = width
         self.inputs: tuple[Block, ...] = tuple(inputs)
-        self.level = 0
-        self.group = -1  # plan group index, set when the plan is compiled
+        self.group = -1  # plan group index of a leaf or sum block, set by compile_plan
         self.position = -1  # index within that group
 
     @property
@@ -81,30 +80,25 @@ class Run(NamedTuple):
 
 
 class Group:
-    """Same-shape blocks of one layer, evaluated together as one tensor.
+    """Same-shape leaf or sum blocks of one level, evaluated together as one tensor.
 
     The group's table is a (G, N, width) tensor, row ``position`` of which
-    is the (N, width) table of member block ``blocks[position]``. Input
-    ``j`` of every member comes from the table of plan group
-    ``sources[j][0]``, at the member positions ``sources[j][1]`` (a slice
-    when they are consecutive, an index array otherwise); ``sources[j][2]``
-    is True when those positions are all distinct.
+    is the (N, width) table of member block ``blocks[position]``.
     ``scope`` holds the (G, d) variable indices of a leaf group.
 
-    What the engine reads at run time is ``reads``: one ``(group, at,
-    distinct)`` per plan group whose table a sum group takes rows of, with
-    ``at`` a (G, k) index array and ``distinct`` True when its entries are
-    all distinct. A sum group over products folds them in: it takes their
-    factors, in (left ‖ right) × partition order, and ``runs`` (see ``Run``)
-    says which slots of which take multiply into which input columns. A sum
-    group that mixes leaves directly (a single-variable root) has one read
-    of one slot and no runs; leaf and product groups read nothing.
-    ``release`` lists the groups this group is the last reader of.
+    A sum group reads ``reads``: one ``(group, at, distinct)`` per plan
+    group whose table it takes rows of, with ``at`` a (G, k) index array
+    and ``distinct`` True when its entries are all distinct. It folds its
+    products in: it takes their factors, in (left ‖ right) × partition
+    order, and ``runs`` (see ``Run``) says which slots of which take
+    multiply into which input columns. A sum group that mixes leaves
+    directly (a single-variable root) has one read of one slot and no
+    runs; a leaf group reads nothing. ``release`` lists the groups this
+    group is the last reader of.
     """
 
     __slots__ = (
-        "index", "kind", "blocks", "width", "input_widths", "sources", "scope",
-        "reads", "runs", "release",
+        "index", "kind", "blocks", "width", "input_widths", "scope", "reads", "runs", "release",
     )
 
     def __init__(self, index: int, blocks: list[Block]):
@@ -114,33 +108,22 @@ class Group:
         self.blocks = tuple(blocks)
         self.width = first.width
         self.input_widths = tuple(b.width for b in first.inputs)
-        sources = []
-        for j, src in enumerate(first.inputs):
-            positions = [b.inputs[j].position for b in blocks]
-            start = positions[0]
-            if positions == list(range(start, start + len(positions))):
-                at = slice(start, start + len(positions))  # reads as a view
-            else:
-                at = np.array(positions)
-            sources.append((src.group, at, len(set(positions)) == len(positions)))
-        self.sources = tuple(sources)
         self.scope = np.array([b.scope for b in blocks]) if first.kind == LEAF else None
         self.reads, self.runs = _fold(blocks) if first.kind == SUM else ((), ())
         self.release: tuple[int, ...] = ()
 
 
+def _factors(block: Block) -> list[Block]:
+    """The blocks whose tables a sum block reads: its products' factors, or its leaves."""
+    if block.inputs[0].kind != PRODUCT:
+        return list(block.inputs)  # a single-variable root mixes its leaves
+    return [p.inputs[side] for side in (0, 1) for p in block.inputs]
+
+
 def _fold(blocks: list[Block]):
     """The ``reads`` and ``runs`` of a sum group (see ``Group``)."""
     first = blocks[0]
-    folded = first.inputs[0].kind == PRODUCT
-
-    def slots(block):
-        """The blocks whose tables ``block`` reads: its products' factors, or its leaves."""
-        if not folded:
-            return list(block.inputs)  # a single-variable root mixes its leaves
-        return [p.inputs[side] for side in (0, 1) for p in block.inputs]
-
-    rows = [slots(block) for block in blocks]
+    rows = [_factors(block) for block in blocks]
     slot_groups = [child.group for child in rows[0]]
     reads, where = [], {}  # where[slot] = (read, slot's index within that take)
     for src in dict.fromkeys(slot_groups):
@@ -148,7 +131,7 @@ def _fold(blocks: list[Block]):
         where.update((s, (len(reads), k)) for k, s in enumerate(taken))
         at = np.array([[row[s].position for s in taken] for row in rows])
         reads.append((src, at, len(set(at.flat)) == at.size))
-    if not folded:
+    if first.inputs[0].kind != PRODUCT:
         return tuple(reads), ()
 
     def factors(j):
@@ -175,30 +158,42 @@ def _fold(blocks: list[Block]):
     return tuple(reads), tuple(runs)
 
 
-def compile_plan(layer_order: list[list[Block]]) -> list[Group]:
-    """Split every layer into groups of blocks one stacked call can evaluate.
+def compile_plan(blocks: list[Block]) -> list[Group]:
+    """Split the leaf and sum blocks into groups one stacked call can evaluate.
 
-    Leaf blocks group by (width, scope size), products by (left width,
-    right width, source groups), sums by (width, input widths, source
-    groups). Groups follow layer order, and within a layer the order of
-    their first block; members keep block-index order. Sets each block's
-    ``group`` and ``position``.
+    A leaf block has level 0, a sum block one more than the highest level
+    of the blocks it reads (``_factors``). Within a level, leaves group by
+    (width, scope size) and sums by width and the (width, group) of every
+    block they read. Groups follow level order, and within a level the
+    order of their first block; members keep block-index order. Sets each
+    grouped block's ``group`` and ``position``.
     """
-    plan: list[Group] = []
-    for layer in layer_order:
-        members: dict[tuple, list[Block]] = {}
-        for block in layer:
-            key = (
-                block.kind,
-                block.width,
-                len(block.scope) if block.kind == LEAF else 0,
-                tuple((b.width, b.group) for b in block.inputs),
+    levels: dict[int, int] = {}
+
+    def level(block: Block) -> int:
+        if block.index not in levels:
+            levels[block.index] = (
+                0 if block.kind == LEAF else 1 + max(level(b) for b in _factors(block))
             )
+        return levels[block.index]
+
+    layers: dict[int, list[Block]] = {}
+    for block in blocks:
+        if block.kind != PRODUCT:
+            layers.setdefault(level(block), []).append(block)
+    plan: list[Group] = []
+    for depth in sorted(layers):
+        members: dict[tuple, list[Block]] = {}
+        for block in layers[depth]:
+            if block.kind == LEAF:
+                key = (LEAF, block.width, len(block.scope))
+            else:
+                key = (SUM, block.width, tuple((b.width, b.group) for b in _factors(block)))
             members.setdefault(key, []).append(block)
-        for blocks in members.values():
-            for position, block in enumerate(blocks):
+        for group_blocks in members.values():
+            for position, block in enumerate(group_blocks):
                 block.group, block.position = len(plan), position
-            plan.append(Group(len(plan), blocks))
+            plan.append(Group(len(plan), group_blocks))
     last_reader = {src: group.index for group in plan for src, _, _ in group.reads}
     for group in plan:
         group.release = tuple(s for s, reader in last_reader.items() if reader == group.index)
@@ -213,11 +208,8 @@ class Circuit:
     leaves_I: int
     leaf_family: str
     blocks: list[Block]
-    region_block: dict[int, Block]       # region index -> sum or leaf block
-    partition_block: dict[int, Block]    # partition index -> product block
-    leaf_input_block: dict[int, Block]   # region index -> leaf block feeding a 1-var root
-    layer_order: list[list[Block]]
-    plan: list[Group]                    # compiled layer plan, in evaluation order
+    region_block: dict[int, Block]  # region index -> sum or leaf block
+    plan: list[Group]  # compiled layer plan, in evaluation order
 
     @property
     def num_vars(self) -> int:
@@ -229,9 +221,6 @@ class Circuit:
 
     def sum_blocks(self) -> list[Block]:
         return [b for b in self.blocks if b.kind == SUM]
-
-    def leaf_blocks(self) -> list[Block]:
-        return [b for b in self.blocks if b.kind == LEAF]
 
     def stack_depth(self) -> int:
         """Longest chain of sum/product blocks from the root down to a leaf block."""
@@ -383,9 +372,6 @@ class ParameterSet:
             self._terms[plan_group.index] = terms
         return terms
 
-    def copy(self) -> "ParameterSet":
-        return ParameterSet(self.layout, self.flat)
-
 
 def construct_circuit(
     graph: RegionGraph,
@@ -406,7 +392,6 @@ def construct_circuit(
     blocks: list[Block] = []
     region_block: dict[int, Block] = {}
     partition_block: dict[int, Block] = {}
-    leaf_input_block: dict[int, Block] = {}
 
     def new_block(kind, node, width, inputs=()):
         block = Block(len(blocks), kind, node, width, inputs)
@@ -419,7 +404,6 @@ def construct_circuit(
             if region.is_leaf:
                 # single-variable corner: C sums mixing I leaves directly
                 leaf = new_block(LEAF, region, leaves_I)
-                leaf_input_block[region.index] = leaf
                 region_block[region.index] = new_block(SUM, region, classes_C, [leaf])
             else:
                 region_block[region.index] = new_block(SUM, region, classes_C)
@@ -443,23 +427,6 @@ def construct_circuit(
                 for p in sorted(region.child_partitions, key=lambda p: p.index)
             )
 
-    memo: dict[int, int] = {}
-
-    def level_of(block: Block) -> int:
-        if not block.inputs:
-            return 0
-        if block.index not in memo:
-            memo[block.index] = 1 + max(level_of(b) for b in block.inputs)
-        return memo[block.index]
-
-    max_level = 0
-    for block in blocks:
-        block.level = level_of(block)
-        max_level = max(max_level, block.level)
-    layer_order = [[] for _ in range(max_level + 1)]
-    for block in blocks:
-        layer_order[block.level].append(block)
-
     return Circuit(
         graph=graph,
         classes_C=classes_C,
@@ -468,10 +435,7 @@ def construct_circuit(
         leaf_family=leaf_family,
         blocks=blocks,
         region_block=region_block,
-        partition_block=partition_block,
-        leaf_input_block=leaf_input_block,
-        layer_order=layer_order,
-        plan=compile_plan(layer_order),
+        plan=compile_plan(blocks),
     )
 
 

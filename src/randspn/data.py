@@ -45,12 +45,31 @@ class Scaling:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            mode=d["mode"],
-            max_value=d.get("max_value"),
-            means=None if d.get("means") is None else np.asarray(d["means"], float),
-            stds=None if d.get("stds") is None else np.asarray(d["stds"], float),
-        )
+        """A stored scaling; DataFormatError unless it can be applied as it is."""
+        mode = d.get("mode") if isinstance(d, dict) else None
+        if mode not in (SCALE_NONE, SCALE_DIVMAX, SCALE_ZSCORE):
+            raise DataFormatError(f"scaling: unknown mode {mode!r}")
+        scaling = cls(mode)
+        if mode == SCALE_DIVMAX and d.get("max_value") is not None:
+            scaling.max_value = float(_stored_numbers(d, "max_value", 0))
+        if mode == SCALE_ZSCORE:
+            scaling.means = _stored_numbers(d, "means", 1)
+            scaling.stds = _stored_numbers(d, "stds", 1)
+            if scaling.stds.shape != scaling.means.shape or not (scaling.stds > 0).all():
+                raise DataFormatError("scaling: stds must be positive, one per mean")
+        return scaling
+
+
+def _stored_numbers(d, key, ndim) -> np.ndarray:
+    """``d[key]`` as a float array of ``ndim`` axes; DataFormatError unless finite."""
+    try:
+        array = np.array(d.get(key), dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.ndim != ndim or not np.isfinite(array).all():
+        wanted = "a list of finite numbers" if ndim else "a finite number"
+        raise DataFormatError(f"scaling: {key} must be {wanted}")
+    return array
 
 
 @dataclass
@@ -63,8 +82,12 @@ class Dataset:
         self.features = np.asarray(self.features, dtype=float)
         if self.features.ndim != 2:
             raise InvalidInput("features must be a 2-D matrix")
-        if np.isnan(self.features).any():
-            raise DataFormatError("dataset contains NaN features")
+        bad = ~np.isfinite(self.features)
+        if bad.any():
+            row, column = np.argwhere(bad)[0]
+            raise DataFormatError(
+                f"sample {row}, feature {column}: non-finite value {self.features[row, column]}"
+            )
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if self.labels.shape != (len(self.features),):
@@ -183,6 +206,12 @@ def load_csv(path, label_column: int | str | None = "last", has_header=False) ->
                 raise DataFormatError(
                     f"{path}: non-numeric cell {cell!r} at line {line_no}, column {j}"
                 ) from None
+    bad = ~np.isfinite(table)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DataFormatError(
+            f"{path}: non-finite cell {rows[i][1][j]!r} at line {rows[i][0]}, column {j}"
+        )
 
     if label_column is None:
         return Dataset(features=table)

@@ -18,12 +18,11 @@ evaluations.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, GAUSSIAN, LEAF, PRODUCT, Group, ParameterSet, softmax
+from .circuit import Circuit, GAUSSIAN, LEAF, Group, ParameterSet
 from .errors import InvalidInput
 from .leaves import bernoulli_block_log_mass, gaussian_block_log_density
 
@@ -41,11 +40,6 @@ def logsumexp(z: np.ndarray) -> np.ndarray:
     safe_m = np.where(alive, m, 0.0)
     total = np.where(alive, np.exp(z - safe_m[..., None]).sum(axis=-1), 1.0)
     return np.where(alive, safe_m + np.log(total), NEG_INF)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise normalized log-weights of a logit matrix."""
-    return logits - logsumexp(logits)[..., None]
 
 
 # additive shift of a sum input column, indexed by its keep flag
@@ -108,26 +102,21 @@ def sum_block_kernel(values: np.ndarray, weights: np.ndarray, keep=None) -> SumK
     return _mix(m, e, weights, equal)
 
 
-def sum_block_forward(values: np.ndarray, logits: np.ndarray, kernel=None) -> np.ndarray:
-    """Mixture outputs log sum_k softmax(logits)[s, k] exp(values[n, k]).
+def sum_block_forward(kernel: SumKernel) -> np.ndarray:
+    """Mixture outputs log sum_k w[s, k] exp(values[n, k]) from a ``SumKernel``.
 
-    Evaluated as ``log(exp(values - m) @ softmax(logits).T) + m`` with ``m``
-    the row max. A row whose inputs are all equal returns that value
-    exactly, since a mixture of equal components is that component: the
-    softmax rows need not sum to exactly 1, and this rule keeps a fully
-    marginalized input (all zeros) at exactly 0. A dead row (all inputs
-    -inf, as under sum dropout) is such a row, so it gives -inf, never NaN.
+    ``kernel`` is ``sum_block_kernel(values, w)`` of a block or a group, or
+    ``sum_group_kernel`` of a plan group; the outputs are ``log p + m``. A
+    row whose inputs are all equal returns that value exactly, since a
+    mixture of equal components is that component: the softmax rows need
+    not sum to exactly 1, and this rule keeps a fully marginalized input
+    (all zeros) at exactly 0. A dead row (all inputs -inf, as under sum
+    dropout) is such a row, so it gives -inf, never NaN.
     Precision limit: a live row underflows to -inf only when every term
     ``log w[s, k] + values[n, k] - m`` (logit gap plus input gap) is below
     about -700 nats; the largest input has no input gap, so that takes a
     logit spread of about 700 nats.
-
-    Shapes as in ``sum_block_kernel``; ``kernel`` takes that function's
-    result, or ``sum_group_kernel``'s, when the caller already has it (then
-    values and logits are not read).
     """
-    if kernel is None:
-        kernel = sum_block_kernel(values, softmax(logits))
     with np.errstate(divide="ignore"):  # an underflowed p of 0 stands for -inf
         return np.log(np.where(kernel.equal, 1.0, kernel.p)) + kernel.m
 
@@ -248,43 +237,10 @@ def _leaf_group(circuit, params, group, batch, missing):
     x = np.take(batch, group.scope, axis=1)  # (N, G, d), contiguous along d
     mask = None if missing is None else np.take(missing, group.scope, axis=1)
     if circuit.leaf_family == GAUSSIAN:
-        out = gaussian_block_log_density(x, None, None, mask, params.terms(group))
+        out = gaussian_block_log_density(x, params.terms(group), mask)
     else:
-        out = bernoulli_block_log_mass(x, None, mask, params.terms(group))
+        out = bernoulli_block_log_mass(x, params.terms(group), mask)
     return out.transpose(1, 0, 2)
-
-
-class Tables(Mapping):
-    """Every block's (N, width) log-value table from one forward pass, by block index.
-
-    A read-only mapping. A leaf or sum block's table is a read-only view into
-    ``groups[g]``, the (G, N, width) tensor of plan group ``g``; a product
-    block's is computed on access from its factors' tables (product groups
-    hold None in ``groups``: the sums fold them in). ``kernels`` maps each
-    sum group's index to its ``SumKernel``, which the backward pass reuses.
-    """
-
-    def __init__(self, circuit: Circuit, groups: list, kernels: dict):
-        self._blocks = circuit.blocks
-        self.groups = groups
-        self.kernels = kernels
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        if not 0 <= index < len(self._blocks):
-            raise KeyError(index)
-        block = self._blocks[index]
-        if block.kind == PRODUCT:
-            left, right = (self[b.index] for b in block.inputs)
-            return (left[:, :, None] + right[:, None, :]).reshape(len(left), block.width)
-        view = self.groups[block.group][block.position]
-        view.flags.writeable = False
-        return view
-
-    def __iter__(self):
-        return iter(range(len(self._blocks)))
-
-    def __len__(self) -> int:
-        return len(self._blocks)
 
 
 def _check_batch(circuit, batch, missing):
@@ -317,7 +273,9 @@ def forward_log(
     column); dropped columns enter the mixtures as -inf. The circuit's plan
     runs one group at a time, and a group's tensor is dropped after its last
     reader unless ``return_tables`` is set; then the result is
-    ``(roots, tables)`` with ``tables`` a ``Tables``.
+    ``(roots, tables, kernels)``: ``tables[g]`` is the (G, N, width)
+    log-value tensor of plan group ``g`` and ``kernels`` maps each sum
+    group's index to its ``SumKernel``, which the backward pass reuses.
     """
     batch, missing = _check_batch(circuit, batch, missing)
     tables: list = []
@@ -325,11 +283,9 @@ def forward_log(
     for group in circuit.plan:
         if group.kind == LEAF:
             out = _leaf_group(circuit, params, group, batch, missing)
-        elif group.kind == PRODUCT:
-            out = None  # folded into the sum groups that read it
         else:
             kernel = sum_group_kernel(tables, group, params.terms(group), sum_dropout)
-            out = sum_block_forward(None, None, kernel)
+            out = sum_block_forward(kernel)
             if return_tables:
                 kernels[group.index] = kernel
             del kernel  # the largest temporary: free it before the next group
@@ -341,7 +297,7 @@ def forward_log(
     root = circuit.root_block
     roots = tables[root.group][root.position]
     if return_tables:
-        return roots, Tables(circuit, tables, kernels)
+        return roots, tables, kernels
     return roots
 
 

@@ -105,21 +105,17 @@ def _scope_dot(a, node_terms):
     return np.einsum("...d,i...d->...i", a, node_terms)
 
 
-def gaussian_block_log_density(x, means, variances=None, missing=None, terms=None):
+def gaussian_block_log_density(x, terms: GaussianTerms, missing=None):
     """Log-densities of a block, or a group of blocks, of factorized Gaussians.
 
-    One block: x is (N, d), the values of its scope variables; means is
-    (I, d); variances is (I, d), or None for unit variance; missing is an
-    (N, d) boolean mask whose True entries are marginalized out. Returns
-    (N, I). A group of G blocks adds a group axis: x and missing are
-    (N, G, d), means and variances (G, I, d), and the result is (N, G, I).
-    ``terms`` takes ``gaussian_terms(means, variances)`` when the caller
-    already has it; means and variances are then not read.
-    An observed value whose squared distance to a mean overflows has
-    log-density -inf, without a warning.
+    One block: x is (N, d), the values of its scope variables; ``terms``
+    is ``gaussian_terms(means, variances)`` of (I, d) means and variances
+    (None for unit variance); missing is an (N, d) boolean mask whose True
+    entries are marginalized out. Returns (N, I). A group of G blocks adds
+    a group axis: x and missing are (N, G, d), the parameters (G, I, d),
+    and the result is (N, G, I). An observed value whose squared distance
+    to a mean overflows has log-density -inf, without a warning.
     """
-    if terms is None:
-        terms = gaussian_terms(means, variances)
     mu, _, log_var, inv_var = terms
     x, observed = masked_input(x, mu, missing)
     # one node per step keeps every temporary the size of x
@@ -146,15 +142,12 @@ def gaussian_block_log_density(x, means, variances=None, missing=None, terms=Non
     return quad
 
 
-def bernoulli_block_log_mass(x, success_logits, missing=None, terms=None):
+def bernoulli_block_log_mass(x, terms: BernoulliTerms, missing=None):
     """Log-masses of a block, or a group of blocks, of factorized Bernoullis.
 
-    Shapes as in ``gaussian_block_log_density``, with success log-odds in
-    place of means; x entries are in {0, 1}. ``terms`` takes
-    ``bernoulli_terms(success_logits)`` when the caller already has it.
+    Shapes as in ``gaussian_block_log_density``, with ``terms`` the
+    ``bernoulli_terms`` of success log-odds; x entries are in {0, 1}.
     """
-    if terms is None:
-        terms = bernoulli_terms(success_logits)
     x, observed = masked_input(x, terms.log_p, missing)
     failures = (1.0 if observed is None else observed) - x  # 0 where masked
     return _scope_dot(x, terms.log_p) + _scope_dot(failures, terms.log_q)

@@ -46,20 +46,36 @@ def _encode_array(arr: np.ndarray, encoding: str):
     return {"shape": list(arr.shape), "data": data}
 
 
-def _decode_array(entry, encoding, where):
+def _decode_array(entry, encoding, shape, where):
+    """The finite values of one stored matrix, flattened; its stored shape must be ``shape``.
+
+    The shape is checked before the data is decoded.
+    """
     try:
-        shape = tuple(int(v) for v in entry["shape"])
-        if encoding == RAW:
-            flat = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-        else:
-            flat = np.array([float(v) for v in entry["data"]], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        stored, data = entry["shape"], entry["data"]
+    except (KeyError, TypeError) as exc:
         raise DataFormatError(f"malformed parameter entry at {where}: {exc}") from exc
-    if flat.size != int(np.prod(shape)):
+    if stored != list(shape):
         raise DataFormatError(
-            f"parameter {where}: {flat.size} values do not fill shape {list(shape)}"
+            f"wiring-width mismatch for {where}: file has shape {stored!r}, "
+            f"circuit expects {list(shape)}"
         )
-    return flat.reshape(shape)
+    if encoding == DECIMAL and not (
+        isinstance(data, list) and all(isinstance(v, str) for v in data)
+    ):
+        raise DataFormatError(f"parameter {where}: decimal data must be a list of strings")
+    try:
+        if encoding == RAW:
+            flat = np.frombuffer(base64.b64decode(data), dtype="<f8")
+        else:
+            flat = np.array([float(v) for v in data])
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"malformed parameter entry at {where}: {exc}") from exc
+    if flat.size != shape[0] * shape[1]:
+        raise DataFormatError(f"parameter {where}: {flat.size} values do not fill shape {stored}")
+    if not np.isfinite(flat).all():
+        raise DataFormatError(f"parameter {where}: non-finite value")
+    return flat
 
 
 def model_to_dict(
@@ -113,6 +129,8 @@ def model_to_dict(
 
 def save_model(circuit, params, path, scaling=None, provenance=None, encoding=RAW):
     """Write a model file; a non-finite number anywhere raises ValueError."""
+    if not np.isfinite(params.flat).all():
+        raise ValueError("cannot save a non-finite parameter")
     document = model_to_dict(circuit, params, scaling, provenance, encoding)
     text = json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
@@ -134,22 +152,18 @@ def _checked_int(structure, key, nullable=False):
 
 def _rebuild_graph(structure) -> RegionGraph:
     graph = RegionGraph(
-        num_vars=structure["num_vars"],
+        num_vars=_checked_int(structure, "num_vars"),
         depth=_checked_int(structure, "depth"),
         repetitions=_checked_int(structure, "repetitions"),
         seed=_checked_int(structure, "structure_seed", nullable=True),
     )
     for idx, (level, scope) in enumerate(structure["regions"]):
         graph.regions.append(Region(idx, tuple(int(v) for v in scope), int(level)))
-    for idx, (parent, left, right) in enumerate(structure["partitions"]):
-        try:
-            node = Partition(
-                idx, graph.regions[parent], (graph.regions[left], graph.regions[right])
-            )
-        except IndexError:
-            raise DataFormatError(
-                f"partition {idx} references a missing region"
-            ) from None
+    for idx, ends in enumerate(structure["partitions"]):
+        if not all(isinstance(i, int) and 0 <= i < len(graph.regions) for i in ends):
+            raise DataFormatError(f"partition {idx} references a missing region")
+        parent, left, right = (graph.regions[i] for i in ends)
+        node = Partition(idx, parent, (left, right))
         graph.partitions.append(node)
         node.parent.child_partitions.append(node)
         for child in node.children:
@@ -201,31 +215,39 @@ def _decode_document(document: dict):
         leaf_family=leaf_family,
     )
 
-    layout = parameter_layout(circuit, bool(document.get("train_variance")))
-    flat = np.zeros(sum(slot.size for slot in layout))
-    for slot in layout:
-        where = f"{slot.group}[{slot.region}]"
-        entry = stored_params.get(slot.group, {}).get(str(slot.region))
-        if entry is None:
-            raise DataFormatError(f"missing {slot.group} for region {slot.region}")
-        arr = _decode_array(entry, encoding, where)
-        if arr.shape != slot.shape:
-            raise DataFormatError(
-                f"wiring-width mismatch for {where}: file has shape "
-                f"{list(arr.shape)}, circuit expects {list(slot.shape)}"
-            )
-        slot.view(flat)[...] = arr
-    params = ParameterSet(layout, flat)
+    train_variance = document.get("train_variance", False)
+    provenance = document.get("provenance", {})
+    if not isinstance(train_variance, bool):
+        raise DataFormatError(f"train_variance must be true or false, got {train_variance!r}")
+    if not isinstance(provenance, dict):
+        raise DataFormatError("provenance must be an object")
+    layout = parameter_layout(circuit, train_variance)
+    stored = {(group, region) for group, entries in stored_params.items() for region in entries}
+    expected = {(slot.group, str(slot.region)) for slot in layout}
+    if stored != expected:
+        group, region = min(stored ^ expected)
+        fault = "unexpected" if (group, region) in stored else "missing"
+        raise DataFormatError(f"{fault} {group} for region {region}")
+    params = ParameterSet(layout, np.concatenate([
+        _decode_array(stored_params[slot.group][str(slot.region)], encoding, slot.shape,
+                      f"{slot.group}[{slot.region}]")
+        for slot in layout
+    ]))
 
+    scaling = document.get("scaling")
+    if scaling is not None:
+        scaling = Scaling.from_dict(scaling)
+        if scaling.means is not None and len(scaling.means) != graph.num_vars:
+            raise DataFormatError(
+                f"scaling: {len(scaling.means)} means for {graph.num_vars} features"
+            )
     meta = {
         "structure": {k: v for k, v in structure.items() if k not in ("regions", "partitions")},
         "leaf_family": leaf_family,
-        "train_variance": document.get("train_variance", False),
+        "train_variance": train_variance,
         "param_encoding": encoding,
-        "scaling": None
-        if document.get("scaling") is None
-        else Scaling.from_dict(document["scaling"]),
-        "provenance": document.get("provenance", {}),
+        "scaling": scaling,
+        "provenance": provenance,
         "param_counts": document.get("param_counts"),
     }
     return circuit, params, meta

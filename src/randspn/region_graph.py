@@ -190,9 +190,10 @@ def validate_region_graph(graph: RegionGraph) -> ValidationReport:
     call describes everything wrong with a hand-built or corrupted graph.
     """
     report = ValidationReport()
-    full_scope = tuple(range(graph.num_vars))
-
-    roots = [r for r in graph.regions if tuple(r.scope) == full_scope]
+    roots = [
+        r for r in graph.regions
+        if len(r.scope) == graph.num_vars and tuple(r.scope) == tuple(range(graph.num_vars))
+    ]
     if not roots:
         report.add("no root region: no region covers all variables")
     elif len(roots) > 1:

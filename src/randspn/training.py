@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BERNOULLI, Circuit, LEAF, PRODUCT, ParameterSet, softmax
+from .circuit import BERNOULLI, Circuit, LEAF, PRODUCT, ParameterSet
 from .data import batch_iterator
 from .errors import InvalidInput, NumericFailure
-from .inference import forward_log, logsumexp, sum_block_kernel
+from .inference import SumKernel, forward_log, logsumexp
 from .leaves import VARIANCE_FLOOR, masked_input
 
 
@@ -102,31 +102,29 @@ def _objective_root_gradient(roots, labels, num_vars, lam):
 
 
 def _table_diagnostics(circuit, tables):
+    """A note per block whose table holds NaN or an all -inf row, in plan order."""
     notes = []
-    for block in circuit.blocks:
-        t = tables[block.index]
-        if np.isnan(t).any():
-            notes.append(f"{block}: table contains NaN")
-        elif np.isneginf(t).all(axis=1).any():
-            notes.append(f"{block}: some sample rows are entirely -inf")
+    for group, table in zip(circuit.plan, tables):
+        nan = np.isnan(table).any(axis=(1, 2))
+        dead = np.isneginf(table).all(axis=2).any(axis=1)
+        for position in np.flatnonzero(nan | dead):
+            fault = "table contains NaN" if nan[position] else "some sample rows are entirely -inf"
+            notes.append(f"{group.blocks[position]}: {fault}")
     return notes
 
 
-def sum_block_backward(values, logits, g, kernel=None):
-    """Gradients of ``sum_block_forward`` w.r.t. its inputs and its logits.
+def sum_block_backward(g, kernel: SumKernel):
+    """Gradients of ``sum_block_forward(kernel)`` w.r.t. its inputs and its logits.
 
     ``g`` is the gradient of the block's (N, S) outputs, or (G, N, S) for a
     group (shapes as in ``sum_block_kernel``). With the kernel's ``e``,
     ``w`` and ``p`` and ``r = g / p``, the input gradient is ``e * (r @ w)``
     and the logit gradient ``w * (r.T @ e - g.sum(0))``. An output that is
     -inf (``p == 0``, as in a dead row) passes no gradient, and a dropped
-    column (``e == 0``) gets exactly zero input gradient. ``kernel`` takes
-    the forward pass's ``SumKernel``, which saves recomputing it from
-    ``values`` and ``logits``; for a plan group with products folded in,
-    the input gradient is that of the product columns' log-values.
+    column (``e == 0``) gets exactly zero input gradient. For a plan group
+    with products folded in, the input gradient is that of the product
+    columns' log-values.
     """
-    if kernel is None:
-        kernel = sum_block_kernel(values, softmax(logits))
     _, e, w, p, _ = kernel
     live = p > 0.0
     g = np.where(live, g, 0.0)
@@ -147,7 +145,7 @@ def _accumulate(grad_tables, tables, source, value):
     """
     src, positions, unique = source
     if grad_tables[src] is None:
-        grad_tables[src] = np.zeros_like(tables.groups[src])
+        grad_tables[src] = np.zeros_like(tables[src])
     if unique:
         grad_tables[src][positions] += value
     else:
@@ -235,7 +233,7 @@ def backward_gradients(
 ):
     """Exact objective gradient for every parameter. Returns (grads, objective)."""
     batch = np.asarray(batch, dtype=float)
-    roots, tables = forward_log(
+    roots, tables, kernels = forward_log(
         circuit, params, batch, missing, sum_dropout, return_tables=True
     )
     _, labels = _check_roots_labels(roots, labels)
@@ -248,7 +246,7 @@ def backward_gradients(
     d_flat = np.zeros_like(params.flat)
     root = circuit.root_block
     grad_tables: list = [None] * len(circuit.plan)
-    grad_tables[root.group] = np.zeros_like(tables.groups[root.group])
+    grad_tables[root.group] = np.zeros_like(tables[root.group])
     grad_tables[root.group][root.position] = _objective_root_gradient(
         roots, labels, circuit.num_vars, lam
     )
@@ -256,16 +254,12 @@ def backward_gradients(
         missing = np.asarray(missing, bool)
 
     for group in reversed(circuit.plan):
-        if group.kind == PRODUCT:
-            continue  # folded into the sum groups that read it
         # each table gradient and sum kernel is read once: free it after
         g, grad_tables[group.index] = grad_tables[group.index], None
         if group.kind == LEAF:
             _leaf_gradients(circuit, params, d_flat, group, g, batch, missing)
         else:
-            d_x, d_logits = sum_block_backward(
-                None, None, g, tables.kernels.pop(group.index)
-            )
+            d_x, d_logits = sum_block_backward(g, kernels.pop(group.index))
             params.stacked("sum_logits", group, d_flat)[...] = d_logits
             _factor_gradients(grad_tables, tables, group, d_x)
             del d_x

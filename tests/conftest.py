@@ -3,6 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 import randspn as rs
+from randspn.circuit import softmax
+from randspn.inference import sum_block_kernel
 
 
 def random_circuit(rng, num_vars=None, leaf_family="gaussian", max_dims=None):
@@ -36,6 +38,11 @@ def quadrature_mass_2d(circuit, params, lo=-10.0, hi=10.0, points=401):
         density = np.exp(roots[:, c]).reshape(points, points)
         masses.append(np.trapezoid(np.trapezoid(density, axis, axis=1), axis))
     return np.asarray(masses)
+
+
+def block_kernel(values, logits, keep=None):
+    """The ``SumKernel`` of log-domain inputs ``values`` under sum ``logits``."""
+    return sum_block_kernel(values, softmax(logits), keep)
 
 
 @st.composite

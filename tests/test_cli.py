@@ -169,6 +169,50 @@ def test_zscore_on_an_overflowing_column_exits_3(tmp_path, blob_csv, capsys):
     assert not (tmp_path / "h.model.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["none", "divmax", "zscore"])
+def test_a_non_finite_training_feature_exits_3(tmp_path, blob_csv, capsys, scale):
+    rows = blob_csv.read_text().splitlines()
+    rows[5] = "0.5,inf," + rows[5].split(",", 2)[2]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    assert main([
+        "train", "--data", f"csv:{bad}", "--depth", "1", "--repetitions", "2",
+        "--sums", "2", "--leaves", "2", "--epochs", "1", "--scale", scale,
+        "--out", str(tmp_path / "h"),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "line 6, column 1" in err
+    assert "Traceback" not in err and not (tmp_path / "h.model.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_evaluation_feature_exits_3(tmp_path, blob_csv, capsys):
+    model = _train(tmp_path, blob_csv)
+    rows = blob_csv.read_text().splitlines()
+    rows[2] = "-inf," + rows[2].split(",", 1)[1]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", f"csv:{bad}",
+                 "--out", str(tmp_path / "e")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "line 3, column 0" in err
+    assert "Traceback" not in err
+
+
+def test_an_oversized_model_dimension_exits_3(tmp_path, blob_csv, capsys):
+    model = _train(tmp_path, blob_csv)
+    doc = json.loads(model.read_text())
+    doc["structure"]["leaves_per_region"] = 1000000
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", f"csv:{blob_csv}",
+                 "--out", str(tmp_path / "e")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
 def test_a_class_absent_from_training_is_stored_as_a_null_prior(tmp_path, blob_csv):
     # its log prior is -inf, which strict JSON cannot hold
     model = _train(tmp_path, blob_csv, extra=("--classes", "3"))

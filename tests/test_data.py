@@ -173,3 +173,24 @@ def test_split_dataset_partitions_and_preserves_scaling():
 def test_nan_features_rejected():
     with pytest.raises(DataFormatError):
         rs.Dataset(features=np.array([[np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_features_name_their_sample_and_feature(value):
+    features = np.zeros((3, 4))
+    features[2, 1] = value
+    features[2, 3] = value
+    with pytest.raises(DataFormatError, match="sample 2, feature 1: non-finite"):
+        rs.Dataset(features=features)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column", [0, 2])  # a feature, the label
+def test_csv_non_finite_cells_name_their_line_and_column(tmp_path, cell, column):
+    path = tmp_path / "bad.csv"
+    rows = [["0.5", "0.25", "1"], ["0.5", "0.25", "0"], ["0.5", "0.25", "1"]]
+    rows[1][column] = cell
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    message = f"non-finite cell '{cell}' at line 2, column {column}"
+    with pytest.raises(DataFormatError, match=message):
+        rs.load_csv(path)

@@ -17,13 +17,13 @@ from scipy.special import logsumexp as reference_logsumexp
 
 import randspn as rs
 from randspn.circuit import PRODUCT, softmax
-from randspn.inference import Tables, sum_block_forward, sum_group_kernel
+from randspn.inference import sum_block_forward, sum_group_kernel
 from randspn.oracle import finite_diff_gradient
 from randspn.training import _factor_gradients, sum_block_backward
 
 
 def _random_tables(circuit, n, rng, scale, far=False):
-    """Random log-value tensors for every non-product plan group.
+    """Random log-value tensors for every plan group.
 
     Entries are -inf at random, some rows are dead (all -inf) or constant,
     and one sample is 0 in every table (an all-missing row). With ``far``,
@@ -33,8 +33,6 @@ def _random_tables(circuit, n, rng, scale, far=False):
     tables = [None] * len(circuit.plan)
     spread = 800.0 if far else scale
     for group in circuit.plan:
-        if group.kind == PRODUCT:
-            continue
         t = rng.normal(0.0, 1.0, (len(group.blocks), n, group.width)) * spread
         t += rng.normal(0.0, 20.0)
         t[rng.random(t.shape) < 0.15] = -np.inf
@@ -120,7 +118,7 @@ def test_folded_sums_match_the_log_domain_reference(case):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on dead rows
             kernel = sum_group_kernel(tables, group, softmax(logits), _dropout(group, keep))
-            got = sum_block_forward(None, None, kernel)
+            got = sum_block_forward(kernel)
         expected = _reference(tables, group, logits, keep)
         assert got.shape == expected.shape
         assert not np.isnan(got).any()
@@ -149,7 +147,7 @@ def test_folded_sum_gradients_match_finite_differences(case, seed):
         for src, _, _ in group.reads:  # finite factors: every entry can be probed
             tables[src] = np.nan_to_num(tables[src], neginf=-30.0) / 40.0
         weights = softmax(logits)
-        out = sum_block_forward(None, None, sum_group_kernel(tables, group, weights, dropout))
+        out = sum_block_forward(sum_group_kernel(tables, group, weights, dropout))
         live = np.isfinite(out)
         g = rng.normal(size=out.shape)
 
@@ -158,18 +156,18 @@ def test_folded_sum_gradients_match_finite_differences(case, seed):
             for (src, _, _), name in zip(group.reads, work):
                 probe[src] = work[name]
             kernel = sum_group_kernel(probe, group, weights, dropout)
-            return float((g * sum_block_forward(None, None, kernel))[live].sum())
+            return float((g * sum_block_forward(kernel))[live].sum())
 
         arrays = {f"t{i}": tables[src] for i, (src, _, _) in enumerate(group.reads)}
         approx = finite_diff_gradient(objective, arrays, 1e-6)
         kernel = sum_group_kernel(tables, group, weights, dropout)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d_x, _ = sum_block_backward(None, None, np.where(live, g, 0.0), kernel)
+            d_x, _ = sum_block_backward(np.where(live, g, 0.0), kernel)
         if keep is not None:
             assert np.all(d_x[~keep] == 0.0)  # dropped columns: exactly zero
         grads = [None] * len(circuit.plan)
-        _factor_gradients(grads, Tables(circuit, tables, {}), group, d_x)
+        _factor_gradients(grads, tables, group, d_x)
         for i, (src, _, _) in enumerate(group.reads):
             np.testing.assert_allclose(grads[src], approx[f"t{i}"], rtol=1e-5, atol=1e-6)
 
@@ -224,7 +222,7 @@ def test_multi_partition_sum_scales_each_partition():
         tables[src] = rng.normal(0.0, 3.0, (len(circuit.plan[src].blocks), 5, 3))
         tables[src] -= 75.0 * rng.integers(0, 3, tables[src].shape[:2])[..., None]
     logits = rng.normal(0.0, 1.0, (1, 2, sum(root.input_widths)))
-    got = sum_block_forward(None, None, sum_group_kernel(tables, root, softmax(logits)))
+    got = sum_block_forward(sum_group_kernel(tables, root, softmax(logits)))
     np.testing.assert_allclose(got, _reference(tables, root, logits, None), rtol=1e-13)
 
 
@@ -241,7 +239,7 @@ def test_equal_rows_need_equal_partition_shifts_and_no_drop():
     logits = np.random.default_rng(0).normal(0.0, 1.0, (1, 1, sum(root.input_widths)))
     kernel = sum_group_kernel(tables, root, softmax(logits))
     assert kernel.equal[0, :, 0].tolist() == [True, False]
-    got = sum_block_forward(None, None, kernel)
+    got = sum_block_forward(kernel)
     assert got[0, 0, 0] == 0.0
     np.testing.assert_allclose(got, _reference(tables, root, logits, None), rtol=1e-13)
     keep = np.ones((2, sum(root.input_widths)), bool)
@@ -249,6 +247,6 @@ def test_equal_rows_need_equal_partition_shifts_and_no_drop():
     kernel = sum_group_kernel(tables, root, softmax(logits), {root.blocks[0].index: keep})
     assert not kernel.equal[0, 0, 0]
     np.testing.assert_allclose(
-        sum_block_forward(None, None, kernel), _reference(tables, root, logits, keep[None]),
+        sum_block_forward(kernel), _reference(tables, root, logits, keep[None]),
         rtol=1e-13,
     )

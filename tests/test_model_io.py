@@ -1,7 +1,9 @@
+import base64
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import randspn as rs
 from randspn.data import Scaling
@@ -124,6 +126,13 @@ def test_malformed_and_invalid_files(tmp_path, rng):
         rs.load_model(path)
 
 
+def _non_finite_parameter(doc):
+    entry = next(iter(doc["parameters"]["sum_logits"].values()))
+    values = np.frombuffer(base64.b64decode(entry["data"]), "<f8").copy()
+    values[0] = np.inf
+    entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
 def _self_referencing_partition(doc):
     partition = doc["structure"]["partitions"][0]
     partition[1] = partition[0]  # the region becomes its own child
@@ -160,6 +169,14 @@ def _self_referencing_partition(doc):
     pytest.param(lambda d: d["provenance"].update(seed=float("nan")), id="nan-token"),
     pytest.param(lambda d: d["structure"].update(num_vars=float("inf")),
                  id="infinity-token"),
+    # a million-wide block needs terabytes: shapes are checked before allocating
+    pytest.param(lambda d: d["structure"].update(leaves_per_region=1000000),
+                 id="oversized-leaves"),
+    pytest.param(lambda d: d["structure"].update(sums_per_region=1000000),
+                 id="oversized-sums"),
+    pytest.param(_non_finite_parameter, id="non-finite-parameter"),
+    pytest.param(lambda d: d.update(scaling={"mode": "zscore", "means": [0.0], "stds": [1.0]}),
+                 id="scaling-of-one-feature"),
 ])
 def test_every_fault_in_the_file_is_a_data_format_error(tmp_path, rng, mutate):
     circuit, params = _model(rng, num_vars=4)
@@ -180,6 +197,10 @@ def test_save_model_refuses_non_finite_numbers(tmp_path, rng):
     scaling = Scaling(mode="zscore", means=np.zeros(4), stds=np.array([1.0, np.inf, 1.0, 1.0]))
     with pytest.raises(ValueError):
         rs.save_model(circuit, params, path, scaling=scaling)
+    flat = params.flat.copy()
+    flat[0] = np.inf
+    with pytest.raises(ValueError):
+        rs.save_model(circuit, rs.ParameterSet(params.layout, flat), path)
 
 
 def test_null_structure_seed_loads(tmp_path, rng):
@@ -206,3 +227,103 @@ def test_oracle_agreement_through_the_file(tmp_path, rng):
     np.testing.assert_allclose(
         rs.forward_log(circuit, params, X), brute_force_mass(model), atol=1e-9
     )
+
+
+def _fuzz_documents():
+    """Saved small model documents: Gaussian (variances, zscore) raw and decimal, Bernoulli."""
+    rng = np.random.default_rng(31)
+    graph = rs.random_region_graph(4, 2, 2, seed=3)
+    documents = []
+    for family, encoding in (("gaussian", "raw"), ("gaussian", "decimal"), ("bernoulli", "raw")):
+        circuit = rs.construct_circuit(graph, 2, 2, 2, family)
+        params = rs.init_parameters(circuit, seed=5, train_variance=family == "gaussian")
+        params = randomize_params(params, rng, 0.5)
+        scaling = (
+            Scaling(mode="zscore", means=rng.normal(size=4), stds=rng.uniform(0.5, 2.0, 4))
+            if family == "gaussian" else Scaling(mode="divmax", max_value=255.0)
+        )
+        provenance = {"class_log_prior": [np.log(0.25), np.log(0.75)], "seed": 3}
+        documents.append((
+            json.dumps(rs.model_to_dict(circuit, params, scaling, provenance, encoding)),
+            (circuit, params),
+        ))
+    return documents
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+# values a mutation puts in place of another: every JSON type, ints far
+# outside any valid range and strings no stored value may hold
+REPLACEMENTS = [None, True, False, 0, -1, 1, 2, 3, 10**6, 2**63, 10**30, 1.5, -0.5,
+                "", "x", "nan", "-1e999", [], [1], {}, {"a": 1}]
+
+
+def _fields(doc):
+    """Every (container path, key) of a JSON document, grouped by field.
+
+    List positions and region ids are one field each, so a mutation draws
+    ``format_version`` as often as one of the many parameter values.
+    """
+    fields = {}
+
+    def walk(node, path, field):
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+            node, list) else ()
+        for key, value in items:
+            name = field + ("*" if isinstance(key, int) or key.isdigit() else key,)
+            fields.setdefault(name, []).append((path, key))
+            walk(value, path + (key,), name)
+
+    walk(doc, (), ())
+    return list(fields.values())
+
+
+@st.composite
+def mutated_documents(draw):
+    """(text, original model, mutated path): one mutation of a saved document."""
+    text, original = draw(st.sampled_from(FUZZ_DOCUMENTS))
+    doc = json.loads(text)
+    path, key = draw(st.sampled_from(draw(st.sampled_from(_fields(doc)))))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    value = parent[key]
+    kind = draw(st.sampled_from(["delete", "replace", "int", "truncate"]))
+    if kind == "delete":
+        del parent[key]
+    elif kind == "int" and isinstance(value, int) and not isinstance(value, bool):
+        parent[key] = value + draw(st.sampled_from([-2, -1, 1, 2, 10**6, 2**40, 10**30]))
+    elif kind == "truncate" and isinstance(value, (str, list)) and value and path[-1:] != (
+        "data",  # a cut decimal string is another valid number; cut the list instead
+    ):
+        parent[key] = value[: draw(st.integers(0, len(value) - 1))]
+    else:
+        parent[key] = draw(st.sampled_from(REPLACEMENTS))
+    return json.dumps(doc), original, path + (key,)
+
+
+def _wiring(circuit):
+    return circuit.leaf_family, [
+        (b.kind, b.width, b.scope, [i.index for i in b.inputs]) for b in circuit.blocks
+    ]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_documents())
+def test_a_mutated_model_file_loads_equal_or_is_a_data_format_error(tmp_path_factory, case):
+    text, (circuit, params), path = case
+    file = tmp_path_factory.mktemp("fuzz") / "model.json"
+    file.write_text(text)
+    try:
+        loaded, loaded_params, meta = rs.load_model(file)
+    except ModelVersionError:
+        assert path == ("format_version",)
+        return
+    except DataFormatError:
+        return
+    # what loads is the saved model, and every stored value it carries is usable
+    assert _wiring(loaded) == _wiring(circuit)
+    assert loaded_params.layout == params.layout
+    assert loaded_params.flat.tobytes() == params.flat.tobytes()
+    if meta["scaling"] is not None:
+        rs.apply_scaling(rs.Dataset(np.ones((2, 4))), meta["scaling"])
+    assert isinstance(meta["provenance"], dict)

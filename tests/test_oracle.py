@@ -31,7 +31,7 @@ def test_single_bernoulli_leaf_model():
     graph = rs.random_region_graph(1, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, 1, 1, 1, leaf_family="bernoulli")
     params = rs.init_parameters(circuit, seed=0)
-    block = circuit.leaf_input_block[0].index
+    block = circuit.root_block.inputs[0].index
     slot = next(s for s in params.layout if (s.group, s.block) == ("leaf_logits", block))
     flat = params.flat.copy()
     slot.view(flat)[:] = 0.0  # p = 0.5

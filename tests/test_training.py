@@ -10,7 +10,7 @@ from randspn.errors import InvalidInput, NumericFailure
 from randspn.inference import sum_block_forward
 from randspn.training import AdamState, sum_block_backward
 from randspn.oracle import enumerate_assignments, finite_diff_gradient, load_model_dict
-from conftest import random_circuit, randomize_params, sum_block_cases
+from conftest import block_kernel, random_circuit, randomize_params, sum_block_cases
 
 
 def test_cross_entropy_examples():
@@ -134,16 +134,16 @@ def test_gradients_respect_masks_and_dropout(rng):
 def test_sum_block_gradients_match_finite_differences(case, seed):
     values, logits, _ = case
     g = np.random.default_rng(seed).normal(size=(len(values), len(logits)))
-    live = np.isfinite(sum_block_forward(values, logits))
+    live = np.isfinite(sum_block_forward(block_kernel(values, logits)))
 
     def objective(work):
-        out = sum_block_forward(work["values"], work["logits"])
+        out = sum_block_forward(block_kernel(work["values"], work["logits"]))
         return float((g * out)[live].sum())
 
     approx = finite_diff_gradient(objective, {"values": values, "logits": logits}, 1e-5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        d_values, d_logits = sum_block_backward(values, logits, g)
+        d_values, d_logits = sum_block_backward(g, block_kernel(values, logits))
     np.testing.assert_allclose(d_values, approx["values"], rtol=1e-5, atol=1e-6)
     np.testing.assert_allclose(d_logits, approx["logits"], rtol=1e-5, atol=1e-6)
 
@@ -154,7 +154,7 @@ def test_sum_block_gradients_match_finite_differences(case, seed):
     dead = dropped.all(axis=1)
     g_dead = g.copy()
     g_dead[dead] = 1e300
-    again_values, again_logits = sum_block_backward(values, logits, g_dead)
+    again_values, again_logits = sum_block_backward(g_dead, block_kernel(values, logits))
     np.testing.assert_array_equal(again_values, d_values)
     np.testing.assert_array_equal(again_logits, d_logits)
 
@@ -164,9 +164,6 @@ def test_sum_block_gradients_match_finite_differences(case, seed):
 def test_sum_dropout_kernel_matches_the_minus_inf_formulation(rng):
     # dropping columns through the keep-mask gives bit for bit what writing
     # -inf into them does, forward and backward, in a dead row too
-    from randspn.circuit import softmax
-    from randspn.inference import sum_block_kernel
-
     values = rng.normal(0.0, 5.0, (3, 6, 10))
     logits = rng.normal(0.0, 2.0, (3, 4, 10))
     keep = rng.random(values.shape) < 0.6
@@ -179,13 +176,13 @@ def test_sum_dropout_kernel_matches_the_minus_inf_formulation(rng):
     keep[2, 3] = True
     g = rng.normal(size=(3, 6, 4))
 
-    kernel = sum_block_kernel(values, softmax(logits), keep)
+    kernel = block_kernel(values, logits, keep)
     dropped = np.where(keep, values, -np.inf)
-    out = sum_block_forward(None, None, kernel)
-    np.testing.assert_array_equal(out, sum_block_forward(dropped, logits))
+    out = sum_block_forward(kernel)
+    np.testing.assert_array_equal(out, sum_block_forward(block_kernel(dropped, logits)))
     assert np.isneginf(out[1, 2]).all() and np.all(out[2, 3] == 0.0)
     for got, want in zip(
-        sum_block_backward(None, None, g, kernel), sum_block_backward(dropped, logits, g)
+        sum_block_backward(g, kernel), sum_block_backward(g, block_kernel(dropped, logits))
     ):
         np.testing.assert_array_equal(got, want)
 
@@ -202,10 +199,11 @@ def test_gradients_with_a_dead_row_in_an_inner_sum_block(rng):
     inner = [b for b in sum_dropout if b != circuit.root_block.index]
     assert len(inner) == 4  # the two repetitions split the root differently
     sum_dropout[inner[0]][1] = False
-    roots, tables = rs.forward_log(
+    roots, tables, _ = rs.forward_log(
         circuit, params, batch, sum_dropout=sum_dropout, return_tables=True
     )
-    assert np.isneginf(tables[inner[0]][1]).all()
+    dead = circuit.blocks[inner[0]]
+    assert np.isneginf(tables[dead.group][dead.position][1]).all()
     assert np.isfinite(roots).all()
     _fd_check(circuit, params, batch, labels, 0.5, None, sum_dropout)
 
@@ -231,7 +229,7 @@ def test_masked_inputs_get_exactly_zero_gradient(num_vars, leaf_family, batch_si
         circuit, params, batch, labels, 0.5, missing, sum_dropout
     )
     leaf_grads = grads.leaf_means if leaf_family == "gaussian" else grads.leaf_logits
-    for block in circuit.leaf_blocks():
+    for block in (b for b in circuit.blocks if b.kind == "leaf"):
         columns = hidden[list(block.scope)]
         assert np.all(leaf_grads[block.index][:, columns] == 0.0)
     assert np.isfinite(grads.flat).all()
@@ -341,8 +339,9 @@ def test_dropping_all_but_one_product(rng):
     keep[:, 2] = True
     roots = rs.forward_log(circuit, params, batch, sum_dropout={root.index: keep})
 
-    _, tables = rs.forward_log(circuit, params, batch, return_tables=True)
-    product = tables[root.inputs[0].index]
+    _, tables, _ = rs.forward_log(circuit, params, batch, return_tables=True)
+    left, right = (tables[b.group][b.position] for b in root.inputs[0].inputs)
+    product = (left[:, :, None] + right[:, None, :]).reshape(len(batch), -1)
     logits = params.sum_logits[root.index][0]
     log_w = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
     np.testing.assert_allclose(roots[:, 0], log_w[2] + product[:, 2], atol=1e-10)
@@ -380,7 +379,7 @@ def test_adam_runs_are_bit_identical(rng):
     config = rs.TrainConfig(lam=0.5, epochs=1)
 
     def run():
-        p = params.copy()
+        p = params
         state = AdamState.initial(p)
         for _ in range(5):
             grads, _ = rs.backward_gradients(circuit, p, batch, labels, config.lam)
@@ -396,7 +395,7 @@ def test_objective_decreases_on_convex_toy():
     graph = rs.random_region_graph(1, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, 1, 1, 3)
     params = rs.init_parameters(circuit, seed=4)
-    block = circuit.leaf_input_block[0].index
+    block = circuit.root_block.inputs[0].index
     slot = next(s for s in params.layout if (s.group, s.block) == ("leaf_means", block))
     flat = params.flat.copy()
     slot.view(flat)[:] = np.array([[-1.0], [0.0], [2.0]])
@@ -508,7 +507,7 @@ def test_shared_child_regions_and_two_leaf_groups():
 
     circuit = rs.construct_circuit(graph, 2, 2, 2)
     assert [g.kind for g in circuit.plan].count("leaf") == 2
-    assert not all(unique for g in circuit.plan for _, _, unique in g.sources)
+    assert not all(unique for g in circuit.plan for _, _, unique in g.reads)
     params = randomize_params(rs.init_parameters(circuit, seed=3, train_variance=True), rng, 0.4)
     batch = rng.normal(size=(4, 5))
     labels = rng.integers(1, 3, 4)
