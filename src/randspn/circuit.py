@@ -219,9 +219,6 @@ class Circuit:
     def root_block(self) -> Block:
         return self.region_block[self.graph.root.index]
 
-    def sum_blocks(self) -> list[Block]:
-        return [b for b in self.blocks if b.kind == SUM]
-
     def stack_depth(self) -> int:
         """Longest chain of sum/product blocks from the root down to a leaf block."""
         memo: dict[int, int] = {}
@@ -307,14 +304,15 @@ class ParameterSet:
     """Trainable parameters: a value holding one read-only float64 vector.
 
     ``flat`` is a private copy of the vector it was built from, holding
-    every parameter in ``layout`` order. ``sum_logits[b]`` is the logit
-    matrix of sum block ``b``, one row per sum node and one column per input
-    column; normalized weights are softmax rows. ``leaf_means[b]`` holds a
-    (width, scope size) matrix of Gaussian means, ``leaf_log_vars`` the
-    matching log-variances when variance training is on (None otherwise).
-    Bernoulli circuits use ``leaf_logits`` (success log-odds) instead of
-    means. Every named matrix is a read-only view into ``flat``; new values
-    make a new set, e.g. ``ParameterSet(params.layout, params.flat + noise)``.
+    every parameter in ``layout`` order: a block's matrix is
+    ``slot.view(params.flat)`` and a plan group's matrices are
+    ``stacked(name, group)``. A sum block's logit matrix has one row per
+    sum node and one column per input column; normalized weights are
+    softmax rows. A leaf block holds a (width, scope size) matrix of
+    Gaussian means, plus the matching log-variances when
+    ``train_variance``, or Bernoulli success log-odds. Every view is
+    read-only; new values make a new set, e.g.
+    ``ParameterSet(params.layout, params.flat + noise)``.
 
     ``terms(group)`` derives what the kernels read from a plan group's
     parameters on first use and keeps it, so a set pays for it once however
@@ -325,15 +323,8 @@ class ParameterSet:
         self.layout = layout
         size = sum(slot.size for slot in layout)
         self.flat = _read_only(np.zeros(size) if flat is None else np.array(flat, dtype=float))
-        views: dict[str, dict[int, np.ndarray]] = {group: {} for group in GROUPS}
-        self._slots = {}
-        for slot in layout:
-            views[slot.group][slot.block] = slot.view(self.flat)
-            self._slots[slot.group, slot.block] = slot
-        self.sum_logits = views["sum_logits"]
-        self.leaf_means = views["leaf_means"]
-        self.leaf_log_vars = views["leaf_log_vars"] or None
-        self.leaf_logits = views["leaf_logits"]
+        self._slots = {(slot.group, slot.block): slot for slot in layout}
+        self.train_variance = any(slot.group == "leaf_log_vars" for slot in layout)
         self._terms: dict[int, object] = {}
 
     def stacked(self, group: str, plan_group: Group, flat: np.ndarray | None = None) -> np.ndarray:
@@ -359,11 +350,11 @@ class ParameterSet:
         if terms is None:
             if plan_group.kind == SUM:
                 terms = softmax(self.stacked("sum_logits", plan_group))
-            elif self.leaf_logits:
+            elif ("leaf_logits", plan_group.blocks[0].index) in self._slots:
                 terms = bernoulli_terms(self.stacked("leaf_logits", plan_group))
             else:
                 variances = None
-                if self.leaf_log_vars is not None:
+                if self.train_variance:
                     variances = clamped_variances(self.stacked("leaf_log_vars", plan_group))
                 terms = gaussian_terms(self.stacked("leaf_means", plan_group), variances)
             for array in terms if isinstance(terms, tuple) else (terms,):

@@ -13,8 +13,9 @@ which is enough to reproduce the run exactly.
 Dataset specs: ``idx:IMAGES,LABELS`` | ``idx-nolabel:IMAGES`` | ``csv:PATH``
 (labels in the last column, read as 0-based ids) | ``csv-nolabel:PATH``.
 
-Exit codes: 0 ok, 2 usage/configuration error, 3 data or format error,
-4 numeric failure during training.
+Exit codes: 0 ok, 1 standard output closed early (broken pipe), 2
+usage/configuration error, 3 data or format error, 4 numeric failure during
+training.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -172,16 +174,9 @@ def cmd_train(args):
 
     if args.warm_start:
         circuit, params, meta = load_model(args.warm_start)
-        scaling = meta["scaling"] or Scaling(mode="none")
-        train_set = apply_scaling(raw, scaling)
-        if train_set.num_features != circuit.num_vars:
-            raise DataFormatError(
-                f"model expects {circuit.num_vars} features, data has "
-                f"{train_set.num_features}"
-            )
+        train_set = _model_scaled(raw, circuit, meta)
     else:
         train_set = scale_features(raw, args.scale)
-        scaling = train_set.scaling
         num_classes = args.classes or int(raw.labels.max())
         graph = random_region_graph(
             train_set.num_features, args.depth, args.repetitions, args.seed
@@ -194,6 +189,7 @@ def cmd_train(args):
             train_variance=args.train_variance,
         )
         meta = None
+    scaling = train_set.scaling
 
     valid_set = None
     if args.valid_fraction > 0:
@@ -249,19 +245,23 @@ def cmd_train(args):
     return 0
 
 
+def _model_scaled(raw, circuit, meta, what="data"):
+    """``raw`` under the model's scaling; DataFormatError unless it has the model's features."""
+    data = apply_scaling(raw, meta["scaling"] or Scaling(mode="none"))
+    if data.num_features != circuit.num_vars:
+        raise DataFormatError(
+            f"model expects {circuit.num_vars} features, {what} has {data.num_features}"
+        )
+    return data
+
+
 def _load_model_and_data(args, spec, require_labels):
     parse_data_spec(spec)  # config check before touching any file
     circuit, params, meta = load_model(args.model)
     raw = load_data_spec(spec)
     if require_labels and raw.labels is None:
         raise DataFormatError(f"dataset {spec!r} must carry labels")
-    scaling = meta["scaling"] or Scaling(mode="none")
-    data = apply_scaling(raw, scaling)
-    if data.num_features != circuit.num_vars:
-        raise DataFormatError(
-            f"model expects {circuit.num_vars} features, data has {data.num_features}"
-        )
-    return circuit, params, meta, data
+    return circuit, params, meta, _model_scaled(raw, circuit, meta)
 
 
 def cmd_eval(args):
@@ -317,19 +317,14 @@ def cmd_sweep_missing(args):
 
 def ranking_statistic(scores_in, scores_out) -> float:
     """P(score_in > score_out) + 0.5 P(equal): the area under the ROC curve."""
-    scores = np.concatenate([scores_in, scores_out])
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # average tied ranks
-    sorted_scores = scores[order]
-    start = 0
-    for i in range(1, len(scores) + 1):
-        if i == len(scores) or sorted_scores[i] != sorted_scores[start]:
-            ranks[order[start:i]] = 0.5 * (start + 1 + i)
-            start = i
     n_in, n_out = len(scores_in), len(scores_out)
-    rank_sum = ranks[: n_in].sum()
+    _, tie, counts = np.unique(
+        np.concatenate([scores_in, scores_out]), return_inverse=True, return_counts=True
+    )
+    # a tie spanning 1-based ranks last - count + 1 .. last gets their average
+    last = np.cumsum(counts)
+    ranks = last - 0.5 * (counts - 1)
+    rank_sum = ranks[tie[:n_in]].sum()
     return float((rank_sum - n_in * (n_in + 1) / 2) / (n_in * n_out))
 
 
@@ -337,31 +332,24 @@ def cmd_ood(args):
     started = time.perf_counter()
     parse_data_spec(args.out_data)
     circuit, params, meta, data_in = _load_model_and_data(args, args.in_data, False)
-    raw_out = load_data_spec(args.out_data)
-    scaling = meta["scaling"] or Scaling(mode="none")
-    data_out = apply_scaling(raw_out, scaling)
-    if data_out.num_features != circuit.num_vars:
-        raise DataFormatError(
-            f"model expects {circuit.num_vars} features, out-of-domain data has "
-            f"{data_out.num_features}"
-        )
-    log_prior = (
-        uniform_log_prior(circuit.classes_C)
-        if args.prior == "uniform"
-        else _prior_from_flag(args, circuit, meta, data_in)
-    )
+    data_out = _model_scaled(load_data_spec(args.out_data), circuit, meta, "out-of-domain data")
+    log_prior = _prior_from_flag(args, circuit, meta, data_in)
 
     scores_in = log_marginal_input(circuit, params, data_in.features, log_prior)
     scores_out = log_marginal_input(circuit, params, data_out.features, log_prior)
     auc = ranking_statistic(scores_in, scores_out)
 
-    lo = min(scores_in.min(), scores_out.min())
-    hi = max(scores_in.max(), scores_out.max())
+    # a -inf score (an observation of density 0) counts as the lowest finite one
+    scores = np.concatenate([scores_in, scores_out])
+    finite = scores[np.isfinite(scores)]
+    if finite.size == 0:
+        raise DataFormatError("the model gives every sample density 0 (log p(x) = -inf)")
+    lo, hi = finite.min(), finite.max()
     edges = np.linspace(lo, hi, args.bins + 1)
-    counts_in, _ = np.histogram(scores_in, bins=edges)
-    counts_out, _ = np.histogram(scores_out, bins=edges)
+    counts_in, _ = np.histogram(np.maximum(scores_in, lo), bins=edges)
+    counts_out, _ = np.histogram(np.maximum(scores_out, lo), bins=edges)
 
-    threshold = np.percentile(scores_in, args.outlier_percentile)
+    threshold = np.percentile(np.maximum(scores_in, lo), args.outlier_percentile)
     outputs = []
 
     hist_path = args.out + ".ood_hist.csv"
@@ -479,7 +467,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(effective)
     args.effective_argv = effective
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # send what is still buffered nowhere, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InvalidInput as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

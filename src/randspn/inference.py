@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, GAUSSIAN, LEAF, Group, ParameterSet
+from .circuit import Circuit, GAUSSIAN, LEAF, SUM, Group, ParameterSet
 from .errors import InvalidInput
 from .leaves import bernoulli_block_log_mass, gaussian_block_log_density
 
@@ -121,17 +121,8 @@ def sum_block_forward(kernel: SumKernel) -> np.ndarray:
         return np.log(np.where(kernel.equal, 1.0, kernel.p)) + kernel.m
 
 
-def _keep_mask(group: Group, sum_dropout, shape):
-    """(G, N, K) keep-mask of a sum group, or None if no member has a mask."""
-    if not sum_dropout or not any(block.index in sum_dropout for block in group.blocks):
-        return None
-    return np.stack([
-        np.broadcast_to(sum_dropout.get(block.index, True), shape) for block in group.blocks
-    ])
-
-
-def sum_block_inputs(tables, group: Group, sum_dropout=None):
-    """(m, e, equal, keep) of a sum group, its products folded in.
+def sum_block_inputs(tables, group: Group, keep=None):
+    """(m, e, equal) of a sum group, its products folded in.
 
     ``tables`` holds one (G, N, width) log-value tensor per plan group. The
     group takes the rows of its factor tables (``group.reads``), subtracts
@@ -140,18 +131,15 @@ def sum_block_inputs(tables, group: Group, sum_dropout=None):
     ``e_l ⊗ e_r`` of its factors, with shift ``m_l + m_r``; a sum over
     several partitions shifts each row by the largest of these, ``m``, and
     scales partition j by ``exp(m_j - m)``, its log added to the left factor
-    before the exp. The keep-mask, None without sum dropout and True for a
-    member without a mask in ``sum_dropout`` (keyed by block index),
-    multiplies the columns. A row is ``equal`` iff every
+    before the exp. The (G, N, K) keep-mask ``keep``, None without sum
+    dropout, multiplies the columns. A row is ``equal`` iff every
     factor row is all-equal, every partition has shift ``m`` and no column
     is dropped: its inputs are then all equal to ``m``. A group with no
     runs mixes a leaf table directly, as ``sum_block_kernel`` does.
     """
     if not group.runs:
         (src, at, _), = group.reads
-        values = tables[src].take(at[:, 0], axis=0)
-        keep = _keep_mask(group, sum_dropout, values.shape[1:])
-        return (*_log_inputs(values, keep), keep)
+        return _log_inputs(tables[src].take(at[:, 0], axis=0), keep)
     factors = []
     for src, at, _ in group.reads:
         f = tables[src].take(at, axis=0)  # (G, k, N, width)
@@ -185,15 +173,16 @@ def sum_block_inputs(tables, group: Group, sum_dropout=None):
             factors[right][0][:, right_slots].transpose(0, 2, 1, 3)[..., None, :],
             out=x[..., run.columns].reshape((size, n) + run.shape, copy=False),
         )
-    keep = _keep_mask(group, sum_dropout, x.shape[1:])
     if keep is not None:
         x *= keep
         equal &= keep.all(axis=-1, keepdims=True)
-    return m, x, equal, keep
+    return m, x, equal
 
 
-def sum_group_kernel(tables, group: Group, weights, sum_dropout=None) -> SumKernel:
+def sum_group_kernel(tables, group: Group, weights, keep=None) -> SumKernel:
     """The ``SumKernel`` of a plan sum group, from its inputs' tables.
+
+    ``keep`` is the group's (G, N, K) sum-dropout keep-mask, or None.
 
     Under sum dropout the shift ``m_l + m_r`` may belong to a dropped
     column, and every kept column may then lie so far below it that all
@@ -203,7 +192,7 @@ def sum_group_kernel(tables, group: Group, weights, sum_dropout=None) -> SumKern
     recomputed from its log-domain product values with its largest kept
     value as the shift, as ``sum_block_kernel`` would.
     """
-    m, e, equal, keep = sum_block_inputs(tables, group, sum_dropout)
+    m, e, equal = sum_block_inputs(tables, group, keep)
     kernel = _mix(m, e, weights, equal)
     if keep is not None and group.runs:
         lost = (kernel.p.max(axis=-1) < _FAINT) & (m[..., 0] > NEG_INF)
@@ -258,6 +247,18 @@ def _check_batch(circuit, batch, missing):
     return batch, missing
 
 
+def _check_dropout(circuit, sum_dropout, rows):
+    """InvalidInput unless every mask is a (G, N, K) bool array keyed by a sum group."""
+    sums = {group.index: group for group in circuit.plan if group.kind == SUM}
+    for key, keep in sum_dropout.items():
+        group = sums.get(key)
+        if group is None:
+            raise InvalidInput(f"sum_dropout key {key!r} is not a sum group of the plan")
+        shape = (len(group.blocks), rows, sum(group.input_widths))
+        if not (isinstance(keep, np.ndarray) and keep.dtype == bool and keep.shape == shape):
+            raise InvalidInput(f"sum_dropout[{key}] must be a bool array of shape {shape}")
+
+
 def forward_log(
     circuit: Circuit,
     params: ParameterSet,
@@ -269,8 +270,9 @@ def forward_log(
     """Evaluate all class roots on a batch. Returns (N, C), or with tables.
 
     ``missing`` marks variables to marginalize per sample. ``sum_dropout``
-    maps a sum block index to a boolean keep-mask over (sample, input
-    column); dropped columns enter the mixtures as -inf. The circuit's plan
+    maps a sum group's plan index to its (G, N, K) bool keep-mask over
+    (member, sample, input column), as ``sample_sum_dropout_mask`` draws
+    it; dropped columns enter the mixtures as -inf. The circuit's plan
     runs one group at a time, and a group's tensor is dropped after its last
     reader unless ``return_tables`` is set; then the result is
     ``(roots, tables, kernels)``: ``tables[g]`` is the (G, N, width)
@@ -278,13 +280,16 @@ def forward_log(
     group's index to its ``SumKernel``, which the backward pass reuses.
     """
     batch, missing = _check_batch(circuit, batch, missing)
+    sum_dropout = sum_dropout or {}
+    _check_dropout(circuit, sum_dropout, len(batch))
     tables: list = []
     kernels = {}
     for group in circuit.plan:
         if group.kind == LEAF:
             out = _leaf_group(circuit, params, group, batch, missing)
         else:
-            kernel = sum_group_kernel(tables, group, params.terms(group), sum_dropout)
+            keep = sum_dropout.get(group.index)
+            kernel = sum_group_kernel(tables, group, params.terms(group), keep)
             out = sum_block_forward(kernel)
             if return_tables:
                 kernels[group.index] = kernel

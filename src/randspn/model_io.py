@@ -94,7 +94,7 @@ def model_to_dict(
     ]
 
     groups = {"sum_logits": {}, "leaf_means": {}, "leaf_logits": {}}
-    if params.leaf_log_vars is not None:
+    if params.train_variance:
         groups["leaf_log_vars"] = {}
     for slot in params.layout:
         groups[slot.group][str(slot.region)] = _encode_array(
@@ -117,13 +117,11 @@ def model_to_dict(
             "partitions": partitions,
         },
         "leaf_family": circuit.leaf_family,
-        "train_variance": params.leaf_log_vars is not None,
+        "train_variance": params.train_variance,
         "parameters": groups,
         "scaling": None if scaling is None else scaling.to_dict(),
         "provenance": provenance or {},
-        "param_counts": count_parameters(
-            circuit, train_variance=params.leaf_log_vars is not None
-        ),
+        "param_counts": count_parameters(circuit, params.train_variance),
     }
 
 

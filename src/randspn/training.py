@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BERNOULLI, Circuit, LEAF, PRODUCT, ParameterSet
+from .circuit import BERNOULLI, Circuit, LEAF, SUM, ParameterSet
 from .data import batch_iterator
 from .errors import InvalidInput, NumericFailure
 from .inference import SumKernel, forward_log, logsumexp
@@ -279,23 +279,28 @@ def sample_sum_dropout_mask(
 ) -> dict[int, np.ndarray]:
     """Per-region keep masks over product columns, at least one kept per row.
 
-    One mask per sum block, shared by all sums of its region; a row that
-    would drop every column is redrawn.
+    Returns ``{plan group index: (G, N, K) bool}`` for every sum group that
+    reads products; member ``block.position`` holds the mask of its block,
+    shared by all sums of its region. Masks are drawn block by block, in
+    block-index order; a row that would drop every column is redrawn.
     """
     if not 0.0 < keep_rate <= 1.0:
         raise InvalidInput(f"keep rate must be in (0, 1], got {keep_rate}")
-    masks = {}
-    for block in circuit.sum_blocks():
-        if any(b.kind != PRODUCT for b in block.inputs):
-            continue  # single-variable corner mixes leaves, nothing to drop
-        k = sum(b.width for b in block.inputs)
-        keep = rng.random((batch_size, k)) < keep_rate
+    masks = {
+        group.index: np.empty((len(group.blocks), batch_size, sum(group.input_widths)), bool)
+        for group in circuit.plan
+        if group.runs  # a single-variable root mixes leaves: nothing to drop
+    }
+    for block in circuit.blocks:
+        if block.kind != SUM or block.group not in masks:
+            continue
+        keep = masks[block.group][block.position]
+        np.less(rng.random(keep.shape), keep_rate, out=keep)
         while True:
             dead = ~keep.any(axis=1)
             if not dead.any():
                 break
-            keep[dead] = rng.random((int(dead.sum()), k)) < keep_rate
-        masks[block.index] = keep
+            keep[dead] = rng.random((int(dead.sum()), keep.shape[1])) < keep_rate
     return masks
 
 
@@ -331,12 +336,16 @@ def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState, confi
     return ParameterSet(params.layout, flat), AdamState(t, m, v)
 
 
-def evaluate_metrics(circuit, params, features, labels, lam, eval_batch=1024):
+# rows per forward call of the metrics pass: bounds its temporaries on a large dataset
+_METRICS_BATCH = 1024
+
+
+def evaluate_metrics(circuit, params, features, labels, lam):
     """Dropout-free objective / CE / nLL / accuracy over a whole dataset."""
     features = np.asarray(features, dtype=float)
     rows = []
-    for start in range(0, len(features), eval_batch):
-        rows.append(forward_log(circuit, params, features[start : start + eval_batch]))
+    for start in range(0, len(features), _METRICS_BATCH):
+        rows.append(forward_log(circuit, params, features[start : start + _METRICS_BATCH]))
     roots = np.concatenate(rows, axis=0)
     ce = cross_entropy(roots, labels)
     nll = neg_log_likelihood(roots, labels, circuit.num_vars)

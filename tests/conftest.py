@@ -22,6 +22,11 @@ def random_circuit(rng, num_vars=None, leaf_family="gaussian", max_dims=None):
     return circuit, params
 
 
+def block_matrices(params, name):
+    """{block index: matrix} of one parameter name, each a view of ``params.flat``."""
+    return {slot.block: slot.view(params.flat) for slot in params.layout if slot.group == name}
+
+
 def randomize_params(params, rng, spread=1.0):
     """A new set: ``params`` plus normal noise of the given spread."""
     return rs.ParameterSet(params.layout, params.flat + rng.normal(0.0, spread, params.flat.shape))

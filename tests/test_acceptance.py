@@ -19,7 +19,7 @@ from randspn.oracle import (
     finite_diff_gradient,
     load_model_dict,
 )
-from conftest import quadrature_mass_2d, randomize_params
+from conftest import block_matrices, quadrature_mass_2d, randomize_params
 
 
 def _report(number, description, ok):
@@ -150,7 +150,7 @@ def test_criterion_04_gradient_correctness():
 
         for lam in (0.0, 0.5, 1.0):
             grads, _ = rs.backward_gradients(circuit, params, batch, labels, lam)
-            for row_sums in grads.sum_logits.values():
+            for row_sums in block_matrices(grads, "sum_logits").values():
                 worst_rowsum = max(worst_rowsum, float(np.abs(row_sums.sum(axis=1)).max()))
 
             def objective(work):

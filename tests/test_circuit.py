@@ -5,6 +5,7 @@ import randspn as rs
 from randspn.circuit import LEAF, PRODUCT, SUM
 from randspn.errors import InvalidInput, StructureError
 from randspn.inference import logsumexp
+from conftest import block_matrices
 
 
 def test_worked_example_block_widths():
@@ -28,7 +29,7 @@ def test_two_variable_cross_product_wiring():
     assert [b.kind for b in root.inputs] == [PRODUCT]
     assert root.inputs[0].width == 4  # 2 x 2 products pairing the leaf blocks
     params = rs.init_parameters(circuit, seed=1)
-    assert params.sum_logits[root.index].shape == (1, 4)
+    assert block_matrices(params, "sum_logits")[root.index].shape == (1, 4)
 
 
 def test_stack_depth_is_twice_the_split_depth(rng):
@@ -117,7 +118,7 @@ def test_normalized_weights_sum_to_one(rng):
     graph = rs.random_region_graph(9, 2, 2, seed=17)
     circuit = rs.construct_circuit(graph, 3, 3, 2)
     params = rs.init_parameters(circuit, seed=3)
-    for idx, logits in params.sum_logits.items():
+    for idx, logits in block_matrices(params, "sum_logits").items():
         logits = logits + rng.normal(0, 2.0, logits.shape)
         weights = np.exp(logits - logsumexp(logits)[..., None])
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
@@ -143,7 +144,7 @@ def test_data_aware_initialization_tracks_feature_stats():
     sd = np.full(6, 0.01)
     params = rs.init_parameters(circuit, seed=0, feature_stats=(mu, sd))
     for block in (b for b in circuit.blocks if b.kind == LEAF):
-        means = params.leaf_means[block.index]
+        means = block_matrices(params, "leaf_means")[block.index]
         expected = mu[list(block.scope)]
         assert np.abs(means - expected[None, :]).max() < 0.1
 
@@ -189,7 +190,7 @@ def test_stacked_parameters_are_zero_copy_views_of_flat(leaf_family, train_varia
         for name in names[group.kind]:
             stacked = params.stacked(name, group)
             assert np.shares_memory(stacked, params.flat)
-            per_block = getattr(params, name)
+            per_block = block_matrices(params, name)
             np.testing.assert_array_equal(
                 stacked, np.stack([per_block[b.index] for b in group.blocks])
             )
@@ -200,7 +201,7 @@ def _assert_read_only(circuit, params):
     sum_group = next(g for g in circuit.plan if g.kind == SUM)
     for array in (
         params.flat,
-        params.sum_logits[circuit.root_block.index],
+        block_matrices(params, "sum_logits")[circuit.root_block.index],
         params.stacked("sum_logits", sum_group),
     ):
         assert not array.flags.writeable

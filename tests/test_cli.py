@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import randspn as rs
 from randspn.cli import main, ranking_statistic
@@ -330,3 +334,76 @@ def test_ranking_statistic_properties():
     assert ranking_statistic(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 0.0
     same = np.array([1.0, 2.0, 3.0])
     assert ranking_statistic(same, same) == pytest.approx(0.5, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-2, 2).map(float), st.just(-np.inf)), min_size=1, max_size=12),
+    st.lists(st.one_of(st.integers(-2, 2).map(float), st.just(-np.inf)), min_size=1, max_size=12),
+)
+def test_ranking_statistic_is_the_pairwise_probability(scores_in, scores_out):
+    # P(in > out) + 0.5 P(in = out), counted over every pair
+    a, b = np.array(scores_in)[:, None], np.array(scores_out)[None, :]
+    expected = ((a > b).sum() + 0.5 * (a == b).sum()) / (a.size * b.size)
+    assert ranking_statistic(np.array(scores_in), np.array(scores_out)) == expected
+
+
+def _write_rows(path, rows):
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_ood_counts_a_minus_inf_score_in_the_lowest_bin(tmp_path, blob_csv, capsys):
+    # a value of 1e200 overflows its squared distance: log p(x) = -inf
+    model = _train(tmp_path, blob_csv)
+    rng = np.random.default_rng(1)
+    wild_in, wild_out = tmp_path / "in.csv", tmp_path / "out.csv"
+    rows_in = rng.uniform(0, 1, (20, 6))
+    rows_in[[3, 11], 2] = 1e200  # two -inf scores at the 5th percentile
+    rows_out = rng.uniform(0, 1, (50, 6))
+    rows_out[7, 0] = 1e200
+    _write_rows(wild_in, rows_in)
+    _write_rows(wild_out, rows_out)
+    for name, data_in in (("out", f"csv:{blob_csv}"), ("both", f"csv-nolabel:{wild_in}")):
+        prefix = tmp_path / name
+        assert main(["ood", "--model", str(model), "--in-data", data_in,
+                     "--out-data", f"csv-nolabel:{wild_out}", "--out", str(prefix)]) == 0
+        hist = [line.split(",") for line in
+                (tmp_path / f"{name}.ood_hist.csv").read_text().splitlines()[1:]]
+        n_in = 120 if name == "out" else 20
+        assert sum(int(row[2]) + int(row[3]) for row in hist) == n_in + 50
+        assert int(hist[0][3]) >= 1  # the -inf out-of-domain score
+        assert np.isfinite([float(v) for row in hist for v in row[:2]]).all()
+        summary = (tmp_path / f"{name}.ood_summary.csv").read_text().splitlines()[1]
+        threshold = float(summary.split(",")[1])
+        assert np.isfinite(threshold)
+        scores = (tmp_path / f"{name}.ood_scores_out.csv").read_text().splitlines()
+        assert scores[8] == "7,-inf,1"  # an outlier below every finite threshold
+
+    # no finite score at all: no histogram to draw
+    _write_rows(wild_out, np.full((3, 6), 1e200))
+    assert main(["ood", "--model", str(model), "--in-data", f"csv-nolabel:{wild_out}",
+                 "--out-data", f"csv-nolabel:{wild_out}", "--out", str(tmp_path / "x")]) == 3
+    assert "density 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path, blob_csv, buffered):
+    model = _train(tmp_path, blob_csv)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rs.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the command starts
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "randspn.cli", "eval", "--model", str(model),
+             "--data", f"csv:{blob_csv}", "--out", str(tmp_path / "ev")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
+    assert (tmp_path / "ev.eval.csv").exists()

@@ -106,10 +106,6 @@ def folded_cases(draw):
     return circuit, tables, cases
 
 
-def _dropout(group, keep):
-    return None if keep is None else {b.index: keep[i] for i, b in enumerate(group.blocks)}
-
-
 @settings(max_examples=150, deadline=None)
 @given(folded_cases())
 def test_folded_sums_match_the_log_domain_reference(case):
@@ -117,7 +113,7 @@ def test_folded_sums_match_the_log_domain_reference(case):
     for group, logits, keep in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on dead rows
-            kernel = sum_group_kernel(tables, group, softmax(logits), _dropout(group, keep))
+            kernel = sum_group_kernel(tables, group, softmax(logits), keep)
             got = sum_block_forward(kernel)
         expected = _reference(tables, group, logits, keep)
         assert got.shape == expected.shape
@@ -143,11 +139,10 @@ def test_folded_sum_gradients_match_finite_differences(case, seed):
     circuit, tables, cases = case
     rng = np.random.default_rng(seed)
     for group, logits, keep in cases:
-        dropout = _dropout(group, keep)
         for src, _, _ in group.reads:  # finite factors: every entry can be probed
             tables[src] = np.nan_to_num(tables[src], neginf=-30.0) / 40.0
         weights = softmax(logits)
-        out = sum_block_forward(sum_group_kernel(tables, group, weights, dropout))
+        out = sum_block_forward(sum_group_kernel(tables, group, weights, keep))
         live = np.isfinite(out)
         g = rng.normal(size=out.shape)
 
@@ -155,12 +150,12 @@ def test_folded_sum_gradients_match_finite_differences(case, seed):
             probe = list(tables)
             for (src, _, _), name in zip(group.reads, work):
                 probe[src] = work[name]
-            kernel = sum_group_kernel(probe, group, weights, dropout)
+            kernel = sum_group_kernel(probe, group, weights, keep)
             return float((g * sum_block_forward(kernel))[live].sum())
 
         arrays = {f"t{i}": tables[src] for i, (src, _, _) in enumerate(group.reads)}
         approx = finite_diff_gradient(objective, arrays, 1e-6)
-        kernel = sum_group_kernel(tables, group, weights, dropout)
+        kernel = sum_group_kernel(tables, group, weights, keep)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d_x, _ = sum_block_backward(np.where(live, g, 0.0), kernel)
@@ -189,21 +184,21 @@ def test_dropout_rescue_keeps_a_far_column(far):
     params = rs.ParameterSet(params.layout, flat)
     batch = np.zeros((3, 2))
     root = circuit.root_block
-    keep = np.zeros((3, 4), bool)
-    keep[:, 3] = True
+    keep = np.zeros((1, 3, 4), bool)
+    keep[..., 3] = True
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = rs.forward_log(circuit, params, batch, sum_dropout={root.index: keep})
+        roots = rs.forward_log(circuit, params, batch, sum_dropout={root.group: keep})
     expected = np.log(0.25) + 2 * (-0.5 * np.log(2 * np.pi) - 0.5 * far**2)
     np.testing.assert_allclose(roots, expected, rtol=1e-14)
 
     # the rescued rows' gradients are those of the log-domain form
     labels = np.ones(3, int)
-    grads, _ = rs.backward_gradients(circuit, params, batch, labels, 0.0, None, {root.index: keep})
+    grads, _ = rs.backward_gradients(circuit, params, batch, labels, 0.0, None, {root.group: keep})
 
     def objective(work):
         probe = rs.ParameterSet(params.layout, work["flat"])
-        out = rs.forward_log(circuit, probe, batch, None, {root.index: keep})
+        out = rs.forward_log(circuit, probe, batch, None, {root.group: keep})
         return rs.hybrid_objective(out, labels, 2, 0.0)
 
     approx = finite_diff_gradient(objective, {"flat": params.flat}, 1e-5)["flat"]
@@ -242,11 +237,11 @@ def test_equal_rows_need_equal_partition_shifts_and_no_drop():
     got = sum_block_forward(kernel)
     assert got[0, 0, 0] == 0.0
     np.testing.assert_allclose(got, _reference(tables, root, logits, None), rtol=1e-13)
-    keep = np.ones((2, sum(root.input_widths)), bool)
-    keep[0, 1] = False  # a dropped column makes sample 0 a mixture too
-    kernel = sum_group_kernel(tables, root, softmax(logits), {root.blocks[0].index: keep})
+    keep = np.ones((1, 2, sum(root.input_widths)), bool)
+    keep[0, 0, 1] = False  # a dropped column makes sample 0 a mixture too
+    kernel = sum_group_kernel(tables, root, softmax(logits), keep)
     assert not kernel.equal[0, 0, 0]
     np.testing.assert_allclose(
-        sum_block_forward(kernel), _reference(tables, root, logits, keep[None]),
+        sum_block_forward(kernel), _reference(tables, root, logits, keep),
         rtol=1e-13,
     )

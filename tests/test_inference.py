@@ -12,6 +12,7 @@ from randspn.training import sum_block_backward
 from randspn.oracle import enumerate_assignments
 from conftest import (
     block_kernel,
+    block_matrices,
     quadrature_mass_2d,
     random_circuit,
     randomize_params,
@@ -129,6 +130,32 @@ def test_shape_mismatch_rejected(rng):
         rs.forward_log(circuit, params, np.zeros((2, 4)))
     with pytest.raises(InvalidInput):
         rs.forward_log(circuit, params, np.zeros((2, 5)), missing=np.zeros((3, 5), bool))
+
+
+def test_sum_dropout_masks_are_checked():
+    graph = rs.random_region_graph(4, 1, 1, seed=0)
+    circuit = rs.construct_circuit(graph, 2, 2, 2)
+    params = rs.init_parameters(circuit, seed=0)
+    batch = np.zeros((3, 4))
+    root = circuit.plan[circuit.root_block.group]
+    leaf = next(g for g in circuit.plan if g.kind == "leaf")
+    keep = np.ones((1, 3, sum(root.input_widths)), bool)
+    np.testing.assert_array_equal(
+        rs.forward_log(circuit, params, batch, sum_dropout={root.index: keep}),
+        rs.forward_log(circuit, params, batch),
+    )
+    for key in (leaf.index, len(circuit.plan), -1, "root"):  # not a sum group
+        with pytest.raises(InvalidInput, match="not a sum group"):
+            rs.forward_log(circuit, params, batch, sum_dropout={key: keep})
+    for mask in (
+        keep[0],  # (N, K) would broadcast across the group's members
+        keep[:, :2],  # not one row per sample
+        keep[..., 1:],  # not one column per input
+        keep.astype(float),
+        keep.tolist(),
+    ):
+        with pytest.raises(InvalidInput, match="bool array of shape"):
+            rs.forward_log(circuit, params, batch, sum_dropout={root.index: mask})
 
 
 def test_log_joint_and_priors(rng):
@@ -291,7 +318,7 @@ def test_scale_stability_leaf_shift(rng):
                     t = (left[:, :, None] + right[:, None, :]).reshape(len(batch), block.width)
                 else:
                     x = np.concatenate([table(b) for b in block.inputs], axis=1)
-                    logits = params.sum_logits[block.index]
+                    logits = block_matrices(params, "sum_logits")[block.index]
                     log_w = logits - logsumexp(logits)[..., None]
                     t = logsumexp(x[:, None, :] + log_w[None, :, :])
                 shifted[block.index] = t

@@ -10,7 +10,13 @@ from randspn.errors import InvalidInput, NumericFailure
 from randspn.inference import sum_block_forward
 from randspn.training import AdamState, sum_block_backward
 from randspn.oracle import enumerate_assignments, finite_diff_gradient, load_model_dict
-from conftest import block_kernel, random_circuit, randomize_params, sum_block_cases
+from conftest import (
+    block_kernel,
+    block_matrices,
+    random_circuit,
+    randomize_params,
+    sum_block_cases,
+)
 
 
 def test_cross_entropy_examples():
@@ -86,7 +92,7 @@ def test_gradients_match_finite_differences(rng):
         batch = rng.normal(size=(5, circuit.num_vars))
         labels = rng.integers(1, circuit.classes_C + 1, 5)
         grads = _fd_check(circuit, params, batch, labels, lam)
-        for logit_grad in grads.sum_logits.values():
+        for logit_grad in block_matrices(grads, "sum_logits").values():
             assert np.abs(logit_grad.sum(axis=1)).max() < 1e-10
 
 
@@ -123,9 +129,9 @@ def test_gradients_respect_masks_and_dropout(rng):
         circuit, params, batch, labels, 0.0, np.ones((4, 6), bool)
     )
     assert obj == 0.0
-    for arr in grads.leaf_means.values():
+    for arr in block_matrices(grads, "leaf_means").values():
         np.testing.assert_array_equal(arr, np.zeros_like(arr))
-    for arr in grads.sum_logits.values():
+    for arr in block_matrices(grads, "sum_logits").values():
         assert np.abs(arr).max() < 1e-15
 
 
@@ -196,13 +202,13 @@ def test_gradients_with_a_dead_row_in_an_inner_sum_block(rng):
     batch = rng.normal(size=(4, 4))
     labels = rng.integers(1, 3, 4)
     sum_dropout = rs.sample_sum_dropout_mask(circuit, 0.6, 4, rng)
-    inner = [b for b in sum_dropout if b != circuit.root_block.index]
+    inner = [b for b in circuit.blocks if b.kind == "sum" and b is not circuit.root_block]
     assert len(inner) == 4  # the two repetitions split the root differently
-    sum_dropout[inner[0]][1] = False
+    dead = inner[0]
+    sum_dropout[dead.group][dead.position, 1] = False
     roots, tables, _ = rs.forward_log(
         circuit, params, batch, sum_dropout=sum_dropout, return_tables=True
     )
-    dead = circuit.blocks[inner[0]]
     assert np.isneginf(tables[dead.group][dead.position][1]).all()
     assert np.isfinite(roots).all()
     _fd_check(circuit, params, batch, labels, 0.5, None, sum_dropout)
@@ -228,7 +234,8 @@ def test_masked_inputs_get_exactly_zero_gradient(num_vars, leaf_family, batch_si
     grads, _ = rs.backward_gradients(
         circuit, params, batch, labels, 0.5, missing, sum_dropout
     )
-    leaf_grads = grads.leaf_means if leaf_family == "gaussian" else grads.leaf_logits
+    name = "leaf_means" if leaf_family == "gaussian" else "leaf_logits"
+    leaf_grads = block_matrices(grads, name)
     for block in (b for b in circuit.blocks if b.kind == "leaf"):
         columns = hidden[list(block.scope)]
         assert np.all(leaf_grads[block.index][:, columns] == 0.0)
@@ -278,11 +285,11 @@ def test_non_finite_objective_raises_with_diagnostics(rng):
     labels = np.array([1, 2, 1])
     # kill every root input column for one sample, bypassing the keep-one guard
     root = circuit.root_block
-    keep = np.ones((3, sum(b.width for b in root.inputs)), bool)
-    keep[0, :] = False
+    keep = np.ones((1, 3, sum(b.width for b in root.inputs)), bool)
+    keep[0, 0, :] = False
     with pytest.raises(NumericFailure) as excinfo:
         rs.backward_gradients(
-            circuit, params, batch, labels, 1.0, sum_dropout={root.index: keep}
+            circuit, params, batch, labels, 1.0, sum_dropout={root.group: keep}
         )
     assert any("-inf" in note for note in excinfo.value.diagnostics)
     assert any("Block#" in note for note in excinfo.value.diagnostics)
@@ -312,11 +319,11 @@ def test_sum_dropout_sampler(rng):
     # and the keep-one guard means no row is ever empty
     graph4 = rs.random_region_graph(4, 1, 1, seed=3)
     circuit4 = rs.construct_circuit(graph4, 1, 2, 2)
-    root = circuit4.root_block.index
+    root = circuit4.root_block.group  # the root's group has one member
     counts = []
     sampler_rng = np.random.default_rng(7)
     for _ in range(400):
-        mask = rs.sample_sum_dropout_mask(circuit4, 0.5, 25, sampler_rng)[root]
+        mask = rs.sample_sum_dropout_mask(circuit4, 0.5, 25, sampler_rng)[root][0]
         kept = mask.sum(axis=1)
         assert kept.min() >= 1
         counts.append(kept.mean())
@@ -328,6 +335,31 @@ def test_sum_dropout_sampler(rng):
         np.testing.assert_array_equal(a[key], b[key])
 
 
+def test_sum_dropout_sampler_draws_block_by_block():
+    # masks land in their plan group's tensor, but the stream is drawn per
+    # sum block in block-index order, redraws of empty rows included
+    graph = rs.random_region_graph(9, 2, 3, seed=4)
+    circuit = rs.construct_circuit(graph, 3, 2, 2)
+    masks = rs.sample_sum_dropout_mask(circuit, 0.2, 5, np.random.default_rng(9))
+    assert len(masks) > 1
+    rng = np.random.default_rng(9)
+    blocks = [b for b in circuit.blocks if b.kind == "sum"]
+    for block in blocks:
+        k = sum(b.width for b in block.inputs)
+        keep = rng.random((5, k)) < 0.2
+        while not keep.any(axis=1).all():
+            dead = ~keep.any(axis=1)
+            keep[dead] = rng.random((int(dead.sum()), k)) < 0.2
+        np.testing.assert_array_equal(masks[block.group][block.position], keep)
+    assert sum(len(mask) for mask in masks.values()) == len(blocks)
+
+    # a single-variable root mixes leaves: nothing to drop, nothing drawn
+    single = rs.construct_circuit(rs.random_region_graph(1, 1, 1, seed=0), 2, 2, 2)
+    rng = np.random.default_rng(9)
+    assert rs.sample_sum_dropout_mask(single, 0.2, 5, rng) == {}
+    assert rng.random() == np.random.default_rng(9).random()
+
+
 def test_dropping_all_but_one_product(rng):
     # with a single survivor the mixture reduces to log-weight + survivor
     graph = rs.random_region_graph(2, 1, 1, seed=0)
@@ -335,14 +367,14 @@ def test_dropping_all_but_one_product(rng):
     params = randomize_params(rs.init_parameters(circuit, seed=2), rng)
     batch = rng.normal(size=(3, 2))
     root = circuit.root_block
-    keep = np.zeros((3, 4), bool)
-    keep[:, 2] = True
-    roots = rs.forward_log(circuit, params, batch, sum_dropout={root.index: keep})
+    keep = np.zeros((1, 3, 4), bool)
+    keep[..., 2] = True
+    roots = rs.forward_log(circuit, params, batch, sum_dropout={root.group: keep})
 
     _, tables, _ = rs.forward_log(circuit, params, batch, return_tables=True)
     left, right = (tables[b.group][b.position] for b in root.inputs[0].inputs)
     product = (left[:, :, None] + right[:, None, :]).reshape(len(batch), -1)
-    logits = params.sum_logits[root.index][0]
+    logits = block_matrices(params, "sum_logits")[root.index][0]
     log_w = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
     np.testing.assert_allclose(roots[:, 0], log_w[2] + product[:, 2], atol=1e-10)
 
@@ -354,17 +386,15 @@ def test_adam_first_step_and_determinism():
     grads = rs.ParameterSet(layout, np.array([0.2, -3.0]))
     state = AdamState.initial(params)
     updated, state = rs.adam_step(params, grads, state, config)
-    g = grads.sum_logits[0]
-    expected = params.sum_logits[0] - config.learning_rate * g / (
-        np.abs(g) + config.epsilon
-    )
-    np.testing.assert_allclose(updated.sum_logits[0], expected, atol=1e-15)
+    g = grads.flat
+    expected = params.flat - config.learning_rate * g / (np.abs(g) + config.epsilon)
+    np.testing.assert_allclose(updated.flat, expected, atol=1e-15)
     assert state.step == 1
 
     # zero gradient on a fresh optimizer: parameter untouched, counter advances
     zero = rs.ParameterSet(layout, np.zeros(2))
     updated2, fresh = rs.adam_step(params, zero, AdamState.initial(params), config)
-    np.testing.assert_array_equal(updated2.sum_logits[0], params.sum_logits[0])
+    np.testing.assert_array_equal(updated2.flat, params.flat)
     assert fresh.step == 1
 
     with pytest.raises(NumericFailure):
