@@ -85,6 +85,8 @@ class Group:
     The group's table is a (G, N, width) tensor, row ``position`` of which
     is the (N, width) table of member block ``blocks[position]``.
     ``scope`` holds the (G, d) variable indices of a leaf group.
+    ``columns`` is a member's parameter columns: a leaf group's scope size
+    d, a sum group's input columns K.
 
     A sum group reads ``reads``: one ``(group, at, distinct)`` per plan
     group whose table it takes rows of, with ``at`` a (G, k) index array
@@ -98,7 +100,7 @@ class Group:
     """
 
     __slots__ = (
-        "index", "kind", "blocks", "width", "input_widths", "scope", "reads", "runs", "release",
+        "index", "kind", "blocks", "width", "columns", "scope", "reads", "runs", "release",
     )
 
     def __init__(self, index: int, blocks: list[Block]):
@@ -107,7 +109,9 @@ class Group:
         self.kind = first.kind
         self.blocks = tuple(blocks)
         self.width = first.width
-        self.input_widths = tuple(b.width for b in first.inputs)
+        self.columns = (
+            len(first.scope) if first.kind == LEAF else sum(b.width for b in first.inputs)
+        )
         self.scope = np.array([b.scope for b in blocks]) if first.kind == LEAF else None
         self.reads, self.runs = _fold(blocks) if first.kind == SUM else ((), ())
         self.release: tuple[int, ...] = ()
@@ -233,59 +237,50 @@ class Circuit:
         return depth(self.root_block)
 
 
-GROUPS = ("sum_logits", "leaf_means", "leaf_log_vars", "leaf_logits")
+PARAM_NAMES = ("sum_logits", "leaf_means", "leaf_log_vars", "leaf_logits")
 
 
-class ParamSlot(NamedTuple):
-    """Where one block's parameter matrix lives in ``ParameterSet.flat``."""
+class ParamTensor(NamedTuple):
+    """Where one plan group's matrices of one parameter name live in ``flat``."""
 
-    group: str  # one of GROUPS
-    block: int  # owning block index
-    region: int  # owning region index, the key used in model files
+    name: str  # one of PARAM_NAMES
+    group: int  # plan group index
     offset: int
-    shape: tuple[int, int]
+    shape: tuple[int, int, int]  # (members, rows, cols)
 
     @property
     def size(self) -> int:
-        return self.shape[0] * self.shape[1]
+        return self.shape[0] * self.shape[1] * self.shape[2]
 
     def view(self, flat: np.ndarray) -> np.ndarray:
         return flat[self.offset : self.offset + self.size].reshape(self.shape)
 
 
-def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[ParamSlot, ...]:
-    """Every parameter matrix of the circuit, in ``ParameterSet.flat`` order.
+def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[ParamTensor, ...]:
+    """Every parameter tensor of the circuit, in ``ParameterSet.flat`` order.
 
-    This is the one place per-block parameter shapes are decided. A sum block
-    has one logit row per node and one column per input column; a leaf block
-    has one row per node and one column per scope variable, holding Gaussian
+    This is the one place parameter shapes are decided. A sum block has one
+    logit row per node and one column per input column; a leaf block has
+    one row per node and one column per scope variable, holding Gaussian
     means (plus log-variances when ``train_variance``) or Bernoulli logits.
-    Slots come in ``GROUPS`` order; within each, plan group by plan group,
-    so every plan group's matrices are adjacent and form one
-    (G, rows, cols) block of ``flat`` (see ``ParameterSet.stacked``).
+    A plan group's matrices of one name form one (G, rows, cols) tensor,
+    member ``block.position`` holding its block's. Tensors come in
+    ``PARAM_NAMES`` order, within each name in plan order.
     """
     if circuit.leaf_family == BERNOULLI:
-        leaf_groups = ("leaf_logits",)
+        leaf_names = ("leaf_logits",)
     elif train_variance:
-        leaf_groups = ("leaf_means", "leaf_log_vars")
+        leaf_names = ("leaf_means", "leaf_log_vars")
     else:
-        leaf_groups = ("leaf_means",)
-    columns: dict[str, list] = {group: [] for group in GROUPS}
-    for plan_group in circuit.plan:
-        for block in plan_group.blocks:
-            if block.kind == SUM:
-                columns["sum_logits"].append((block, sum(plan_group.input_widths)))
-            elif block.kind == LEAF:
-                for group in leaf_groups:
-                    columns[group].append((block, len(block.scope)))
-
-    slots = []
-    offset = 0
-    for group in GROUPS:
-        for block, k in columns[group]:
-            slots.append(ParamSlot(group, block.index, block.node.index, offset, (block.width, k)))
-            offset += block.width * k
-    return tuple(slots)
+        leaf_names = ("leaf_means",)
+    layout, offset = [], 0
+    for name in PARAM_NAMES:
+        for group in circuit.plan:
+            if name in (leaf_names if group.kind == LEAF else ("sum_logits",)):
+                shape = (len(group.blocks), group.width, group.columns)
+                layout.append(ParamTensor(name, group.index, offset, shape))
+                offset += layout[-1].size
+    return tuple(layout)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -304,12 +299,12 @@ class ParameterSet:
     """Trainable parameters: a value holding one read-only float64 vector.
 
     ``flat`` is a private copy of the vector it was built from, holding
-    every parameter in ``layout`` order: a block's matrix is
-    ``slot.view(params.flat)`` and a plan group's matrices are
-    ``stacked(name, group)``. A sum block's logit matrix has one row per
-    sum node and one column per input column; normalized weights are
-    softmax rows. A leaf block holds a (width, scope size) matrix of
-    Gaussian means, plus the matching log-variances when
+    every parameter in ``layout`` order: a plan group's matrices are
+    ``stacked(name, group)`` and a block's matrix is
+    ``stacked(name, plan[block.group])[block.position]``. A sum block's
+    logit matrix has one row per sum node and one column per input column;
+    normalized weights are softmax rows. A leaf block holds a (width, scope
+    size) matrix of Gaussian means, plus the matching log-variances when
     ``train_variance``, or Bernoulli success log-odds. Every view is
     read-only; new values make a new set, e.g.
     ``ParameterSet(params.layout, params.flat + noise)``.
@@ -319,25 +314,21 @@ class ParameterSet:
     many batches it evaluates.
     """
 
-    def __init__(self, layout: tuple[ParamSlot, ...], flat: np.ndarray | None = None):
+    def __init__(self, layout: tuple[ParamTensor, ...], flat: np.ndarray | None = None):
         self.layout = layout
-        size = sum(slot.size for slot in layout)
+        size = sum(tensor.size for tensor in layout)
         self.flat = _read_only(np.zeros(size) if flat is None else np.array(flat, dtype=float))
-        self._slots = {(slot.group, slot.block): slot for slot in layout}
-        self.train_variance = any(slot.group == "leaf_log_vars" for slot in layout)
+        self._tensors = {(tensor.name, tensor.group): tensor for tensor in layout}
+        self.train_variance = any(tensor.name == "leaf_log_vars" for tensor in layout)
         self._terms: dict[int, object] = {}
 
-    def stacked(self, group: str, plan_group: Group, flat: np.ndarray | None = None) -> np.ndarray:
-        """The (G, rows, cols) view of a plan group's ``group`` matrices.
+    def stacked(self, name: str, plan_group: Group, flat: np.ndarray | None = None) -> np.ndarray:
+        """The zero-copy (G, rows, cols) view of a plan group's ``name`` matrices.
 
-        Zero-copy: ``parameter_layout`` puts the members' slots side by side.
         A vector in this set's layout given as ``flat`` is viewed in place of
         ``self.flat``, so a caller can fill a writable one group by group.
         """
-        first = self._slots[group, plan_group.blocks[0].index]
-        end = first.offset + len(plan_group.blocks) * first.size
-        flat = self.flat if flat is None else flat
-        return flat[first.offset : end].reshape(len(plan_group.blocks), *first.shape)
+        return self._tensors[name, plan_group.index].view(self.flat if flat is None else flat)
 
     def terms(self, plan_group: Group):
         """What the kernels read from a plan group's parameters, computed once.
@@ -350,7 +341,7 @@ class ParameterSet:
         if terms is None:
             if plan_group.kind == SUM:
                 terms = softmax(self.stacked("sum_logits", plan_group))
-            elif ("leaf_logits", plan_group.blocks[0].index) in self._slots:
+            elif ("leaf_logits", plan_group.index) in self._tensors:
                 terms = bernoulli_terms(self.stacked("leaf_logits", plan_group))
             else:
                 variances = None
@@ -509,8 +500,8 @@ def validate_circuit(circuit: Circuit) -> ValidationReport:
 def count_parameters(circuit: Circuit, train_variance: bool = False) -> dict[str, int]:
     """Exact parameter counts for the circuit's blocks."""
     layout = parameter_layout(circuit, train_variance)
-    num_sum_logits = sum(slot.size for slot in layout if slot.group == "sum_logits")
-    total = sum(slot.size for slot in layout)
+    num_sum_logits = sum(tensor.size for tensor in layout if tensor.name == "sum_logits")
+    total = sum(tensor.size for tensor in layout)
     return {
         "num_sum_logits": num_sum_logits,
         "num_leaf_params": total - num_sum_logits,
@@ -533,24 +524,25 @@ def init_parameters(
     Draws are taken block by block, in block index order.
     """
     rng = np.random.default_rng(seed)
-    layout = parameter_layout(circuit, train_variance)
-    slots = {(slot.group, slot.block): slot for slot in layout}
-    flat = np.zeros(sum(slot.size for slot in layout))
+    params = ParameterSet(parameter_layout(circuit, train_variance))
+    flat = np.zeros_like(params.flat)
     mu, sd = (None, None) if feature_stats is None else feature_stats
 
     for block in circuit.blocks:
+        if block.kind == PRODUCT:
+            continue
+        group = circuit.plan[block.group]
         if block.kind == SUM:
-            logits = slots["sum_logits", block.index].view(flat)
+            logits = params.stacked("sum_logits", group, flat)[block.position]
             logits[...] = rng.normal(0.0, 1e-2, size=logits.shape)
-        elif block.kind == LEAF:
-            if circuit.leaf_family == BERNOULLI:
-                logits = slots["leaf_logits", block.index].view(flat)
-                logits[...] = rng.standard_normal(logits.shape)
-                continue
-            means = slots["leaf_means", block.index].view(flat)
+        elif circuit.leaf_family == BERNOULLI:
+            logits = params.stacked("leaf_logits", group, flat)[block.position]
+            logits[...] = rng.standard_normal(logits.shape)
+        else:
+            means = params.stacked("leaf_means", group, flat)[block.position]
             z = rng.standard_normal(means.shape)
             if mu is not None:
                 scope = list(block.scope)
                 z = np.asarray(mu)[scope] + np.asarray(sd)[scope] * z
             means[...] = z
-    return ParameterSet(layout, flat)
+    return ParameterSet(params.layout, flat)

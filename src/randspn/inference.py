@@ -165,7 +165,7 @@ def sum_block_inputs(tables, group: Group, keep=None):
         np.exp(f, out=f)
     equal = ~differ[..., None]
     size, n, _ = m.shape
-    x = np.empty((size, n, group.runs[-1].columns.stop))
+    x = np.empty((size, n, group.columns))
     for run in group.runs:
         (left, left_slots), (right, right_slots) = run.left, run.right
         np.multiply(
@@ -254,7 +254,7 @@ def _check_dropout(circuit, sum_dropout, rows):
         group = sums.get(key)
         if group is None:
             raise InvalidInput(f"sum_dropout key {key!r} is not a sum group of the plan")
-        shape = (len(group.blocks), rows, sum(group.input_widths))
+        shape = (len(group.blocks), rows, group.columns)
         if not (isinstance(keep, np.ndarray) and keep.dtype == bool and keep.shape == shape):
             raise InvalidInput(f"sum_dropout[{key}] must be a bool array of shape {shape}")
 

@@ -96,10 +96,10 @@ def model_to_dict(
     groups = {"sum_logits": {}, "leaf_means": {}, "leaf_logits": {}}
     if params.train_variance:
         groups["leaf_log_vars"] = {}
-    for slot in params.layout:
-        groups[slot.group][str(slot.region)] = _encode_array(
-            slot.view(params.flat), encoding
-        )
+    for tensor in params.layout:
+        members = circuit.plan[tensor.group].blocks
+        for block, matrix in zip(members, tensor.view(params.flat)):
+            groups[tensor.name][str(block.node.index)] = _encode_array(matrix, encoding)
 
     return {
         "format": FORMAT_NAME,
@@ -220,16 +220,19 @@ def _decode_document(document: dict):
     if not isinstance(provenance, dict):
         raise DataFormatError("provenance must be an object")
     layout = parameter_layout(circuit, train_variance)
-    stored = {(group, region) for group, entries in stored_params.items() for region in entries}
-    expected = {(slot.group, str(slot.region)) for slot in layout}
+    entries = [  # (name, region key, matrix shape), in flat order
+        (t.name, str(b.node.index), t.shape[1:])
+        for t in layout for b in circuit.plan[t.group].blocks
+    ]
+    stored = {(name, region) for name, matrices in stored_params.items() for region in matrices}
+    expected = {(name, region) for name, region, _ in entries}
     if stored != expected:
-        group, region = min(stored ^ expected)
-        fault = "unexpected" if (group, region) in stored else "missing"
-        raise DataFormatError(f"{fault} {group} for region {region}")
+        name, region = min(stored ^ expected)
+        fault = "unexpected" if (name, region) in stored else "missing"
+        raise DataFormatError(f"{fault} {name} for region {region}")
     params = ParameterSet(layout, np.concatenate([
-        _decode_array(stored_params[slot.group][str(slot.region)], encoding, slot.shape,
-                      f"{slot.group}[{slot.region}]")
-        for slot in layout
+        _decode_array(stored_params[name][region], encoding, shape, f"{name}[{region}]")
+        for name, region, shape in entries
     ]))
 
     scaling = document.get("scaling")

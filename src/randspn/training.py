@@ -287,7 +287,7 @@ def sample_sum_dropout_mask(
     if not 0.0 < keep_rate <= 1.0:
         raise InvalidInput(f"keep rate must be in (0, 1], got {keep_rate}")
     masks = {
-        group.index: np.empty((len(group.blocks), batch_size, sum(group.input_widths)), bool)
+        group.index: np.empty((len(group.blocks), batch_size, group.columns), bool)
         for group in circuit.plan
         if group.runs  # a single-variable root mixes leaves: nothing to drop
     }
@@ -323,9 +323,11 @@ def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState, confi
     finite = np.isfinite(g)
     if not finite.all():
         first = int(np.argmin(finite))
-        slot = next(s for s in grads.layout if first < s.offset + s.size)
+        tensor = next(t for t in grads.layout if first < t.offset + t.size)
+        member = (first - tensor.offset) // (tensor.size // tensor.shape[0])
         raise NumericFailure(
-            f"non-finite gradient for parameter {(slot.group, slot.block)}"
+            f"non-finite gradient for parameter {tensor.name} of plan group "
+            f"{tensor.group}, member {member}"
         )
     t = state.step + 1
     m = config.beta1 * state.m + (1.0 - config.beta1) * g

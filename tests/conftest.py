@@ -22,9 +22,14 @@ def random_circuit(rng, num_vars=None, leaf_family="gaussian", max_dims=None):
     return circuit, params
 
 
-def block_matrices(params, name):
+def block_matrices(circuit, params, name):
     """{block index: matrix} of one parameter name, each a view of ``params.flat``."""
-    return {slot.block: slot.view(params.flat) for slot in params.layout if slot.group == name}
+    return {
+        block.index: matrix
+        for tensor in params.layout
+        if tensor.name == name
+        for block, matrix in zip(circuit.plan[tensor.group].blocks, tensor.view(params.flat))
+    }
 
 
 def randomize_params(params, rng, spread=1.0):

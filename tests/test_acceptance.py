@@ -150,7 +150,7 @@ def test_criterion_04_gradient_correctness():
 
         for lam in (0.0, 0.5, 1.0):
             grads, _ = rs.backward_gradients(circuit, params, batch, labels, lam)
-            for row_sums in block_matrices(grads, "sum_logits").values():
+            for row_sums in block_matrices(circuit, grads, "sum_logits").values():
                 worst_rowsum = max(worst_rowsum, float(np.abs(row_sums.sum(axis=1)).max()))
 
             def objective(work):

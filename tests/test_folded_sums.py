@@ -96,7 +96,7 @@ def folded_cases(draw):
     for group in circuit.plan:
         if group.kind != "sum":
             continue
-        k = sum(group.input_widths)
+        k = group.columns
         logits = rng.uniform(-0.5, 0.5, (len(group.blocks), group.width, k)) * spread
         keep = None
         if drop is not None and group.runs:
@@ -178,9 +178,9 @@ def test_dropout_rescue_keeps_a_far_column(far):
     circuit = rs.construct_circuit(graph, 1, 1, 2)
     params = rs.init_parameters(circuit, seed=0)
     flat = np.zeros_like(params.flat)
-    for slot in params.layout:
-        if slot.group == "leaf_means":
-            slot.view(flat)[1] = far
+    for tensor in params.layout:
+        if tensor.name == "leaf_means":
+            tensor.view(flat)[:, 1] = far
     params = rs.ParameterSet(params.layout, flat)
     batch = np.zeros((3, 2))
     root = circuit.root_block
@@ -216,7 +216,7 @@ def test_multi_partition_sum_scales_each_partition():
     for src, at, _ in root.reads:
         tables[src] = rng.normal(0.0, 3.0, (len(circuit.plan[src].blocks), 5, 3))
         tables[src] -= 75.0 * rng.integers(0, 3, tables[src].shape[:2])[..., None]
-    logits = rng.normal(0.0, 1.0, (1, 2, sum(root.input_widths)))
+    logits = rng.normal(0.0, 1.0, (1, 2, root.columns))
     got = sum_block_forward(sum_group_kernel(tables, root, softmax(logits)))
     np.testing.assert_allclose(got, _reference(tables, root, logits, None), rtol=1e-13)
 
@@ -231,13 +231,13 @@ def test_equal_rows_need_equal_partition_shifts_and_no_drop():
     tables = [None] * len(circuit.plan)
     tables[src] = np.zeros((len(circuit.plan[src].blocks), 2, 3))
     tables[src][at[0, 0], 1] = -3.0  # partition 0 has shift -3 in sample 1
-    logits = np.random.default_rng(0).normal(0.0, 1.0, (1, 1, sum(root.input_widths)))
+    logits = np.random.default_rng(0).normal(0.0, 1.0, (1, 1, root.columns))
     kernel = sum_group_kernel(tables, root, softmax(logits))
     assert kernel.equal[0, :, 0].tolist() == [True, False]
     got = sum_block_forward(kernel)
     assert got[0, 0, 0] == 0.0
     np.testing.assert_allclose(got, _reference(tables, root, logits, None), rtol=1e-13)
-    keep = np.ones((1, 2, sum(root.input_widths)), bool)
+    keep = np.ones((1, 2, root.columns), bool)
     keep[0, 0, 1] = False  # a dropped column makes sample 0 a mixture too
     kernel = sum_group_kernel(tables, root, softmax(logits), keep)
     assert not kernel.equal[0, 0, 0]

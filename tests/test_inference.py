@@ -139,7 +139,7 @@ def test_sum_dropout_masks_are_checked():
     batch = np.zeros((3, 4))
     root = circuit.plan[circuit.root_block.group]
     leaf = next(g for g in circuit.plan if g.kind == "leaf")
-    keep = np.ones((1, 3, sum(root.input_widths)), bool)
+    keep = np.ones((1, 3, root.columns), bool)
     np.testing.assert_array_equal(
         rs.forward_log(circuit, params, batch, sum_dropout={root.index: keep}),
         rs.forward_log(circuit, params, batch),
@@ -318,7 +318,7 @@ def test_scale_stability_leaf_shift(rng):
                     t = (left[:, :, None] + right[:, None, :]).reshape(len(batch), block.width)
                 else:
                     x = np.concatenate([table(b) for b in block.inputs], axis=1)
-                    logits = block_matrices(params, "sum_logits")[block.index]
+                    logits = block_matrices(circuit, params, "sum_logits")[block.index]
                     log_w = logits - logsumexp(logits)[..., None]
                     t = logsumexp(x[:, None, :] + log_w[None, :, :])
                 shifted[block.index] = t

@@ -31,10 +31,10 @@ def test_single_bernoulli_leaf_model():
     graph = rs.random_region_graph(1, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, 1, 1, 1, leaf_family="bernoulli")
     params = rs.init_parameters(circuit, seed=0)
-    block = circuit.root_block.inputs[0].index
-    slot = next(s for s in params.layout if (s.group, s.block) == ("leaf_logits", block))
+    block = circuit.root_block.inputs[0]
     flat = params.flat.copy()
-    slot.view(flat)[:] = 0.0  # p = 0.5
+    logits = params.stacked("leaf_logits", circuit.plan[block.group], flat)
+    logits[block.position] = 0.0  # p = 0.5
     params = rs.ParameterSet(params.layout, flat)
     model = load_model_dict(model_to_dict(circuit, params))
     table = brute_force_mass(model)

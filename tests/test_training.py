@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randspn as rs
-from randspn.circuit import ParamSlot
+from randspn.circuit import ParamTensor
 from randspn.errors import InvalidInput, NumericFailure
 from randspn.inference import sum_block_forward
 from randspn.training import AdamState, sum_block_backward
@@ -92,7 +92,7 @@ def test_gradients_match_finite_differences(rng):
         batch = rng.normal(size=(5, circuit.num_vars))
         labels = rng.integers(1, circuit.classes_C + 1, 5)
         grads = _fd_check(circuit, params, batch, labels, lam)
-        for logit_grad in block_matrices(grads, "sum_logits").values():
+        for logit_grad in block_matrices(circuit, grads, "sum_logits").values():
             assert np.abs(logit_grad.sum(axis=1)).max() < 1e-10
 
 
@@ -129,9 +129,9 @@ def test_gradients_respect_masks_and_dropout(rng):
         circuit, params, batch, labels, 0.0, np.ones((4, 6), bool)
     )
     assert obj == 0.0
-    for arr in block_matrices(grads, "leaf_means").values():
+    for arr in block_matrices(circuit, grads, "leaf_means").values():
         np.testing.assert_array_equal(arr, np.zeros_like(arr))
-    for arr in block_matrices(grads, "sum_logits").values():
+    for arr in block_matrices(circuit, grads, "sum_logits").values():
         assert np.abs(arr).max() < 1e-15
 
 
@@ -235,7 +235,7 @@ def test_masked_inputs_get_exactly_zero_gradient(num_vars, leaf_family, batch_si
         circuit, params, batch, labels, 0.5, missing, sum_dropout
     )
     name = "leaf_means" if leaf_family == "gaussian" else "leaf_logits"
-    leaf_grads = block_matrices(grads, name)
+    leaf_grads = block_matrices(circuit, grads, name)
     for block in (b for b in circuit.blocks if b.kind == "leaf"):
         columns = hidden[list(block.scope)]
         assert np.all(leaf_grads[block.index][:, columns] == 0.0)
@@ -260,11 +260,11 @@ def test_masked_entries_add_exactly_zero_to_gradients(rng, leaf_family):
     name = "leaf_means" if leaf_family == "gaussian" else "leaf_logits"
     wild = params.flat.copy()
     columns = np.zeros(params.flat.shape, bool)
-    for slot in params.layout:
-        scope = circuit.blocks[slot.block].scope
-        if slot.group == name and 2 in scope:
-            slot.view(wild)[:, scope.index(2)] = 1e200
-            slot.view(columns)[:, scope.index(2)] = True
+    for block in (b for b in circuit.blocks if b.kind == "leaf" and 2 in b.scope):
+        group = circuit.plan[block.group]
+        column = block.scope.index(2)
+        params.stacked(name, group, wild)[block.position][:, column] = 1e200
+        params.stacked(name, group, columns)[block.position][:, column] = True
     wild_batch = batch.copy()
     wild_batch[:, 2] = np.nan
 
@@ -374,14 +374,14 @@ def test_dropping_all_but_one_product(rng):
     _, tables, _ = rs.forward_log(circuit, params, batch, return_tables=True)
     left, right = (tables[b.group][b.position] for b in root.inputs[0].inputs)
     product = (left[:, :, None] + right[:, None, :]).reshape(len(batch), -1)
-    logits = block_matrices(params, "sum_logits")[root.index][0]
+    logits = block_matrices(circuit, params, "sum_logits")[root.index][0]
     log_w = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
     np.testing.assert_allclose(roots[:, 0], log_w[2] + product[:, 2], atol=1e-10)
 
 
 def test_adam_first_step_and_determinism():
     config = rs.TrainConfig(lam=1.0, epochs=1, learning_rate=1e-3)
-    layout = (ParamSlot("sum_logits", 0, 0, 0, (1, 2)),)
+    layout = (ParamTensor("sum_logits", 0, 0, (1, 1, 2)),)
     params = rs.ParameterSet(layout, np.array([0.5, -0.5]))
     grads = rs.ParameterSet(layout, np.array([0.2, -3.0]))
     state = AdamState.initial(params)
@@ -397,9 +397,26 @@ def test_adam_first_step_and_determinism():
     np.testing.assert_array_equal(updated2.flat, params.flat)
     assert fresh.step == 1
 
-    with pytest.raises(NumericFailure):
+    with pytest.raises(NumericFailure, match="sum_logits of plan group 0, member 0$"):
         bad = rs.ParameterSet(layout, np.array([np.nan, 0.0]))
         rs.adam_step(params, bad, AdamState.initial(params), config)
+
+
+def test_a_non_finite_gradient_names_its_plan_group_and_member():
+    graph = rs.random_region_graph(8, 2, 2, seed=0)
+    circuit = rs.construct_circuit(graph, 2, 2, 2)
+    params = rs.init_parameters(circuit, seed=0, train_variance=True)
+    for tensor in params.layout:
+        for block in circuit.plan[tensor.group].blocks[1:]:
+            grad = params.flat * 0.0
+            matrix = params.stacked(tensor.name, circuit.plan[block.group], grad)[block.position]
+            matrix[-1, -1] = np.inf
+            where = f"{tensor.name} of plan group {block.group}, member {block.position}$"
+            with pytest.raises(NumericFailure, match=where):
+                rs.adam_step(
+                    params, rs.ParameterSet(params.layout, grad), AdamState.initial(params),
+                    rs.TrainConfig(),
+                )
 
 
 def test_adam_runs_are_bit_identical(rng):
@@ -425,10 +442,10 @@ def test_objective_decreases_on_convex_toy():
     graph = rs.random_region_graph(1, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, 1, 1, 3)
     params = rs.init_parameters(circuit, seed=4)
-    block = circuit.root_block.inputs[0].index
-    slot = next(s for s in params.layout if (s.group, s.block) == ("leaf_means", block))
+    block = circuit.root_block.inputs[0]
     flat = params.flat.copy()
-    slot.view(flat)[:] = np.array([[-1.0], [0.0], [2.0]])
+    means = params.stacked("leaf_means", circuit.plan[block.group], flat)[block.position]
+    means[:] = np.array([[-1.0], [0.0], [2.0]])
     params = rs.ParameterSet(params.layout, flat)
     rng = np.random.default_rng(1)
     batch = rng.normal(0.5, 1.0, (50, 1))
