@@ -162,6 +162,21 @@ def _fold(blocks: list[Block]):
     return tuple(reads), tuple(runs)
 
 
+_KIND_ORDER = {LEAF: 0, PRODUCT: 1, SUM: 2}
+
+
+def _bottom_up(blocks: list[Block]) -> list[Block]:
+    """The blocks reordered so that each one follows every block it reads.
+
+    Sorts by (scope size, leaf < product < sum). This holds for the blocks
+    of a validated region graph: a partition's children are strictly
+    smaller than its parent, and a single-variable root's leaf block
+    shares the root's scope. A loop over this order needs no recursion, so
+    a region graph of any depth compiles.
+    """
+    return sorted(blocks, key=lambda block: (len(block.scope), _KIND_ORDER[block.kind]))
+
+
 def compile_plan(blocks: list[Block]) -> list[Group]:
     """Split the leaf and sum blocks into groups one stacked call can evaluate.
 
@@ -173,18 +188,14 @@ def compile_plan(blocks: list[Block]) -> list[Group]:
     grouped block's ``group`` and ``position``.
     """
     levels: dict[int, int] = {}
-
-    def level(block: Block) -> int:
-        if block.index not in levels:
-            levels[block.index] = (
-                0 if block.kind == LEAF else 1 + max(level(b) for b in _factors(block))
-            )
-        return levels[block.index]
-
+    for block in _bottom_up([b for b in blocks if b.kind != PRODUCT]):
+        levels[block.index] = (
+            0 if block.kind == LEAF else 1 + max(levels[b.index] for b in _factors(block))
+        )
     layers: dict[int, list[Block]] = {}
     for block in blocks:
         if block.kind != PRODUCT:
-            layers.setdefault(level(block), []).append(block)
+            layers.setdefault(levels[block.index], []).append(block)
     plan: list[Group] = []
     for depth in sorted(layers):
         members: dict[tuple, list[Block]] = {}
@@ -225,16 +236,12 @@ class Circuit:
 
     def stack_depth(self) -> int:
         """Longest chain of sum/product blocks from the root down to a leaf block."""
-        memo: dict[int, int] = {}
-
-        def depth(block: Block) -> int:
-            if block.kind == LEAF:
-                return 0
-            if block.index not in memo:
-                memo[block.index] = 1 + max(depth(b) for b in block.inputs)
-            return memo[block.index]
-
-        return depth(self.root_block)
+        depth: dict[int, int] = {}
+        for block in _bottom_up(self.blocks):
+            depth[block.index] = (
+                0 if block.kind == LEAF else 1 + max(depth[b.index] for b in block.inputs)
+            )
+        return depth[self.root_block.index]
 
 
 PARAM_NAMES = ("sum_logits", "leaf_means", "leaf_log_vars", "leaf_logits")

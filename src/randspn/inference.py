@@ -259,6 +259,11 @@ def _check_dropout(circuit, sum_dropout, rows):
             raise InvalidInput(f"sum_dropout[{key}] must be a bool array of shape {shape}")
 
 
+# rows per pass of a forward_log call that returns no tables: a pass's
+# temporaries grow with its rows, so this bounds them on a large dataset
+_FORWARD_BATCH = 1024
+
+
 def forward_log(
     circuit: Circuit,
     params: ParameterSet,
@@ -274,14 +279,29 @@ def forward_log(
     (member, sample, input column), as ``sample_sum_dropout_mask`` draws
     it; dropped columns enter the mixtures as -inf. The circuit's plan
     runs one group at a time, and a group's tensor is dropped after its last
-    reader unless ``return_tables`` is set; then the result is
-    ``(roots, tables, kernels)``: ``tables[g]`` is the (G, N, width)
-    log-value tensor of plan group ``g`` and ``kernels`` maps each sum
-    group's index to its ``SumKernel``, which the backward pass reuses.
+    reader, in passes over at most 1,024 rows, unless ``return_tables`` is
+    set; then one pass over all rows gives ``(roots, tables, kernels)``:
+    ``tables[g]`` is the (G, N, width) log-value tensor of plan group ``g``
+    and ``kernels`` maps each sum group's index to its ``SumKernel``, which
+    the backward pass reuses.
     """
     batch, missing = _check_batch(circuit, batch, missing)
     sum_dropout = sum_dropout or {}
     _check_dropout(circuit, sum_dropout, len(batch))
+    if return_tables or len(batch) <= _FORWARD_BATCH:
+        return _forward_pass(circuit, params, batch, missing, sum_dropout, return_tables)
+    starts = range(0, len(batch), _FORWARD_BATCH)
+    return np.concatenate([
+        _forward_pass(
+            circuit, params, batch[rows], None if missing is None else missing[rows],
+            {key: keep[:, rows] for key, keep in sum_dropout.items()}, False,
+        )
+        for rows in (slice(start, start + _FORWARD_BATCH) for start in starts)
+    ])
+
+
+def _forward_pass(circuit, params, batch, missing, sum_dropout, return_tables):
+    """``forward_log`` of checked inputs in one pass over all their rows."""
     tables: list = []
     kernels = {}
     for group in circuit.plan:

@@ -254,27 +254,27 @@ def validate_region_graph(graph: RegionGraph) -> ValidationReport:
 
 
 def _check_acyclic(graph: RegionGraph, report: ValidationReport):
-    state: dict[int, int] = {}  # id(node) -> 1 visiting, 2 done
-
-    def visit(node) -> bool:
-        mark = state.get(id(node))
-        if mark == 1:
-            return False
-        if mark == 2:
-            return True
-        state[id(node)] = 1
-        if isinstance(node, Region):
-            children = node.child_partitions
-        else:
-            children = getattr(node, "children", ())  # tolerate bogus injected nodes
-        for child in children:
-            if not visit(child):
-                state[id(node)] = 2
-                return False
-        state[id(node)] = 2
-        return True
-
+    """Depth-first search on an explicit stack, so any depth of graph is checked."""
+    state: dict[int, int] = {}  # id(node) -> 1 on the current path, 2 done
+    done = object()
     for region in graph.regions:
-        if not visit(region):
-            report.add("region graph contains a cycle")
-            return
+        if id(region) in state:
+            continue
+        state[id(region)] = 1
+        path = [(region, iter(region.child_partitions))]
+        while path:
+            node, children = path[-1]
+            child = next(children, done)
+            if child is done:
+                state[id(node)] = 2
+                path.pop()
+            elif state.get(id(child)) == 1:
+                report.add("region graph contains a cycle")
+                return
+            elif id(child) not in state:
+                state[id(child)] = 1
+                grandchildren = (
+                    child.child_partitions if isinstance(child, Region)
+                    else getattr(child, "children", ())  # tolerate bogus injected nodes
+                )
+                path.append((child, iter(grandchildren)))

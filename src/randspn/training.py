@@ -338,17 +338,9 @@ def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState, confi
     return ParameterSet(params.layout, flat), AdamState(t, m, v)
 
 
-# rows per forward call of the metrics pass: bounds its temporaries on a large dataset
-_METRICS_BATCH = 1024
-
-
 def evaluate_metrics(circuit, params, features, labels, lam):
     """Dropout-free objective / CE / nLL / accuracy over a whole dataset."""
-    features = np.asarray(features, dtype=float)
-    rows = []
-    for start in range(0, len(features), _METRICS_BATCH):
-        rows.append(forward_log(circuit, params, features[start : start + _METRICS_BATCH]))
-    roots = np.concatenate(rows, axis=0)
+    roots = forward_log(circuit, params, features)
     ce = cross_entropy(roots, labels)
     nll = neg_log_likelihood(roots, labels, circuit.num_vars)
     predicted = np.argmax(roots, axis=1) + 1

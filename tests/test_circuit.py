@@ -5,6 +5,7 @@ import randspn as rs
 from randspn.circuit import LEAF, PRODUCT, SUM, parameter_layout
 from randspn.errors import InvalidInput, StructureError
 from randspn.inference import logsumexp
+from randspn.region_graph import Region
 from conftest import block_matrices
 
 
@@ -112,6 +113,83 @@ def test_validator_flags_wrong_product_width():
     product.width += 1
     report = rs.validate_circuit(circuit)
     assert any("product width" in v for v in report.violations)
+
+
+def _first(circuit, kind):
+    return next(b for b in circuit.blocks if b.kind == kind and b is not circuit.root_block)
+
+
+def _drop_back_reference(part):
+    part.children[1].parent_partitions.remove(part)
+
+
+def _zero_input_columns(circuit):
+    for product in _first(circuit, SUM).inputs:
+        product.width = 0
+
+
+def _second_root(graph):
+    graph.regions.append(Region(len(graph.regions), graph.root.scope, 1))
+
+
+# id: (fault injected into a region graph, message of validate_region_graph)
+_GRAPH_FAULTS = {
+    "multiple-roots": (_second_root, "multiple root regions covering all variables"),
+    "non-partition-child": (
+        lambda graph: graph.root.child_partitions.append("bogus"),
+        "has a non-partition child 'bogus'",
+    ),
+    "non-region-parent": (
+        lambda graph: setattr(graph.partitions[0], "parent", None),
+        "partition #0 has a non-region parent",
+    ),
+    "one-child": (
+        lambda graph: setattr(graph.partitions[0], "children", graph.partitions[0].children[:1]),
+        "partition #0 has 1 children (expected 2)",
+    ),
+    "non-region-child": (
+        lambda graph: setattr(
+            graph.partitions[0], "children", (graph.partitions[0].children[0], None)
+        ),
+        "partition #0 has a non-region child",
+    ),
+    "not-in-parent-list": (
+        lambda graph: graph.root.child_partitions.remove(graph.partitions[0]),
+        "missing from its parent's child list",
+    ),
+    "no-back-reference": (
+        lambda graph: _drop_back_reference(graph.partitions[0]),
+        "missing back-reference to partition",
+    ),
+}
+# id: (fault injected into a circuit, message of validate_circuit)
+_CIRCUIT_FAULTS = {
+    "leaf-width": (
+        lambda circuit: setattr(_first(circuit, LEAF), "width", 3), "leaf width 3 != 2"
+    ),
+    "sum-width": (
+        lambda circuit: setattr(_first(circuit, SUM), "width", 5), "sum width 5 != configured 2"
+    ),
+    "no-inputs": (
+        lambda circuit: setattr(_first(circuit, SUM), "inputs", ()), "sum block has no inputs"
+    ),
+    "zero-columns": (_zero_input_columns, "zero input columns"),
+}
+
+
+@pytest.mark.parametrize("validate, fault, message", [
+    *[pytest.param(rs.validate_region_graph, *case, id=k) for k, case in _GRAPH_FAULTS.items()],
+    *[pytest.param(rs.validate_circuit, *case, id=k) for k, case in _CIRCUIT_FAULTS.items()],
+])
+def test_validators_report_each_injected_fault(validate, fault, message):
+    graph = rs.random_region_graph(6, 2, 1, seed=4)
+    target = rs.construct_circuit(graph, 2, 2, 2) if validate is rs.validate_circuit else graph
+    assert repr(validate(target)) == "ValidationReport(ok)"
+    fault(target)
+    report = validate(target)
+    found = [v for v in report.violations if message in v]
+    assert found, report.violations
+    assert repr(report).startswith("ValidationReport(\n  ") and found[0] in repr(report)
 
 
 def test_normalized_weights_sum_to_one(rng):

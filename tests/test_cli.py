@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import randspn as rs
 from randspn.cli import main, ranking_statistic
+from randspn.region_graph import Partition, Region, RegionGraph
 
 
 @pytest.fixture
@@ -105,6 +106,47 @@ def test_eval_overfit_model_and_prior_flag(tmp_path, blob_csv, capsys):
     # balanced labels: empirical prior == uniform prior here, so log p(x)
     # matches; accuracy must match regardless
     assert record2["accuracy"] == record["accuracy"]
+
+
+def chain_graph(num_vars):
+    """A valid region graph as deep as it gets: each region splits off one variable."""
+    graph = RegionGraph(num_vars, depth=num_vars - 1, repetitions=1, seed=None)
+
+    def region(scope, level):
+        graph.regions.append(Region(len(graph.regions), tuple(scope), level))
+        return graph.regions[-1]
+
+    parent = region(range(num_vars), 0)
+    for level in range(1, num_vars):
+        rest, single = region(range(level, num_vars), level), region([level - 1], level)
+        part = Partition(len(graph.partitions), parent, (rest, single))
+        graph.partitions.append(part)
+        parent.child_partitions.append(part)
+        rest.parent_partitions.append(part)
+        single.parent_partitions.append(part)
+        parent = rest
+    return graph
+
+
+def test_a_deep_chain_model_saves_loads_and_evaluates(tmp_path, capsys):
+    # 1,200 levels of regions: every structure walk must run without recursion
+    num_vars = 1200
+    circuit = rs.construct_circuit(chain_graph(num_vars), 2, 2, 2)
+    assert circuit.stack_depth() == 2 * (num_vars - 1)
+    model = tmp_path / "chain.model.json"
+    rs.save_model(circuit, rs.init_parameters(circuit, seed=0), model)
+    circuit, params, _ = rs.load_model(model)
+    x = np.zeros((3, num_vars))
+    log_px = rs.log_marginal_input(circuit, params, x, missing=np.ones_like(x, bool))
+    assert np.all(log_px == 0.0)
+
+    features = np.random.default_rng(0).random((4, num_vars))
+    rows = [",".join(map(repr, row)) + f",{k % 2}" for k, row in enumerate(features.tolist())]
+    data = tmp_path / "chain.csv"
+    data.write_text("\n".join(rows) + "\n")
+    assert main(["eval", "--model", str(model), "--data", f"csv:{data}",
+                 "--out", str(tmp_path / "ev")]) == 0
+    assert (tmp_path / "ev.eval.csv").exists()
 
 
 def test_eval_log_px_equals_log_marginal_input(tmp_path, blob_csv):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -348,6 +349,42 @@ def test_streaming_matches_table_mode(rng):
     full, tables, _ = rs.forward_log(circuit, params, batch, return_tables=True)
     np.testing.assert_array_equal(lean, full)
     assert len(tables) == len(circuit.plan)
+
+
+def test_a_large_batch_is_evaluated_in_blocks_of_1024_rows(rng):
+    graph = rs.random_region_graph(16, 2, 3, seed=0)
+    circuit = rs.construct_circuit(graph, 3, 4, 4)
+    params = randomize_params(rs.init_parameters(circuit, seed=1), rng, 0.5)
+    batch = rng.normal(size=(2500, 16))
+    missing = rng.random(batch.shape) < 0.3
+    masks = rs.sample_sum_dropout_mask(circuit, 0.7, len(batch), rng)
+    for drop in (None, masks):
+        whole = rs.forward_log(circuit, params, batch, missing, drop)
+        blocks = [
+            rs.forward_log(
+                circuit, params, batch[start : start + 1024], missing[start : start + 1024],
+                drop and {key: keep[:, start : start + 1024] for key, keep in drop.items()},
+            )
+            for start in (0, 1024, 2048)
+        ]
+        np.testing.assert_array_equal(whole, np.concatenate(blocks))
+
+
+def test_forward_memory_does_not_grow_with_the_rows(rng):
+    # beyond one block of rows, only the (N, C) roots grow: each block's
+    # roots and their concatenation
+    graph = rs.random_region_graph(16, 2, 3, seed=0)
+    circuit = rs.construct_circuit(graph, 3, 4, 4)
+    params = rs.init_parameters(circuit, seed=1)
+    rs.forward_log(circuit, params, np.zeros((2, 16)))  # terms, computed once per set
+    peaks = {}
+    for rows in (1024, 8192):
+        batch = rng.normal(size=(rows, 16))
+        tracemalloc.start()
+        roots = rs.forward_log(circuit, params, batch)
+        peaks[rows] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[8192] - peaks[1024] <= 2 * roots.nbytes
 
 
 def test_sum_group_call_equals_block_calls_bit_for_bit(rng):
