@@ -291,8 +291,12 @@ def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[Pa
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the last axis: the weights of sum nodes."""
-    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    """Row-wise softmax over the last axis: the weights of sum nodes.
+
+    A logit gap that overflows to -inf gives weight 0, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        w = np.exp(logits - logits.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     return w
 
@@ -428,18 +432,13 @@ def construct_circuit(
     )
 
 
-def block_scope(block: Block) -> set[int]:
-    """Scope implied by the wiring (bottom-up union), not the declared one."""
-    if block.kind == LEAF:
-        return set(block.node.scope)
-    if block.kind == PRODUCT:
-        return block_scope(block.inputs[0]) | block_scope(block.inputs[1])
-    scopes = [block_scope(b) for b in block.inputs]
-    return set().union(*scopes) if scopes else set()
-
-
 def validate_circuit(circuit: Circuit) -> ValidationReport:
-    """Check completeness, decomposability, scopes and wiring widths."""
+    """Check completeness, decomposability, scopes and wiring widths.
+
+    Each block is checked against its inputs' declared scopes (``Block.scope``);
+    when every block passes, induction from the leaves shows that the wiring
+    covers exactly the declared scopes, with no recursion through the circuit.
+    """
     report = ValidationReport()
 
     for block in circuit.blocks:
@@ -453,7 +452,7 @@ def validate_circuit(circuit: Circuit) -> ValidationReport:
                     f"{block}: product width {block.width} != "
                     f"{left.width} * {right.width}"
                 )
-            left_scope, right_scope = block_scope(left), block_scope(right)
+            left_scope, right_scope = set(left.scope), set(right.scope)
             overlap = left_scope & right_scope
             if overlap:
                 report.add(
@@ -478,7 +477,7 @@ def validate_circuit(circuit: Circuit) -> ValidationReport:
             if not block.inputs:
                 report.add(f"{block}: sum block has no inputs")
                 continue
-            scopes = {frozenset(block_scope(b)) for b in block.inputs}
+            scopes = {frozenset(b.scope) for b in block.inputs}
             if len(scopes) > 1:
                 report.add(
                     f"completeness violated at sums of {block}: input scopes differ "

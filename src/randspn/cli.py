@@ -193,7 +193,10 @@ def cmd_train(args):
 
     valid_set = None
     if args.valid_fraction > 0:
-        train_set, valid_set = split_dataset(train_set, args.valid_fraction, args.seed)
+        try:
+            train_set, valid_set = split_dataset(train_set, args.valid_fraction, args.seed)
+        except InvalidInput as exc:
+            raise InvalidInput(f"--valid-fraction: {exc}") from exc
 
     config = TrainConfig(
         lam=args.hybrid_lambda,
@@ -330,6 +333,12 @@ def ranking_statistic(scores_in, scores_out) -> float:
 
 def cmd_ood(args):
     started = time.perf_counter()
+    if args.bins < 1:
+        raise InvalidInput(f"--bins must be >= 1, got {args.bins}")
+    if not 0.0 <= args.outlier_percentile <= 100.0:
+        raise InvalidInput(
+            f"--outlier-percentile must lie in [0, 100], got {args.outlier_percentile}"
+        )
     parse_data_spec(args.out_data)
     circuit, params, meta, data_in = _load_model_and_data(args, args.in_data, False)
     data_out = _model_scaled(load_data_spec(args.out_data), circuit, meta, "out-of-domain data")

@@ -294,11 +294,16 @@ def random_missing_mask(dataset_or_shape, fraction_missing: float, seed=None) ->
 
 
 def split_dataset(dataset: Dataset, valid_fraction: float, seed=None):
-    """Carve a validation split off a dataset. Returns (train, valid)."""
-    if not 0.0 <= valid_fraction < 1.0:
-        raise InvalidInput("valid_fraction must be in [0, 1)")
+    """Carve a validation split off a dataset. Returns (train, valid), neither empty."""
+    if not 0.0 < valid_fraction < 1.0:
+        raise InvalidInput(f"valid_fraction must be in (0, 1), got {valid_fraction}")
     n = len(dataset)
     n_valid = int(round(n * valid_fraction))
+    if not 0 < n_valid < n:
+        raise InvalidInput(
+            f"{valid_fraction} of {n} rows leaves {n_valid} for validation and "
+            f"{n - n_valid} for training; each side needs at least one"
+        )
     order = np.random.default_rng(seed).permutation(n)
     valid_idx, train_idx = order[:n_valid], order[n_valid:]
 

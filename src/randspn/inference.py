@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuit import Circuit, GAUSSIAN, LEAF, SUM, Group, ParameterSet
 from .errors import InvalidInput
-from .leaves import bernoulli_block_log_mass, gaussian_block_log_density
+from .leaves import bernoulli_block_log_mass, gaussian_block_log_density, mask_batch
 
 NEG_INF = -np.inf
 
@@ -221,30 +221,29 @@ def _rescue(tables, group, kernel, keep, rows):
         getattr(kernel, name)[members, samples] = getattr(again, name)[:, 0]
 
 
-def _leaf_group(circuit, params, group, batch, missing):
-    """(G, N, I) log-densities of a leaf group."""
-    x = np.take(batch, group.scope, axis=1)  # (N, G, d), contiguous along d
-    mask = None if missing is None else np.take(missing, group.scope, axis=1)
+def _leaf_group(circuit, params, group, x, observed):
+    """(G, N, I) log-densities of a leaf group, from a ``leaf_input``."""
+    x = np.take(x, group.scope, axis=1)  # (N, G, d), contiguous along d
+    observed = None if observed is None else np.take(observed, group.scope, axis=1)
     if circuit.leaf_family == GAUSSIAN:
-        out = gaussian_block_log_density(x, params.terms(group), mask)
+        out = gaussian_block_log_density(x, params.terms(group), observed)
     else:
-        out = bernoulli_block_log_mass(x, params.terms(group), mask)
+        out = bernoulli_block_log_mass(x, params.terms(group), observed)
     return out.transpose(1, 0, 2)
 
 
-def _check_batch(circuit, batch, missing):
+def _check_batch(circuit, batch):
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != circuit.num_vars:
         raise InvalidInput(
             f"batch of shape {batch.shape} does not match {circuit.num_vars} variables"
         )
-    if missing is not None:
-        missing = np.asarray(missing, dtype=bool)
-        if missing.shape != batch.shape:
-            raise InvalidInput(
-                f"missing mask shape {missing.shape} != batch shape {batch.shape}"
-            )
-    return batch, missing
+    return batch
+
+
+def leaf_input(circuit, batch, missing=None):
+    """The batch, checked and masked once: the ``(x, observed)`` leaves read."""
+    return mask_batch(_check_batch(circuit, batch), missing)
 
 
 def _check_dropout(circuit, sum_dropout, rows):
@@ -285,28 +284,28 @@ def forward_log(
     and ``kernels`` maps each sum group's index to its ``SumKernel``, which
     the backward pass reuses.
     """
-    batch, missing = _check_batch(circuit, batch, missing)
+    x, observed = leaf_input(circuit, batch, missing)
     sum_dropout = sum_dropout or {}
-    _check_dropout(circuit, sum_dropout, len(batch))
-    if return_tables or len(batch) <= _FORWARD_BATCH:
-        return _forward_pass(circuit, params, batch, missing, sum_dropout, return_tables)
-    starts = range(0, len(batch), _FORWARD_BATCH)
+    _check_dropout(circuit, sum_dropout, len(x))
+    if return_tables or len(x) <= _FORWARD_BATCH:
+        return _forward_pass(circuit, params, x, observed, sum_dropout, return_tables)
+    starts = range(0, len(x), _FORWARD_BATCH)
     return np.concatenate([
         _forward_pass(
-            circuit, params, batch[rows], None if missing is None else missing[rows],
+            circuit, params, x[rows], None if observed is None else observed[rows],
             {key: keep[:, rows] for key, keep in sum_dropout.items()}, False,
         )
         for rows in (slice(start, start + _FORWARD_BATCH) for start in starts)
     ])
 
 
-def _forward_pass(circuit, params, batch, missing, sum_dropout, return_tables):
-    """``forward_log`` of checked inputs in one pass over all their rows."""
+def _forward_pass(circuit, params, x, observed, sum_dropout, return_tables):
+    """``forward_log`` of a ``leaf_input`` in one pass over all its rows."""
     tables: list = []
     kernels = {}
     for group in circuit.plan:
         if group.kind == LEAF:
-            out = _leaf_group(circuit, params, group, batch, missing)
+            out = _leaf_group(circuit, params, group, x, observed)
         else:
             keep = sum_dropout.get(group.index)
             kernel = sum_group_kernel(tables, group, params.terms(group), keep)
@@ -389,7 +388,7 @@ def conditional_log(
     if np.any(query_mask & evidence_mask):
         raise InvalidInput("query and evidence masks overlap")
     # joint and evidence marginals in one pass over the rows stacked twice
-    batch, _ = _check_batch(circuit, batch, None)
+    batch = _check_batch(circuit, batch)
     both = log_marginal_input(
         circuit, params, np.concatenate([batch, batch]), log_prior,
         missing=np.concatenate([~(query_mask | evidence_mask), ~evidence_mask]),

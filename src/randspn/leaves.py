@@ -6,12 +6,12 @@ the log domain. Gaussian leaves are the working default; Bernoulli leaves
 exist so that discrete circuits can be checked against exhaustive
 enumeration.
 
-The kernels mask once per call: masked entries of the input become 0 and a
-0/1 observed factor multiplies every per-variable term before it is summed
-over the scope, so a masked term is exactly 0 whatever the parameters. The
-parameter terms they read (node-major means, log-variances, log-masses) come
-from ``gaussian_terms`` and ``bernoulli_terms``, which ``ParameterSet``
-computes once per parameter set.
+A batch is masked once, where it enters (``mask_batch``): masked entries
+become 0, and the kernels multiply every per-variable term by a 0/1
+observed factor, so a masked term is exactly 0 whatever the parameters.
+The parameter terms they read (node-major means, log-variances, log-masses)
+come from ``gaussian_terms`` and ``bernoulli_terms``, which
+``ParameterSet`` computes once per parameter set.
 """
 
 from __future__ import annotations
@@ -72,27 +72,19 @@ def bernoulli_terms(success_logits) -> BernoulliTerms:
     )
 
 
-def masked_input(x, node_params, missing):
-    """Check shapes; return ``x`` with masked entries 0 and the observed factor.
+def mask_batch(x, missing=None):
+    """``x`` as floats with masked entries 0, and the 0/1 observed factor.
 
-    ``node_params`` is any node-major term array of the block or group. The
-    factor is None without a mask. Raises InvalidInput unless every observed
-    value is finite.
+    ``missing``, shaped like ``x``, marks the entries to marginalize out;
+    without it the factor is None. Raises InvalidInput unless every
+    observed value is finite.
     """
     x = np.asarray(x, dtype=float)
-    if (
-        x.ndim not in (2, 3)
-        or node_params.ndim != x.ndim
-        or x.shape[1:] != node_params.shape[1:]
-    ):
-        raise InvalidInput(
-            f"shape mismatch: batch {x.shape} vs node-major parameters {node_params.shape}"
-        )
     observed = None
     if missing is not None:
         missing = np.asarray(missing, dtype=bool)
         if missing.shape != x.shape:
-            raise InvalidInput(f"shape mismatch: batch {x.shape} vs mask {missing.shape}")
+            raise InvalidInput(f"missing mask shape {missing.shape} != batch shape {x.shape}")
         x = np.where(missing, 0.0, x)
         observed = _OBSERVED.take(missing)
     if not np.isfinite(x).all():
@@ -100,33 +92,57 @@ def masked_input(x, node_params, missing):
     return x, observed
 
 
+def _check_shapes(x, node_terms, observed):
+    # node-major terms are 2- or 3-D, so equal trailing shapes fix x's rank too
+    if x.shape[1:] != node_terms.shape[1:] or (
+        observed is not None and observed.shape != x.shape
+    ):
+        raise InvalidInput(
+            f"shape mismatch: batch {x.shape} vs node-major parameters {node_terms.shape}"
+        )
+
+
+def node_differences(x, centers, observed=None, inv_var=None):
+    """Yield ``(diff, scaled)`` for each node i of the node-major ``centers``.
+
+    ``diff = (x - centers[i]) * observed`` (no product without a factor) and
+    ``scaled = diff * inv_var[i]``, or ``diff`` itself for unit variances.
+    The one per-node leaf loop: the Gaussian density and the leaf gradients
+    read it. Both are buffers reused for every node.
+    """
+    diff = np.empty_like(x)  # one for all nodes: fresh pages cost more than the math
+    scaled = diff if inv_var is None else np.empty_like(x)
+    for i in range(len(centers)):
+        np.subtract(x, centers[i], out=diff)
+        if observed is not None:
+            diff *= observed  # before squaring: a masked term is exactly 0
+        if inv_var is not None:
+            np.multiply(diff, inv_var[i], out=scaled)
+        yield diff, scaled
+
+
 def _scope_dot(a, node_terms):
     """sum_d a[..., d] * node_terms[i, ..., d] for every node i: shape a.shape[:-1] + (I,)."""
     return np.einsum("...d,i...d->...i", a, node_terms)
 
 
-def gaussian_block_log_density(x, terms: GaussianTerms, missing=None):
+def gaussian_block_log_density(x, terms: GaussianTerms, observed=None):
     """Log-densities of a block, or a group of blocks, of factorized Gaussians.
 
-    One block: x is (N, d), the values of its scope variables; ``terms``
-    is ``gaussian_terms(means, variances)`` of (I, d) means and variances
-    (None for unit variance); missing is an (N, d) boolean mask whose True
-    entries are marginalized out. Returns (N, I). A group of G blocks adds
-    a group axis: x and missing are (N, G, d), the parameters (G, I, d),
-    and the result is (N, G, I). An observed value whose squared distance
-    to a mean overflows has log-density -inf, without a warning.
+    One block: ``x, observed = mask_batch(values, missing)`` are (N, d), its
+    scope variables' values; ``terms`` is ``gaussian_terms(means, variances)``
+    of (I, d) means and variances (None for unit variance). Returns (N, I).
+    A group of G blocks adds a group axis: x and observed are (N, G, d),
+    the parameters (G, I, d), and the result is (N, G, I). An observed value
+    whose squared distance to a mean overflows has log-density -inf,
+    without a warning.
     """
     mu, _, log_var, inv_var = terms
-    x, observed = masked_input(x, mu, missing)
+    _check_shapes(x, mu, observed)
     # one node per step keeps every temporary the size of x
     quad = np.empty(x.shape[:-1] + (len(mu),))
-    diff = np.empty_like(x)  # one for all nodes: fresh pages cost more than the math
     with np.errstate(over="ignore"):
-        for i in range(len(mu)):
-            np.subtract(x, mu[i], out=diff)
-            if observed is not None:
-                diff *= observed  # before squaring: a masked term is exactly 0
-            scaled = diff if inv_var is None else diff * inv_var[i]
+        for i, (diff, scaled) in enumerate(node_differences(x, mu, observed, inv_var)):
             np.vecdot(diff, scaled, out=quad[..., i])
     # -0.5 * (log 2 pi * #observed + sum of observed log variances + quad)
     if observed is None:
@@ -142,13 +158,13 @@ def gaussian_block_log_density(x, terms: GaussianTerms, missing=None):
     return quad
 
 
-def bernoulli_block_log_mass(x, terms: BernoulliTerms, missing=None):
+def bernoulli_block_log_mass(x, terms: BernoulliTerms, observed=None):
     """Log-masses of a block, or a group of blocks, of factorized Bernoullis.
 
     Shapes as in ``gaussian_block_log_density``, with ``terms`` the
     ``bernoulli_terms`` of success log-odds; x entries are in {0, 1}.
     """
-    x, observed = masked_input(x, terms.log_p, missing)
+    _check_shapes(x, terms.log_p, observed)
     failures = (1.0 if observed is None else observed) - x  # 0 where masked
     return _scope_dot(x, terms.log_p) + _scope_dot(failures, terms.log_q)
 

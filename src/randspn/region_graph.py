@@ -78,9 +78,6 @@ class RegionGraph:
             return "root"
         return "leaf" if region.is_leaf else "internal"
 
-    def leaf_regions(self) -> list[Region]:
-        return [r for r in self.regions if r.is_leaf]
-
     def structure_signature(self):
         """Hashable summary used to compare graphs for structural identity."""
         regions = tuple((r.level, r.scope) for r in self.regions)

@@ -20,8 +20,8 @@ import numpy as np
 from .circuit import BERNOULLI, Circuit, LEAF, SUM, ParameterSet
 from .data import batch_iterator
 from .errors import InvalidInput, NumericFailure
-from .inference import SumKernel, forward_log, logsumexp
-from .leaves import VARIANCE_FLOOR, masked_input
+from .inference import SumKernel, forward_log, leaf_input, logsumexp
+from .leaves import VARIANCE_FLOOR, node_differences
 
 
 @dataclass
@@ -48,6 +48,14 @@ class TrainConfig:
             rate = getattr(self, name)
             if not 0.0 < rate <= 1.0:
                 raise InvalidInput(f"{name} must be in (0, 1], got {rate}")
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:
+                raise InvalidInput(f"{name} must be in [0, 1), got {beta}")
+        for name in ("learning_rate", "epsilon"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise InvalidInput(f"{name} must be finite and > 0, got {value}")
 
 
 def _check_roots_labels(roots, labels):
@@ -173,39 +181,27 @@ def _factor_gradients(grad_tables, tables, group, d_x):
             _accumulate(grad_tables, tables, (src, at[:, slots], unique), value)
 
 
-def _leaf_gradients(circuit, params, d_flat, group, g, batch, missing):
+def _leaf_gradients(circuit, params, d_flat, group, g, x, observed):
     """Write a leaf group's parameter gradients into ``d_flat``.
 
-    ``g`` is the group's (G, N, I) table gradient. Reads the set's leaf
-    terms and masks as the forward kernel does, looping over the I leaf
-    nodes: a node's difference is 0 on a masked entry, so the entry adds
-    exactly 0 to every gradient.
+    ``g`` is the group's (G, N, I) table gradient and ``(x, observed)`` the
+    ``leaf_input`` the forward pass read. Loops over the I leaf nodes with
+    ``node_differences``: a node's difference is 0 on a masked entry, so
+    the entry adds exactly 0 to every gradient.
     """
     terms = params.terms(group)
-    x, observed = masked_input(
-        np.take(batch, group.scope, axis=1),  # (N, G, d)
-        terms[0],
-        None if missing is None else missing[:, group.scope],
-    )
+    x = np.take(x, group.scope, axis=1)  # (N, G, d)
+    observed = None if observed is None else np.take(observed, group.scope, axis=1)
     g = np.ascontiguousarray(g.transpose(2, 1, 0))  # (I, N, G)
 
     def weighted(i, values):
         """sum_n g[i, n, :] * values[n]"""
         return np.einsum("ng,ngv->gv", g[i], values)
 
-    buffer = np.empty_like(x)  # one for all nodes: fresh pages cost more than the math
-
-    def difference(i, centers):
-        diff = np.subtract(x, centers[i], out=buffer)
-        if observed is not None:
-            diff *= observed
-        return diff
-
     if circuit.leaf_family == BERNOULLI:
-        p = np.exp(terms.log_p)
         d_logits = params.stacked("leaf_logits", group, d_flat)
-        for i in range(len(g)):
-            d_logits[:, i, :] = weighted(i, difference(i, p))
+        for i, (diff, _) in enumerate(node_differences(x, np.exp(terms.log_p), observed)):
+            d_logits[:, i, :] = weighted(i, diff)
         return
     mu, var, _, inv_var = terms
     d_means = params.stacked("leaf_means", group, d_flat)
@@ -213,9 +209,7 @@ def _leaf_gradients(circuit, params, d_flat, group, g, batch, missing):
         active = np.moveaxis(var > VARIANCE_FLOOR, 0, -2)  # (G, I, d)
         d_log_vars = params.stacked("leaf_log_vars", group, d_flat)
         count = 1.0 if observed is None else observed
-    for i in range(len(g)):
-        diff = difference(i, mu)
-        scaled = diff if inv_var is None else diff * inv_var[i]
+    for i, (diff, scaled) in enumerate(node_differences(x, mu, observed, inv_var)):
         d_means[:, i, :] = weighted(i, scaled)
         if var is not None:
             # d/d log var of -0.5 (log var + diff^2 / var); 0 where masked
@@ -232,7 +226,6 @@ def backward_gradients(
     sum_dropout=None,
 ):
     """Exact objective gradient for every parameter. Returns (grads, objective)."""
-    batch = np.asarray(batch, dtype=float)
     roots, tables, kernels = forward_log(
         circuit, params, batch, missing, sum_dropout, return_tables=True
     )
@@ -250,14 +243,13 @@ def backward_gradients(
     grad_tables[root.group][root.position] = _objective_root_gradient(
         roots, labels, circuit.num_vars, lam
     )
-    if missing is not None:
-        missing = np.asarray(missing, bool)
+    x, observed = leaf_input(circuit, batch, missing)
 
     for group in reversed(circuit.plan):
         # each table gradient and sum kernel is read once: free it after
         g, grad_tables[group.index] = grad_tables[group.index], None
         if group.kind == LEAF:
-            _leaf_gradients(circuit, params, d_flat, group, g, batch, missing)
+            _leaf_gradients(circuit, params, d_flat, group, g, x, observed)
         else:
             d_x, d_logits = sum_block_backward(g, kernels.pop(group.index))
             params.stacked("sum_logits", group, d_flat)[...] = d_logits
@@ -317,25 +309,37 @@ class AdamState:
         return cls(0, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState, config):
-    """One bias-corrected adaptive-moment update. Returns (params, state)."""
-    g = grads.flat
-    finite = np.isfinite(g)
+def _check_finite(values: ParameterSet, what: str):
+    """NumericFailure naming the parameter, plan group and member of the first non-finite value."""
+    finite = np.isfinite(values.flat)
     if not finite.all():
         first = int(np.argmin(finite))
-        tensor = next(t for t in grads.layout if first < t.offset + t.size)
+        tensor = next(t for t in values.layout if first < t.offset + t.size)
         member = (first - tensor.offset) // (tensor.size // tensor.shape[0])
         raise NumericFailure(
-            f"non-finite gradient for parameter {tensor.name} of plan group "
+            f"non-finite {what} for parameter {tensor.name} of plan group "
             f"{tensor.group}, member {member}"
         )
+
+
+def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState, config):
+    """One bias-corrected adaptive-moment update. Returns (params, state).
+
+    Raises NumericFailure if the gradient or the updated parameters are not
+    all finite.
+    """
+    _check_finite(grads, "gradient")
+    g = grads.flat
     t = state.step + 1
     m = config.beta1 * state.m + (1.0 - config.beta1) * g
     v = config.beta2 * state.v + (1.0 - config.beta2) * g * g
     m_hat = m / (1.0 - config.beta1**t)
     v_hat = v / (1.0 - config.beta2**t)
-    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-    return ParameterSet(params.layout, flat), AdamState(t, m, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails below
+        flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    params = ParameterSet(params.layout, flat)
+    _check_finite(params, "updated value")
+    return params, AdamState(t, m, v)
 
 
 def evaluate_metrics(circuit, params, features, labels, lam):
@@ -358,6 +362,7 @@ def train(circuit, params, train_data, valid_data, config: TrainConfig):
     ``train_data``/``valid_data`` are Dataset objects (valid may be None).
     Dropout masks are redrawn for every batch and disabled for the per-epoch
     metric rows. Warm starts are just calls with previously trained params.
+    Raises NumericFailure when an epoch's metrics objective is not finite.
     """
     rng = np.random.default_rng(config.seed)
     state = AdamState.initial(params)
@@ -386,6 +391,8 @@ def train(circuit, params, train_data, valid_data, config: TrainConfig):
                 circuit, params, train_data.features, train_data.labels, config.lam
             )
         )
+        if not np.isfinite(row["objective"]):
+            raise NumericFailure(f"epoch {epoch}: metrics objective is {row['objective']!r}")
         row["train_accuracy"] = row.pop("accuracy")
         if valid_data is not None and valid_data.labels is not None:
             valid = evaluate_metrics(

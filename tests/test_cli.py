@@ -66,6 +66,49 @@ def test_usage_errors_exit_2(tmp_path, blob_csv, capsys):
                  "--out", str(tmp_path / "y")]) == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, code, message", [
+    (["--lr", "nan"], 2, "learning_rate"),
+    (["--lr", "-1"], 2, "learning_rate"),
+    (["--beta1", "1"], 2, "beta1"),
+    (["--beta2", "1"], 2, "beta2"),
+    (["--eps", "0"], 2, "epsilon"),
+    (["--lr", "1e308"], 4, "epoch 1: metrics objective is nan"),
+])
+def test_training_settings_that_cannot_train_exit_cleanly(tmp_path, blob_csv, capsys,
+                                                          flags, code, message):
+    # one step per epoch, so an overflowing update reaches the metrics pass
+    assert main(["train", "--data", f"csv:{blob_csv}", "--epochs", "1", "--batch-size",
+                 "200", "--out", str(tmp_path / "m"), *flags]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "m.model.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flags, flag", [
+    ("ood", ["--bins", "0"], "--bins"),
+    ("ood", ["--bins", "-3"], "--bins"),
+    ("ood", ["--outlier-percentile", "150"], "--outlier-percentile"),
+    ("ood", ["--outlier-percentile", "-1"], "--outlier-percentile"),
+    ("train", ["--valid-fraction", "0.001"], "--valid-fraction"),
+    ("train", ["--valid-fraction", "0.999"], "--valid-fraction"),
+])
+def test_flag_values_numpy_would_reject_are_usage_errors(tmp_path, blob_csv, capsys,
+                                                         command, flags, flag):
+    if command == "ood":
+        model = _train(tmp_path, blob_csv)
+        argv = ["ood", "--model", str(model), "--in-data", f"csv:{blob_csv}",
+                "--out-data", f"csv:{blob_csv}"]
+    else:
+        argv = ["train", "--data", f"csv:{blob_csv}", "--epochs", "1"]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "x"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag}") and "Traceback" not in err
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_data_errors_exit_3(tmp_path, blob_csv, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -133,6 +176,7 @@ def test_a_deep_chain_model_saves_loads_and_evaluates(tmp_path, capsys):
     num_vars = 1200
     circuit = rs.construct_circuit(chain_graph(num_vars), 2, 2, 2)
     assert circuit.stack_depth() == 2 * (num_vars - 1)
+    assert rs.validate_circuit(circuit).ok
     model = tmp_path / "chain.model.json"
     rs.save_model(circuit, rs.init_parameters(circuit, seed=0), model)
     circuit, params, _ = rs.load_model(model)

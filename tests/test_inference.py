@@ -240,6 +240,26 @@ def test_conditional_log(rng):
         rs.conditional_log(circuit, params, batch, evidence, evidence)
 
 
+def test_conditional_log_ignores_values_outside_query_and_evidence(rng):
+    circuit, params = random_circuit(rng, num_vars=4)
+    batch = rng.normal(size=(3, 4))
+    query = np.zeros((3, 4), bool)
+    query[:, 0] = True
+    evidence = np.zeros((3, 4), bool)
+    evidence[:, 1] = True
+    expected = rs.conditional_log(circuit, params, batch, query, evidence)
+    ignored = batch.copy()
+    ignored[:, 2:] = [np.nan, np.inf]
+    got = rs.conditional_log(circuit, params, ignored, query, evidence)
+    np.testing.assert_array_equal(got, expected)
+    assert np.isfinite(got).all()
+    for selected in (query, evidence):
+        bad = batch.copy()
+        bad[selected] = np.nan
+        with pytest.raises(InvalidInput, match="observed values must be finite"):
+            rs.conditional_log(circuit, params, bad, query, evidence)
+
+
 def test_conditional_on_independent_factors_equals_marginal(rng):
     # single product of two singleton leaf regions: variables independent
     graph = rs.random_region_graph(2, 1, 1, seed=3)

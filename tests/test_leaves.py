@@ -8,7 +8,19 @@ from randspn.leaves import (
     bernoulli_terms,
     gaussian_block_log_density,
     gaussian_terms,
+    mask_batch,
 )
+
+
+def gaussian(values, terms, missing=None):
+    """The Gaussian kernel on ``values`` masked first, as the engine calls it."""
+    x, observed = mask_batch(values, missing)
+    return gaussian_block_log_density(x, terms, observed)
+
+
+def bernoulli(values, terms, missing=None):
+    x, observed = mask_batch(values, missing)
+    return bernoulli_block_log_mass(x, terms, observed)
 
 
 def test_gaussian_at_its_mean():
@@ -19,7 +31,7 @@ def test_gaussian_at_its_mean():
 
 
 def test_all_missing_gives_log_one():
-    value = gaussian_block_log_density(
+    value = gaussian(
         np.array([[99.0]]), gaussian_terms(np.array([[3.0]])), missing=np.array([[True]])
     )[0, 0]
     assert value == 0.0
@@ -34,11 +46,9 @@ def test_fair_coin_pair():
 def test_non_finite_observation_rejected():
     means = gaussian_terms(np.array([[0.0]]))
     with pytest.raises(InvalidInput):
-        gaussian_block_log_density(np.array([[np.nan]]), means)
+        gaussian(np.array([[np.nan]]), means)
     # but a masked non-finite value is marginalized away
-    masked = gaussian_block_log_density(
-        np.array([[np.nan]]), means, missing=np.array([[True]])
-    )
+    masked = gaussian(np.array([[np.nan]]), means, missing=np.array([[True]]))
     assert masked[0, 0] == 0.0
 
 
@@ -54,7 +64,7 @@ def test_batch_matches_scalar_and_is_deterministic(rng):
     single = gaussian_block_log_density(batch[2:3], terms)[0, 0]
     assert out[2] == pytest.approx(single, abs=1e-12)
 
-    masked = gaussian_block_log_density(batch, terms, missing=np.ones_like(batch, bool))[:, 0]
+    masked = gaussian(batch, terms, missing=np.ones_like(batch, bool))[:, 0]
     np.testing.assert_array_equal(masked, np.zeros(4))
 
 
@@ -71,7 +81,7 @@ def test_masking_equals_numeric_integration(rng):
     variances = rng.uniform(0.5, 2.0, (1, 2))
     x = rng.normal(size=(1, 2))
     terms = gaussian_terms(means, variances)
-    masked = gaussian_block_log_density(x, terms, missing=np.array([[False, True]]))[0, 0]
+    masked = gaussian(x, terms, missing=np.array([[False, True]]))[0, 0]
 
     def joint(v):
         row = np.array([[x[0, 0], v]])
@@ -88,11 +98,9 @@ def test_monotone_mask_difference_is_the_masked_terms(rng):
     m_small[:, 1] = True
     m_big = m_small.copy()
     m_big[:, 3] = True
-    small = gaussian_block_log_density(x, means, m_small)
-    big = gaussian_block_log_density(x, means, m_big)
-    term = gaussian_block_log_density(
-        x, means, ~(np.arange(4) == 3)[None, :].repeat(5, axis=0)
-    )
+    small = gaussian(x, means, m_small)
+    big = gaussian(x, means, m_big)
+    term = gaussian(x, means, ~(np.arange(4) == 3)[None, :].repeat(5, axis=0))
     np.testing.assert_allclose(small - big, term, atol=1e-12)
 
 
@@ -103,8 +111,8 @@ def test_bernoulli_normalization(rng):
     for v in range(6):
         mask = np.ones((1, 6), bool)
         mask[0, v] = False
-        p1 = np.exp(bernoulli_block_log_mass(np.ones((1, 6)), logits, mask))
-        p0 = np.exp(bernoulli_block_log_mass(np.zeros((1, 6)), logits, mask))
+        p1 = np.exp(bernoulli(np.ones((1, 6)), logits, mask))
+        p0 = np.exp(bernoulli(np.zeros((1, 6)), logits, mask))
         np.testing.assert_allclose(p0 + p1, 1.0, atol=1e-14)
     assert np.all(np.isfinite(ones))
 
@@ -128,9 +136,9 @@ def test_group_call_equals_block_calls_bit_for_bit(rng, family):
 
     def kernel(x, p, v, m):
         if family == "bernoulli":
-            return bernoulli_block_log_mass(x, bernoulli_terms(p), m)
+            return bernoulli(x, bernoulli_terms(p), m)
         terms = gaussian_terms(p, v if family == "gaussian-var" else None)
-        return gaussian_block_log_density(x, terms, m)
+        return gaussian(x, terms, m)
 
     for mask in (None, missing):
         group = kernel(x, params, variances, mask)
@@ -147,7 +155,7 @@ def test_overflowing_observation_has_log_density_minus_inf():
     out = gaussian_block_log_density(x, gaussian_terms(np.zeros((3, 2)), np.ones((3, 2))))
     assert np.isneginf(out[0]).all()
     assert np.isfinite(out[1]).all()
-    masked = gaussian_block_log_density(x, gaussian_terms(np.zeros((3, 2))), x > 1e100)
+    masked = gaussian(x, gaussian_terms(np.zeros((3, 2))), x > 1e100)
     assert np.isfinite(masked).all()
 
 
@@ -166,9 +174,9 @@ def test_masked_entries_contribute_exactly_zero(rng, family):
 
     def kernel(x, p):
         if family == "bernoulli":
-            return bernoulli_block_log_mass(x, bernoulli_terms(p), missing)
+            return bernoulli(x, bernoulli_terms(p), missing)
         terms = gaussian_terms(p, variances if family == "gaussian-var" else None)
-        return gaussian_block_log_density(x, terms, missing)
+        return gaussian(x, terms, missing)
 
     base = kernel(np.where(missing, 0.0, x), params)
     wild_x = np.where(missing, np.nan, x)

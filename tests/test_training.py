@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randspn as rs
-from randspn.circuit import ParamTensor
+from randspn.circuit import ParamTensor, softmax
 from randspn.errors import InvalidInput, NumericFailure
 from randspn.inference import sum_block_forward
 from randspn.training import AdamState, sum_block_backward
@@ -467,6 +467,29 @@ def test_train_config_validation():
         rs.TrainConfig(input_keep=0.0)
     with pytest.raises(InvalidInput):
         rs.TrainConfig(batch_size=0)
+    for name, value in [
+        ("learning_rate", np.nan), ("learning_rate", 0.0), ("learning_rate", np.inf),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", np.nan),
+        ("epsilon", 0.0), ("epsilon", np.inf),
+    ]:
+        with pytest.raises(InvalidInput, match=name):
+            rs.TrainConfig(**{name: value})
+    rs.TrainConfig(beta1=0.0, beta2=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_update_names_its_plan_group_and_member():
+    layout = (ParamTensor("sum_logits", 0, 0, (1, 1, 2)),)
+    params = rs.ParameterSet(layout, np.array([-1e308, 0.0]))
+    grads = rs.ParameterSet(layout, np.array([1.0, 0.0]))
+    config = rs.TrainConfig(learning_rate=1e308)
+    with pytest.raises(NumericFailure, match="updated value .* plan group 0, member 0$"):
+        rs.adam_step(params, grads, AdamState.initial(params), config)
+
+
+@pytest.mark.filterwarnings("error")
+def test_softmax_gives_an_overflowing_logit_gap_weight_zero():
+    np.testing.assert_array_equal(softmax(np.array([[1e308, -1e308, 1e308]])), [[0.5, 0.0, 0.5]])
 
 
 def test_train_zero_epochs_returns_params_unchanged(rng):
@@ -549,7 +572,7 @@ def test_shared_child_regions_and_two_leaf_groups():
     # groups of different shapes (leaf scopes of sizes 1 and 2)
     graph = rs.random_region_graph(5, 2, 4, seed=0)
     assert sum(len(r.parent_partitions) >= 2 for r in graph.regions) == 4
-    assert {len(r.scope) for r in graph.leaf_regions()} == {1, 2}
+    assert {len(r.scope) for r in graph.regions if r.is_leaf} == {1, 2}
     rng = np.random.default_rng(11)
 
     circuit = rs.construct_circuit(graph, 2, 2, 2)
