@@ -182,12 +182,15 @@ def cmd_train(args):
             train_set.num_features, args.depth, args.repetitions, args.seed
         )
         circuit = construct_circuit(graph, num_classes, args.sums, args.leaves)
-        params = init_parameters(
-            circuit,
-            seed=args.seed,
-            feature_stats=train_set.feature_stats() if args.init == "data" else None,
-            train_variance=args.train_variance,
-        )
+        try:
+            params = init_parameters(
+                circuit,
+                seed=args.seed,
+                feature_stats=train_set.feature_stats() if args.init == "data" else None,
+                train_variance=args.train_variance,
+            )
+        except MemoryError as exc:  # the size flags ask for more than can be allocated
+            raise InvalidInput(f"model too large: {exc}") from exc
         meta = None
     scaling = train_set.scaling
 
@@ -486,7 +489,7 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, OSError) as exc:  # after BrokenPipeError, an OSError too
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericFailure as exc:

@@ -4,9 +4,10 @@ Evaluation follows the circuit's compiled layer plan (``Circuit.plan``):
 every group of same-shape blocks is one (G, N, width) tensor, computed by
 one stacked numpy call per step, so Python dispatch scales with the number
 of groups, not of blocks. Tables hold log-values. Sum blocks use the
-exp–matmul–log form of Einsum Networks (Peharz et al. 2020): with ``m`` a
-per-row shift, a block's outputs are ``log(x @ softmax(logits).T) + m``,
-where ``x`` holds its inputs in the linear domain, divided by ``exp(m)``.
+exp–dot–log form of Einsum Networks (Peharz et al. 2020): with ``m`` a
+per-row shift, a block's outputs are ``log(x · w) - log(1 · w) + m`` for
+``w = softmax(logits)``, where ``x`` holds its inputs in the linear domain,
+divided by ``exp(m)``, and one dot per row makes each row's bits its own.
 Product blocks are folded into the sums that read them (the einsum layer):
 a sum group exps each factor table once, shifted by its row max, and its
 inputs are the outer products of the factors: the only product table is
@@ -50,41 +51,46 @@ _LOWEST = np.finfo(float).min
 
 
 class SumKernel(NamedTuple):
-    """The exp–matmul–log terms of a sum group, shared by forward and backward.
+    """The exp–dot–log terms of a sum group, shared by forward and backward.
 
     ``m`` is each row's shift, kept as a trailing axis of length 1 (-inf in
     a dead row, whose kept inputs are all -inf); ``e`` the inputs in the
     linear domain divided by ``exp(m)``, 0 on dropped columns (all 0 in a
-    dead row); ``w`` the softmax weights; ``p = e @ w.T``, so the outputs
-    are ``log p + m``; ``equal`` marks rows whose inputs, a dropped column
-    counted as -inf, are all equal, which the outputs give as ``m`` exactly
-    (a dead row either is one or has ``p == 0``).
+    dead row), in C order; ``w`` the softmax weights; ``p`` each row's dot
+    with each weight row and ``q`` each weight row's sum by the same dot,
+    shaped to broadcast against ``p``. The outputs are ``log p - log q + m``.
     """
 
     m: np.ndarray
     e: np.ndarray
     w: np.ndarray
     p: np.ndarray
-    equal: np.ndarray
+    q: np.ndarray
 
 
-def _mix(m, e, weights, equal) -> SumKernel:
-    """The one mixing core: ``p = e @ w.T`` for every row of every member."""
-    return SumKernel(m, e, weights, e @ weights.swapaxes(-1, -2), equal)
+def _mix(m, e, weights) -> SumKernel:
+    """The one mixing core: one dot per (row, weight row), ``q`` on a row of ones.
+
+    A row's bits depend on no other row, and a row of ones in the C-ordered
+    ``e`` takes the summation order of ``np.ones``: ``p == q`` bit for bit.
+    """
+    p = np.vecdot(e[..., :, None, :], weights[..., None, :, :])
+    q = np.vecdot(np.ones(e.shape[-1]), weights)[..., None, :]
+    return SumKernel(m, e, weights, p, q)
 
 
 def _log_inputs(values, keep):
-    """(m, e, equal) of log-domain inputs: shift by the largest kept value, exp."""
+    """(m, e) of log-domain inputs: shift by the largest kept value, exp."""
     masked = values if keep is None else values + _DROP_SHIFT.take(keep)
     m = masked.max(axis=-1, keepdims=True)
-    equal = masked.min(axis=-1, keepdims=True) == m
-    e = values - np.where(np.isfinite(m), m, 0.0)
+    # C order whatever the layout of values: _mix's dots need unit stride
+    e = np.subtract(values, np.where(np.isfinite(m), m, 0.0), order="C")
     if keep is not None:
         np.minimum(e, 0.0, out=e)  # a dropped column may exceed the kept max
     np.exp(e, out=e)  # in place: for a group, e is the largest temporary
     if keep is not None:
         e *= keep
-    return m, e, equal
+    return m, e
 
 
 def sum_block_kernel(values: np.ndarray, weights: np.ndarray, keep=None) -> SumKernel:
@@ -98,31 +104,29 @@ def sum_block_kernel(values: np.ndarray, weights: np.ndarray, keep=None) -> SumK
     for it costs several times the fast one: dropped columns are clamped to
     ``exp(0)`` and then multiplied by 0.
     """
-    m, e, equal = _log_inputs(values, keep)
-    return _mix(m, e, weights, equal)
+    return _mix(*_log_inputs(values, keep), weights)
 
 
 def sum_block_forward(kernel: SumKernel) -> np.ndarray:
     """Mixture outputs log sum_k w[s, k] exp(values[n, k]) from a ``SumKernel``.
 
     ``kernel`` is ``sum_block_kernel(values, w)`` of a block or a group, or
-    ``sum_group_kernel`` of a plan group; the outputs are ``log p + m``. A
-    row whose inputs are all equal returns that value exactly, since a
-    mixture of equal components is that component: the softmax rows need
-    not sum to exactly 1, and this rule keeps a fully marginalized input
-    (all zeros) at exactly 0. A dead row (all inputs -inf, as under sum
-    dropout) is such a row, so it gives -inf, never NaN.
+    ``sum_group_kernel`` of a plan group; the outputs are ``log p - log q + m``.
+    The softmax rows need not sum to exactly 1, but a row whose inputs all
+    equal ``v`` has ``e`` all ones, so ``p == q`` and it returns ``v`` exactly:
+    a fully marginalized input (all zeros) stays exactly 0. A dead row (all
+    inputs -inf, as under sum dropout) has ``p == 0`` and gives -inf, never NaN.
     Precision limit: a live row underflows to -inf only when every term
     ``log w[s, k] + values[n, k] - m`` (logit gap plus input gap) is below
     about -700 nats; the largest input has no input gap, so that takes a
     logit spread of about 700 nats.
     """
     with np.errstate(divide="ignore"):  # an underflowed p of 0 stands for -inf
-        return np.log(np.where(kernel.equal, 1.0, kernel.p)) + kernel.m
+        return np.log(kernel.p) - np.log(kernel.q) + kernel.m
 
 
 def sum_block_inputs(tables, group: Group, keep=None):
-    """(m, e, equal) of a sum group, its products folded in.
+    """(m, e) of a sum group, its products folded in.
 
     ``tables`` holds one (G, N, width) log-value tensor per plan group. The
     group takes the rows of its factor tables (``group.reads``), subtracts
@@ -132,10 +136,8 @@ def sum_block_inputs(tables, group: Group, keep=None):
     several partitions shifts each row by the largest of these, ``m``, and
     scales partition j by ``exp(m_j - m)``, its log added to the left factor
     before the exp. The (G, N, K) keep-mask ``keep``, None without sum
-    dropout, multiplies the columns. A row is ``equal`` iff every
-    factor row is all-equal, every partition has shift ``m`` and no column
-    is dropped: its inputs are then all equal to ``m``. A group with no
-    runs mixes a leaf table directly, as ``sum_block_kernel`` does.
+    dropout, multiplies the columns. A group with no runs mixes a leaf
+    table directly, as ``sum_block_kernel`` does.
     """
     if not group.runs:
         (src, at, _), = group.reads
@@ -158,12 +160,8 @@ def sum_block_inputs(tables, group: Group, keep=None):
         for run in group.runs:
             left, left_slots = run.left
             factors[left][0][:, left_slots] += gaps[:, run.parts]
-    # all zeros now iff every factor row is all-equal and every partition's shift is m
-    differ = False
     for f, _ in factors:
-        differ = differ | f.any(axis=(1, 3))
         np.exp(f, out=f)
-    equal = ~differ[..., None]
     size, n, _ = m.shape
     x = np.empty((size, n, group.columns))
     for run in group.runs:
@@ -175,8 +173,7 @@ def sum_block_inputs(tables, group: Group, keep=None):
         )
     if keep is not None:
         x *= keep
-        equal &= keep.all(axis=-1, keepdims=True)
-    return m, x, equal
+    return m, x
 
 
 def sum_group_kernel(tables, group: Group, weights, keep=None) -> SumKernel:
@@ -192,10 +189,9 @@ def sum_group_kernel(tables, group: Group, weights, keep=None) -> SumKernel:
     recomputed from its log-domain product values with its largest kept
     value as the shift, as ``sum_block_kernel`` would.
     """
-    m, e, equal = sum_block_inputs(tables, group, keep)
-    kernel = _mix(m, e, weights, equal)
+    kernel = _mix(*sum_block_inputs(tables, group, keep), weights)
     if keep is not None and group.runs:
-        lost = (kernel.p.max(axis=-1) < _FAINT) & (m[..., 0] > NEG_INF)
+        lost = (kernel.p.max(axis=-1) < _FAINT) & (kernel.m[..., 0] > NEG_INF)
         if lost.any():
             _rescue(tables, group, kernel, keep, np.nonzero(lost))
     return kernel
@@ -217,7 +213,7 @@ def _rescue(tables, group, kernel, keep, rows):
         kernel.w[members],
         keep[members, samples][:, None, :],
     )
-    for name in ("m", "e", "p", "equal"):
+    for name in ("m", "e", "p"):  # q is a function of the weights alone
         getattr(kernel, name)[members, samples] = getattr(again, name)[:, 0]
 
 
@@ -331,6 +327,8 @@ def uniform_log_prior(num_classes: int) -> np.ndarray:
 
 def empirical_log_prior(labels, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
+    if np.any(labels < 1) or np.any(labels > num_classes):
+        raise InvalidInput(f"labels must lie in 1..{num_classes}")
     counts = np.bincount(labels - 1, minlength=num_classes).astype(float)
     if counts.sum() == 0:
         raise InvalidInput("cannot build an empirical prior from zero labels")

@@ -127,7 +127,8 @@ def sum_block_backward(g, kernel: SumKernel):
     ``g`` is the gradient of the block's (N, S) outputs, or (G, N, S) for a
     group (shapes as in ``sum_block_kernel``). With the kernel's ``e``,
     ``w`` and ``p`` and ``r = g / p``, the input gradient is ``e * (r @ w)``
-    and the logit gradient ``w * (r.T @ e - g.sum(0))``. An output that is
+    and the logit gradient ``w * (r.T @ e - g.sum(0))``; the normalizer
+    ``log q`` adds none, as softmax rows sum to 1. An output that is
     -inf (``p == 0``, as in a dead row) passes no gradient, and a dropped
     column (``e == 0``) gets exactly zero input gradient. For a plan group
     with products folded in, the input gradient is that of the product
@@ -309,12 +310,12 @@ class AdamState:
         return cls(0, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def _check_finite(values: ParameterSet, what: str):
-    """NumericFailure naming the parameter, plan group and member of the first non-finite value."""
-    finite = np.isfinite(values.flat)
+def _check_finite(layout, flat: np.ndarray, what: str):
+    """NumericFailure naming the parameter, plan group and member of the first non-finite entry."""
+    finite = np.isfinite(flat)
     if not finite.all():
         first = int(np.argmin(finite))
-        tensor = next(t for t in values.layout if first < t.offset + t.size)
+        tensor = next(t for t in layout if first < t.offset + t.size)
         member = (first - tensor.offset) // (tensor.size // tensor.shape[0])
         raise NumericFailure(
             f"non-finite {what} for parameter {tensor.name} of plan group "
@@ -325,21 +326,24 @@ def _check_finite(values: ParameterSet, what: str):
 def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState, config):
     """One bias-corrected adaptive-moment update. Returns (params, state).
 
-    Raises NumericFailure if the gradient or the updated parameters are not
-    all finite.
+    Raises NumericFailure if the gradient, its second moment or the updated
+    parameters are not all finite: a finite gradient entry above about
+    1e154 overflows ``g * g``, and an infinite second moment would freeze
+    that parameter for the rest of the run.
     """
-    _check_finite(grads, "gradient")
+    _check_finite(grads.layout, grads.flat, "gradient")
     g = grads.flat
     t = state.step + 1
     m = config.beta1 * state.m + (1.0 - config.beta1) * g
-    v = config.beta2 * state.v + (1.0 - config.beta2) * g * g
+    with np.errstate(over="ignore"):  # an overflowing square fails below
+        v = config.beta2 * state.v + (1.0 - config.beta2) * g * g
+    _check_finite(params.layout, v, "second moment")
     m_hat = m / (1.0 - config.beta1**t)
     v_hat = v / (1.0 - config.beta2**t)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails below
         flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-    params = ParameterSet(params.layout, flat)
-    _check_finite(params, "updated value")
-    return params, AdamState(t, m, v)
+    _check_finite(params.layout, flat, "updated value")
+    return ParameterSet(params.layout, flat), AdamState(t, m, v)
 
 
 def evaluate_metrics(circuit, params, features, labels, lam):

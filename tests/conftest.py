@@ -61,6 +61,8 @@ def sum_block_cases(draw, max_n=16, max_k=64, max_s=10):
 
     Inputs carry random -inf columns, dead rows (all -inf) and constant rows
     (all inputs equal, zero included); logit rows spread up to 600 nats.
+    ``values`` is C-ordered, F-ordered (as a transposed view is) or a
+    strided view.
     """
     n = draw(st.integers(1, max_n))
     k = draw(st.integers(1, max_k))
@@ -76,6 +78,11 @@ def sum_block_cases(draw, max_n=16, max_k=64, max_s=10):
     values[constant] = rng.choice([0.0, rng.normal(0.0, 10.0)])
     values[rng.random(n) < 0.2] = -np.inf
     constant |= np.isneginf(values).all(axis=1)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "strided":
+        values = np.repeat(values, 2, axis=1)[:, ::2]
     return values, logits, constant
 
 

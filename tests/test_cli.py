@@ -303,6 +303,40 @@ def test_an_oversized_model_dimension_exits_3(tmp_path, blob_csv, capsys):
     assert err.startswith("data error:") and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, code, message", [
+    (["train", "--data", "csv:{dir}"], 3, "data error: [Errno 21] Is a directory"),
+    (["eval", "--model", "{dir}", "--data", "csv:{csv}"], 3,
+     "data error: [Errno 21] Is a directory"),
+    # 4e15 parameters: beyond the address space, so the allocator refuses at once
+    (["train", "--data", "csv:{csv}", "--depth", "3", "--sums", "100000", "--leaves", "100000"],
+     2, "usage error: model too large: Unable to allocate"),
+], ids=["train-data-directory", "eval-model-directory", "oversized-model"])
+def test_a_directory_or_an_oversized_model_exits_cleanly(tmp_path, blob_csv, capsys,
+                                                         command, code, message):
+    argv = [arg.format(dir=tmp_path, csv=blob_csv) for arg in command]
+    assert main([*argv, "--out", str(tmp_path / "x")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_empirical_prior_from_labels_beyond_the_model_classes_exits_2(tmp_path, capsys):
+    # a model with 3 classes and no stored prior, on data whose labels reach 5
+    circuit = rs.construct_circuit(rs.random_region_graph(6, 1, 2, seed=0), 3, 2, 2)
+    model = tmp_path / "three.model.json"
+    rs.save_model(circuit, rs.init_parameters(circuit, seed=0), str(model))
+    data = tmp_path / "five.csv"
+    features = np.random.default_rng(0).normal(size=(30, 6))
+    _write_rows(data, np.column_stack([features, 1 + np.arange(30) % 5]))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", f"csv:{data}", "--prior", "empirical",
+                 "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: labels must lie in 1..3") and "Traceback" not in err
+
+
 def test_a_class_absent_from_training_is_stored_as_a_null_prior(tmp_path, blob_csv):
     # its log prior is -inf, which strict JSON cannot hold
     model = _train(tmp_path, blob_csv, extra=("--classes", "3"))

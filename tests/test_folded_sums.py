@@ -233,14 +233,12 @@ def test_equal_rows_need_equal_partition_shifts_and_no_drop():
     tables[src][at[0, 0], 1] = -3.0  # partition 0 has shift -3 in sample 1
     logits = np.random.default_rng(0).normal(0.0, 1.0, (1, 1, root.columns))
     kernel = sum_group_kernel(tables, root, softmax(logits))
-    assert kernel.equal[0, :, 0].tolist() == [True, False]
     got = sum_block_forward(kernel)
     assert got[0, 0, 0] == 0.0
     np.testing.assert_allclose(got, _reference(tables, root, logits, None), rtol=1e-13)
     keep = np.ones((1, 2, root.columns), bool)
     keep[0, 0, 1] = False  # a dropped column makes sample 0 a mixture too
     kernel = sum_group_kernel(tables, root, softmax(logits), keep)
-    assert not kernel.equal[0, 0, 0]
     np.testing.assert_allclose(
         sum_block_forward(kernel), _reference(tables, root, logits, keep),
         rtol=1e-13,

@@ -55,7 +55,7 @@ def _all_missing_log_px(graph, leaf_family, batch_size):
 
 
 @pytest.mark.parametrize("leaf_family", ["gaussian", "bernoulli"])
-@pytest.mark.parametrize("batch_size", range(1, 17))
+@pytest.mark.parametrize("batch_size", [*range(1, 17), 1100])
 def test_all_missing_log_px_is_exactly_zero(leaf_family, batch_size):
     # desk configuration: with more than one row, some sum blocks receive
     # column-major input tables, which must not change the cancellation
@@ -388,6 +388,39 @@ def test_a_large_batch_is_evaluated_in_blocks_of_1024_rows(rng):
             for start in (0, 1024, 2048)
         ]
         np.testing.assert_array_equal(whole, np.concatenate(blocks))
+
+
+@pytest.mark.parametrize("num_vars, depth, repetitions, width, rows", [
+    (64, 2, 8, 8, 2500),  # the desk config; the whole-batch calls cross _FORWARD_BATCH
+    (784, 3, 10, 10, 100),
+], ids=["desk", "784-variables"])
+def test_a_rows_bits_do_not_depend_on_the_call_it_comes_in(
+    num_vars, depth, repetitions, width, rows
+):
+    graph = rs.random_region_graph(num_vars, depth, repetitions, seed=1)
+    circuit = rs.construct_circuit(graph, 10, width, width)
+    rng = np.random.default_rng(2)
+    params = randomize_params(rs.init_parameters(circuit, seed=1), rng, 0.5)
+    batch = rng.normal(size=(rows, num_vars))
+    # about half of the rows have no missing variable
+    missing = (rng.random(batch.shape) < 0.3) & (rng.random((rows, 1)) < 0.5)
+    query = ~missing & (rng.random(batch.shape) < 0.5)
+    keep = rs.sample_sum_dropout_mask(circuit, 0.7, rows, rng)
+    calls = {
+        "forward_log": lambda r: rs.forward_log(circuit, params, batch[r]),
+        "forward_log, masked, sum dropout": lambda r: rs.forward_log(
+            circuit, params, batch[r], missing[r], {key: k[:, r] for key, k in keep.items()}
+        ),
+        "log_marginal_input, masked": lambda r: rs.log_marginal_input(
+            circuit, params, batch[r], missing=missing[r]
+        ),
+        "conditional_log": lambda r: rs.conditional_log(
+            circuit, params, batch[r], query[r], ~missing[r] & ~query[r]
+        ),
+    }
+    for name, call in calls.items():
+        alone = np.concatenate([call(slice(row, row + 1)) for row in range(rows)])
+        np.testing.assert_array_equal(alone, call(slice(None)), err_msg=name)
 
 
 def test_forward_memory_does_not_grow_with_the_rows(rng):

@@ -146,7 +146,9 @@ def test_sum_block_gradients_match_finite_differences(case, seed):
         out = sum_block_forward(block_kernel(work["values"], work["logits"]))
         return float((g * out)[live].sum())
 
-    approx = finite_diff_gradient(objective, {"values": values, "logits": logits}, 1e-5)
+    # the oracle writes its gradient through reshape(-1), so give it C order
+    probe = {"values": np.ascontiguousarray(values), "logits": logits}
+    approx = finite_diff_gradient(objective, probe, 1e-5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d_values, d_logits = sum_block_backward(g, block_kernel(values, logits))
@@ -485,6 +487,26 @@ def test_a_non_finite_update_names_its_plan_group_and_member():
     config = rs.TrainConfig(learning_rate=1e308)
     with pytest.raises(NumericFailure, match="updated value .* plan group 0, member 0$"):
         rs.adam_step(params, grads, AdamState.initial(params), config)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_second_moment_fails_instead_of_freezing_a_parameter():
+    # g * g of a finite gradient above ~1.3e154 overflows: an infinite second
+    # moment would make every later update of that entry m_hat / inf = 0
+    layout = (ParamTensor("sum_logits", 0, 0, (2, 1, 1)),)
+    params = rs.ParameterSet(layout, np.array([0.5, 0.5]))
+    config = rs.TrainConfig()
+
+    def run(first_gradient):
+        p, state = params, AdamState.initial(params)
+        for g in [first_gradient] + [[1.0, 1.0]] * 3:
+            p, state = rs.adam_step(p, rs.ParameterSet(layout, np.array(g)), state, config)
+        return p
+
+    with pytest.raises(NumericFailure, match="second moment .* plan group 0, member 0$"):
+        run([1e160, 1.0])
+    # just below the overflow both entries keep moving
+    assert np.all(run([1e150, 1.0]).flat < params.flat)
 
 
 @pytest.mark.filterwarnings("error")
