@@ -5,9 +5,9 @@ every group of same-shape blocks is one (G, N, width) tensor, computed by
 one stacked numpy call per step, so Python dispatch scales with the number
 of groups, not of blocks. Tables hold log-values. Sum blocks use the
 exp–dot–log form of Einsum Networks (Peharz et al. 2020): with ``m`` a
-per-row shift, a block's outputs are ``log(x · w) - log(1 · w) + m`` for
-``w = softmax(logits)``, where ``x`` holds its inputs in the linear domain,
-divided by ``exp(m)``, and one dot per row makes each row's bits its own.
+per-row shift and ``w = softmax(logits)``, a block's outputs are
+``log(x · w) - log(1 · w) + m``, one dot per row, where ``x`` holds its
+inputs in the linear domain, divided by ``exp(m)``.
 Product blocks are folded into the sums that read them (the einsum layer):
 a sum group exps each factor table once, shifted by its row max, and its
 inputs are the outer products of the factors: the only product table is
@@ -57,26 +57,26 @@ class SumKernel(NamedTuple):
     a dead row, whose kept inputs are all -inf); ``e`` the inputs in the
     linear domain divided by ``exp(m)``, 0 on dropped columns (all 0 in a
     dead row), in C order; ``w`` the softmax weights; ``p`` each row's dot
-    with each weight row and ``q`` each weight row's sum by the same dot,
-    shaped to broadcast against ``p``. The outputs are ``log p - log q + m``.
+    with each weight row. The outputs are ``log p - log q + m`` (``sum_block_forward``).
     """
 
     m: np.ndarray
     e: np.ndarray
     w: np.ndarray
     p: np.ndarray
-    q: np.ndarray
 
 
 def _mix(m, e, weights) -> SumKernel:
-    """The one mixing core: one dot per (row, weight row), ``q`` on a row of ones.
+    """The one mixing core: one BLAS ``ddot`` per (row, weight row).
 
-    A row's bits depend on no other row, and a row of ones in the C-ordered
-    ``e`` takes the summation order of ``np.ones``: ``p == q`` bit for bit.
+    So a row's bits depend on no other row, and a ones row of the C-ordered
+    ``e`` gives ``p == q`` (``sum_block_forward``) bit for bit, for a BLAS
+    whose ``ddot`` order depends on length and strides only, not alignment
+    (numpy's bundled OpenBLAS; MKL only in its reproducibility mode). The
+    row-stability and all-missing tests check this on the installed BLAS.
     """
     p = np.vecdot(e[..., :, None, :], weights[..., None, :, :])
-    q = np.vecdot(np.ones(e.shape[-1]), weights)[..., None, :]
-    return SumKernel(m, e, weights, p, q)
+    return SumKernel(m, e, weights, p)
 
 
 def _log_inputs(values, keep):
@@ -111,7 +111,8 @@ def sum_block_forward(kernel: SumKernel) -> np.ndarray:
     """Mixture outputs log sum_k w[s, k] exp(values[n, k]) from a ``SumKernel``.
 
     ``kernel`` is ``sum_block_kernel(values, w)`` of a block or a group, or
-    ``sum_group_kernel`` of a plan group; the outputs are ``log p - log q + m``.
+    ``sum_group_kernel`` of a plan group; the outputs are ``log p - log q + m``,
+    ``q`` each weight row's sum by the dot that gave ``p`` (see ``_mix``).
     The softmax rows need not sum to exactly 1, but a row whose inputs all
     equal ``v`` has ``e`` all ones, so ``p == q`` and it returns ``v`` exactly:
     a fully marginalized input (all zeros) stays exactly 0. A dead row (all
@@ -121,8 +122,10 @@ def sum_block_forward(kernel: SumKernel) -> np.ndarray:
     about -700 nats; the largest input has no input gap, so that takes a
     logit spread of about 700 nats.
     """
+    # a real row of ones, not a stride-0 broadcast: it must sum like e's rows
+    q = np.vecdot(np.ones(kernel.w.shape[-1]), kernel.w)[..., None, :]
     with np.errstate(divide="ignore"):  # an underflowed p of 0 stands for -inf
-        return np.log(kernel.p) - np.log(kernel.q) + kernel.m
+        return np.log(kernel.p) - np.log(q) + kernel.m
 
 
 def sum_block_inputs(tables, group: Group, keep=None):
@@ -213,7 +216,7 @@ def _rescue(tables, group, kernel, keep, rows):
         kernel.w[members],
         keep[members, samples][:, None, :],
     )
-    for name in ("m", "e", "p"):  # q is a function of the weights alone
+    for name in ("m", "e", "p"):
         getattr(kernel, name)[members, samples] = getattr(again, name)[:, 0]
 
 

@@ -125,16 +125,15 @@ def sum_block_backward(g, kernel: SumKernel):
     """Gradients of ``sum_block_forward(kernel)`` w.r.t. its inputs and its logits.
 
     ``g`` is the gradient of the block's (N, S) outputs, or (G, N, S) for a
-    group (shapes as in ``sum_block_kernel``). With the kernel's ``e``,
-    ``w`` and ``p`` and ``r = g / p``, the input gradient is ``e * (r @ w)``
-    and the logit gradient ``w * (r.T @ e - g.sum(0))``; the normalizer
-    ``log q`` adds none, as softmax rows sum to 1. An output that is
-    -inf (``p == 0``, as in a dead row) passes no gradient, and a dropped
-    column (``e == 0``) gets exactly zero input gradient. For a plan group
-    with products folded in, the input gradient is that of the product
-    columns' log-values.
+    group (shapes as in ``sum_block_kernel``). With the kernel's ``e``, ``w``
+    and ``p`` and ``r = g / p``, the input gradient is ``e * (r @ w)`` and the
+    logit gradient ``w * (r.T @ e - g.sum(0))``; ``log q`` adds none, as
+    softmax rows sum to 1. An output that is -inf (``p == 0``, as in a dead
+    row) passes no gradient, and a dropped column (``e == 0``) gets exactly
+    zero input gradient. For a plan group with products folded in, the input
+    gradient is that of the product columns' log-values.
     """
-    _, e, w, p, _ = kernel
+    _, e, w, p = kernel
     live = p > 0.0
     g = np.where(live, g, 0.0)
     r = g / np.where(live, p, 1.0)

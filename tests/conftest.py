@@ -56,13 +56,13 @@ def block_kernel(values, logits, keep=None):
 
 
 @st.composite
-def sum_block_cases(draw, max_n=16, max_k=64, max_s=10):
+def sum_block_cases(draw, max_n=16, max_k=64, max_s=10, layouts=("C", "F", "strided")):
     """(values, logits, constant-row mask) for one sum block.
 
     Inputs carry random -inf columns, dead rows (all -inf) and constant rows
     (all inputs equal, zero included); logit rows spread up to 600 nats.
-    ``values`` is C-ordered, F-ordered (as a transposed view is) or a
-    strided view.
+    ``values`` is drawn from ``layouts``: C-ordered, F-ordered (as a
+    transposed view is) or a strided view.
     """
     n = draw(st.integers(1, max_n))
     k = draw(st.integers(1, max_k))
@@ -78,7 +78,7 @@ def sum_block_cases(draw, max_n=16, max_k=64, max_s=10):
     values[constant] = rng.choice([0.0, rng.normal(0.0, 10.0)])
     values[rng.random(n) < 0.2] = -np.inf
     constant |= np.isneginf(values).all(axis=1)
-    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    layout = draw(st.sampled_from(layouts))
     if layout == "F":
         values = np.asfortranarray(values)
     elif layout == "strided":
