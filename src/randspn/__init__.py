@@ -12,7 +12,6 @@ from .circuit import (
     construct_circuit,
     count_parameters,
     init_parameters,
-    validate_circuit,
 )
 from .data import (
     Dataset,

@@ -29,12 +29,7 @@ import numpy as np
 
 from .errors import InvalidInput, StructureError
 from .leaves import bernoulli_terms, clamped_variances, gaussian_terms
-from .region_graph import (
-    Region,
-    RegionGraph,
-    ValidationReport,
-    validate_region_graph,
-)
+from .region_graph import Region, RegionGraph, validate_region_graph
 
 LEAF, SUM, PRODUCT = "leaf", "sum", "product"
 GAUSSIAN, BERNOULLI = "gaussian", "bernoulli"
@@ -373,7 +368,12 @@ def construct_circuit(
     leaves_I: int,
     leaf_family: str = GAUSSIAN,
 ) -> Circuit:
-    """Build the layered block circuit for a validated region graph."""
+    """Build the layered block circuit for a region graph.
+
+    Raises StructureError, listing every violation, unless the graph passes
+    ``validate_region_graph``. The blocks mirror a graph that passes, so the
+    circuit is complete and decomposable by construction.
+    """
     if classes_C < 1 or sums_S < 1 or leaves_I < 1:
         raise InvalidInput("classes_C, sums_S and leaves_I must all be >= 1")
     if leaf_family not in (GAUSSIAN, BERNOULLI):
@@ -430,77 +430,6 @@ def construct_circuit(
         region_block=region_block,
         plan=compile_plan(blocks),
     )
-
-
-def validate_circuit(circuit: Circuit) -> ValidationReport:
-    """Check completeness, decomposability, scopes and wiring widths.
-
-    Each block is checked against its inputs' declared scopes (``Block.scope``);
-    when every block passes, induction from the leaves shows that the wiring
-    covers exactly the declared scopes, with no recursion through the circuit.
-    """
-    report = ValidationReport()
-
-    for block in circuit.blocks:
-        if block.kind == LEAF:
-            if block.width != circuit.leaves_I:
-                report.add(f"{block}: leaf width {block.width} != {circuit.leaves_I}")
-        elif block.kind == PRODUCT:
-            left, right = block.inputs
-            if block.width != left.width * right.width:
-                report.add(
-                    f"{block}: product width {block.width} != "
-                    f"{left.width} * {right.width}"
-                )
-            left_scope, right_scope = set(left.scope), set(right.scope)
-            overlap = left_scope & right_scope
-            if overlap:
-                report.add(
-                    f"decomposability violated at products of {block}: "
-                    f"children share variables {sorted(overlap)}"
-                )
-            part = block.node
-            if left_scope | right_scope != set(part.parent.scope):
-                report.add(
-                    f"{block}: child scopes union {sorted(left_scope | right_scope)} "
-                    f"!= parent region scope {list(part.parent.scope)}"
-                )
-        else:
-            region = block.node
-            expected = (
-                circuit.classes_C
-                if circuit.graph.region_kind(region) == "root"
-                else circuit.sums_S
-            )
-            if block.width != expected:
-                report.add(f"{block}: sum width {block.width} != configured {expected}")
-            if not block.inputs:
-                report.add(f"{block}: sum block has no inputs")
-                continue
-            scopes = {frozenset(b.scope) for b in block.inputs}
-            if len(scopes) > 1:
-                report.add(
-                    f"completeness violated at sums of {block}: input scopes differ "
-                    f"({[sorted(s) for s in scopes]})"
-                )
-            if scopes and next(iter(scopes)) != frozenset(region.scope):
-                report.add(
-                    f"{block}: input scope {sorted(next(iter(scopes)))} != "
-                    f"region scope {list(region.scope)}"
-                )
-            total = sum(b.width for b in block.inputs)
-            got_partitions = [
-                b.node.index for b in block.inputs if b.kind == PRODUCT
-            ]
-            expected_partitions = sorted(p.index for p in region.child_partitions)
-            if got_partitions and got_partitions != expected_partitions:
-                report.add(
-                    f"{block}: wired partitions {got_partitions} != region's "
-                    f"child partitions {expected_partitions}"
-                )
-            if total < 1:
-                report.add(f"{block}: zero input columns")
-    return report
 
 
 def count_parameters(circuit: Circuit, train_variance: bool = False) -> dict[str, int]:

@@ -479,6 +479,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(effective)
     args.effective_argv = effective
     try:
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise InvalidInput(f"--seed must be >= 0, got {args.seed}")
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone raises here, not at exit
         return code

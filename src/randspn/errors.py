@@ -6,7 +6,7 @@ class InvalidInput(ValueError):
 
 
 class StructureError(ValueError):
-    """A region graph or circuit failed structural validation."""
+    """A region graph failed ``validate_region_graph``, which every circuit build runs."""
 
 
 class DataFormatError(ValueError):

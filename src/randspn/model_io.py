@@ -140,9 +140,7 @@ def _checked_int(structure, key, nullable=False):
     value = structure[key]
     if nullable and value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int) or (
-        not nullable and value < 1
-    ):
+    if type(value) is not int or (not nullable and value < 1):  # a bool is no int here
         wanted = "an int or null" if nullable else "an int >= 1"
         raise DataFormatError(f"structure field {key!r} must be {wanted}, got {value!r}")
     return value
@@ -156,16 +154,20 @@ def _rebuild_graph(structure) -> RegionGraph:
         seed=_checked_int(structure, "structure_seed", nullable=True),
     )
     for idx, (level, scope) in enumerate(structure["regions"]):
-        graph.regions.append(Region(idx, tuple(int(v) for v in scope), int(level)))
+        if type(level) is not int or not all(type(v) is int for v in scope):
+            raise DataFormatError(
+                f"structure field 'regions' entry {idx}: level and scope must be ints"
+            )
+        graph.regions.append(Region(idx, tuple(scope), level))
     for idx, ends in enumerate(structure["partitions"]):
-        if not all(isinstance(i, int) and 0 <= i < len(graph.regions) for i in ends):
-            raise DataFormatError(f"partition {idx} references a missing region")
+        if not all(type(i) is int and 0 <= i < len(graph.regions) for i in ends):
+            raise DataFormatError(
+                f"structure field 'partitions' entry {idx}: ends must be region indices"
+            )
         parent, left, right = (graph.regions[i] for i in ends)
         node = Partition(idx, parent, (left, right))
         graph.partitions.append(node)
-        node.parent.child_partitions.append(node)
-        for child in node.children:
-            child.parent_partitions.append(node)
+        parent.child_partitions.append(node)
     return graph
 
 
@@ -207,9 +209,9 @@ def _decode_document(document: dict):
     graph = _rebuild_graph(structure)
     circuit = construct_circuit(
         graph,
-        classes_C=structure["num_classes"],
-        sums_S=structure["sums_per_region"],
-        leaves_I=structure["leaves_per_region"],
+        classes_C=_checked_int(structure, "num_classes"),
+        sums_S=_checked_int(structure, "sums_per_region"),
+        leaves_I=_checked_int(structure, "leaves_per_region"),
         leaf_family=leaf_family,
     )
 

@@ -195,7 +195,7 @@ def brute_force_marginal(model: OracleModel, assignment, missing_set) -> np.ndar
 
 def finite_diff_gradient(objective, arrays: dict, step: float) -> dict:
     """Central finite differences of ``objective`` over a dict of ndarrays."""
-    grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    grads = {name: np.zeros(arr.shape) for name, arr in arrays.items()}  # C order: reshape is a view
     work = {name: arr.copy() for name, arr in arrays.items()}
     for name, arr in work.items():
         flat = arr.reshape(-1)

@@ -28,14 +28,13 @@ from .errors import InvalidInput
 class Region:
     """One region node. Identity is the node, not the scope."""
 
-    __slots__ = ("index", "scope", "level", "child_partitions", "parent_partitions")
+    __slots__ = ("index", "scope", "level", "child_partitions")
 
     def __init__(self, index: int, scope: tuple[int, ...], level: int):
         self.index = index
         self.scope = scope
         self.level = level
         self.child_partitions: list[Partition] = []
-        self.parent_partitions: list[Partition] = []
 
     @property
     def is_leaf(self) -> bool:
@@ -134,8 +133,6 @@ class _Builder:
             self.graph.partitions.append(node)
             self._partition_keys[key] = node
             parent.child_partitions.append(node)
-            first.parent_partitions.append(node)
-            second.parent_partitions.append(node)
         return node
 
 
@@ -181,56 +178,54 @@ def random_region_graph(
 
 
 def validate_region_graph(graph: RegionGraph) -> ValidationReport:
-    """Check the bipartite-DAG conditions and node deduplication.
+    """Check that the graph is a valid RAT-SPN structure over its own node lists.
+
+    The one full-scope region is ``graph.regions[0]``; every region and
+    partition sits at the position its ``index`` names, and every reference
+    between them points into ``graph.regions`` and ``graph.partitions``.
+    A region lists only partitions whose parent it is, and each partition's
+    parent lists it. Each partition splits its parent into two non-empty,
+    disjoint children whose union is the parent, so a child is a proper
+    subset of its parent: scopes shrink along every edge and the graph has
+    no cycle. A circuit built on a graph that passes is therefore complete
+    and decomposable.
 
     Violations are collected into the report rather than raised, so a single
     call describes everything wrong with a hand-built or corrupted graph.
     """
     report = ValidationReport()
+    regions, partitions = graph.regions, graph.partitions
     roots = [
-        r for r in graph.regions
+        r for r in regions
         if len(r.scope) == graph.num_vars and tuple(r.scope) == tuple(range(graph.num_vars))
     ]
     if not roots:
         report.add("no root region: no region covers all variables")
     elif len(roots) > 1:
         report.add(f"multiple root regions covering all variables: {roots}")
+    elif roots[0] is not regions[0]:
+        report.add(f"root region {roots[0]} is not graph.regions[0]")
     root = roots[0] if roots else None
 
-    seen_keys = {}
-    for region in graph.regions:
-        scope = tuple(region.scope)
-        if len(scope) == 0:
-            report.add(f"empty scope at region #{region.index}")
-        if len(set(scope)) != len(scope):
-            report.add(f"repeated variable indices in region {region}")
-        if any(v < 0 or v >= graph.num_vars for v in scope):
-            report.add(f"region {region} has variable indices outside 0..{graph.num_vars - 1}")
-        key = (region.level, scope)
-        if key in seen_keys:
-            report.add(f"duplicate scope: {list(scope)} appears twice at level {region.level}")
-        seen_keys[key] = region
-
-        for child in region.child_partitions:
-            if not isinstance(child, Partition):
-                report.add(f"region {region} has a non-partition child {child!r}")
-        if region is root and region.parent_partitions:
-            report.add("root region has a parent partition")
-        if region is not root and not region.parent_partitions:
-            report.add(f"region {region} is not the root but has no parent partition")
-
-    for part in graph.partitions:
-        if not isinstance(part.parent, Region):
-            report.add(f"partition #{part.index} has a non-region parent")
+    region_ids = {id(r) for r in regions}
+    partition_ids = {id(p) for p in partitions}
+    has_parent = set()  # ids of the regions some partition splits off
+    for position, part in enumerate(partitions):
+        if part.index != position:
+            report.add(f"partition #{part.index} is at position {position}")
+        if id(part.parent) not in region_ids:
+            report.add(f"partition #{part.index} has a parent outside graph.regions")
             continue
         children = part.children
         if len(children) != 2:
             report.add(f"partition #{part.index} has {len(children)} children (expected 2)")
             continue
         a, b = children
-        if not (isinstance(a, Region) and isinstance(b, Region)):
-            report.add(f"partition #{part.index} has a non-region child")
+        if id(a) not in region_ids or id(b) not in region_ids:
+            report.add(f"partition #{part.index} has a child outside graph.regions")
             continue
+        has_parent.add(id(a))
+        has_parent.add(id(b))
         sa, sb = set(a.scope), set(b.scope)
         if not sa or not sb:
             report.add(f"partition {part} has an empty child region")
@@ -242,36 +237,28 @@ def validate_region_graph(graph: RegionGraph) -> ValidationReport:
             )
         if part not in part.parent.child_partitions:
             report.add(f"partition {part} missing from its parent's child list")
-        for child in (a, b):
-            if part not in child.parent_partitions:
-                report.add(f"region {child} missing back-reference to partition {part}")
 
-    _check_acyclic(graph, report)
+    seen_keys = set()
+    for position, region in enumerate(regions):
+        if region.index != position:
+            report.add(f"region #{region.index} is at position {position}")
+        scope = tuple(region.scope)
+        if len(scope) == 0:
+            report.add(f"empty scope at region #{region.index}")
+        if len(set(scope)) != len(scope):
+            report.add(f"repeated variable indices in region {region}")
+        if any(v < 0 or v >= graph.num_vars for v in scope):
+            report.add(f"region {region} has variable indices outside 0..{graph.num_vars - 1}")
+        key = (region.level, scope)
+        if key in seen_keys:
+            report.add(f"duplicate scope: {list(scope)} appears twice at level {region.level}")
+        seen_keys.add(key)
+
+        for child in region.child_partitions:
+            if id(child) not in partition_ids or child.parent is not region:
+                report.add(f"region {region} lists {child!r}, not a partition of its own")
+        if region is root and id(region) in has_parent:
+            report.add("root region has a parent partition")
+        if region is not root and id(region) not in has_parent:
+            report.add(f"region {region} is not the root but has no parent partition")
     return report
-
-
-def _check_acyclic(graph: RegionGraph, report: ValidationReport):
-    """Depth-first search on an explicit stack, so any depth of graph is checked."""
-    state: dict[int, int] = {}  # id(node) -> 1 on the current path, 2 done
-    done = object()
-    for region in graph.regions:
-        if id(region) in state:
-            continue
-        state[id(region)] = 1
-        path = [(region, iter(region.child_partitions))]
-        while path:
-            node, children = path[-1]
-            child = next(children, done)
-            if child is done:
-                state[id(node)] = 2
-                path.pop()
-            elif state.get(id(child)) == 1:
-                report.add("region graph contains a cycle")
-                return
-            elif id(child) not in state:
-                state[id(child)] = 1
-                grandchildren = (
-                    child.child_partitions if isinstance(child, Region)
-                    else getattr(child, "children", ())  # tolerate bogus injected nodes
-                )
-                path.append((child, iter(grandchildren)))

@@ -44,6 +44,8 @@ class TrainConfig:
             raise InvalidInput("epochs must be >= 0")
         if self.batch_size < 1:
             raise InvalidInput("batch_size must be >= 1")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         for name in ("input_keep", "sum_keep"):
             rate = getattr(self, name)
             if not 0.0 < rate <= 1.0:

@@ -6,7 +6,7 @@ from randspn.circuit import LEAF, PRODUCT, SUM, parameter_layout
 from randspn.errors import InvalidInput, StructureError
 from randspn.inference import logsumexp
 from randspn.region_graph import Region
-from conftest import block_matrices
+from conftest import block_matrices, wiring_mirrors_graph
 
 
 def test_worked_example_block_widths():
@@ -19,7 +19,7 @@ def test_worked_example_block_widths():
             assert block.width == 2
         if block.kind == LEAF:
             assert block.width == 2
-    assert rs.validate_circuit(circuit).ok
+    assert wiring_mirrors_graph(circuit)
 
 
 def test_two_variable_cross_product_wiring():
@@ -58,7 +58,7 @@ def test_single_variable_circuit_is_a_mixture_over_leaves():
     circuit = rs.construct_circuit(graph, classes_C=1, sums_S=1, leaves_I=1)
     counts = rs.count_parameters(circuit)
     assert counts == {"num_sum_logits": 1, "num_leaf_params": 1, "total": 2}
-    assert rs.validate_circuit(circuit).ok
+    assert wiring_mirrors_graph(circuit)
     params = rs.init_parameters(circuit, seed=0)
     roots = rs.forward_log(circuit, params, np.zeros((3, 1)))
     assert roots.shape == (3, 1)
@@ -73,75 +73,37 @@ def test_construct_rejects_invalid_graph():
         rs.construct_circuit(rs.random_region_graph(4, 1, 1, seed=0), 0, 1, 1)
 
 
-def test_validator_flags_decomposability_break():
-    graph = rs.random_region_graph(6, 2, 1, seed=4)
-    circuit = rs.construct_circuit(graph, 2, 2, 2)
-    part = graph.partitions[-1]
-    # make the two factors of one product block share a variable
-    part.children[1].scope = (part.children[0].scope[0],) + part.children[1].scope[1:]
-    report = rs.validate_circuit(circuit)
-    assert not report.ok
-    assert any("decomposability violated" in v for v in report.violations)
-
-
-def test_validator_flags_completeness_break():
-    graph = rs.random_region_graph(6, 2, 1, seed=4)
-    circuit = rs.construct_circuit(graph, 2, 2, 2)
-    # wire a foreign product (different scope) into an internal sum block
-    sums = [b for b in circuit.blocks if b.kind == SUM and b is not circuit.root_block]
-    products = [b for b in circuit.blocks if b.kind == PRODUCT]
-    victim = sums[0]
-
-    def level(block):
-        return 1 + max(map(level, block.inputs)) if block.inputs else 0
-
-    # a lower-layer product from another subtree, so no cycle is introduced
-    foreign = next(
-        p for p in products
-        if level(p) < level(victim) and set(p.scope) != set(victim.scope)
-    )
-    victim.inputs = victim.inputs + (foreign,)
-    report = rs.validate_circuit(circuit)
-    assert not report.ok
-    assert any("completeness violated" in v for v in report.violations)
-
-
-def test_validator_flags_wrong_product_width():
-    graph = rs.random_region_graph(6, 1, 1, seed=8)
-    circuit = rs.construct_circuit(graph, 2, 2, 2)
-    product = next(b for b in circuit.blocks if b.kind == PRODUCT)
-    product.width += 1
-    report = rs.validate_circuit(circuit)
-    assert any("product width" in v for v in report.violations)
-
-
-def _first(circuit, kind):
-    return next(b for b in circuit.blocks if b.kind == kind and b is not circuit.root_block)
-
-
-def _drop_back_reference(part):
-    part.children[1].parent_partitions.remove(part)
-
-
-def _zero_input_columns(circuit):
-    for product in _first(circuit, SUM).inputs:
-        product.width = 0
-
-
 def _second_root(graph):
     graph.regions.append(Region(len(graph.regions), graph.root.scope, 1))
+
+
+def _root_at_position_1(graph):
+    regions = graph.regions
+    regions[0], regions[1] = regions[1], regions[0]
+    regions[0].index, regions[1].index = 0, 1
+
+
+def _list_sibling_partition(graph):
+    # no cycle and every scope check passes, but the sum of ``first`` would
+    # mix products over ``second``'s variables
+    first, second = graph.root.child_partitions[0].children
+    first.child_partitions.append(second.child_partitions[0])
 
 
 # id: (fault injected into a region graph, message of validate_region_graph)
 _GRAPH_FAULTS = {
     "multiple-roots": (_second_root, "multiple root regions covering all variables"),
+    "root-not-first": (_root_at_position_1, "is not graph.regions[0]"),
     "non-partition-child": (
         lambda graph: graph.root.child_partitions.append("bogus"),
-        "has a non-partition child 'bogus'",
+        "lists 'bogus', not a partition of its own",
+    ),
+    "partition-of-another-region": (
+        _list_sibling_partition, "not a partition of its own"
     ),
     "non-region-parent": (
         lambda graph: setattr(graph.partitions[0], "parent", None),
-        "partition #0 has a non-region parent",
+        "partition #0 has a parent outside graph.regions",
     ),
     "one-child": (
         lambda graph: setattr(graph.partitions[0], "children", graph.partitions[0].children[:1]),
@@ -151,45 +113,34 @@ _GRAPH_FAULTS = {
         lambda graph: setattr(
             graph.partitions[0], "children", (graph.partitions[0].children[0], None)
         ),
-        "partition #0 has a non-region child",
+        "partition #0 has a child outside graph.regions",
     ),
     "not-in-parent-list": (
         lambda graph: graph.root.child_partitions.remove(graph.partitions[0]),
         "missing from its parent's child list",
     ),
-    "no-back-reference": (
-        lambda graph: _drop_back_reference(graph.partitions[0]),
-        "missing back-reference to partition",
+    "region-index": (
+        lambda graph: setattr(graph.regions[2], "index", 1), "region #1 is at position 2"
     ),
-}
-# id: (fault injected into a circuit, message of validate_circuit)
-_CIRCUIT_FAULTS = {
-    "leaf-width": (
-        lambda circuit: setattr(_first(circuit, LEAF), "width", 3), "leaf width 3 != 2"
+    "partition-index": (
+        lambda graph: setattr(graph.partitions[1], "index", 0), "partition #0 is at position 1"
     ),
-    "sum-width": (
-        lambda circuit: setattr(_first(circuit, SUM), "width", 5), "sum width 5 != configured 2"
-    ),
-    "no-inputs": (
-        lambda circuit: setattr(_first(circuit, SUM), "inputs", ()), "sum block has no inputs"
-    ),
-    "zero-columns": (_zero_input_columns, "zero input columns"),
 }
 
 
-@pytest.mark.parametrize("validate, fault, message", [
-    *[pytest.param(rs.validate_region_graph, *case, id=k) for k, case in _GRAPH_FAULTS.items()],
-    *[pytest.param(rs.validate_circuit, *case, id=k) for k, case in _CIRCUIT_FAULTS.items()],
+@pytest.mark.parametrize("fault, message", [
+    pytest.param(*case, id=k) for k, case in _GRAPH_FAULTS.items()
 ])
-def test_validators_report_each_injected_fault(validate, fault, message):
+def test_validators_report_each_injected_fault(fault, message):
     graph = rs.random_region_graph(6, 2, 1, seed=4)
-    target = rs.construct_circuit(graph, 2, 2, 2) if validate is rs.validate_circuit else graph
-    assert repr(validate(target)) == "ValidationReport(ok)"
-    fault(target)
-    report = validate(target)
+    assert repr(rs.validate_region_graph(graph)) == "ValidationReport(ok)"
+    fault(graph)
+    report = rs.validate_region_graph(graph)
     found = [v for v in report.violations if message in v]
     assert found, report.violations
     assert repr(report).startswith("ValidationReport(\n  ") and found[0] in repr(report)
+    with pytest.raises(StructureError, match="invalid region graph"):
+        rs.construct_circuit(graph, 2, 2, 2)
 
 
 def test_normalized_weights_sum_to_one(rng):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import randspn as rs
 from randspn.cli import main, ranking_statistic
 from randspn.region_graph import Partition, Region, RegionGraph
+from conftest import root_second, wiring_mirrors_graph
 
 
 @pytest.fixture
@@ -93,6 +94,8 @@ def test_training_settings_that_cannot_train_exit_cleanly(tmp_path, blob_csv, ca
     ("ood", ["--outlier-percentile", "-1"], "--outlier-percentile"),
     ("train", ["--valid-fraction", "0.001"], "--valid-fraction"),
     ("train", ["--valid-fraction", "0.999"], "--valid-fraction"),
+    ("train", ["--seed", "-1"], "--seed"),
+    ("sweep-missing", ["--seed", "-3"], "--seed"),
 ])
 def test_flag_values_numpy_would_reject_are_usage_errors(tmp_path, blob_csv, capsys,
                                                          command, flags, flag):
@@ -100,6 +103,9 @@ def test_flag_values_numpy_would_reject_are_usage_errors(tmp_path, blob_csv, cap
         model = _train(tmp_path, blob_csv)
         argv = ["ood", "--model", str(model), "--in-data", f"csv:{blob_csv}",
                 "--out-data", f"csv:{blob_csv}"]
+    elif command == "sweep-missing":
+        model = _train(tmp_path, blob_csv)
+        argv = ["sweep-missing", "--model", str(model), "--data", f"csv:{blob_csv}"]
     else:
         argv = ["train", "--data", f"csv:{blob_csv}", "--epochs", "1"]
     capsys.readouterr()
@@ -112,7 +118,9 @@ def test_flag_values_numpy_would_reject_are_usage_errors(tmp_path, blob_csv, cap
 def test_data_errors_exit_3(tmp_path, blob_csv, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    model = _train(tmp_path, blob_csv)
+    # depth 2 and as many classes as sums: with regions 0 and 1 swapped
+    # (root_second), every stored shape still fits
+    model = _train(tmp_path, blob_csv, extra=("--depth", "2"))
     assert main(["eval", "--model", str(model), "--data", f"csv:{empty}",
                  "--out", str(tmp_path / "e")]) == 3
 
@@ -123,7 +131,8 @@ def test_data_errors_exit_3(tmp_path, blob_csv, capsys):
     # a malformed model file is a data error too, reported without a traceback
     capsys.readouterr()
     for mutate in (lambda d: d.update(parameters=[]),
-                   lambda d: d["structure"].update(num_classes=0)):
+                   lambda d: d["structure"].update(num_classes=0),
+                   root_second):
         doc = json.loads(model.read_text())
         mutate(doc)
         broken = tmp_path / "broken.model.json"
@@ -165,8 +174,6 @@ def chain_graph(num_vars):
         part = Partition(len(graph.partitions), parent, (rest, single))
         graph.partitions.append(part)
         parent.child_partitions.append(part)
-        rest.parent_partitions.append(part)
-        single.parent_partitions.append(part)
         parent = rest
     return graph
 
@@ -176,7 +183,7 @@ def test_a_deep_chain_model_saves_loads_and_evaluates(tmp_path, capsys):
     num_vars = 1200
     circuit = rs.construct_circuit(chain_graph(num_vars), 2, 2, 2)
     assert circuit.stack_depth() == 2 * (num_vars - 1)
-    assert rs.validate_circuit(circuit).ok
+    assert wiring_mirrors_graph(circuit)
     model = tmp_path / "chain.model.json"
     rs.save_model(circuit, rs.init_parameters(circuit, seed=0), model)
     circuit, params, _ = rs.load_model(model)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import randspn as rs
 from randspn.data import Scaling
 from randspn.errors import DataFormatError, ModelVersionError, StructureError
-from conftest import random_circuit, randomize_params
+from conftest import random_circuit, randomize_params, root_second
 
 
 def _model(rng, **kwargs):
@@ -186,6 +186,56 @@ def test_every_fault_in_the_file_is_a_data_format_error(tmp_path, rng, mutate):
     mutate(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError):
+        rs.load_model(path)
+
+
+def _scope(doc, convert):
+    region = doc["structure"]["regions"][1]
+    region[1] = [convert(v) for v in region[1]]
+
+
+def _to_float(key):
+    return lambda doc: doc["structure"].update({key: float(doc["structure"][key])})
+
+
+@pytest.mark.parametrize("field, mutate", [
+    pytest.param("regions", lambda d: _scope(d, float), id="scope-floats"),
+    pytest.param("regions", lambda d: _scope(d, lambda v: v + 0.9), id="scope-fractions"),
+    pytest.param("regions", lambda d: _scope(d, str), id="scope-strings"),
+    pytest.param("regions", lambda d: _scope(d, bool), id="scope-bools"),
+    pytest.param("regions", lambda d: d["structure"]["regions"][1].__setitem__(0, True),
+                 id="level-bool"),
+    pytest.param("regions", lambda d: d["structure"]["regions"][1].__setitem__(0, 1.0),
+                 id="level-float"),
+    pytest.param("partitions", lambda d: d["structure"]["partitions"][0].__setitem__(1, True),
+                 id="partition-end-bool"),
+    *[pytest.param(key, lambda d, key=key: d["structure"].update({key: True}),
+                   id=f"{key}-bool")
+      for key in ("num_classes", "sums_per_region", "leaves_per_region")],
+    *[pytest.param(key, _to_float(key), id=f"{key}-float")
+      for key in ("num_classes", "sums_per_region", "leaves_per_region")],
+])
+def test_structure_numbers_must_be_json_ints(tmp_path, rng, field, mutate):
+    # each of these once loaded as its int(), or reached the circuit unchecked
+    circuit, params = _model(rng, num_vars=4)
+    path = tmp_path / "model.json"
+    rs.save_model(circuit, params, path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=f"structure field '{field}'"):
+        rs.load_model(path)
+
+
+def test_a_root_that_is_not_region_0_is_a_data_format_error(tmp_path):
+    # as many classes as sums, so every stored shape fits the swapped file
+    circuit = rs.construct_circuit(rs.random_region_graph(4, 2, 2, seed=3), 2, 2, 2)
+    path = tmp_path / "model.json"
+    rs.save_model(circuit, rs.init_parameters(circuit, seed=0), path)
+    doc = json.loads(path.read_text())
+    root_second(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=r"is not graph.regions\[0\]"):
         rs.load_model(path)
 
 

@@ -101,6 +101,16 @@ def test_finite_differences_on_quadratic_toy():
                                atol=1e-8)
 
 
+def test_finite_differences_keep_their_writes_on_f_ordered_input():
+    arrays = {"a": np.asfortranarray(np.arange(4.0).reshape(2, 2))}
+
+    def objective(work):
+        return float((work["a"] ** 2).sum())
+
+    grads = finite_diff_gradient(objective, arrays, 1e-5)
+    np.testing.assert_allclose(grads["a"], 2 * arrays["a"], atol=1e-8)
+
+
 def test_step_halving_improves_smooth_disagreement():
     arrays = {"w": np.array([0.3, -0.7])}
 

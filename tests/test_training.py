@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -136,8 +137,7 @@ def test_gradients_respect_masks_and_dropout(rng):
 
 
 @settings(max_examples=60, deadline=None)
-# C order only: oracle.finite_diff_gradient loses its gradient on F-ordered input
-@given(sum_block_cases(max_n=6, max_k=12, max_s=4, layouts=("C",)), st.integers(0, 2**32 - 1))
+@given(sum_block_cases(max_n=6, max_k=12, max_s=4), st.integers(0, 2**32 - 1))
 def test_sum_block_gradients_match_finite_differences(case, seed):
     values, logits, _ = case
     g = np.random.default_rng(seed).normal(size=(len(values), len(logits)))
@@ -471,7 +471,7 @@ def test_train_config_validation():
     for name, value in [
         ("learning_rate", np.nan), ("learning_rate", 0.0), ("learning_rate", np.inf),
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", np.nan),
-        ("epsilon", 0.0), ("epsilon", np.inf),
+        ("epsilon", 0.0), ("epsilon", np.inf), ("seed", -1),
     ]:
         with pytest.raises(InvalidInput, match=name):
             rs.TrainConfig(**{name: value})
@@ -592,7 +592,8 @@ def test_shared_child_regions_and_two_leaf_groups():
     # two partitions (its gradient must sum both), and a layer split into
     # groups of different shapes (leaf scopes of sizes 1 and 2)
     graph = rs.random_region_graph(5, 2, 4, seed=0)
-    assert sum(len(r.parent_partitions) >= 2 for r in graph.regions) == 4
+    parents = Counter(child.index for p in graph.partitions for child in p.children)
+    assert sum(count >= 2 for count in parents.values()) == 4
     assert {len(r.scope) for r in graph.regions if r.is_leaf} == {1, 2}
     rng = np.random.default_rng(11)
 
