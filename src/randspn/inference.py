@@ -148,7 +148,10 @@ def sum_block_inputs(tables, group: Group, keep=None):
     factors = []
     for src, at, _ in group.reads:
         f = tables[src].take(at, axis=0)  # (G, k, N, width)
-        fm = f.max(axis=-1)
+        # the row max of a (width, rows) copy runs along the rows, where a
+        # reduction over the short last axis pays per row
+        cols = np.ascontiguousarray(f.reshape(-1, f.shape[-1]).T)
+        fm = cols.max(axis=0).reshape(f.shape[:-1])
         f -= np.maximum(fm, _LOWEST)[..., None]  # a dead row (max -inf) stays -inf
         factors.append((f, fm.swapaxes(1, 2)))
     shifts = []

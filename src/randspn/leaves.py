@@ -107,8 +107,8 @@ def node_differences(x, centers, observed=None, inv_var=None):
 
     ``diff = (x - centers[i]) * observed`` (no product without a factor) and
     ``scaled = diff * inv_var[i]``, or ``diff`` itself for unit variances.
-    The one per-node leaf loop: the Gaussian density and the leaf gradients
-    read it. Both are buffers reused for every node.
+    The one per-node leaf loop: the Gaussian density and the log-variance
+    gradient read it. Both are buffers reused for every node.
     """
     diff = np.empty_like(x)  # one for all nodes: fresh pages cost more than the math
     scaled = diff if inv_var is None else np.empty_like(x)

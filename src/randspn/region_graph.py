@@ -183,11 +183,11 @@ def validate_region_graph(graph: RegionGraph) -> ValidationReport:
     The one full-scope region is ``graph.regions[0]``; every region and
     partition sits at the position its ``index`` names, and every reference
     between them points into ``graph.regions`` and ``graph.partitions``.
-    A region lists only partitions whose parent it is, and each partition's
-    parent lists it. Each partition splits its parent into two non-empty,
-    disjoint children whose union is the parent, so a child is a proper
-    subset of its parent: scopes shrink along every edge and the graph has
-    no cycle. A circuit built on a graph that passes is therefore complete
+    A region lists only partitions whose parent it is, each once, and each
+    partition's parent lists it. Each partition splits its parent into two
+    non-empty, disjoint children whose union is the parent, so a child is a
+    proper subset of its parent: scopes shrink along every edge and the graph
+    has no cycle. A circuit built on a graph that passes is therefore complete
     and decomposable.
 
     Violations are collected into the report rather than raised, so a single
@@ -254,9 +254,13 @@ def validate_region_graph(graph: RegionGraph) -> ValidationReport:
             report.add(f"duplicate scope: {list(scope)} appears twice at level {region.level}")
         seen_keys.add(key)
 
+        listed = set()
         for child in region.child_partitions:
             if id(child) not in partition_ids or child.parent is not region:
                 report.add(f"region {region} lists {child!r}, not a partition of its own")
+            elif id(child) in listed:
+                report.add(f"region {region} lists {child!r} twice")
+            listed.add(id(child))
         if region is root and id(region) in has_parent:
             report.add("root region has a parent partition")
         if region is not root and id(region) not in has_parent:

@@ -7,8 +7,12 @@ reverse mode, derived by hand: sum blocks propagate softmax-weighted
 responsibilities to their product columns, each product column's gradient
 is summed straight into both factors' table gradients (products are folded
 into the sums, as in the forward pass), and leaves pick up the usual
-Gaussian/Bernoulli score terms. Masked-out inputs and dropped product
-columns receive exactly zero gradient.
+Gaussian/Bernoulli score terms. The factor sums are contractions with a
+ones vector over all rows, and the mean and logit gradients contractions
+over the batch, as in the einsum layer of Einsum Networks (Peharz et al.
+2020); only the log-variance gradient loops over the leaf nodes.
+Masked-out inputs and dropped product columns receive exactly zero
+gradient.
 """
 
 from __future__ import annotations
@@ -168,7 +172,9 @@ def _factor_gradients(grad_tables, tables, group, d_x):
     ``d_x`` is the (G, N, K) gradient of the log-values of the group's
     product columns. A product column adds its gradient to both factors, so
     a left factor's gradient is the sum over the right width, and the other
-    way round. A group without runs read its inputs directly.
+    way round. Both sums are contractions with a ones vector over all rows
+    at once, not reductions over a short last axis, which pay per row. A
+    group without runs read its inputs directly.
     """
     if not group.runs:
         src, at, unique = group.reads[0]
@@ -176,10 +182,17 @@ def _factor_gradients(grad_tables, tables, group, d_x):
         return
     size, n, _ = d_x.shape
     for run in group.runs:
-        d = d_x[..., run.columns].reshape((size, n) + run.shape, copy=False)
-        for (read, slots), axis in ((run.left, 4), (run.right, 3)):
+        parts, wl, wr = run.shape
+        # a view when the run spans every column, else a copy
+        d = d_x[..., run.columns].reshape(-1, wl, wr)
+        sums = (
+            (run.left, d.reshape(-1, wr) @ np.ones(wr)),
+            (run.right, np.ones(wl) @ d),
+        )
+        for (read, slots), value in sums:
             src, at, unique = group.reads[read]
-            value = d.sum(axis=axis).transpose(0, 2, 1, 3)  # (G, partitions, N, width)
+            # (G, partitions, N, width)
+            value = value.reshape(size, n, parts, -1).transpose(0, 2, 1, 3)
             _accumulate(grad_tables, tables, (src, at[:, slots], unique), value)
 
 
@@ -187,35 +200,43 @@ def _leaf_gradients(circuit, params, d_flat, group, g, x, observed):
     """Write a leaf group's parameter gradients into ``d_flat``.
 
     ``g`` is the group's (G, N, I) table gradient and ``(x, observed)`` the
-    ``leaf_input`` the forward pass read. Loops over the I leaf nodes with
-    ``node_differences``: a node's difference is 0 on a masked entry, so
-    the entry adds exactly 0 to every gradient.
+    ``leaf_input`` the forward pass read, in which ``x`` is 0 where masked.
+    A Gaussian mean's gradient ``sum_n g * observed * (x - mu) / var`` is
+    then ``(g.T @ x - mu * g.T @ observed) / var``: two contractions over
+    the batch, per plan group member. A Bernoulli logit's gradient has the
+    same form, with the success probability in place of ``mu``. A masked
+    entry adds exactly 0 to both contractions. The log-variance gradient
+    loops over the I leaf nodes with ``node_differences``, whose difference
+    is 0 on a masked entry; it is not expanded into contractions, whose
+    ``x**2`` and ``mu**2`` terms overflow for values whose difference does not.
     """
     terms = params.terms(group)
     x = np.take(x, group.scope, axis=1)  # (N, G, d)
     observed = None if observed is None else np.take(observed, group.scope, axis=1)
-    g = np.ascontiguousarray(g.transpose(2, 1, 0))  # (I, N, G)
-
-    def weighted(i, values):
-        """sum_n g[i, n, :] * values[n]"""
-        return np.einsum("ng,ngv->gv", g[i], values)
+    g_t = g.swapaxes(1, 2)  # (G, I, N)
+    g_x = g_t @ x.swapaxes(0, 1)  # (G, I, d)
+    if observed is None:
+        g_observed = g.sum(axis=1)[..., None]
+    else:
+        g_observed = g_t @ observed.swapaxes(0, 1)
 
     if circuit.leaf_family == BERNOULLI:
-        d_logits = params.stacked("leaf_logits", group, d_flat)
-        for i, (diff, _) in enumerate(node_differences(x, np.exp(terms.log_p), observed)):
-            d_logits[:, i, :] = weighted(i, diff)
+        name, centers, var, inv_var = "leaf_logits", np.exp(terms.log_p), None, None
+    else:
+        name, (centers, var, _, inv_var) = "leaf_means", terms
+    d_centers = params.stacked(name, group, d_flat)
+    np.subtract(g_x, centers.swapaxes(0, 1) * g_observed, out=d_centers)
+    if var is None:
         return
-    mu, var, _, inv_var = terms
-    d_means = params.stacked("leaf_means", group, d_flat)
-    if var is not None:
-        active = np.moveaxis(var > VARIANCE_FLOOR, 0, -2)  # (G, I, d)
-        d_log_vars = params.stacked("leaf_log_vars", group, d_flat)
-        count = 1.0 if observed is None else observed
-    for i, (diff, scaled) in enumerate(node_differences(x, mu, observed, inv_var)):
-        d_means[:, i, :] = weighted(i, scaled)
-        if var is not None:
-            # d/d log var of -0.5 (log var + diff^2 / var); 0 where masked
-            d_log_vars[:, i, :] = weighted(i, 0.5 * (diff * scaled - count)) * active[:, i, :]
+    d_centers *= inv_var.swapaxes(0, 1)
+    active = np.moveaxis(var > VARIANCE_FLOOR, 0, -2)  # (G, I, d)
+    d_log_vars = params.stacked("leaf_log_vars", group, d_flat)
+    count = 1.0 if observed is None else observed
+    g = np.ascontiguousarray(g.transpose(2, 1, 0))  # (I, N, G)
+    for i, (diff, scaled) in enumerate(node_differences(x, centers, observed, inv_var)):
+        # d/d log var of -0.5 (log var + diff^2 / var); 0 where masked
+        weighted = np.einsum("ng,ngv->gv", g[i], 0.5 * (diff * scaled - count))
+        d_log_vars[:, i, :] = weighted * active[:, i, :]
 
 
 def backward_gradients(

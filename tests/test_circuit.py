@@ -101,6 +101,10 @@ _GRAPH_FAULTS = {
     "partition-of-another-region": (
         _list_sibling_partition, "not a partition of its own"
     ),
+    "partition-listed-twice": (
+        lambda graph: graph.root.child_partitions.append(graph.root.child_partitions[0]),
+        "lists Partition([0, 1, 2] | [3, 4, 5]) twice",
+    ),
     "non-region-parent": (
         lambda graph: setattr(graph.partitions[0], "parent", None),
         "partition #0 has a parent outside graph.regions",

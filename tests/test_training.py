@@ -8,8 +8,14 @@ from hypothesis import given, settings, strategies as st
 import randspn as rs
 from randspn.circuit import ParamTensor, softmax
 from randspn.errors import InvalidInput, NumericFailure
-from randspn.inference import sum_block_forward
-from randspn.training import AdamState, sum_block_backward
+from randspn.inference import leaf_input, sum_block_forward
+from randspn.leaves import VARIANCE_FLOOR
+from randspn.training import (
+    AdamState,
+    _factor_gradients,
+    _leaf_gradients,
+    sum_block_backward,
+)
 from randspn.oracle import enumerate_assignments, finite_diff_gradient, load_model_dict
 from conftest import (
     block_kernel,
@@ -615,11 +621,113 @@ def test_shared_child_regions_and_two_leaf_groups():
     np.testing.assert_allclose(rs.forward_log(bernoulli, params, X), expected, atol=1e-9)
 
 
+def _factor_gradients_by_width_sums(circuit, tables, group, d_x):
+    """The table gradients ``_factor_gradients`` gives, as reductions over the widths."""
+    grads = [None] * len(circuit.plan)
+    size, n, _ = d_x.shape
+    for run in group.runs:
+        d = d_x[..., run.columns].reshape((size, n) + run.shape)
+        for (read, slots), axis in ((run.left, 4), (run.right, 3)):
+            src, at, _ = group.reads[read]
+            if grads[src] is None:
+                grads[src] = np.zeros_like(tables[src])
+            np.add.at(grads[src], at[:, slots], d.sum(axis=axis).transpose(0, 2, 1, 3))
+    return grads
+
+
+# id: (random_region_graph arguments, construct_circuit C, S, I, what the case covers)
+_FACTOR_CASES = {
+    "desk": ((64, 2, 8, 1), (10, 8, 8), lambda g: any(r.shape[0] > 1 for r in g.runs)),
+    "shared-child": ((5, 2, 4, 0), (2, 2, 2), lambda g: not all(u for _, _, u in g.reads)),
+    "several-runs": ((5, 3, 3, 3), (2, 3, 2), lambda g: len(g.runs) > 1),
+}
+
+
+@pytest.mark.parametrize("graph_args, sizes, covers", [
+    pytest.param(*case, id=k) for k, case in _FACTOR_CASES.items()
+])
+def test_factor_gradient_contractions_equal_width_sums(graph_args, sizes, covers):
+    # desk: a group with one partition and the root run over 8 partitions;
+    # shared-child: a child read twice (the add.at path); several-runs: a
+    # group whose runs are column slices, not all of d_x
+    circuit = rs.construct_circuit(rs.random_region_graph(*graph_args), *sizes)
+    rng = np.random.default_rng(5)
+    params = randomize_params(rs.init_parameters(circuit, seed=1), rng, 0.5)
+    batch = rng.normal(size=(7, circuit.num_vars))
+    _, tables, kernels = rs.forward_log(circuit, params, batch, return_tables=True)
+    groups = [group for group in circuit.plan if group.runs]
+    assert any(covers(group) for group in groups)
+    for group in groups:
+        d_x = rng.normal(size=kernels[group.index].e.shape)
+        got = [None] * len(circuit.plan)
+        _factor_gradients(got, tables, group, d_x)
+        want = _factor_gradients_by_width_sums(circuit, tables, group, d_x)
+        assert [g is None for g in got] == [w is None for w in want]
+        for g, w in zip(got, want):
+            if w is not None:
+                np.testing.assert_allclose(g, w, rtol=1e-13)
+
+
+def _leaf_gradients_per_node(circuit, params, group, g, x, observed):
+    """{parameter name: (G, I, d)} gradients of a leaf group, term by term."""
+    terms = params.terms(group)
+    x = x[:, group.scope]  # (N, G, d)
+    observed = np.ones_like(x) if observed is None else observed[:, group.scope]
+    if circuit.leaf_family == "bernoulli":
+        name, centers, inv_var = "leaf_logits", np.exp(terms.log_p), 1.0
+    else:
+        name, centers = "leaf_means", terms.means
+        inv_var = 1.0 if terms.inv_variances is None else terms.inv_variances[:, None]
+    diff = (x - centers[:, None]) * observed  # (I, N, G, d)
+    scaled = diff * inv_var
+    grads = {name: np.einsum("gni,ingv->giv", g, scaled)}
+    if name == "leaf_means" and terms.variances is not None:
+        active = (terms.variances > VARIANCE_FLOOR).swapaxes(0, 1)
+        halves = 0.5 * (diff * scaled - observed)
+        grads["leaf_log_vars"] = np.einsum("gni,ingv->giv", g, halves) * active
+    return grads
+
+
+@pytest.mark.parametrize("leaf_family, train_variance", [
+    ("gaussian", False), ("gaussian", True), ("bernoulli", False),
+])
+@pytest.mark.parametrize("masked", [False, True])
+def test_leaf_gradient_contractions_equal_the_per_node_formula(
+    leaf_family, train_variance, masked
+):
+    graph = rs.random_region_graph(12, 2, 3, seed=2)
+    circuit = rs.construct_circuit(graph, 3, 3, 4, leaf_family)
+    rng = np.random.default_rng(7)
+    params = rs.init_parameters(circuit, seed=4, train_variance=train_variance)
+    params = randomize_params(params, rng, 0.5)
+    if leaf_family == "bernoulli":
+        batch = rng.integers(0, 2, (9, 12)).astype(float)
+    else:
+        batch = rng.normal(size=(9, 12))
+    missing = None
+    if masked:
+        missing = rng.random((9, 12)) < 0.3
+        missing[2] = True  # a fully masked row
+    _, tables, _ = rs.forward_log(circuit, params, batch, missing, return_tables=True)
+    x, observed = leaf_input(circuit, batch, missing)
+    for group in (group for group in circuit.plan if group.kind == "leaf"):
+        g = np.zeros_like(tables[group.index])  # the layout of a table gradient
+        g[...] = rng.normal(size=g.shape)
+        d_flat = np.zeros_like(params.flat)
+        _leaf_gradients(circuit, params, d_flat, group, g, x, observed)
+        want = _leaf_gradients_per_node(circuit, params, group, g, x, observed)
+        assert len(want) == 1 + train_variance
+        for name, value in want.items():
+            np.testing.assert_allclose(params.stacked(name, group, d_flat), value, rtol=1e-12)
+
+
 def test_backward_pass_memory_budget():
     # tracemalloc peak of one training step's forward and backward at the
     # desk config with both dropouts: 4.87 MiB with a product table per
-    # product group, 2.52 MiB with products folded into the sums. A larger
-    # transient makes the allocator return and re-fault pages on every call.
+    # product group, 2.52 MiB with products folded into the sums, and 2.61
+    # MiB both before and after the factor and leaf gradients became
+    # contractions over the batch. A larger transient makes the allocator
+    # return and re-fault pages on every call.
     import tracemalloc
 
     graph = rs.random_region_graph(64, 2, 8, seed=1)
