@@ -5,8 +5,8 @@ input distributions, the root gets ``classes_C`` sum nodes (one per class),
 all other regions get ``sums_S`` sum nodes. Every partition carries a
 product block pairing each node of its first child region with each node of
 its second (column order: left index * right width + right index). The
-products of all child partitions of a region, concatenated in partition-index
-order, are the inputs of every sum node in that region.
+products of all partitions that split a region, concatenated in
+partition-index order, are the inputs of every sum node in that region.
 
 The one structure Algorithm-style construction leaves open is a single
 variable: the root then has no partitions, so it holds ``classes_C`` sum
@@ -384,7 +384,6 @@ def construct_circuit(
 
     blocks: list[Block] = []
     region_block: dict[int, Block] = {}
-    partition_block: dict[int, Block] = {}
 
     def new_block(kind, node, width, inputs=()):
         block = Block(len(blocks), kind, node, width, inputs)
@@ -392,33 +391,23 @@ def construct_circuit(
         return block
 
     root = graph.root
+    split = {id(part.parent) for part in graph.partitions}
     for region in graph.regions:
-        if region is root:
-            if region.is_leaf:
-                # single-variable corner: C sums mixing I leaves directly
-                leaf = new_block(LEAF, region, leaves_I)
-                region_block[region.index] = new_block(SUM, region, classes_C, [leaf])
-            else:
-                region_block[region.index] = new_block(SUM, region, classes_C)
-        elif region.is_leaf:
-            region_block[region.index] = new_block(LEAF, region, leaves_I)
+        if id(region) in split:
+            block = new_block(SUM, region, classes_C if region is root else sums_S)
+        elif region is root:
+            # single-variable corner: C sums mixing I leaves directly
+            leaf = new_block(LEAF, region, leaves_I)
+            block = new_block(SUM, region, classes_C, [leaf])
         else:
-            region_block[region.index] = new_block(SUM, region, sums_S)
+            block = new_block(LEAF, region, leaves_I)
+        region_block[region.index] = block
 
-    for part in graph.partitions:
+    for part in graph.partitions:  # in index order, so a sum's inputs are too
         left = region_block[part.children[0].index]
         right = region_block[part.children[1].index]
-        partition_block[part.index] = new_block(
-            PRODUCT, part, left.width * right.width, [left, right]
-        )
-
-    for region in graph.regions:
-        if region.child_partitions:
-            block = region_block[region.index]
-            block.inputs = tuple(
-                partition_block[p.index]
-                for p in sorted(region.child_partitions, key=lambda p: p.index)
-            )
+        product = new_block(PRODUCT, part, left.width * right.width, [left, right])
+        region_block[part.parent.index].inputs += (product,)
 
     return Circuit(
         graph=graph,

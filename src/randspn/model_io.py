@@ -165,9 +165,7 @@ def _rebuild_graph(structure) -> RegionGraph:
                 f"structure field 'partitions' entry {idx}: ends must be region indices"
             )
         parent, left, right = (graph.regions[i] for i in ends)
-        node = Partition(idx, parent, (left, right))
-        graph.partitions.append(node)
-        parent.child_partitions.append(node)
+        graph.partitions.append(Partition(idx, parent, (left, right)))
     return graph
 
 

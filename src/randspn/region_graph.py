@@ -4,7 +4,9 @@ A region is a non-empty subset of the variable indices {0, ..., num_vars-1},
 kept as a sorted tuple. A partition splits a region into two non-empty,
 non-overlapping child regions whose union is the parent. The region graph is
 a bipartite DAG alternating between regions and partitions: the full variable
-set is the unique root, leaf regions have no child partitions.
+set is the unique root, and a leaf region is one that no partition splits.
+``graph.partitions`` is the one record of which partitions split a region:
+each names its parent, and a region keeps no list of its own.
 
 Construction draws, for each of R repetitions, a recursive random balanced
 split of the root down to depth D (or until regions become singletons).
@@ -28,17 +30,12 @@ from .errors import InvalidInput
 class Region:
     """One region node. Identity is the node, not the scope."""
 
-    __slots__ = ("index", "scope", "level", "child_partitions")
+    __slots__ = ("index", "scope", "level")
 
     def __init__(self, index: int, scope: tuple[int, ...], level: int):
         self.index = index
         self.scope = scope
         self.level = level
-        self.child_partitions: list[Partition] = []
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.child_partitions
 
     def __repr__(self):
         return f"Region({list(self.scope)}@L{self.level})"
@@ -61,6 +58,12 @@ class Partition:
 
 @dataclass
 class RegionGraph:
+    """The regions (root first) and the partitions that split them.
+
+    A region's partitions are those in ``partitions`` whose ``parent`` it is,
+    in list order; a region that none names is a leaf.
+    """
+
     num_vars: int
     depth: int
     repetitions: int
@@ -75,7 +78,7 @@ class RegionGraph:
     def region_kind(self, region: Region) -> str:
         if len(region.scope) == self.num_vars:
             return "root"
-        return "leaf" if region.is_leaf else "internal"
+        return "internal" if any(p.parent is region for p in self.partitions) else "leaf"
 
     def structure_signature(self):
         """Hashable summary used to compare graphs for structural identity."""
@@ -132,7 +135,6 @@ class _Builder:
             node = Partition(len(self.graph.partitions), parent, (first, second))
             self.graph.partitions.append(node)
             self._partition_keys[key] = node
-            parent.child_partitions.append(node)
         return node
 
 
@@ -182,9 +184,8 @@ def validate_region_graph(graph: RegionGraph) -> ValidationReport:
 
     The one full-scope region is ``graph.regions[0]``; every region and
     partition sits at the position its ``index`` names, and every reference
-    between them points into ``graph.regions`` and ``graph.partitions``.
-    A region lists only partitions whose parent it is, each once, and each
-    partition's parent lists it. Each partition splits its parent into two
+    between them points into ``graph.regions`` and ``graph.partitions``, so
+    each partition is listed once. Each partition splits its parent into two
     non-empty, disjoint children whose union is the parent, so a child is a
     proper subset of its parent: scopes shrink along every edge and the graph
     has no cycle. A circuit built on a graph that passes is therefore complete
@@ -208,7 +209,6 @@ def validate_region_graph(graph: RegionGraph) -> ValidationReport:
     root = roots[0] if roots else None
 
     region_ids = {id(r) for r in regions}
-    partition_ids = {id(p) for p in partitions}
     has_parent = set()  # ids of the regions some partition splits off
     for position, part in enumerate(partitions):
         if part.index != position:
@@ -235,8 +235,6 @@ def validate_region_graph(graph: RegionGraph) -> ValidationReport:
             report.add(
                 f"partition {part} does not cover parent {list(part.parent.scope)}"
             )
-        if part not in part.parent.child_partitions:
-            report.add(f"partition {part} missing from its parent's child list")
 
     seen_keys = set()
     for position, region in enumerate(regions):
@@ -253,14 +251,6 @@ def validate_region_graph(graph: RegionGraph) -> ValidationReport:
         if key in seen_keys:
             report.add(f"duplicate scope: {list(scope)} appears twice at level {region.level}")
         seen_keys.add(key)
-
-        listed = set()
-        for child in region.child_partitions:
-            if id(child) not in partition_ids or child.parent is not region:
-                report.add(f"region {region} lists {child!r}, not a partition of its own")
-            elif id(child) in listed:
-                report.add(f"region {region} lists {child!r} twice")
-            listed.add(id(child))
         if region is root and id(region) in has_parent:
             report.add("root region has a parent partition")
         if region is not root and id(region) not in has_parent:

@@ -69,6 +69,8 @@ def _check_roots_labels(roots, labels):
     labels = np.asarray(labels)
     if roots.ndim != 2:
         raise InvalidInput("roots must be a (samples, classes) matrix")
+    if roots.shape[0] == 0:
+        raise InvalidInput("roots must hold at least one sample")
     if labels.shape != (roots.shape[0],):
         raise InvalidInput("labels must be one integer per sample")
     if np.any(labels < 1) or np.any(labels > roots.shape[1]):

@@ -22,24 +22,32 @@ def random_circuit(rng, num_vars=None, leaf_family="gaussian", max_dims=None):
     return circuit, params
 
 
+def partitions_of(graph, region):
+    """The partitions that split ``region``, in ``graph.partitions`` order."""
+    return [part for part in graph.partitions if part.parent is region]
+
+
 def wiring_mirrors_graph(circuit) -> bool:
     """Whether the circuit's blocks mirror its region graph.
 
-    The root block sits on region 0, a leaf region holds a leaf block, each
-    other sum block reads its region's child-partition products in index
-    order, and each product reads its partition's children's blocks. On a
-    graph that passes ``validate_region_graph`` this makes the circuit
-    complete and decomposable.
+    The root block sits on region 0, a region that no partition splits holds
+    a leaf block, each other sum block reads, in index order, the products of
+    the partitions that name its region as parent, and each product reads its
+    partition's children's blocks. On a graph that passes
+    ``validate_region_graph`` this makes the circuit complete and decomposable.
     """
     graph, region_block = circuit.graph, circuit.region_block
+    split: dict[int, list] = {}  # id(region) -> the partitions that split it
+    for part in graph.partitions:
+        split.setdefault(id(part.parent), []).append(part)
     ok = circuit.root_block.node is graph.regions[0]
     for region in graph.regions:
         block = region_block[region.index]
         ok &= block.node is region
-        if not region.child_partitions:
+        parts = split.get(id(region), [])
+        if not parts:
             ok &= block.kind == LEAF or [b.kind for b in block.inputs] == [LEAF]
             continue
-        parts = sorted(region.child_partitions, key=lambda p: p.index)
         ok &= block.kind == SUM and [b.node for b in block.inputs] == parts
         for product, part in zip(block.inputs, parts):
             ok &= product.kind == PRODUCT and product.inputs == tuple(

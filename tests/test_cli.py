@@ -171,9 +171,7 @@ def chain_graph(num_vars):
     parent = region(range(num_vars), 0)
     for level in range(1, num_vars):
         rest, single = region(range(level, num_vars), level), region([level - 1], level)
-        part = Partition(len(graph.partitions), parent, (rest, single))
-        graph.partitions.append(part)
-        parent.child_partitions.append(part)
+        graph.partitions.append(Partition(len(graph.partitions), parent, (rest, single)))
         parent = rest
     return graph
 

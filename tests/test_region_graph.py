@@ -3,6 +3,7 @@ import pytest
 import randspn as rs
 from randspn.errors import InvalidInput
 from randspn.region_graph import Partition, Region
+from conftest import partitions_of
 
 
 def longest_partition_path(graph):
@@ -10,12 +11,10 @@ def longest_partition_path(graph):
 
     def depth(region):
         if region.index not in memo:
-            if region.is_leaf:
-                memo[region.index] = 0
-            else:
-                memo[region.index] = 1 + max(
-                    max(depth(c) for c in p.children) for p in region.child_partitions
-                )
+            parts = partitions_of(graph, region)
+            memo[region.index] = 1 + max(
+                (depth(c) for p in parts for c in p.children), default=-1
+            )
         return memo[region.index]
 
     return depth(graph.root)
@@ -26,13 +25,13 @@ def test_worked_seven_variable_example():
     graph = rs.random_region_graph(7, 2, 2, seed=123)
     root = graph.root
     assert root.scope == tuple(range(7))
-    assert len(root.child_partitions) == 2
-    for part in root.child_partitions:
+    assert len(partitions_of(graph, root)) == 2
+    for part in partitions_of(graph, root):
         sizes = sorted(len(c.scope) for c in part.children)
         assert sizes == [3, 4]
         # each half recurses one more level
         for child in part.children:
-            assert len(child.child_partitions) == 1
+            assert len(partitions_of(graph, child)) == 1
     assert longest_partition_path(graph) == 2
 
 
@@ -40,7 +39,7 @@ def test_single_variable_graph_has_only_root():
     graph = rs.random_region_graph(1, 3, 5, seed=0)
     assert len(graph.regions) == 1
     assert len(graph.partitions) == 0
-    assert graph.root.is_leaf
+    assert not partitions_of(graph, graph.root)
 
 
 def test_four_variables_depth_three_truncates_at_singletons():
@@ -77,16 +76,14 @@ def test_generated_graphs_validate_and_respect_invariants(rng):
             assert set(a.scope) | set(b.scope) == set(part.parent.scope)
             assert not set(a.scope) & set(b.scope)
 
-        assert len(graph.root.child_partitions) <= reps
-        if num_vars >= 2:
-            assert len(graph.root.child_partitions) >= 1
+        assert 1 <= len(partitions_of(graph, graph.root)) <= reps
         assert longest_partition_path(graph) <= depth
 
 
 def test_root_gets_exactly_r_partitions_when_draws_distinct():
     # 24 variables: C(24,12)/2 splits make a collision essentially impossible
     graph = rs.random_region_graph(24, 1, 6, seed=99)
-    assert len(graph.root.child_partitions) == 6
+    assert len(partitions_of(graph, graph.root)) == 6
 
 
 def test_determinism_under_seed():
@@ -139,9 +136,8 @@ def test_validator_flags_orphan_region_and_overlap():
 
 def test_validator_flags_cycle():
     graph = rs.random_region_graph(4, 2, 1, seed=2)
-    leaf = next(r for r in graph.regions if r.is_leaf)
+    leaf = next(r for r in graph.regions if graph.region_kind(r) == "leaf")
     bogus = Partition(len(graph.partitions), leaf, (graph.root, graph.root))
-    leaf.child_partitions.append(bogus)
     graph.partitions.append(bogus)
     report = rs.validate_region_graph(graph)
     # a child must be a proper subset of its parent, so a cycle breaks a partition
