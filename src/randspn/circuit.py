@@ -30,6 +30,7 @@ import numpy as np
 from .errors import InvalidInput, StructureError
 from .leaves import bernoulli_terms, clamped_variances, gaussian_terms
 from .region_graph import Region, RegionGraph, validate_region_graph
+from .tiles import TILE, tile_matmul
 
 LEAF, SUM, PRODUCT = "leaf", "sum", "product"
 GAUSSIAN, BERNOULLI = "gaussian", "bernoulli"
@@ -296,6 +297,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return w
 
 
+class SumTerms(NamedTuple):
+    """What a sum kernel reads of its logits: (S, K) or (G, S, K) softmax
+    weights ``w``, and ``q``, (1, S) or (G, 1, S): each weight row's sum,
+    by the tile GEMM that mixes the inputs (``tiles.tile_matmul``), on a
+    tile of ones.
+    """
+
+    w: np.ndarray
+    q: np.ndarray
+
+
+def sum_terms(logits: np.ndarray) -> SumTerms:
+    """The ``SumTerms`` of sum logits."""
+    w = softmax(logits)
+    ones = np.ones(w.shape[:-2] + (TILE, w.shape[-1]))
+    return SumTerms(w, tile_matmul(ones, w.swapaxes(-1, -2))[..., :1, :])
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -339,14 +358,14 @@ class ParameterSet:
     def terms(self, plan_group: Group):
         """What the kernels read from a plan group's parameters, computed once.
 
-        A sum group gives its (G, S, K) softmax weights. A leaf group gives
+        A sum group gives its ``sum_terms``. A leaf group gives
         ``leaves.gaussian_terms`` (clamped variances with variance training)
         or ``leaves.bernoulli_terms``, node-major. Every array is read-only.
         """
         terms = self._terms.get(plan_group.index)
         if terms is None:
             if plan_group.kind == SUM:
-                terms = softmax(self.stacked("sum_logits", plan_group))
+                terms = sum_terms(self.stacked("sum_logits", plan_group))
             elif ("leaf_logits", plan_group.index) in self._tensors:
                 terms = bernoulli_terms(self.stacked("leaf_logits", plan_group))
             else:
@@ -354,7 +373,7 @@ class ParameterSet:
                 if self.train_variance:
                     variances = clamped_variances(self.stacked("leaf_log_vars", plan_group))
                 terms = gaussian_terms(self.stacked("leaf_means", plan_group), variances)
-            for array in terms if isinstance(terms, tuple) else (terms,):
+            for array in terms:
                 if array is not None:
                     _read_only(array)
             self._terms[plan_group.index] = terms

@@ -3,18 +3,23 @@
 Evaluation follows the circuit's compiled layer plan (``Circuit.plan``):
 every group of same-shape blocks is one (G, N, width) tensor, computed by
 one stacked numpy call per step, so Python dispatch scales with the number
-of groups, not of blocks. Tables hold log-values. Sum blocks use the
-exp–dot–log form of Einsum Networks (Peharz et al. 2020): with ``m`` a
-per-row shift and ``w = softmax(logits)``, a block's outputs are
-``log(x · w) - log(1 · w) + m``, one dot per row, where ``x`` holds its
-inputs in the linear domain, divided by ``exp(m)``.
+of groups, not of blocks. Tables hold log-values. Both contractions of a
+pass are one row-stable GEMM over tiles of ``tiles.TILE`` rows
+(``tiles.tile_matmul``). A leaf group contracts the statistics (x², x,
+observed) of its scope with its Gaussians' natural coefficients
+(``leaves.gaussian_block_log_density``). Sum blocks use the exp–dot–log
+form of Einsum Networks (Peharz et al. 2020): with ``m`` a per-row shift
+and ``w = softmax(logits)``, a block's outputs are
+``log(x · w) - log(1 · w) + m``, where ``x`` holds its inputs in the
+linear domain, divided by ``exp(m)``.
 Product blocks are folded into the sums that read them (the einsum layer):
 a sum group exps each factor table once, shifted by its row max, and its
 inputs are the outer products of the factors: the only product table is
 the sum group's own linear-domain input ``x``. Marginalization
 is a per-sample boolean mask of missing variables, which zeroes the
-matching leaf terms; conditioning is a difference of two marginal
-evaluations.
+matching leaf statistics; conditioning is a difference of two marginal
+evaluations. Without tables, a pass covers as many rows as keep its
+largest temporary within a cache budget (``rows_per_pass``).
 """
 
 from __future__ import annotations
@@ -23,9 +28,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, GAUSSIAN, LEAF, SUM, Group, ParameterSet
+from .circuit import Circuit, GAUSSIAN, LEAF, SUM, Group, ParameterSet, SumTerms
 from .errors import InvalidInput
-from .leaves import bernoulli_block_log_mass, gaussian_block_log_density, mask_batch
+from .leaves import (
+    LeafStatistics,
+    bernoulli_block_log_mass,
+    gaussian_block_log_density,
+    leaf_statistics,
+    mask_batch,
+)
+from .tiles import TILE, padded, tile_matmul
 
 NEG_INF = -np.inf
 
@@ -56,76 +68,86 @@ class SumKernel(NamedTuple):
     ``m`` is each row's shift, kept as a trailing axis of length 1 (-inf in
     a dead row, whose kept inputs are all -inf); ``e`` the inputs in the
     linear domain divided by ``exp(m)``, 0 on dropped columns (all 0 in a
-    dead row), in C order; ``w`` the softmax weights; ``p`` each row's dot
-    with each weight row. The outputs are ``log p - log q + m`` (``sum_block_forward``).
+    dead row); ``w`` the softmax weights; ``p`` each row's products with
+    the weight rows and ``q`` the weight rows' sums (``SumTerms``). The
+    outputs are ``log p - log q + m`` (``sum_block_forward``).
     """
 
     m: np.ndarray
     e: np.ndarray
     w: np.ndarray
     p: np.ndarray
+    q: np.ndarray
 
 
-def _mix(m, e, weights) -> SumKernel:
-    """The one mixing core: one BLAS ``ddot`` per (row, weight row).
+def _tile_buffer(lead, rows, columns):
+    """An empty (*lead, padded(rows), columns) array whose padding rows are 0."""
+    buffer = np.empty((*lead, padded(rows), columns))
+    buffer[..., rows:, :] = 0.0
+    return buffer
 
-    So a row's bits depend on no other row, and a ones row of the C-ordered
-    ``e`` gives ``p == q`` (``sum_block_forward``) bit for bit, for a BLAS
-    whose ``ddot`` order depends on length and strides only, not alignment
-    (numpy's bundled OpenBLAS; MKL only in its reproducibility mode). The
-    row-stability and all-missing tests check this on the installed BLAS.
+
+def _mix(m, e, terms: SumTerms) -> SumKernel:
+    """The one mixing core: ``e`` times the weights, by ``tile_matmul``.
+
+    ``e`` holds the rows of ``m`` padded to whole tiles, the padding rows
+    0; the kernel keeps views of the real rows. A row's bits depend on no
+    other row, and a ones row of ``e`` gives ``p == q`` bit for bit: ``q``
+    is the same GEMM on a ones tile.
     """
-    p = np.vecdot(e[..., :, None, :], weights[..., None, :, :])
-    return SumKernel(m, e, weights, p)
+    rows = m.shape[-2]
+    p = tile_matmul(e, terms.w.swapaxes(-1, -2))
+    return SumKernel(m, e[..., :rows, :], terms.w, p[..., :rows, :], terms.q)
 
 
 def _log_inputs(values, keep):
     """(m, e) of log-domain inputs: shift by the largest kept value, exp."""
     masked = values if keep is None else values + _DROP_SHIFT.take(keep)
     m = masked.max(axis=-1, keepdims=True)
-    # C order whatever the layout of values: _mix's dots need unit stride
-    e = np.subtract(values, np.where(np.isfinite(m), m, 0.0), order="C")
+    *lead, rows, columns = values.shape
+    e = _tile_buffer(lead, rows, columns)
+    real = e[..., :rows, :]
+    np.subtract(values, np.where(np.isfinite(m), m, 0.0), out=real)
     if keep is not None:
-        np.minimum(e, 0.0, out=e)  # a dropped column may exceed the kept max
-    np.exp(e, out=e)  # in place: for a group, e is the largest temporary
+        np.minimum(real, 0.0, out=real)  # a dropped column may exceed the kept max
+    np.exp(real, out=real)  # in place: for a group, e is the largest temporary
     if keep is not None:
-        e *= keep
+        real *= keep
     return m, e
 
 
-def sum_block_kernel(values: np.ndarray, weights: np.ndarray, keep=None) -> SumKernel:
+def sum_block_kernel(values: np.ndarray, terms: SumTerms, keep=None) -> SumKernel:
     """The ``SumKernel`` of a sum block, or a group of them, on log-domain inputs.
 
-    ``values`` is a block's (N, K) input table and ``weights`` its (S, K)
-    softmax weights, or (G, N, K) and (G, S, K) for a group of G blocks.
-    ``keep``, shaped like ``values`` or None, marks the columns sum dropout
-    keeps; a dropped column acts as an input of -inf. The shift ``m`` is the
-    largest kept input. The -inf never enters ``np.exp``, whose slow path
-    for it costs several times the fast one: dropped columns are clamped to
-    ``exp(0)`` and then multiplied by 0.
+    ``values`` is a block's (N, K) input table and ``terms`` the
+    ``circuit.sum_terms`` of its (S, K) logits, or (G, N, K) and (G, S, K)
+    for a group of G blocks. ``keep``, shaped like ``values`` or None, marks
+    the columns sum dropout keeps; a dropped column acts as an input of
+    -inf. The shift ``m`` is the largest kept input. The -inf never enters
+    ``np.exp``, whose slow path for it costs several times the fast one:
+    dropped columns are clamped to ``exp(0)`` and then multiplied by 0.
     """
-    return _mix(*_log_inputs(values, keep), weights)
+    return _mix(*_log_inputs(values, keep), terms)
 
 
 def sum_block_forward(kernel: SumKernel) -> np.ndarray:
     """Mixture outputs log sum_k w[s, k] exp(values[n, k]) from a ``SumKernel``.
 
-    ``kernel`` is ``sum_block_kernel(values, w)`` of a block or a group, or
-    ``sum_group_kernel`` of a plan group; the outputs are ``log p - log q + m``,
-    ``q`` each weight row's sum by the dot that gave ``p`` (see ``_mix``).
-    The softmax rows need not sum to exactly 1, but a row whose inputs all
-    equal ``v`` has ``e`` all ones, so ``p == q`` and it returns ``v`` exactly:
-    a fully marginalized input (all zeros) stays exactly 0. A dead row (all
-    inputs -inf, as under sum dropout) has ``p == 0`` and gives -inf, never NaN.
+    ``kernel`` is ``sum_block_kernel(values, terms)`` of a block or a group,
+    or ``sum_group_kernel`` of a plan group; the outputs are
+    ``log p - log q + m``, ``q`` each weight row's sum by the GEMM that gave
+    ``p`` (see ``_mix``). The softmax rows need not sum to exactly 1, but a
+    row whose inputs all equal ``v`` has ``e`` all ones, so ``p == q`` and it
+    returns ``v`` exactly: a fully marginalized input (all zeros) stays
+    exactly 0. A dead row (all inputs -inf, as under sum dropout) has
+    ``p == 0`` and gives -inf, never NaN.
     Precision limit: a live row underflows to -inf only when every term
     ``log w[s, k] + values[n, k] - m`` (logit gap plus input gap) is below
     about -700 nats; the largest input has no input gap, so that takes a
     logit spread of about 700 nats.
     """
-    # a real row of ones, not a stride-0 broadcast: it must sum like e's rows
-    q = np.vecdot(np.ones(kernel.w.shape[-1]), kernel.w)[..., None, :]
     with np.errstate(divide="ignore"):  # an underflowed p of 0 stands for -inf
-        return np.log(kernel.p) - np.log(q) + kernel.m
+        return np.log(kernel.p) - np.log(kernel.q) + kernel.m
 
 
 def sum_block_inputs(tables, group: Group, keep=None):
@@ -139,8 +161,9 @@ def sum_block_inputs(tables, group: Group, keep=None):
     several partitions shifts each row by the largest of these, ``m``, and
     scales partition j by ``exp(m_j - m)``, its log added to the left factor
     before the exp. The (G, N, K) keep-mask ``keep``, None without sum
-    dropout, multiplies the columns. A group with no runs mixes a leaf
-    table directly, as ``sum_block_kernel`` does.
+    dropout, multiplies the columns. ``e`` is (G, padded(N), K), its padding
+    rows 0, for ``tile_matmul``. A group with no runs mixes a leaf table
+    directly, as ``sum_block_kernel`` does.
     """
     if not group.runs:
         (src, at, _), = group.reads
@@ -169,20 +192,21 @@ def sum_block_inputs(tables, group: Group, keep=None):
     for f, _ in factors:
         np.exp(f, out=f)
     size, n, _ = m.shape
-    x = np.empty((size, n, group.columns))
+    x = _tile_buffer((size,), n, group.columns)
+    real = x[:, :n]
     for run in group.runs:
         (left, left_slots), (right, right_slots) = run.left, run.right
         np.multiply(
             factors[left][0][:, left_slots].transpose(0, 2, 1, 3)[..., :, None],
             factors[right][0][:, right_slots].transpose(0, 2, 1, 3)[..., None, :],
-            out=x[..., run.columns].reshape((size, n) + run.shape, copy=False),
+            out=real[..., run.columns].reshape((size, n) + run.shape, copy=False),
         )
     if keep is not None:
-        x *= keep
+        real *= keep
     return m, x
 
 
-def sum_group_kernel(tables, group: Group, weights, keep=None) -> SumKernel:
+def sum_group_kernel(tables, group: Group, terms: SumTerms, keep=None) -> SumKernel:
     """The ``SumKernel`` of a plan sum group, from its inputs' tables.
 
     ``keep`` is the group's (G, N, K) sum-dropout keep-mask, or None.
@@ -195,7 +219,7 @@ def sum_group_kernel(tables, group: Group, weights, keep=None) -> SumKernel:
     recomputed from its log-domain product values with its largest kept
     value as the shift, as ``sum_block_kernel`` would.
     """
-    kernel = _mix(*sum_block_inputs(tables, group, keep), weights)
+    kernel = _mix(*sum_block_inputs(tables, group, keep), terms)
     if keep is not None and group.runs:
         lost = (kernel.p.max(axis=-1) < _FAINT) & (kernel.m[..., 0] > NEG_INF)
         if lost.any():
@@ -216,21 +240,23 @@ def _rescue(tables, group, kernel, keep, rows):
         values.append((left[..., :, None] + right[..., None, :]).reshape(len(members), -1))
     again = sum_block_kernel(
         np.concatenate(values, axis=-1)[:, None, :],
-        kernel.w[members],
+        SumTerms(kernel.w[members], kernel.q[members]),
         keep[members, samples][:, None, :],
     )
     for name in ("m", "e", "p"):
         getattr(kernel, name)[members, samples] = getattr(again, name)[:, 0]
 
 
-def _leaf_group(circuit, params, group, x, observed):
-    """(G, N, I) log-densities of a leaf group, from a ``leaf_input``."""
-    x = np.take(x, group.scope, axis=1)  # (N, G, d), contiguous along d
-    observed = None if observed is None else np.take(observed, group.scope, axis=1)
+def _leaf_group(circuit, params, group, stats: LeafStatistics):
+    """(G, N, I) log-densities of a leaf group from the pass's ``leaf_statistics``.
+
+    One take along the variables gives the group's (R, G, d, 3) statistics.
+    """
+    stats = LeafStatistics(np.take(stats.features, group.scope, axis=1), stats.rows)
     if circuit.leaf_family == GAUSSIAN:
-        out = gaussian_block_log_density(x, params.terms(group), observed)
+        out = gaussian_block_log_density(stats, params.terms(group))
     else:
-        out = bernoulli_block_log_mass(x, params.terms(group), observed)
+        out = bernoulli_block_log_mass(stats.x, params.terms(group), stats.observed)
     return out.transpose(1, 0, 2)
 
 
@@ -260,9 +286,27 @@ def _check_dropout(circuit, sum_dropout, rows):
             raise InvalidInput(f"sum_dropout[{key}] must be a bool array of shape {shape}")
 
 
-# rows per pass of a forward_log call that returns no tables: a pass's
-# temporaries grow with its rows, so this bounds them on a large dataset
-_FORWARD_BATCH = 1024
+# bytes of a pass's largest temporary: half a 2 MiB L2 cache. Budgets of
+# 1 to 16 MiB time within noise of each other on the desk metrics pass and
+# the 784-variable forward pass (BENCH_tiled_contractions.json); this one
+# keeps a pass's transients below those of a desk training step.
+_PASS_BYTES = 2**20
+
+
+def rows_per_pass(circuit: Circuit) -> int:
+    """Rows per pass of a ``forward_log`` call that returns no tables.
+
+    A pass's largest per-row temporary is a leaf group's statistics (three
+    floats per member and scope variable) or a sum group's input ``x``
+    (one float per member and input column). A pass holds as many whole
+    tiles of rows as keep it within ``_PASS_BYTES``, at least one tile, so
+    a pass's memory does not grow with the dataset.
+    """
+    widest = max(
+        8 * len(group.blocks) * group.columns * (3 if group.kind == LEAF else 1)
+        for group in circuit.plan
+    )
+    return TILE * max(1, _PASS_BYTES // (TILE * widest))
 
 
 def forward_log(
@@ -280,41 +324,43 @@ def forward_log(
     (member, sample, input column), as ``sample_sum_dropout_mask`` draws
     it; dropped columns enter the mixtures as -inf. The circuit's plan
     runs one group at a time, and a group's tensor is dropped after its last
-    reader, in passes over at most 1,024 rows, unless ``return_tables`` is
-    set; then one pass over all rows gives ``(roots, tables, kernels)``:
-    ``tables[g]`` is the (G, N, width) log-value tensor of plan group ``g``
-    and ``kernels`` maps each sum group's index to its ``SumKernel``, which
-    the backward pass reuses.
+    reader, in passes of ``rows_per_pass(circuit)`` rows, unless
+    ``return_tables`` is set; then one pass over all rows gives
+    ``(roots, tables, kernels)``: ``tables[g]`` is the (G, N, width)
+    log-value tensor of plan group ``g``, and ``kernels`` maps each sum
+    group's index to its ``SumKernel`` and each leaf group's index to the
+    pass's (R, V, 3) ``leaf_statistics``, which the backward pass reuses.
     """
     x, observed = leaf_input(circuit, batch, missing)
     sum_dropout = sum_dropout or {}
     _check_dropout(circuit, sum_dropout, len(x))
-    if return_tables or len(x) <= _FORWARD_BATCH:
+    rows = len(x) if return_tables else rows_per_pass(circuit)
+    if len(x) <= rows:
         return _forward_pass(circuit, params, x, observed, sum_dropout, return_tables)
-    starts = range(0, len(x), _FORWARD_BATCH)
     return np.concatenate([
         _forward_pass(
-            circuit, params, x[rows], None if observed is None else observed[rows],
-            {key: keep[:, rows] for key, keep in sum_dropout.items()}, False,
+            circuit, params, x[part], None if observed is None else observed[part],
+            {key: keep[:, part] for key, keep in sum_dropout.items()}, False,
         )
-        for rows in (slice(start, start + _FORWARD_BATCH) for start in starts)
+        for part in (slice(start, start + rows) for start in range(0, len(x), rows))
     ])
 
 
 def _forward_pass(circuit, params, x, observed, sum_dropout, return_tables):
     """``forward_log`` of a ``leaf_input`` in one pass over all its rows."""
+    stats = leaf_statistics(x, observed)
     tables: list = []
     kernels = {}
     for group in circuit.plan:
         if group.kind == LEAF:
-            out = _leaf_group(circuit, params, group, x, observed)
+            out, kernel = _leaf_group(circuit, params, group, stats), stats
         else:
             keep = sum_dropout.get(group.index)
             kernel = sum_group_kernel(tables, group, params.terms(group), keep)
             out = sum_block_forward(kernel)
-            if return_tables:
-                kernels[group.index] = kernel
-            del kernel  # the largest temporary: free it before the next group
+        if return_tables:
+            kernels[group.index] = kernel
+        del kernel  # the largest temporary: free it before the next group
         tables.append(out)
         if not return_tables:
             for src in group.release:
@@ -343,10 +389,15 @@ def empirical_log_prior(labels, num_classes: int) -> np.ndarray:
 
 
 def check_log_prior(log_prior, num_classes: int) -> np.ndarray:
-    """The prior as a float array; InvalidInput unless it is a normalized (C,) vector."""
+    """The prior as a float array; InvalidInput unless it is a normalized (C,) vector.
+
+    Entries are log-probabilities: -inf for a class of prior 0, never NaN or +inf.
+    """
     log_prior = np.asarray(log_prior, dtype=float)
     if log_prior.shape != (num_classes,):
         raise InvalidInput(f"prior must have shape ({num_classes},)")
+    if not (log_prior < np.inf).all():  # NaN compares False too
+        raise InvalidInput(f"prior holds NaN or +inf: {log_prior.tolist()}")
     mass = np.exp(log_prior[np.isfinite(log_prior)]).sum()
     if abs(mass - 1.0) > 1e-9:
         raise InvalidInput(f"prior is not normalized: total mass {mass!r}")

@@ -7,11 +7,15 @@ exist so that discrete circuits can be checked against exhaustive
 enumeration.
 
 A batch is masked once, where it enters (``mask_batch``): masked entries
-become 0, and the kernels multiply every per-variable term by a 0/1
-observed factor, so a masked term is exactly 0 whatever the parameters.
-The parameter terms they read (node-major means, log-variances, log-masses)
-come from ``gaussian_terms`` and ``bernoulli_terms``, which
-``ParameterSet`` computes once per parameter set.
+become 0, with a 0/1 observed factor. Its sufficient statistics
+(``leaf_statistics``: x², x and the observed factor of every entry) are
+built once per forward pass, and every masked entry's statistics are 0.
+A Gaussian leaf is the exponential-family form of Einsum Networks, the
+statistics contracted with natural coefficients (one GEMM per pass, see
+``tiles``), so a masked term is exactly 0 whatever the parameters. The
+parameter terms the kernels read (node-major means and log-variances,
+natural coefficients, log-masses) come from ``gaussian_terms`` and
+``bernoulli_terms``, which ``ParameterSet`` computes once per parameter set.
 """
 
 from __future__ import annotations
@@ -21,27 +25,36 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
+from .tiles import padded, tile_matmul
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR = 1e-4
 # observed factor, indexed by the missing mask: 1 observed, 0 marginalized
 _OBSERVED = np.array([1.0, 0.0])
+_LOWEST = np.finfo(float).min
+# a log-density not above this is recomputed from squared differences
+_OVERFLOWED = -1e300
 
 
 class GaussianTerms(NamedTuple):
-    """Node-major Gaussian parameters: (I, d) for a block, (I, G, d) for a group.
+    """Gaussian parameters, node-major: (I, d) for a block, (I, G, d) for a group.
 
-    The variance fields are None for unit variances.
+    The variance fields are None for unit variances. ``natural`` holds the
+    coefficients the density contracts the leaf statistics with, (3d, I)
+    for a block or (G, 3d, I) for a group: per scope variable, in the
+    order (x², x, observed), ``a = -1/(2 var)``, ``b = mean/var`` and
+    ``c = -mean²/(2 var) - log(2 pi var)/2``, clipped to finite values.
     """
 
     means: np.ndarray
     variances: np.ndarray | None
     log_variances: np.ndarray | None
     inv_variances: np.ndarray | None
+    natural: np.ndarray
 
 
 class BernoulliTerms(NamedTuple):
-    """Node-major log success and failure probabilities, shaped as ``GaussianTerms``."""
+    """Node-major log success and failure probabilities, shaped as ``GaussianTerms.means``."""
 
     log_p: np.ndarray
     log_q: np.ndarray
@@ -57,10 +70,18 @@ def node_major(params):
 def gaussian_terms(means, variances=None) -> GaussianTerms:
     """The terms ``gaussian_block_log_density`` reads, from (I, d) or (G, I, d) parameters."""
     mu = node_major(np.asarray(means, dtype=float))
-    if variances is None:
-        return GaussianTerms(mu, None, None, None)
-    var = node_major(np.asarray(variances, dtype=float))
-    return GaussianTerms(mu, var, np.log(var), 1.0 / var)
+    var = log_var = inv_var = None
+    with np.errstate(over="ignore"):  # a coefficient that overflows is clipped below
+        if variances is None:
+            a, b, c = np.full_like(mu, -0.5), mu, -0.5 * (mu * mu + LOG_2PI)
+        else:
+            var = node_major(np.asarray(variances, dtype=float))
+            log_var, inv_var = np.log(var), 1.0 / var
+            a, b = -0.5 * inv_var, mu * inv_var
+            c = -0.5 * (mu * b + LOG_2PI + log_var)
+    natural = np.moveaxis(np.stack((a, b, c), axis=-1), 0, -1)  # ([G,] d, 3, I)
+    natural = np.clip(natural, _LOWEST, -_LOWEST).reshape(natural.shape[:-3] + (-1, len(mu)))
+    return GaussianTerms(mu, var, log_var, inv_var, np.ascontiguousarray(natural))
 
 
 def bernoulli_terms(success_logits) -> BernoulliTerms:
@@ -92,6 +113,42 @@ def mask_batch(x, missing=None):
     return x, observed
 
 
+class LeafStatistics(NamedTuple):
+    """The sufficient statistics of a masked batch, padded to whole tiles.
+
+    ``features`` is (R, ..., 3) for an (N, ...) batch: per entry, in the
+    order (x², x, observed); rows ``rows`` and after are zero, as a fully
+    masked row is, up to ``R = tiles.padded(rows)``.
+    """
+
+    features: np.ndarray
+    rows: int
+
+    @property
+    def x(self):
+        return self.features[: self.rows, ..., 1]
+
+    @property
+    def observed(self):
+        return self.features[: self.rows, ..., 2]
+
+
+def leaf_statistics(x, observed=None) -> LeafStatistics:
+    """The ``LeafStatistics`` of ``x, observed = mask_batch(values, missing)``.
+
+    A square that overflows is inf; the kernel that reads it recomputes
+    its row (see ``gaussian_block_log_density``).
+    """
+    rows = len(x)
+    features = np.empty((padded(rows),) + x.shape[1:] + (3,))
+    features[rows:] = 0.0
+    with np.errstate(over="ignore"):
+        np.square(x, out=features[:rows, ..., 0])
+    features[:rows, ..., 1] = x
+    features[:rows, ..., 2] = 1.0 if observed is None else observed
+    return LeafStatistics(features, rows)
+
+
 def _check_shapes(x, node_terms, observed):
     # node-major terms are 2- or 3-D, so equal trailing shapes fix x's rank too
     if x.shape[1:] != node_terms.shape[1:] or (
@@ -102,23 +159,12 @@ def _check_shapes(x, node_terms, observed):
         )
 
 
-def node_differences(x, centers, observed=None, inv_var=None):
-    """Yield ``(diff, scaled)`` for each node i of the node-major ``centers``.
-
-    ``diff = (x - centers[i]) * observed`` (no product without a factor) and
-    ``scaled = diff * inv_var[i]``, or ``diff`` itself for unit variances.
-    The one per-node leaf loop: the Gaussian density and the log-variance
-    gradient read it. Both are buffers reused for every node.
-    """
-    diff = np.empty_like(x)  # one for all nodes: fresh pages cost more than the math
-    scaled = diff if inv_var is None else np.empty_like(x)
-    for i in range(len(centers)):
-        np.subtract(x, centers[i], out=diff)
-        if observed is not None:
-            diff *= observed  # before squaring: a masked term is exactly 0
-        if inv_var is not None:
-            np.multiply(diff, inv_var[i], out=scaled)
-        yield diff, scaled
+def _statistics(x, node_terms, observed) -> LeafStatistics:
+    """``x`` itself when it is a ``LeafStatistics``, else those of the checked batch."""
+    if isinstance(x, LeafStatistics):
+        return x
+    _check_shapes(x, node_terms, observed)
+    return leaf_statistics(x, observed)
 
 
 def _scope_dot(a, node_terms):
@@ -133,29 +179,49 @@ def gaussian_block_log_density(x, terms: GaussianTerms, observed=None):
     scope variables' values; ``terms`` is ``gaussian_terms(means, variances)``
     of (I, d) means and variances (None for unit variance). Returns (N, I).
     A group of G blocks adds a group axis: x and observed are (N, G, d),
-    the parameters (G, I, d), and the result is (N, G, I). An observed value
-    whose squared distance to a mean overflows has log-density -inf,
-    without a warning.
+    the parameters (G, I, d), and the result is (N, G, I). ``x`` may also
+    be the batch's ``leaf_statistics``, as the engine gathers them.
+
+    The density is the exponential-family form θ·T(x) - A(θ) of Einsum
+    Networks: the statistics (x², x, observed) of each variable times the
+    ``natural`` coefficients, summed over the scope by ``tile_matmul``. A
+    masked entry's statistics are all 0, so it adds exactly 0 whatever its
+    mean. A row whose output is not above -1e300 (a square that
+    overflowed, or a clipped coefficient) is recomputed from the squared
+    differences; an observed value whose squared distance to a mean
+    overflows there too has log-density -inf, without a warning.
     """
-    mu, _, log_var, inv_var = terms
-    _check_shapes(x, mu, observed)
-    # one node per step keeps every temporary the size of x
-    quad = np.empty(x.shape[:-1] + (len(mu),))
+    stats = _statistics(x, terms.means, observed)
+    features = stats.features
+    group = features.ndim == 4
+    flat = features.reshape(features.shape[:-2] + (3 * features.shape[-2],))  # (R, [G,] 3d)
+    with np.errstate(over="ignore", invalid="ignore"):  # recomputed below
+        out = tile_matmul(flat.swapaxes(0, 1) if group else flat, terms.natural)
+    lost = ~(out > _OVERFLOWED)
+    if lost.any():
+        _difference_form(out, features, terms, np.nonzero(lost.any(axis=-1)))
+    out = out[..., : stats.rows, :]
+    return out.swapaxes(0, 1) if group else out
+
+
+def _difference_form(out, features, terms, rows):
+    """Recompute the ``([member,] row)`` rows of ``out`` from squared differences."""
+    *member, row = rows
+    mu, _, log_var, inv_var, _ = terms
+    chosen = features[(row, *member)]  # (M, d, 3)
+    x, observed = chosen[..., 1], chosen[..., 2]
+
+    def pick(node_terms):  # (I, M, d), or (I, 1, d) for a block
+        return node_terms[(slice(None), *member)] if member else node_terms[:, None]
+
     with np.errstate(over="ignore"):
-        for i, (diff, scaled) in enumerate(node_differences(x, mu, observed, inv_var)):
-            np.vecdot(diff, scaled, out=quad[..., i])
-    # -0.5 * (log 2 pi * #observed + sum of observed log variances + quad)
-    if observed is None:
-        count = x.shape[-1]
-        if log_var is not None:
-            quad += log_var.sum(axis=-1).T
-    else:
-        count = observed.sum(axis=-1)[..., None]
-        if log_var is not None:
-            quad += _scope_dot(observed, log_var)
-    quad += LOG_2PI * count
-    quad *= -0.5
-    return quad
+        diff = (x - pick(mu)) * observed  # before squaring: a masked term is exactly 0
+        quad = diff * diff if inv_var is None else diff * diff * pick(inv_var)
+        quad = quad.sum(axis=-1)
+    if log_var is not None:
+        quad += (observed * pick(log_var)).sum(axis=-1)
+    quad += LOG_2PI * observed.sum(axis=-1)
+    out[(*member, row)] = -0.5 * quad.T
 
 
 def bernoulli_block_log_mass(x, terms: BernoulliTerms, observed=None):

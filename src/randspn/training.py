@@ -8,10 +8,10 @@ responsibilities to their product columns, each product column's gradient
 is summed straight into both factors' table gradients (products are folded
 into the sums, as in the forward pass), and leaves pick up the usual
 Gaussian/Bernoulli score terms. The factor sums are contractions with a
-ones vector over all rows, and the mean and logit gradients contractions
-over the batch, as in the einsum layer of Einsum Networks (Peharz et al.
-2020); only the log-variance gradient loops over the leaf nodes.
-Masked-out inputs and dropped product columns receive exactly zero
+ones vector over all rows, and every leaf gradient is one contraction of
+the table gradient with the leaf statistics (x², x, observed) the forward
+pass gathered, as in the einsum layer of Einsum Networks (Peharz et al.
+2020). Masked-out inputs and dropped product columns receive exactly zero
 gradient.
 """
 
@@ -24,8 +24,8 @@ import numpy as np
 from .circuit import BERNOULLI, Circuit, LEAF, SUM, ParameterSet
 from .data import batch_iterator
 from .errors import InvalidInput, NumericFailure
-from .inference import SumKernel, forward_log, leaf_input, logsumexp
-from .leaves import VARIANCE_FLOOR, node_differences
+from .inference import SumKernel, forward_log, logsumexp
+from .leaves import VARIANCE_FLOOR, LeafStatistics
 
 
 @dataclass
@@ -141,7 +141,7 @@ def sum_block_backward(g, kernel: SumKernel):
     zero input gradient. For a plan group with products folded in, the input
     gradient is that of the product columns' log-values.
     """
-    _, e, w, p = kernel
+    e, w, p = kernel.e, kernel.w, kernel.p
     live = p > 0.0
     g = np.where(live, g, 0.0)
     r = g / np.where(live, p, 1.0)
@@ -198,47 +198,50 @@ def _factor_gradients(grad_tables, tables, group, d_x):
             _accumulate(grad_tables, tables, (src, at[:, slots], unique), value)
 
 
-def _leaf_gradients(circuit, params, d_flat, group, g, x, observed):
+def _leaf_gradients(circuit, params, d_flat, group, g, stats: LeafStatistics):
     """Write a leaf group's parameter gradients into ``d_flat``.
 
-    ``g`` is the group's (G, N, I) table gradient and ``(x, observed)`` the
-    ``leaf_input`` the forward pass read, in which ``x`` is 0 where masked.
-    A Gaussian mean's gradient ``sum_n g * observed * (x - mu) / var`` is
-    then ``(g.T @ x - mu * g.T @ observed) / var``: two contractions over
-    the batch, per plan group member. A Bernoulli logit's gradient has the
-    same form, with the success probability in place of ``mu``. A masked
-    entry adds exactly 0 to both contractions. The log-variance gradient
-    loops over the I leaf nodes with ``node_differences``, whose difference
-    is 0 on a masked entry; it is not expanded into contractions, whose
-    ``x**2`` and ``mu**2`` terms overflow for values whose difference does not.
+    ``g`` is the group's (G, N, I) table gradient and ``stats`` the
+    (R, V, 3) ``LeafStatistics`` of the forward pass, whose ``x`` is 0
+    where masked; the group takes its scope's statistics again, as the
+    forward pass did, rather than keep a copy for every leaf group through
+    the backward pass. One contraction over the batch gives ``g.T @ x²``,
+    ``g.T @ x`` and ``g.T @ observed`` per plan group member. A Gaussian
+    mean's gradient ``sum_n g * observed * (x - mu) / var`` is then
+    ``(g.T @ x - mu * g.T @ observed) / var``, and its log-variance
+    gradient, of ``-0.5 (log var + (x - mu)² / var)``, is
+    ``0.5 / var * (g.T @ x² - mu * (2 g.T @ x - mu * g.T @ observed))
+    - 0.5 g.T @ observed``. A Bernoulli logit's gradient has the mean's
+    form, with the success probability in place of ``mu`` and no variance.
+    A masked entry adds exactly 0 to every contraction, and so to every
+    gradient, whatever its parameter.
     """
     terms = params.terms(group)
-    x = np.take(x, group.scope, axis=1)  # (N, G, d)
-    observed = None if observed is None else np.take(observed, group.scope, axis=1)
-    g_t = g.swapaxes(1, 2)  # (G, I, N)
-    g_x = g_t @ x.swapaxes(0, 1)  # (G, I, d)
-    if observed is None:
-        g_observed = g.sum(axis=1)[..., None]
-    else:
-        g_observed = g_t @ observed.swapaxes(0, 1)
+    size, n, width = g.shape
+    scope = group.columns
+    features = np.take(stats.features[:n], group.scope, axis=1)  # (N, G, d, 3)
+    features = features.reshape(n, size, 3 * scope).swapaxes(0, 1)
+    sums = (g.swapaxes(1, 2) @ features).reshape(size, width, scope, 3)
+    g_sq, g_x, g_observed = (sums[..., k] for k in range(3))  # (G, I, d)
 
     if circuit.leaf_family == BERNOULLI:
         name, centers, var, inv_var = "leaf_logits", np.exp(terms.log_p), None, None
     else:
-        name, (centers, var, _, inv_var) = "leaf_means", terms
+        name, (centers, var, _, inv_var, _) = "leaf_means", terms
+    centers = centers.swapaxes(0, 1)
     d_centers = params.stacked(name, group, d_flat)
-    np.subtract(g_x, centers.swapaxes(0, 1) * g_observed, out=d_centers)
+    np.subtract(g_x, centers * g_observed, out=d_centers)
     if var is None:
         return
-    d_centers *= inv_var.swapaxes(0, 1)
-    active = np.moveaxis(var > VARIANCE_FLOOR, 0, -2)  # (G, I, d)
+    inv_var = inv_var.swapaxes(0, 1)
+    d_centers *= inv_var
     d_log_vars = params.stacked("leaf_log_vars", group, d_flat)
-    count = 1.0 if observed is None else observed
-    g = np.ascontiguousarray(g.transpose(2, 1, 0))  # (I, N, G)
-    for i, (diff, scaled) in enumerate(node_differences(x, centers, observed, inv_var)):
-        # d/d log var of -0.5 (log var + diff^2 / var); 0 where masked
-        weighted = np.einsum("ng,ngv->gv", g[i], 0.5 * (diff * scaled - count))
-        d_log_vars[:, i, :] = weighted * active[:, i, :]
+    # mu * (mu * g.T @ observed), not mu² g.T @ observed: a masked mean of
+    # 1e200 has mu² = inf, and inf * 0 is NaN
+    squares = g_sq - centers * (2.0 * g_x - centers * g_observed)
+    np.multiply(0.5 * inv_var, squares, out=d_log_vars)
+    d_log_vars -= 0.5 * g_observed
+    d_log_vars *= var.swapaxes(0, 1) > VARIANCE_FLOOR
 
 
 def backward_gradients(
@@ -268,13 +271,12 @@ def backward_gradients(
     grad_tables[root.group][root.position] = _objective_root_gradient(
         roots, labels, circuit.num_vars, lam
     )
-    x, observed = leaf_input(circuit, batch, missing)
 
     for group in reversed(circuit.plan):
-        # each table gradient and sum kernel is read once: free it after
+        # each table gradient and kernel is read once: free it after
         g, grad_tables[group.index] = grad_tables[group.index], None
         if group.kind == LEAF:
-            _leaf_gradients(circuit, params, d_flat, group, g, x, observed)
+            _leaf_gradients(circuit, params, d_flat, group, g, kernels.pop(group.index))
         else:
             d_x, d_logits = sum_block_backward(g, kernels.pop(group.index))
             params.stacked("sum_logits", group, d_flat)[...] = d_logits

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 import randspn as rs
-from randspn.circuit import LEAF, PRODUCT, SUM, softmax
+from randspn.circuit import LEAF, PRODUCT, SUM, sum_terms
 from randspn.inference import sum_block_kernel
 
 
@@ -104,7 +104,7 @@ def quadrature_mass_2d(circuit, params, lo=-10.0, hi=10.0, points=401):
 
 def block_kernel(values, logits, keep=None):
     """The ``SumKernel`` of log-domain inputs ``values`` under sum ``logits``."""
-    return sum_block_kernel(values, softmax(logits), keep)
+    return sum_block_kernel(values, sum_terms(logits), keep)
 
 
 @st.composite

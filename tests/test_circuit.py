@@ -262,7 +262,7 @@ def test_a_parameter_set_copies_the_vector_it_is_built_from():
     ("gaussian", False), ("gaussian", True), ("bernoulli", False),
 ])
 def test_memoized_terms_equal_fresh_computation(leaf_family, train_variance):
-    from randspn.circuit import softmax
+    from randspn.circuit import sum_terms
     from randspn.leaves import bernoulli_terms, clamped_variances, gaussian_terms
 
     graph = rs.random_region_graph(5, 2, 4, seed=0)  # two leaf groups
@@ -273,7 +273,7 @@ def test_memoized_terms_equal_fresh_computation(leaf_family, train_variance):
         terms = params.terms(group)
         assert params.terms(group) is terms  # computed once, then kept
         if group.kind == SUM:
-            fresh = softmax(params.stacked("sum_logits", group))
+            fresh = sum_terms(params.stacked("sum_logits", group))
         elif leaf_family == "bernoulli":
             fresh = bernoulli_terms(params.stacked("leaf_logits", group))
         else:
@@ -282,8 +282,6 @@ def test_memoized_terms_equal_fresh_computation(leaf_family, train_variance):
                 if train_variance else None
             )
             fresh = gaussian_terms(params.stacked("leaf_means", group), variances)
-        if group.kind == SUM:
-            terms, fresh = (terms,), (fresh,)
         for got, want in zip(terms, fresh):
             if want is None:
                 assert got is None

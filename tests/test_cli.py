@@ -358,11 +358,16 @@ def test_a_class_absent_from_training_is_stored_as_a_null_prior(tmp_path, blob_c
 
 def test_a_bad_stored_prior_is_a_data_error(tmp_path, blob_csv, capsys):
     model = _train(tmp_path, blob_csv)
-    for mutate in (lambda prior: prior + [-1.0], lambda prior: [v - 1.0 for v in prior]):
+    stored = json.loads(model.read_text())["provenance"]["class_log_prior"]
+    # wrong length, not normalized, and +inf (1e999 parses to it) beside
+    # finite entries that alone sum to 1
+    for prior in (
+        json.dumps(stored + [-1.0]), json.dumps([v - 1.0 for v in stored]), "[0.0,1e999]",
+    ):
         doc = json.loads(model.read_text())
-        doc["provenance"]["class_log_prior"] = mutate(doc["provenance"]["class_log_prior"])
+        doc["provenance"]["class_log_prior"] = "PRIOR"
         broken = tmp_path / "prior.model.json"
-        broken.write_text(json.dumps(doc))
+        broken.write_text(json.dumps(doc).replace('"PRIOR"', prior))
         capsys.readouterr()
         assert main(["eval", "--model", str(broken), "--data", f"csv:{blob_csv}",
                      "--prior", "empirical", "--out", str(tmp_path / "e")]) == 3

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp as reference_logsumexp
 
 import randspn as rs
-from randspn.circuit import PRODUCT, softmax
+from randspn.circuit import PRODUCT, sum_terms
 from randspn.inference import sum_block_forward, sum_group_kernel
 from randspn.oracle import finite_diff_gradient
 from randspn.training import _factor_gradients, sum_block_backward
@@ -113,7 +113,7 @@ def test_folded_sums_match_the_log_domain_reference(case):
     for group, logits, keep in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on dead rows
-            kernel = sum_group_kernel(tables, group, softmax(logits), keep)
+            kernel = sum_group_kernel(tables, group, sum_terms(logits), keep)
             got = sum_block_forward(kernel)
         expected = _reference(tables, group, logits, keep)
         assert got.shape == expected.shape
@@ -141,7 +141,7 @@ def test_folded_sum_gradients_match_finite_differences(case, seed):
     for group, logits, keep in cases:
         for src, _, _ in group.reads:  # finite factors: every entry can be probed
             tables[src] = np.nan_to_num(tables[src], neginf=-30.0) / 40.0
-        weights = softmax(logits)
+        weights = sum_terms(logits)
         out = sum_block_forward(sum_group_kernel(tables, group, weights, keep))
         live = np.isfinite(out)
         g = rng.normal(size=out.shape)
@@ -217,7 +217,7 @@ def test_multi_partition_sum_scales_each_partition():
         tables[src] = rng.normal(0.0, 3.0, (len(circuit.plan[src].blocks), 5, 3))
         tables[src] -= 75.0 * rng.integers(0, 3, tables[src].shape[:2])[..., None]
     logits = rng.normal(0.0, 1.0, (1, 2, root.columns))
-    got = sum_block_forward(sum_group_kernel(tables, root, softmax(logits)))
+    got = sum_block_forward(sum_group_kernel(tables, root, sum_terms(logits)))
     np.testing.assert_allclose(got, _reference(tables, root, logits, None), rtol=1e-13)
 
 
@@ -232,13 +232,13 @@ def test_equal_rows_need_equal_partition_shifts_and_no_drop():
     tables[src] = np.zeros((len(circuit.plan[src].blocks), 2, 3))
     tables[src][at[0, 0], 1] = -3.0  # partition 0 has shift -3 in sample 1
     logits = np.random.default_rng(0).normal(0.0, 1.0, (1, 1, root.columns))
-    kernel = sum_group_kernel(tables, root, softmax(logits))
+    kernel = sum_group_kernel(tables, root, sum_terms(logits))
     got = sum_block_forward(kernel)
     assert got[0, 0, 0] == 0.0
     np.testing.assert_allclose(got, _reference(tables, root, logits, None), rtol=1e-13)
     keep = np.ones((1, 2, root.columns), bool)
     keep[0, 0, 1] = False  # a dropped column makes sample 0 a mixture too
-    kernel = sum_group_kernel(tables, root, softmax(logits), keep)
+    kernel = sum_group_kernel(tables, root, sum_terms(logits), keep)
     np.testing.assert_allclose(
         sum_block_forward(kernel), _reference(tables, root, logits, keep),
         rtol=1e-13,

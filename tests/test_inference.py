@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp as reference_logsumexp
 
 import randspn as rs
+from randspn.circuit import sum_terms
 from randspn.errors import InvalidInput
-from randspn.inference import logsumexp, sum_block_forward
+from randspn.inference import check_log_prior, logsumexp, sum_block_forward
+from randspn.tiles import TILE, padded, tile_matmul
 from randspn.training import sum_block_backward
 from randspn.oracle import enumerate_assignments
 from conftest import (
@@ -181,6 +183,10 @@ def test_log_joint_and_priors(rng):
 
     with pytest.raises(InvalidInput):
         rs.log_joint(circuit, params, batch, np.log(np.array([0.8, 0.1])))
+    # the finite entries sum to 1, but NaN and +inf are not log-probabilities
+    for bad in ([np.log(0.5), np.log(0.5), np.nan], [0.0, np.inf, -np.inf]):
+        with pytest.raises(InvalidInput, match="NaN or \\+inf"):
+            check_log_prior(bad, 3)
 
 
 def test_classify_tie_break_and_argmax(rng):
@@ -371,7 +377,7 @@ def test_streaming_matches_table_mode(rng):
     assert len(tables) == len(circuit.plan)
 
 
-def test_a_large_batch_is_evaluated_in_blocks_of_1024_rows(rng):
+def test_a_large_batch_equals_its_1024_row_chunks(rng):
     graph = rs.random_region_graph(16, 2, 3, seed=0)
     circuit = rs.construct_circuit(graph, 3, 4, 4)
     params = randomize_params(rs.init_parameters(circuit, seed=1), rng, 0.5)
@@ -391,7 +397,7 @@ def test_a_large_batch_is_evaluated_in_blocks_of_1024_rows(rng):
 
 
 @pytest.mark.parametrize("num_vars, depth, repetitions, width, rows", [
-    (64, 2, 8, 8, 2500),  # the desk config; the whole-batch calls cross _FORWARD_BATCH
+    (64, 2, 8, 8, 2500),  # the desk config; the whole-batch calls span several passes
     (784, 3, 10, 10, 100),
 ], ids=["desk", "784-variables"])
 def test_a_rows_bits_do_not_depend_on_the_call_it_comes_in(
@@ -421,6 +427,32 @@ def test_a_rows_bits_do_not_depend_on_the_call_it_comes_in(
     for name, call in calls.items():
         alone = np.concatenate([call(slice(row, row + 1)) for row in range(rows)])
         np.testing.assert_array_equal(alone, call(slice(None)), err_msg=name)
+
+
+@pytest.mark.parametrize("members, columns, sums", [
+    (16, 64, 8),  # the desk config's inner sum group
+    (1, 512, 10),  # the desk root
+    (40, 100, 10),  # an inner sum group at 784 variables
+    (80, 294, 10),  # a leaf group's statistics at 784 variables
+])
+def test_a_rows_bits_do_not_depend_on_its_tile_position_or_companions(members, columns, sums):
+    # the tile GEMM's contract: a row gives the same bits at every position of
+    # its tile, whatever the other rows hold, and a ones row gives q exactly
+    rng = np.random.default_rng(11)
+    terms = sum_terms(rng.normal(0.0, 2.0, (members, sums, columns)))
+    weights = terms.w.swapaxes(-1, -2)
+    row = rng.random((members, columns))
+    alone = np.zeros((members, TILE, columns))
+    alone[:, 0] = row
+    want = tile_matmul(alone, weights)[:, 0]
+    for position in range(TILE):
+        batch = rng.random((members, 2 * TILE, columns))
+        batch[:, TILE + position] = row
+        batch[:, position] = 1.0
+        got = tile_matmul(batch, weights)
+        np.testing.assert_array_equal(got[:, TILE + position], want)
+        np.testing.assert_array_equal(got[:, position], terms.q[:, 0])
+    assert [padded(rows) for rows in (0, 1, TILE, TILE + 1)] == [0, TILE, TILE, 2 * TILE]
 
 
 def test_forward_memory_does_not_grow_with_the_rows(rng):

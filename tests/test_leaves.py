@@ -185,3 +185,53 @@ def test_masked_entries_contribute_exactly_zero(rng, family):
     np.testing.assert_array_equal(kernel(wild_x, params), base)
     np.testing.assert_array_equal(kernel(x, wild_params), base)
     assert np.isfinite(base).all()
+
+
+def test_expanded_leaf_meets_its_cancellation_bound_on_unscaled_pixels():
+    # 0..255 features with data-aware means and variances: x² and mean² are
+    # about 1e4 times a term's log-density, the worst case for the expanded
+    # form. Each leaf's log-density must lie within the README's bound,
+    # 3d eps sum_observed((|x| + |mean|)² / (2 var) + |log(2 pi var)| / 2),
+    # of the oracle's, which multiplies the per-variable densities.
+    import math
+
+    import randspn as rs
+    from randspn.leaves import clamped_variances
+    from randspn.model_io import model_to_dict
+    from randspn.oracle import load_model_dict
+
+    data = rs.make_synthetic_classes(30, num_classes=10, side=8, sample_seed=3)
+    pixels = np.rint(data.features * 255.0)
+    stds = np.maximum(pixels.std(axis=0), 1.0)
+    circuit = rs.construct_circuit(rs.random_region_graph(64, 2, 2, seed=5), 2, 2, 3)
+    params = rs.init_parameters(
+        circuit, seed=5, feature_stats=(pixels.mean(axis=0), stds), train_variance=True
+    )
+    rng = np.random.default_rng(6)
+    flat = params.flat.copy()
+    for block in (b for b in circuit.blocks if b.kind == "leaf"):
+        log_vars = params.stacked("leaf_log_vars", circuit.plan[block.group], flat)
+        noise = rng.normal(0.0, 0.3, log_vars[block.position].shape)
+        log_vars[block.position] = 2.0 * np.log(stds[list(block.scope)]) + noise
+    params = rs.ParameterSet(params.layout, flat)
+    model = load_model_dict(model_to_dict(circuit, params))
+    missing = rng.random(pixels.shape) < 0.2
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for block in (b for b in circuit.blocks if b.kind == "leaf"):
+        group, scope = circuit.plan[block.group], list(block.scope)
+        means = params.stacked("leaf_means", group)[block.position]  # (I, d)
+        variances = clamped_variances(params.stacked("leaf_log_vars", group)[block.position])
+        x, observed = mask_batch(pixels[:, scope], missing[:, scope])
+        got = gaussian_block_log_density(x, gaussian_terms(means, variances), observed)
+        scale = ((np.abs(x)[:, None] + np.abs(means)) ** 2 / (2 * variances)
+                 + np.abs(np.log(2 * np.pi * variances)) / 2)  # (N, I, d)
+        bound = 3 * len(scope) * eps * (scale * observed[:, None]).sum(axis=-1)
+        for n, row in enumerate(pixels):
+            gone = set(np.flatnonzero(missing[n]).tolist())
+            for i in range(len(means)):
+                want = math.log(model._leaf_value(block.node.index, i, row, gone))
+                error = abs(got[n, i] - want)
+                assert error <= bound[n, i], (block, n, i, error, bound[n, i])
+                worst = max(worst, error / bound[n, i])
+    assert 0.0 < worst < 1.0

@@ -735,13 +735,13 @@ def test_leaf_gradient_contractions_equal_the_per_node_formula(
     if masked:
         missing = rng.random((9, 12)) < 0.3
         missing[2] = True  # a fully masked row
-    _, tables, _ = rs.forward_log(circuit, params, batch, missing, return_tables=True)
+    _, tables, kernels = rs.forward_log(circuit, params, batch, missing, return_tables=True)
     x, observed = leaf_input(circuit, batch, missing)
     for group in (group for group in circuit.plan if group.kind == "leaf"):
         g = np.zeros_like(tables[group.index])  # the layout of a table gradient
         g[...] = rng.normal(size=g.shape)
         d_flat = np.zeros_like(params.flat)
-        _leaf_gradients(circuit, params, d_flat, group, g, x, observed)
+        _leaf_gradients(circuit, params, d_flat, group, g, kernels[group.index])
         want = _leaf_gradients_per_node(circuit, params, group, g, x, observed)
         assert len(want) == 1 + train_variance
         for name, value in want.items():
