@@ -159,14 +159,6 @@ def _check_shapes(x, node_terms, observed):
         )
 
 
-def _statistics(x, node_terms, observed) -> LeafStatistics:
-    """``x`` itself when it is a ``LeafStatistics``, else those of the checked batch."""
-    if isinstance(x, LeafStatistics):
-        return x
-    _check_shapes(x, node_terms, observed)
-    return leaf_statistics(x, observed)
-
-
 def _scope_dot(a, node_terms):
     """sum_d a[..., d] * node_terms[i, ..., d] for every node i: shape a.shape[:-1] + (I,)."""
     return np.einsum("...d,i...d->...i", a, node_terms)
@@ -191,7 +183,10 @@ def gaussian_block_log_density(x, terms: GaussianTerms, observed=None):
     differences; an observed value whose squared distance to a mean
     overflows there too has log-density -inf, without a warning.
     """
-    stats = _statistics(x, terms.means, observed)
+    stats = x
+    if not isinstance(x, LeafStatistics):
+        _check_shapes(x, terms.means, observed)
+        stats = leaf_statistics(x, observed)
     features = stats.features
     group = features.ndim == 4
     flat = features.reshape(features.shape[:-2] + (3 * features.shape[-2],))  # (R, [G,] 3d)
