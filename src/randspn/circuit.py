@@ -298,10 +298,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class SumTerms(NamedTuple):
-    """What a sum kernel reads of its logits: (S, K) or (G, S, K) softmax
-    weights ``w``, and ``q``, (1, S) or (G, 1, S): each weight row's sum,
-    by the tile GEMM that mixes the inputs (``tiles.tile_matmul``), on a
-    tile of ones.
+    """What a sum kernel reads of its logits: (G, S, K) softmax weights
+    ``w``, and ``q``, (G, 1, S): each weight row's sum, by the tile GEMM
+    that mixes the inputs (``tiles.tile_matmul``), on a tile of ones.
     """
 
     w: np.ndarray
@@ -360,7 +359,8 @@ class ParameterSet:
 
         A sum group gives its ``sum_terms``. A leaf group gives
         ``leaves.gaussian_terms`` (clamped variances with variance training)
-        or ``leaves.bernoulli_terms``, node-major. Every array is read-only.
+        or ``leaves.bernoulli_terms``, group-major (G, I, d) as ``stacked``
+        holds its parameters. Every array is read-only.
         """
         terms = self._terms.get(plan_group.index)
         if terms is None:

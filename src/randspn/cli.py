@@ -166,8 +166,10 @@ def _prior_from_flag(args, circuit, meta, data):
 def cmd_train(args):
     started = time.perf_counter()
     parse_data_spec(args.data)  # config check before any work
-    if args.valid_fraction < 0 or args.valid_fraction >= 1:
+    if not 0 <= args.valid_fraction < 1:  # NaN fails too
         raise InvalidInput("--valid-fraction must lie in [0, 1)")
+    if args.classes is not None and args.classes < 1:
+        raise InvalidInput(f"--classes must be >= 1, got {args.classes}")
     raw = load_data_spec(args.data)
     if raw.labels is None:
         raise DataFormatError("training data must carry labels")

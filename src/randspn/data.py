@@ -159,20 +159,34 @@ def load_idx(image_path, label_path=None) -> Dataset:
 
 
 def save_idx(features, image_path, label_path=None, labels=None, rows=None, cols=None):
-    """Write features (integer values 0..255) back to IDX files."""
+    """Write features (integer values 0..255) and labels (1..256) back to IDX files.
+
+    Images are ``rows`` x ``cols``: ``rows`` defaults to the square root of
+    the feature count, and ``cols`` to the features per row. Raises
+    InvalidInput, before writing anything, for a shape that does not hold
+    the features, a pixel that does not round into 0..255, or labels that
+    are not one per sample, in 1..256.
+    """
     features = np.asarray(features)
     count, num_feat = features.shape
     if rows is None:
         rows = int(np.sqrt(num_feat))
-        cols = num_feat // rows
-    if rows * cols != num_feat:
+    if cols is None:
+        cols = num_feat // max(rows, 1)
+    if rows < 0 or cols < 0 or rows * cols != num_feat:
         raise InvalidInput(f"cannot shape {num_feat} features as {rows}x{cols}")
-    payload = np.rint(features).astype(np.uint8).tobytes()
+    pixels = np.rint(features)
+    if not ((pixels >= 0) & (pixels <= 255)).all():  # NaN fails too
+        raise InvalidInput("pixel values must round to integers in 0..255")
+    if label_path is not None:
+        labels = np.asarray(labels)
+        if labels.shape != (count,) or not ((labels >= 1) & (labels <= 256)).all():
+            raise InvalidInput(f"labels must be one per sample ({count}), in 1..256")
+        labels = labels.astype(int)
     with open(image_path, "wb") as handle:
         handle.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
-        handle.write(payload)
+        handle.write(pixels.astype(np.uint8).tobytes())
     if label_path is not None:
-        labels = np.asarray(labels, dtype=int)
         with open(label_path, "wb") as handle:
             handle.write(struct.pack(">II", IDX_LABEL_MAGIC, count))
             handle.write((labels - 1).astype(np.uint8).tobytes())

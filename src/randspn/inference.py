@@ -101,7 +101,13 @@ def _mix(m, e, terms: SumTerms) -> SumKernel:
 
 
 def _log_inputs(values, keep):
-    """(m, e) of log-domain inputs: shift by the largest kept value, exp."""
+    """(m, e) of log-domain inputs: shift by the largest kept value, exp.
+
+    ``keep``, shaped like ``values`` or None, marks the columns sum dropout
+    keeps. A dropped column acts as -inf, but never enters ``np.exp`` as
+    one, whose slow path costs several times the fast one: it is clamped
+    to ``exp(0)`` and then multiplied by 0.
+    """
     masked = values if keep is None else values + _DROP_SHIFT.take(keep)
     m = masked.max(axis=-1, keepdims=True)
     *lead, rows, columns = values.shape
@@ -116,25 +122,10 @@ def _log_inputs(values, keep):
     return m, e
 
 
-def sum_block_kernel(values: np.ndarray, terms: SumTerms, keep=None) -> SumKernel:
-    """The ``SumKernel`` of a sum block, or a group of them, on log-domain inputs.
-
-    ``values`` is a block's (N, K) input table and ``terms`` the
-    ``circuit.sum_terms`` of its (S, K) logits, or (G, N, K) and (G, S, K)
-    for a group of G blocks. ``keep``, shaped like ``values`` or None, marks
-    the columns sum dropout keeps; a dropped column acts as an input of
-    -inf. The shift ``m`` is the largest kept input. The -inf never enters
-    ``np.exp``, whose slow path for it costs several times the fast one:
-    dropped columns are clamped to ``exp(0)`` and then multiplied by 0.
-    """
-    return _mix(*_log_inputs(values, keep), terms)
-
-
 def sum_block_forward(kernel: SumKernel) -> np.ndarray:
     """Mixture outputs log sum_k w[s, k] exp(values[n, k]) from a ``SumKernel``.
 
-    ``kernel`` is ``sum_block_kernel(values, terms)`` of a block or a group,
-    or ``sum_group_kernel`` of a plan group; the outputs are
+    ``kernel`` is ``sum_group_kernel`` of a plan group; the outputs are
     ``log p - log q + m``, ``q`` each weight row's sum by the GEMM that gave
     ``p`` (see ``_mix``). The softmax rows need not sum to exactly 1, but a
     row whose inputs all equal ``v`` has ``e`` all ones, so ``p == q`` and it
@@ -163,7 +154,7 @@ def sum_block_inputs(tables, group: Group, keep=None):
     before the exp. The (G, N, K) keep-mask ``keep``, None without sum
     dropout, multiplies the columns. ``e`` is (G, padded(N), K), its padding
     rows 0, for ``tile_matmul``. A group with no runs mixes a leaf table
-    directly, as ``sum_block_kernel`` does.
+    directly, through ``_log_inputs``.
     """
     if not group.runs:
         (src, at, _), = group.reads
@@ -217,7 +208,7 @@ def sum_group_kernel(tables, group: Group, terms: SumTerms, keep=None) -> SumKer
     few bits, while ``m`` is finite. Such a row, one whose outputs ``p``
     are all below ``2**-900`` (about 624 nats below the shift), is
     recomputed from its log-domain product values with its largest kept
-    value as the shift, as ``sum_block_kernel`` would.
+    value as the shift (``_log_inputs``).
     """
     kernel = _mix(*sum_block_inputs(tables, group, keep), terms)
     if keep is not None and group.runs:
@@ -238,11 +229,10 @@ def _rescue(tables, group, kernel, keep, rows):
             factors.append(tables[src][at[members][:, slots], samples[:, None]])
         left, right = factors  # (R, partitions, width)
         values.append((left[..., :, None] + right[..., None, :]).reshape(len(members), -1))
-    again = sum_block_kernel(
-        np.concatenate(values, axis=-1)[:, None, :],
-        SumTerms(kernel.w[members], kernel.q[members]),
-        keep[members, samples][:, None, :],
+    m, e = _log_inputs(
+        np.concatenate(values, axis=-1)[:, None, :], keep[members, samples][:, None, :]
     )
+    again = _mix(m, e, SumTerms(kernel.w[members], kernel.q[members]))
     for name in ("m", "e", "p"):
         getattr(kernel, name)[members, samples] = getattr(again, name)[:, 0]
 
@@ -254,10 +244,8 @@ def _leaf_group(circuit, params, group, stats: LeafStatistics):
     """
     stats = LeafStatistics(np.take(stats.features, group.scope, axis=1), stats.rows)
     if circuit.leaf_family == GAUSSIAN:
-        out = gaussian_block_log_density(stats, params.terms(group))
-    else:
-        out = bernoulli_block_log_mass(stats.x, params.terms(group), stats.observed)
-    return out.transpose(1, 0, 2)
+        return gaussian_block_log_density(stats, params.terms(group))
+    return bernoulli_block_log_mass(stats, params.terms(group))
 
 
 def _check_batch(circuit, batch):

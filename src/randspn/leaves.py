@@ -12,10 +12,11 @@ become 0, with a 0/1 observed factor. Its sufficient statistics
 built once per forward pass, and every masked entry's statistics are 0.
 A Gaussian leaf is the exponential-family form of Einsum Networks, the
 statistics contracted with natural coefficients (one GEMM per pass, see
-``tiles``), so a masked term is exactly 0 whatever the parameters. The
-parameter terms the kernels read (node-major means and log-variances,
-natural coefficients, log-masses) come from ``gaussian_terms`` and
-``bernoulli_terms``, which ``ParameterSet`` computes once per parameter set.
+``tiles``), so a masked term is exactly 0 whatever the parameters. A
+kernel takes a plan group's (R, G, d, 3) statistics and its group-major
+terms (``gaussian_terms`` or ``bernoulli_terms`` of (G, I, d) parameters,
+which ``ParameterSet`` computes once per parameter set) and returns the
+group's (G, N, I) table.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ _OVERFLOWED = -1e300
 
 
 class GaussianTerms(NamedTuple):
-    """Gaussian parameters, node-major: (I, d) for a block, (I, G, d) for a group.
+    """Gaussian parameters of a group of G leaf blocks of I nodes, each (G, I, d).
 
-    The variance fields are None for unit variances. ``natural`` holds the
-    coefficients the density contracts the leaf statistics with, (3d, I)
-    for a block or (G, 3d, I) for a group: per scope variable, in the
-    order (x², x, observed), ``a = -1/(2 var)``, ``b = mean/var`` and
+    The variance fields are None for unit variances. ``natural``, a
+    contiguous (G, 3d, I), holds the coefficients the density contracts
+    the leaf statistics with: per scope variable, in the order (x², x,
+    observed), ``a = -1/(2 var)``, ``b = mean/var`` and
     ``c = -mean²/(2 var) - log(2 pi var)/2``, clipped to finite values.
     """
 
@@ -54,43 +55,35 @@ class GaussianTerms(NamedTuple):
 
 
 class BernoulliTerms(NamedTuple):
-    """Node-major log success and failure probabilities, shaped as ``GaussianTerms.means``."""
+    """Log success and failure probabilities, shaped as ``GaussianTerms.means``."""
 
     log_p: np.ndarray
     log_q: np.ndarray
 
 
-def node_major(params):
-    """(I, d) or (I, G, d) contiguous copy, so each node's row is contiguous."""
-    if params.ndim not in (2, 3):
-        raise InvalidInput(f"leaf parameters must be (I, d) or (G, I, d), got {params.shape}")
-    return np.ascontiguousarray(np.moveaxis(params, -2, 0))
-
-
 def gaussian_terms(means, variances=None) -> GaussianTerms:
-    """The terms ``gaussian_block_log_density`` reads, from (I, d) or (G, I, d) parameters."""
-    mu = node_major(np.asarray(means, dtype=float))
+    """The terms ``gaussian_block_log_density`` reads, from (G, I, d) parameters."""
+    mu = np.asarray(means, dtype=float)
+    size, nodes, scope = mu.shape
     var = log_var = inv_var = None
     with np.errstate(over="ignore"):  # a coefficient that overflows is clipped below
         if variances is None:
             a, b, c = np.full_like(mu, -0.5), mu, -0.5 * (mu * mu + LOG_2PI)
         else:
-            var = node_major(np.asarray(variances, dtype=float))
+            var = np.asarray(variances, dtype=float)
             log_var, inv_var = np.log(var), 1.0 / var
             a, b = -0.5 * inv_var, mu * inv_var
             c = -0.5 * (mu * b + LOG_2PI + log_var)
-    natural = np.moveaxis(np.stack((a, b, c), axis=-1), 0, -1)  # ([G,] d, 3, I)
-    natural = np.clip(natural, _LOWEST, -_LOWEST).reshape(natural.shape[:-3] + (-1, len(mu)))
+    natural = np.moveaxis(np.stack((a, b, c), axis=-1), 1, -1)  # (G, d, 3, I)
+    natural = np.clip(natural, _LOWEST, -_LOWEST).reshape(size, 3 * scope, nodes)
     return GaussianTerms(mu, var, log_var, inv_var, np.ascontiguousarray(natural))
 
 
 def bernoulli_terms(success_logits) -> BernoulliTerms:
-    """The terms ``bernoulli_block_log_mass`` reads, from success log-odds."""
+    """The terms ``bernoulli_block_log_mass`` reads, from (G, I, d) success log-odds."""
     logits = np.asarray(success_logits, dtype=float)
     # log sigmoid(l) = -log1p(exp(-l)), computed stably on both branches
-    return BernoulliTerms(
-        node_major(-np.logaddexp(0.0, -logits)), node_major(-np.logaddexp(0.0, logits))
-    )
+    return BernoulliTerms(-np.logaddexp(0.0, -logits), -np.logaddexp(0.0, logits))
 
 
 def mask_batch(x, missing=None):
@@ -124,14 +117,6 @@ class LeafStatistics(NamedTuple):
     features: np.ndarray
     rows: int
 
-    @property
-    def x(self):
-        return self.features[: self.rows, ..., 1]
-
-    @property
-    def observed(self):
-        return self.features[: self.rows, ..., 2]
-
 
 def leaf_statistics(x, observed=None) -> LeafStatistics:
     """The ``LeafStatistics`` of ``x, observed = mask_batch(values, missing)``.
@@ -149,30 +134,13 @@ def leaf_statistics(x, observed=None) -> LeafStatistics:
     return LeafStatistics(features, rows)
 
 
-def _check_shapes(x, node_terms, observed):
-    # node-major terms are 2- or 3-D, so equal trailing shapes fix x's rank too
-    if x.shape[1:] != node_terms.shape[1:] or (
-        observed is not None and observed.shape != x.shape
-    ):
-        raise InvalidInput(
-            f"shape mismatch: batch {x.shape} vs node-major parameters {node_terms.shape}"
-        )
+def gaussian_block_log_density(stats: LeafStatistics, terms: GaussianTerms):
+    """(G, N, I) log-densities of a group of G blocks of factorized Gaussians.
 
-
-def _scope_dot(a, node_terms):
-    """sum_d a[..., d] * node_terms[i, ..., d] for every node i: shape a.shape[:-1] + (I,)."""
-    return np.einsum("...d,i...d->...i", a, node_terms)
-
-
-def gaussian_block_log_density(x, terms: GaussianTerms, observed=None):
-    """Log-densities of a block, or a group of blocks, of factorized Gaussians.
-
-    One block: ``x, observed = mask_batch(values, missing)`` are (N, d), its
-    scope variables' values; ``terms`` is ``gaussian_terms(means, variances)``
-    of (I, d) means and variances (None for unit variance). Returns (N, I).
-    A group of G blocks adds a group axis: x and observed are (N, G, d),
-    the parameters (G, I, d), and the result is (N, G, I). ``x`` may also
-    be the batch's ``leaf_statistics``, as the engine gathers them.
+    ``stats`` is the group's (R, G, d, 3) ``LeafStatistics``, the take of
+    its scope from the pass's ``leaf_statistics``, and ``terms`` the
+    ``gaussian_terms`` of its (G, I, d) means and variances (None for unit
+    variance).
 
     The density is the exponential-family form θ·T(x) - A(θ) of Einsum
     Networks: the statistics (x², x, observed) of each variable times the
@@ -183,51 +151,42 @@ def gaussian_block_log_density(x, terms: GaussianTerms, observed=None):
     differences; an observed value whose squared distance to a mean
     overflows there too has log-density -inf, without a warning.
     """
-    stats = x
-    if not isinstance(x, LeafStatistics):
-        _check_shapes(x, terms.means, observed)
-        stats = leaf_statistics(x, observed)
     features = stats.features
-    group = features.ndim == 4
-    flat = features.reshape(features.shape[:-2] + (3 * features.shape[-2],))  # (R, [G,] 3d)
+    rows, size, scope, _ = features.shape
+    flat = features.reshape(rows, size, 3 * scope).swapaxes(0, 1)  # (G, R, 3d)
     with np.errstate(over="ignore", invalid="ignore"):  # recomputed below
-        out = tile_matmul(flat.swapaxes(0, 1) if group else flat, terms.natural)
+        out = tile_matmul(flat, terms.natural)
     lost = ~(out > _OVERFLOWED)
     if lost.any():
         _difference_form(out, features, terms, np.nonzero(lost.any(axis=-1)))
-    out = out[..., : stats.rows, :]
-    return out.swapaxes(0, 1) if group else out
+    return out[:, : stats.rows]
 
 
 def _difference_form(out, features, terms, rows):
-    """Recompute the ``([member,] row)`` rows of ``out`` from squared differences."""
-    *member, row = rows
+    """Recompute the (member, row) ``rows`` of ``out`` from squared differences."""
+    member, row = rows
     mu, _, log_var, inv_var, _ = terms
-    chosen = features[(row, *member)]  # (M, d, 3)
+    chosen = features[row, member][:, None]  # (M, 1, d, 3)
     x, observed = chosen[..., 1], chosen[..., 2]
-
-    def pick(node_terms):  # (I, M, d), or (I, 1, d) for a block
-        return node_terms[(slice(None), *member)] if member else node_terms[:, None]
-
     with np.errstate(over="ignore"):
-        diff = (x - pick(mu)) * observed  # before squaring: a masked term is exactly 0
-        quad = diff * diff if inv_var is None else diff * diff * pick(inv_var)
-        quad = quad.sum(axis=-1)
+        diff = (x - mu[member]) * observed  # before squaring: a masked term is exactly 0
+        quad = diff * diff if inv_var is None else diff * diff * inv_var[member]
+        quad = quad.sum(axis=-1)  # (M, I)
     if log_var is not None:
-        quad += (observed * pick(log_var)).sum(axis=-1)
+        quad += (observed * log_var[member]).sum(axis=-1)
     quad += LOG_2PI * observed.sum(axis=-1)
-    out[(*member, row)] = -0.5 * quad.T
+    out[member, row] = -0.5 * quad
 
 
-def bernoulli_block_log_mass(x, terms: BernoulliTerms, observed=None):
-    """Log-masses of a block, or a group of blocks, of factorized Bernoullis.
+def bernoulli_block_log_mass(stats: LeafStatistics, terms: BernoulliTerms):
+    """(G, N, I) log-masses of a group of G blocks of factorized Bernoullis.
 
     Shapes as in ``gaussian_block_log_density``, with ``terms`` the
     ``bernoulli_terms`` of success log-odds; x entries are in {0, 1}.
     """
-    _check_shapes(x, terms.log_p, observed)
-    failures = (1.0 if observed is None else observed) - x  # 0 where masked
-    return _scope_dot(x, terms.log_p) + _scope_dot(failures, terms.log_q)
+    _, x, observed = np.moveaxis(stats.features[: stats.rows], -1, 0)  # (N, G, d) each
+    successes = np.einsum("ngd,gid->gni", x, terms.log_p)
+    return successes + np.einsum("ngd,gid->gni", observed - x, terms.log_q)  # 0 where masked
 
 
 def clamped_variances(log_vars):

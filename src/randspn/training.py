@@ -132,10 +132,10 @@ def _table_diagnostics(circuit, tables):
 def sum_block_backward(g, kernel: SumKernel):
     """Gradients of ``sum_block_forward(kernel)`` w.r.t. its inputs and its logits.
 
-    ``g`` is the gradient of the block's (N, S) outputs, or (G, N, S) for a
-    group (shapes as in ``sum_block_kernel``). With the kernel's ``e``, ``w``
-    and ``p`` and ``r = g / p``, the input gradient is ``e * (r @ w)`` and the
-    logit gradient ``w * (r.T @ e - g.sum(0))``; ``log q`` adds none, as
+    ``g`` is the gradient of a group's (G, N, S) outputs (shapes as in
+    ``sum_group_kernel``). With the kernel's ``e``, ``w`` and ``p`` and
+    ``r = g / p``, the input gradient is ``e * (r @ w)`` and the logit
+    gradient ``w * (r.T @ e - g.sum(0))``; ``log q`` adds none, as
     softmax rows sum to 1. An output that is -inf (``p == 0``, as in a dead
     row) passes no gradient, and a dropped column (``e == 0``) gets exactly
     zero input gradient. For a plan group with products folded in, the input
@@ -228,12 +228,10 @@ def _leaf_gradients(circuit, params, d_flat, group, g, stats: LeafStatistics):
         name, centers, var, inv_var = "leaf_logits", np.exp(terms.log_p), None, None
     else:
         name, (centers, var, _, inv_var, _) = "leaf_means", terms
-    centers = centers.swapaxes(0, 1)
     d_centers = params.stacked(name, group, d_flat)
     np.subtract(g_x, centers * g_observed, out=d_centers)
     if var is None:
         return
-    inv_var = inv_var.swapaxes(0, 1)
     d_centers *= inv_var
     d_log_vars = params.stacked("leaf_log_vars", group, d_flat)
     # mu * (mu * g.T @ observed), not mu² g.T @ observed: a masked mean of
@@ -241,7 +239,7 @@ def _leaf_gradients(circuit, params, d_flat, group, g, stats: LeafStatistics):
     squares = g_sq - centers * (2.0 * g_x - centers * g_observed)
     np.multiply(0.5 * inv_var, squares, out=d_log_vars)
     d_log_vars -= 0.5 * g_observed
-    d_log_vars *= var.swapaxes(0, 1) > VARIANCE_FLOOR
+    d_log_vars *= var > VARIANCE_FLOOR
 
 
 def backward_gradients(

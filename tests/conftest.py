@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import randspn as rs
 from randspn.circuit import LEAF, PRODUCT, SUM, sum_terms
-from randspn.inference import sum_block_kernel
+from randspn.inference import _log_inputs, _mix
 
 
 def random_circuit(rng, num_vars=None, leaf_family="gaussian", max_dims=None):
@@ -103,8 +103,12 @@ def quadrature_mass_2d(circuit, params, lo=-10.0, hi=10.0, points=401):
 
 
 def block_kernel(values, logits, keep=None):
-    """The ``SumKernel`` of log-domain inputs ``values`` under sum ``logits``."""
-    return sum_block_kernel(values, sum_terms(logits), keep)
+    """The ``SumKernel`` of log-domain inputs ``values`` under sum ``logits``.
+
+    ``values`` is one block's (N, K) inputs or a group's (G, N, K), ``keep``
+    a sum-dropout keep-mask shaped like it, or None.
+    """
+    return _mix(*_log_inputs(values, keep), sum_terms(logits))
 
 
 @st.composite

@@ -96,6 +96,9 @@ def test_training_settings_that_cannot_train_exit_cleanly(tmp_path, blob_csv, ca
     ("train", ["--valid-fraction", "0.999"], "--valid-fraction"),
     ("train", ["--seed", "-1"], "--seed"),
     ("sweep-missing", ["--seed", "-3"], "--seed"),
+    ("train", ["--valid-fraction", "nan"], "--valid-fraction"),
+    ("train", ["--classes", "0"], "--classes"),
+    ("train", ["--classes", "-2"], "--classes"),
 ])
 def test_flag_values_numpy_would_reject_are_usage_errors(tmp_path, blob_csv, capsys,
                                                          command, flags, flag):

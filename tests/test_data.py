@@ -39,6 +39,30 @@ def test_idx_roundtrip_and_shapes(tmp_path):
     assert (tmp_path / "lbl2").read_bytes() == (tmp_path / "lbl").read_bytes()
 
 
+@pytest.mark.parametrize("pixel, labels", [
+    (300, [1, 1]), (-1, [1, 1]), (np.nan, [1, 1]), (0, [1, 301]), (0, [1, 0]), (0, [1]),
+])
+def test_save_idx_rejects_values_a_byte_cannot_hold(tmp_path, pixel, labels):
+    # uint8 would wrap them: 300 -> 44, -1 -> 255, label 300 -> 45; and
+    # a label count that is not the image count would mismatch the headers
+    features = np.zeros((2, 4))
+    features[1, 2] = pixel
+    with pytest.raises(InvalidInput):
+        rs.save_idx(features, tmp_path / "img", tmp_path / "lbl", labels=labels)
+    assert not list(tmp_path.iterdir())  # nothing written
+
+
+def test_save_idx_derives_cols_from_rows(tmp_path):
+    features = np.arange(12).reshape(2, 6)
+    rs.save_idx(features, tmp_path / "img", rows=2)
+    assert rs.load_idx(tmp_path / "img").features.tolist() == features.tolist()
+    assert struct.unpack(">IIII", (tmp_path / "img").read_bytes()[:16])[2:] == (2, 3)
+    for rows, cols in ((4, None), (0, None), (-2, -3)):
+        with pytest.raises(InvalidInput, match="cannot shape 6 features"):
+            rs.save_idx(features, tmp_path / "bad", rows=rows, cols=cols)
+    assert not (tmp_path / "bad").exists()
+
+
 def test_idx_error_cases(tmp_path):
     images = np.zeros((2, 2, 2), dtype=np.uint8)
     write_idx_images(tmp_path / "img", images)

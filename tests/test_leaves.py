@@ -8,43 +8,52 @@ from randspn.leaves import (
     bernoulli_terms,
     gaussian_block_log_density,
     gaussian_terms,
+    leaf_statistics,
     mask_batch,
 )
 
 
-def gaussian(values, terms, missing=None):
-    """The Gaussian kernel on ``values`` masked first, as the engine calls it."""
+def group_call(kernel, terms, values, missing=None):
+    """(G, N, I): ``kernel`` on (N, G, d) ``values``, masked and gathered as the engine does."""
     x, observed = mask_batch(values, missing)
-    return gaussian_block_log_density(x, terms, observed)
+    return kernel(leaf_statistics(x, observed), terms)
 
 
-def bernoulli(values, terms, missing=None):
-    x, observed = mask_batch(values, missing)
-    return bernoulli_block_log_mass(x, terms, observed)
+def gaussian(values, means, variances=None, missing=None):
+    """(N, I) log-densities of one block of (I, d) Gaussians: a group of one."""
+    terms = gaussian_terms(means[None], None if variances is None else variances[None])
+    return group_call(
+        gaussian_block_log_density, terms, values[:, None],
+        None if missing is None else missing[:, None],
+    )[0]
+
+
+def bernoulli(values, logits, missing=None):
+    """(N, I) log-masses of one block of (I, d) Bernoullis: a group of one."""
+    return group_call(
+        bernoulli_block_log_mass, bernoulli_terms(logits[None]), values[:, None],
+        None if missing is None else missing[:, None],
+    )[0]
 
 
 def test_gaussian_at_its_mean():
-    terms = gaussian_terms(np.array([[1.7]]))
-    value = gaussian_block_log_density(np.array([[1.7]]), terms)[0, 0]
+    value = gaussian(np.array([[1.7]]), np.array([[1.7]]))[0, 0]
     assert value == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
     assert value == pytest.approx(-0.9189385, abs=1e-6)
 
 
 def test_all_missing_gives_log_one():
-    value = gaussian(
-        np.array([[99.0]]), gaussian_terms(np.array([[3.0]])), missing=np.array([[True]])
-    )[0, 0]
+    value = gaussian(np.array([[99.0]]), np.array([[3.0]]), missing=np.array([[True]]))[0, 0]
     assert value == 0.0
 
 
 def test_fair_coin_pair():
-    terms = bernoulli_terms(np.zeros((1, 2)))
-    value = bernoulli_block_log_mass(np.array([[1.0, 0.0]]), terms)[0, 0]
+    value = bernoulli(np.array([[1.0, 0.0]]), np.zeros((1, 2)))[0, 0]
     assert value == pytest.approx(np.log(0.25), abs=1e-12)
 
 
 def test_non_finite_observation_rejected():
-    means = gaussian_terms(np.array([[0.0]]))
+    means = np.array([[0.0]])
     with pytest.raises(InvalidInput):
         gaussian(np.array([[np.nan]]), means)
     # but a masked non-finite value is marginalized away
@@ -58,21 +67,13 @@ def test_batch_matches_scalar_and_is_deterministic(rng):
     variances = rng.uniform(0.5, 2.0, 3)[None, :]
     batch = rng.normal(size=(4, 3))
     batch[1] = batch[0]
-    terms = gaussian_terms(means, variances)
-    out = gaussian_block_log_density(batch, terms)[:, 0]
+    out = gaussian(batch, means, variances)[:, 0]
     assert out[0] == out[1]
-    single = gaussian_block_log_density(batch[2:3], terms)[0, 0]
+    single = gaussian(batch[2:3], means, variances)[0, 0]
     assert out[2] == pytest.approx(single, abs=1e-12)
 
-    masked = gaussian(batch, terms, missing=np.ones_like(batch, bool))[:, 0]
+    masked = gaussian(batch, means, variances, missing=np.ones_like(batch, bool))[:, 0]
     np.testing.assert_array_equal(masked, np.zeros(4))
-
-
-def test_block_shapes_checked():
-    with pytest.raises(InvalidInput):
-        gaussian_block_log_density(np.zeros((2, 3)), gaussian_terms(np.zeros((4, 2))))
-    with pytest.raises(InvalidInput):
-        bernoulli_block_log_mass(np.zeros((2, 3)), bernoulli_terms(np.zeros((4, 2))))
 
 
 def test_masking_equals_numeric_integration(rng):
@@ -80,33 +81,32 @@ def test_masking_equals_numeric_integration(rng):
     means = rng.normal(size=(1, 2))
     variances = rng.uniform(0.5, 2.0, (1, 2))
     x = rng.normal(size=(1, 2))
-    terms = gaussian_terms(means, variances)
-    masked = gaussian(x, terms, missing=np.array([[False, True]]))[0, 0]
+    masked = gaussian(x, means, variances, missing=np.array([[False, True]]))[0, 0]
 
     def joint(v):
         row = np.array([[x[0, 0], v]])
-        return float(np.exp(gaussian_block_log_density(row, terms)[0, 0]))
+        return float(np.exp(gaussian(row, means, variances)[0, 0]))
 
     integrated, _ = quad(joint, means[0, 1] - 12, means[0, 1] + 12, limit=200)
     assert np.exp(masked) == pytest.approx(integrated, abs=1e-6)
 
 
 def test_monotone_mask_difference_is_the_masked_terms(rng):
-    means = gaussian_terms(rng.normal(size=(3, 4)))
+    means = rng.normal(size=(3, 4))
     x = rng.normal(size=(5, 4))
     m_small = np.zeros((5, 4), bool)
     m_small[:, 1] = True
     m_big = m_small.copy()
     m_big[:, 3] = True
-    small = gaussian(x, means, m_small)
-    big = gaussian(x, means, m_big)
-    term = gaussian(x, means, ~(np.arange(4) == 3)[None, :].repeat(5, axis=0))
+    small = gaussian(x, means, missing=m_small)
+    big = gaussian(x, means, missing=m_big)
+    term = gaussian(x, means, missing=~(np.arange(4) == 3)[None, :].repeat(5, axis=0))
     np.testing.assert_allclose(small - big, term, atol=1e-12)
 
 
 def test_bernoulli_normalization(rng):
-    logits = bernoulli_terms(rng.normal(0, 3, size=(4, 6)))
-    ones = bernoulli_block_log_mass(np.ones((1, 6)), logits)
+    logits = rng.normal(0, 3, size=(4, 6))
+    ones = bernoulli(np.ones((1, 6)), logits)
     # sum over both values per variable: evaluate each variable alone
     for v in range(6):
         mask = np.ones((1, 6), bool)
@@ -124,9 +124,18 @@ def test_variance_floor_applies_to_trainable_variances():
     assert clamped_variances(np.array([0.0]))[0] == pytest.approx(1.0)
 
 
+def family_kernel(family, params, variances):
+    """(kernel, terms) of a leaf family on (G, I, d) parameters."""
+    if family == "bernoulli":
+        return bernoulli_block_log_mass, bernoulli_terms(params)
+    terms = gaussian_terms(params, variances if family == "gaussian-var" else None)
+    return gaussian_block_log_density, terms
+
+
 @pytest.mark.parametrize("family", ["gaussian", "gaussian-var", "bernoulli"])
 def test_group_call_equals_block_calls_bit_for_bit(rng, family):
-    # a group of 3 blocks with scope size 4 and 5 leaf nodes each
+    # a group of 3 blocks with scope size 4 and 5 leaf nodes each: every
+    # member's bits equal those of a group of one holding only that member
     x = rng.normal(size=(6, 3, 4))
     params = rng.normal(size=(3, 5, 4))
     variances = np.exp(rng.normal(size=(3, 5, 4)))
@@ -134,28 +143,26 @@ def test_group_call_equals_block_calls_bit_for_bit(rng, family):
     if family == "bernoulli":
         x = (x > 0).astype(float)
 
-    def kernel(x, p, v, m):
-        if family == "bernoulli":
-            return bernoulli(x, bernoulli_terms(p), m)
-        terms = gaussian_terms(p, v if family == "gaussian-var" else None)
-        return gaussian(x, terms, m)
-
     for mask in (None, missing):
-        group = kernel(x, params, variances, mask)
-        assert group.shape == (6, 3, 5)
+        group = group_call(*family_kernel(family, params, variances), x, mask)
+        assert group.shape == (3, 6, 5)
         for g in range(3):
-            block = kernel(x[:, g], params[g], variances[g], None if mask is None else mask[:, g])
-            np.testing.assert_array_equal(group[:, g], block)
+            member = slice(g, g + 1)
+            alone = group_call(
+                *family_kernel(family, params[member], variances[member]),
+                x[:, member], None if mask is None else mask[:, member],
+            )
+            np.testing.assert_array_equal(group[g], alone[0])
 
 
 @pytest.mark.filterwarnings("error")
 def test_overflowing_observation_has_log_density_minus_inf():
     # (1e160 - mean)^2 overflows: density 0, no RuntimeWarning
     x = np.array([[1e160, 0.0], [0.5, 0.0]])
-    out = gaussian_block_log_density(x, gaussian_terms(np.zeros((3, 2)), np.ones((3, 2))))
+    out = gaussian(x, np.zeros((3, 2)), np.ones((3, 2)))
     assert np.isneginf(out[0]).all()
     assert np.isfinite(out[1]).all()
-    masked = gaussian(x, gaussian_terms(np.zeros((3, 2))), x > 1e100)
+    masked = gaussian(x, np.zeros((3, 2)), missing=x > 1e100)
     assert np.isfinite(masked).all()
 
 
@@ -173,10 +180,7 @@ def test_masked_entries_contribute_exactly_zero(rng, family):
         x = (x > 0).astype(float)
 
     def kernel(x, p):
-        if family == "bernoulli":
-            return bernoulli(x, bernoulli_terms(p), missing)
-        terms = gaussian_terms(p, variances if family == "gaussian-var" else None)
-        return gaussian(x, terms, missing)
+        return group_call(*family_kernel(family, p, variances), x, missing)
 
     base = kernel(np.where(missing, 0.0, x), params)
     wild_x = np.where(missing, np.nan, x)
@@ -223,7 +227,7 @@ def test_expanded_leaf_meets_its_cancellation_bound_on_unscaled_pixels():
         means = params.stacked("leaf_means", group)[block.position]  # (I, d)
         variances = clamped_variances(params.stacked("leaf_log_vars", group)[block.position])
         x, observed = mask_batch(pixels[:, scope], missing[:, scope])
-        got = gaussian_block_log_density(x, gaussian_terms(means, variances), observed)
+        got = gaussian(pixels[:, scope], means, variances, missing[:, scope])
         scale = ((np.abs(x)[:, None] + np.abs(means)) ** 2 / (2 * variances)
                  + np.abs(np.log(2 * np.pi * variances)) / 2)  # (N, I, d)
         bound = 3 * len(scope) * eps * (scale * observed[:, None]).sum(axis=-1)

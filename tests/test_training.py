@@ -704,14 +704,15 @@ def _leaf_gradients_per_node(circuit, params, group, g, x, observed):
         name, centers, inv_var = "leaf_logits", np.exp(terms.log_p), 1.0
     else:
         name, centers = "leaf_means", terms.means
-        inv_var = 1.0 if terms.inv_variances is None else terms.inv_variances[:, None]
-    diff = (x - centers[:, None]) * observed  # (I, N, G, d)
+        inv_var = 1.0 if terms.inv_variances is None else terms.inv_variances
+    x, observed = x[:, :, None], observed[:, :, None]  # (N, G, 1, d)
+    diff = (x - centers) * observed  # (N, G, I, d)
     scaled = diff * inv_var
-    grads = {name: np.einsum("gni,ingv->giv", g, scaled)}
+    grads = {name: np.einsum("gni,ngiv->giv", g, scaled)}
     if name == "leaf_means" and terms.variances is not None:
-        active = (terms.variances > VARIANCE_FLOOR).swapaxes(0, 1)
+        active = terms.variances > VARIANCE_FLOOR
         halves = 0.5 * (diff * scaled - observed)
-        grads["leaf_log_vars"] = np.einsum("gni,ingv->giv", g, halves) * active
+        grads["leaf_log_vars"] = np.einsum("gni,ngiv->giv", g, halves) * active
     return grads
 
 
