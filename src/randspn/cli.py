@@ -21,6 +21,7 @@ training.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -404,7 +405,16 @@ def cmd_ood(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``randspn`` parser, built once per process.
+
+    ``main`` may run many times in one process, and building the parser
+    costs many times more than parsing with it. Sharing it is safe:
+    parsing never mutates the parser, and no option has a mutable default
+    or an ``append`` action, so every ``parse_args`` starts from the same
+    state.
+    """
     parser = argparse.ArgumentParser(
         prog="randspn",
         description="Random tensorized sum-product networks at desk scale.",

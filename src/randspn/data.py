@@ -163,11 +163,16 @@ def save_idx(features, image_path, label_path=None, labels=None, rows=None, cols
 
     Images are ``rows`` x ``cols``: ``rows`` defaults to the square root of
     the feature count, and ``cols`` to the features per row. Raises
-    InvalidInput, before writing anything, for a shape that does not hold
-    the features, a pixel that does not round into 0..255, or labels that
-    are not one per sample, in 1..256.
+    InvalidInput, before writing anything, for features that are not a
+    (samples, features) matrix, a shape that does not hold the features, a
+    pixel that does not round into 0..255, or labels that are not one per
+    sample, in 1..256.
     """
     features = np.asarray(features)
+    if features.ndim != 2:
+        raise InvalidInput(
+            f"features must be a (samples, features) matrix, got shape {features.shape}"
+        )
     count, num_feat = features.shape
     if rows is None:
         rows = int(np.sqrt(num_feat))

@@ -240,9 +240,10 @@ def _rescue(tables, group, kernel, keep, rows):
 def _leaf_group(circuit, params, group, stats: LeafStatistics):
     """(G, N, I) log-densities of a leaf group from the pass's ``leaf_statistics``.
 
-    One take along the variables gives the group's (R, G, d, 3) statistics.
+    One take along the variables gives the group's (G, d, 3, R) statistics,
+    a copy of whole rows.
     """
-    stats = LeafStatistics(np.take(stats.features, group.scope, axis=1), stats.rows)
+    stats = LeafStatistics(np.take(stats.features, group.scope, axis=0), stats.rows)
     if circuit.leaf_family == GAUSSIAN:
         return gaussian_block_log_density(stats, params.terms(group))
     return bernoulli_block_log_mass(stats, params.terms(group))
@@ -317,7 +318,9 @@ def forward_log(
     ``(roots, tables, kernels)``: ``tables[g]`` is the (G, N, width)
     log-value tensor of plan group ``g``, and ``kernels`` maps each sum
     group's index to its ``SumKernel`` and each leaf group's index to the
-    pass's (R, V, 3) ``leaf_statistics``, which the backward pass reuses.
+    pass's ``leaf_statistics``, which the backward pass reuses: a (V, 3, R)
+    array, per variable its x², x and observed factor over the rows padded
+    to whole tiles.
     """
     x, observed = leaf_input(circuit, batch, missing)
     sum_dropout = sum_dropout or {}

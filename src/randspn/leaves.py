@@ -10,13 +10,14 @@ A batch is masked once, where it enters (``mask_batch``): masked entries
 become 0, with a 0/1 observed factor. Its sufficient statistics
 (``leaf_statistics``: x², x and the observed factor of every entry) are
 built once per forward pass, and every masked entry's statistics are 0.
-A Gaussian leaf is the exponential-family form of Einsum Networks, the
-statistics contracted with natural coefficients (one GEMM per pass, see
-``tiles``), so a masked term is exactly 0 whatever the parameters. A
-kernel takes a plan group's (R, G, d, 3) statistics and its group-major
-terms (``gaussian_terms`` or ``bernoulli_terms`` of (G, I, d) parameters,
-which ``ParameterSet`` computes once per parameter set) and returns the
-group's (G, N, I) table.
+They are laid out by variable, rows last, so a plan group's take of its
+scope copies whole rows of statistics. A Gaussian leaf is the
+exponential-family form of Einsum Networks, the statistics contracted
+with natural coefficients (one GEMM per pass, see ``tiles``), so a masked
+term is exactly 0 whatever the parameters. A kernel takes a plan group's
+(G, d, 3, R) statistics and its group-major terms (``gaussian_terms`` or
+``bernoulli_terms`` of (G, I, d) parameters, which ``ParameterSet``
+computes once per parameter set) and returns the group's (G, N, I) table.
 """
 
 from __future__ import annotations
@@ -109,9 +110,10 @@ def mask_batch(x, missing=None):
 class LeafStatistics(NamedTuple):
     """The sufficient statistics of a masked batch, padded to whole tiles.
 
-    ``features`` is (R, ..., 3) for an (N, ...) batch: per entry, in the
-    order (x², x, observed); rows ``rows`` and after are zero, as a fully
-    masked row is, up to ``R = tiles.padded(rows)``.
+    ``features`` is (..., 3, R) for an (N, ...) batch, rows last: per
+    entry, in the order (x², x, observed); along the last axis, rows
+    ``rows`` and after are zero, as a fully masked row is, up to
+    ``R = tiles.padded(rows)``.
     """
 
     features: np.ndarray
@@ -125,19 +127,22 @@ def leaf_statistics(x, observed=None) -> LeafStatistics:
     its row (see ``gaussian_block_log_density``).
     """
     rows = len(x)
-    features = np.empty((padded(rows),) + x.shape[1:] + (3,))
-    features[rows:] = 0.0
+    features = np.empty(x.shape[1:] + (3, padded(rows)))
+    features[..., rows:] = 0.0
+    # the writes go through one (N, ..., 3) view of the real rows, a single
+    # transpose: two np.moveaxis calls tripled the cost of a 2-row build
+    by_row = features.transpose(-1, *range(x.ndim))[:rows]
     with np.errstate(over="ignore"):
-        np.square(x, out=features[:rows, ..., 0])
-    features[:rows, ..., 1] = x
-    features[:rows, ..., 2] = 1.0 if observed is None else observed
+        np.square(x, out=by_row[..., 0])
+    by_row[..., 1] = x
+    by_row[..., 2] = 1.0 if observed is None else observed
     return LeafStatistics(features, rows)
 
 
 def gaussian_block_log_density(stats: LeafStatistics, terms: GaussianTerms):
     """(G, N, I) log-densities of a group of G blocks of factorized Gaussians.
 
-    ``stats`` is the group's (R, G, d, 3) ``LeafStatistics``, the take of
+    ``stats`` is the group's (G, d, 3, R) ``LeafStatistics``, the take of
     its scope from the pass's ``leaf_statistics``, and ``terms`` the
     ``gaussian_terms`` of its (G, I, d) means and variances (None for unit
     variance).
@@ -152,8 +157,9 @@ def gaussian_block_log_density(stats: LeafStatistics, terms: GaussianTerms):
     overflows there too has log-density -inf, without a warning.
     """
     features = stats.features
-    rows, size, scope, _ = features.shape
-    flat = features.reshape(rows, size, 3 * scope).swapaxes(0, 1)  # (G, R, 3d)
+    size, scope, _, rows = features.shape
+    # a (G, R, 3d) view whose rows have unit stride
+    flat = features.reshape(size, 3 * scope, rows).swapaxes(1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # recomputed below
         out = tile_matmul(flat, terms.natural)
     lost = ~(out > _OVERFLOWED)
@@ -166,7 +172,7 @@ def _difference_form(out, features, terms, rows):
     """Recompute the (member, row) ``rows`` of ``out`` from squared differences."""
     member, row = rows
     mu, _, log_var, inv_var, _ = terms
-    chosen = features[row, member][:, None]  # (M, 1, d, 3)
+    chosen = features[member, ..., row][:, None]  # (M, 1, d, 3)
     x, observed = chosen[..., 1], chosen[..., 2]
     with np.errstate(over="ignore"):
         diff = (x - mu[member]) * observed  # before squaring: a masked term is exactly 0
@@ -184,9 +190,10 @@ def bernoulli_block_log_mass(stats: LeafStatistics, terms: BernoulliTerms):
     Shapes as in ``gaussian_block_log_density``, with ``terms`` the
     ``bernoulli_terms`` of success log-odds; x entries are in {0, 1}.
     """
-    _, x, observed = np.moveaxis(stats.features[: stats.rows], -1, 0)  # (N, G, d) each
-    successes = np.einsum("ngd,gid->gni", x, terms.log_p)
-    return successes + np.einsum("ngd,gid->gni", observed - x, terms.log_q)  # 0 where masked
+    features = stats.features[..., : stats.rows]
+    x, observed = features[:, :, 1], features[:, :, 2]  # (G, d, N) each
+    successes = np.einsum("gdn,gid->gni", x, terms.log_p)
+    return successes + np.einsum("gdn,gid->gni", observed - x, terms.log_q)  # 0 where masked
 
 
 def clamped_variances(log_vars):

@@ -11,7 +11,10 @@ per element depends only on the call's shape, not on the row's position in
 the tile (numpy's bundled OpenBLAS; the row-stability and tile-position tests
 check this on the installed BLAS). The caller allocates its rows padded to
 ``padded(rows)``, the padding rows zero, so no copy is made here. The sum
-mix and the Gaussian leaf both go through it.
+mix and the Gaussian leaf both go through it: the sum mix with row-major
+rows, the leaf with a view of its statistics whose rows have unit stride
+(a transposed GEMM operand). Each layout is row-stable on its own; the
+two may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ def tile_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` over tiles of ``TILE`` rows: (..., R, K) @ (..., K, S) -> (..., R, S).
 
     ``R`` is a multiple of ``TILE`` (see ``padded``), and the rows of ``a``
-    split into tiles without a copy: its last axis has unit stride.
+    split into tiles without a copy: its last axis or its rows have unit
+    stride.
     """
     *lead, rows, k = a.shape
     tiles = a.reshape((*lead, rows // TILE, TILE, k), copy=False)

@@ -202,12 +202,13 @@ def _leaf_gradients(circuit, params, d_flat, group, g, stats: LeafStatistics):
     """Write a leaf group's parameter gradients into ``d_flat``.
 
     ``g`` is the group's (G, N, I) table gradient and ``stats`` the
-    (R, V, 3) ``LeafStatistics`` of the forward pass, whose ``x`` is 0
+    (V, 3, R) ``LeafStatistics`` of the forward pass, whose ``x`` is 0
     where masked; the group takes its scope's statistics again, as the
     forward pass did, rather than keep a copy for every leaf group through
-    the backward pass. One contraction over the batch gives ``g.T @ x²``,
-    ``g.T @ x`` and ``g.T @ observed`` per plan group member. A Gaussian
-    mean's gradient ``sum_n g * observed * (x - mu) / var`` is then
+    the backward pass. One contraction over the batch, the group's
+    (G, 3d, N) statistics times ``g``, gives ``g.T @ x²``, ``g.T @ x`` and
+    ``g.T @ observed`` per plan group member. A Gaussian mean's gradient
+    ``sum_n g * observed * (x - mu) / var`` is then
     ``(g.T @ x - mu * g.T @ observed) / var``, and its log-variance
     gradient, of ``-0.5 (log var + (x - mu)² / var)``, is
     ``0.5 / var * (g.T @ x² - mu * (2 g.T @ x - mu * g.T @ observed))
@@ -219,10 +220,10 @@ def _leaf_gradients(circuit, params, d_flat, group, g, stats: LeafStatistics):
     terms = params.terms(group)
     size, n, width = g.shape
     scope = group.columns
-    features = np.take(stats.features[:n], group.scope, axis=1)  # (N, G, d, 3)
-    features = features.reshape(n, size, 3 * scope).swapaxes(0, 1)
-    sums = (g.swapaxes(1, 2) @ features).reshape(size, width, scope, 3)
-    g_sq, g_x, g_observed = (sums[..., k] for k in range(3))  # (G, I, d)
+    features = np.take(stats.features, group.scope, axis=0)  # (G, d, 3, R)
+    sums = features.reshape(size, 3 * scope, features.shape[-1])[..., :n] @ g
+    # (G, I, d) each
+    g_sq, g_x, g_observed = sums.reshape(size, scope, 3, width).transpose(2, 0, 3, 1)
 
     if circuit.leaf_family == BERNOULLI:
         name, centers, var, inv_var = "leaf_logits", np.exp(terms.log_p), None, None

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randspn as rs
-from randspn.cli import main, ranking_statistic
+from randspn.cli import build_parser, main, ranking_statistic
 from randspn.region_graph import Partition, Region, RegionGraph
 from conftest import root_second, wiring_mirrors_graph
 
@@ -460,6 +460,26 @@ def test_rerun_from_manifest_reproduces_outputs(tmp_path, blob_csv):
     assert main(argv) == 0
     assert (tmp_path / "a.metrics.csv").read_bytes() == (tmp_path / "b.metrics.csv").read_bytes()
     assert (tmp_path / "a.model.json").read_bytes() == (tmp_path / "b.model.json").read_bytes()
+
+
+def test_in_process_runs_share_the_parser_but_no_state(tmp_path, blob_csv):
+    # main builds its parser once per process: each run's manifest config is
+    # still exactly what a parser of its own parses from its argv
+    model = _train(tmp_path, blob_csv, ["--train-variance"], out="var")
+    _train(tmp_path, blob_csv, out="plain")
+    evaluate = ["eval", "--model", str(model), "--data", f"csv:{blob_csv}",
+                "--out", str(tmp_path / "ev")]
+    assert main(evaluate) == 0
+    variance = []
+    for out in ("var", "plain", "ev"):
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        fresh = vars(build_parser.__wrapped__().parse_args(manifest["argv"]))
+        want = {k: v for k, v in fresh.items() if k not in ("command", "func")}
+        want["effective_argv"] = manifest["argv"]
+        assert manifest["config"] == json.loads(json.dumps(want)), out
+        variance.append(manifest["config"].get("train_variance"))
+    assert variance == [True, False, None]
+    assert build_parser() is build_parser()
 
 
 def test_ranking_statistic_properties():

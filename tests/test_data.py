@@ -52,6 +52,14 @@ def test_save_idx_rejects_values_a_byte_cannot_hold(tmp_path, pixel, labels):
     assert not list(tmp_path.iterdir())  # nothing written
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4,), ()])
+def test_save_idx_rejects_features_that_are_not_a_matrix(tmp_path, shape):
+    # an (N, 8, 8) image stack is flattened by the caller, not unpacked here
+    with pytest.raises(InvalidInput, match="matrix"):
+        rs.save_idx(np.zeros(shape), tmp_path / "img", tmp_path / "lbl", labels=[1, 1])
+    assert not list(tmp_path.iterdir())  # nothing written
+
+
 def test_save_idx_derives_cols_from_rows(tmp_path):
     features = np.arange(12).reshape(2, 6)
     rs.save_idx(features, tmp_path / "img", rows=2)

@@ -429,29 +429,47 @@ def test_a_rows_bits_do_not_depend_on_the_call_it_comes_in(
         np.testing.assert_array_equal(alone, call(slice(None)), err_msg=name)
 
 
-@pytest.mark.parametrize("members, columns, sums", [
-    (16, 64, 8),  # the desk config's inner sum group
-    (1, 512, 10),  # the desk root
-    (40, 100, 10),  # an inner sum group at 784 variables
-    (80, 294, 10),  # a leaf group's statistics at 784 variables
+@pytest.mark.parametrize("members, columns, sums, rows_unit_stride", [
+    pytest.param(16, 64, 8, False, id="16-64-8"),  # the desk config's inner sum group
+    pytest.param(1, 512, 10, False, id="1-512-10"),  # the desk root
+    pytest.param(40, 100, 10, False, id="40-100-10"),  # an inner sum group at 784 variables
+    pytest.param(80, 294, 10, False, id="80-294-10"),
+    # a leaf group's statistics, a view with unit row stride: at the desk
+    # config and at 784 variables
+    pytest.param(32, 48, 8, True, id="32-48-8-unit-row-stride"),
+    pytest.param(80, 294, 10, True, id="80-294-10-unit-row-stride"),
 ])
-def test_a_rows_bits_do_not_depend_on_its_tile_position_or_companions(members, columns, sums):
+def test_a_rows_bits_do_not_depend_on_its_tile_position_or_companions(
+    members, columns, sums, rows_unit_stride
+):
     # the tile GEMM's contract: a row gives the same bits at every position of
-    # its tile, whatever the other rows hold, and a ones row gives q exactly
+    # its tile, whatever the other rows hold, and a ones row gives the same
+    # bits too: q exactly, for the row-major operand the sum mix passes
     rng = np.random.default_rng(11)
     terms = sum_terms(rng.normal(0.0, 2.0, (members, sums, columns)))
     weights = terms.w.swapaxes(-1, -2)
+
+    def product(a):
+        """``tile_matmul`` of (members, rows, columns) ``a`` in the layout under test."""
+        if rows_unit_stride:  # as the leaf passes its (G, 3d, R) statistics
+            a = np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+        return tile_matmul(a, weights)
+
     row = rng.random((members, columns))
     alone = np.zeros((members, TILE, columns))
     alone[:, 0] = row
-    want = tile_matmul(alone, weights)[:, 0]
+    want = product(alone)[:, 0]
+    alone[:, 0] = 1.0
+    ones = product(alone)[:, 0]
+    if not rows_unit_stride:
+        np.testing.assert_array_equal(ones, terms.q[:, 0])
     for position in range(TILE):
         batch = rng.random((members, 2 * TILE, columns))
         batch[:, TILE + position] = row
         batch[:, position] = 1.0
-        got = tile_matmul(batch, weights)
+        got = product(batch)
         np.testing.assert_array_equal(got[:, TILE + position], want)
-        np.testing.assert_array_equal(got[:, position], terms.q[:, 0])
+        np.testing.assert_array_equal(got[:, position], ones)
     assert [padded(rows) for rows in (0, 1, TILE, TILE + 1)] == [0, TILE, TILE, 2 * TILE]
 
 
