@@ -82,6 +82,8 @@ class Dataset:
         self.features = np.asarray(self.features, dtype=float)
         if self.features.ndim != 2:
             raise InvalidInput("features must be a 2-D matrix")
+        if self.features.shape[1] == 0:
+            raise DataFormatError("the dataset has no feature columns")
         bad = ~np.isfinite(self.features)
         if bad.any():
             row, column = np.argwhere(bad)[0]
@@ -89,11 +91,17 @@ class Dataset:
                 f"sample {row}, feature {column}: non-finite value {self.features[row, column]}"
             )
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
-            if self.labels.shape != (len(self.features),):
+            labels = np.asarray(self.labels, dtype=float)
+            if labels.shape != (len(self.features),):
+                raise DataFormatError(f"{len(self.features)} samples but {len(labels)} labels")
+            # checked before the cast, which would truncate 1.5 to 1 and wrap
+            # 1e19; float64 holds every integer below 2**53 exactly
+            whole = (labels == np.rint(labels)) & (np.abs(labels) < 2.0**53)  # NaN fails
+            if not whole.all():
                 raise DataFormatError(
-                    f"{len(self.features)} samples but {len(self.labels)} labels"
+                    f"sample {np.argmin(whole)}: label is not an integer below 2**53 in size"
                 )
+            self.labels = labels.astype(np.int64)
             if len(self.labels) and self.labels.min() < 1:
                 raise DataFormatError("labels must be >= 1 after ingestion")
 
@@ -237,11 +245,8 @@ def load_csv(path, label_column: int | str | None = "last", has_header=False) ->
     col = width - 1 if label_column == "last" else int(label_column)
     if not 0 <= col < width:
         raise DataFormatError(f"{path}: label column {col} out of range")
-    labels = table[:, col]
-    if np.any(labels != np.rint(labels)):
-        raise DataFormatError(f"{path}: label column {col} contains non-integers")
     features = np.delete(table, col, axis=1)
-    return Dataset(features=features, labels=labels.astype(int) + 1)
+    return Dataset(features=features, labels=table[:, col] + 1)  # Dataset checks the ids
 
 
 def scale_features(dataset: Dataset, mode: str) -> Dataset:

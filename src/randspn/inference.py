@@ -395,28 +395,22 @@ def check_log_prior(log_prior, num_classes: int) -> np.ndarray:
     return log_prior
 
 
-def log_joint(circuit, params, batch, log_prior, missing=None) -> np.ndarray:
-    """Per-sample, per-class log p(x, c) = root_c(x) + log prior_c."""
+def log_joint(circuit, params, batch, log_prior=None, missing=None) -> np.ndarray:
+    """Per-sample, per-class log p(x, c) = root_c(x) + log prior_c; uniform prior by default."""
+    if log_prior is None:
+        log_prior = uniform_log_prior(circuit.classes_C)
     log_prior = check_log_prior(log_prior, circuit.classes_C)
-    roots = forward_log(circuit, params, batch, missing)
-    return roots + log_prior[None, :]
+    return forward_log(circuit, params, batch, missing) + log_prior[None, :]
 
 
 def classify(circuit, params, batch, log_prior=None, missing=None) -> np.ndarray:
     """Predicted class labels in 1..C; ties resolve to the lowest class."""
-    if log_prior is None:
-        log_prior = uniform_log_prior(circuit.classes_C)
-    joint = log_joint(circuit, params, batch, log_prior, missing)
-    return np.argmax(joint, axis=1) + 1
+    return np.argmax(log_joint(circuit, params, batch, log_prior, missing), axis=1) + 1
 
 
 def log_marginal_input(circuit, params, batch, log_prior=None, missing=None) -> np.ndarray:
     """Per-sample log p(x) = logsumexp_c (root_c + log prior_c)."""
-    if log_prior is None:
-        log_prior = uniform_log_prior(circuit.classes_C)
-    log_prior = check_log_prior(log_prior, circuit.classes_C)
-    roots = forward_log(circuit, params, batch, missing)
-    return logsumexp(roots + log_prior[None, :])
+    return logsumexp(log_joint(circuit, params, batch, log_prior, missing))
 
 
 def conditional_log(

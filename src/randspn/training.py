@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BERNOULLI, Circuit, LEAF, SUM, ParameterSet
+from .circuit import BERNOULLI, Circuit, LEAF, ParameterSet
 from .data import batch_iterator
 from .errors import InvalidInput, NumericFailure
 from .inference import SumKernel, forward_log, logsumexp
@@ -73,8 +73,9 @@ def _check_roots_labels(roots, labels):
         raise InvalidInput("roots must hold at least one sample")
     if labels.shape != (roots.shape[0],):
         raise InvalidInput("labels must be one integer per sample")
-    if np.any(labels < 1) or np.any(labels > roots.shape[1]):
-        raise InvalidInput(f"labels must lie in 1..{roots.shape[1]}")
+    # before the cast, which would truncate 1.5 to class 1; NaN fails too
+    if not ((labels >= 1) & (labels <= roots.shape[1]) & (labels == np.rint(labels))).all():
+        raise InvalidInput(f"labels must be integers in 1..{roots.shape[1]}")
     return roots, labels.astype(int)
 
 
@@ -298,27 +299,21 @@ def sample_sum_dropout_mask(
     """Per-region keep masks over product columns, at least one kept per row.
 
     Returns ``{plan group index: (G, N, K) bool}`` for every sum group that
-    reads products; member ``block.position`` holds the mask of its block,
-    shared by all sums of its region. Masks are drawn block by block, in
-    block-index order; a row that would drop every column is redrawn.
+    reads products; each member's (N, K) mask is shared by all sums of its
+    region. Groups are drawn in plan order, each in one draw, and then the
+    group's rows that would drop every column are redrawn together until
+    none does.
     """
     if not 0.0 < keep_rate <= 1.0:
         raise InvalidInput(f"keep rate must be in (0, 1], got {keep_rate}")
-    masks = {
-        group.index: np.empty((len(group.blocks), batch_size, group.columns), bool)
-        for group in circuit.plan
-        if group.runs  # a single-variable root mixes leaves: nothing to drop
-    }
-    for block in circuit.blocks:
-        if block.kind != SUM or block.group not in masks:
+    masks = {}
+    for group in circuit.plan:
+        if not group.runs:  # a leaf group, or a single-variable root mixing leaves
             continue
-        keep = masks[block.group][block.position]
-        np.less(rng.random(keep.shape), keep_rate, out=keep)
-        while True:
-            dead = ~keep.any(axis=1)
-            if not dead.any():
-                break
-            keep[dead] = rng.random((int(dead.sum()), keep.shape[1])) < keep_rate
+        keep = rng.random((len(group.blocks), batch_size, group.columns)) < keep_rate
+        while (dead := ~keep.any(axis=2)).any():
+            keep[dead] = rng.random((int(dead.sum()), group.columns)) < keep_rate
+        masks[group.index] = keep
     return masks
 
 

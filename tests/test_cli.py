@@ -118,6 +118,18 @@ def test_flag_values_numpy_would_reject_are_usage_errors(tmp_path, blob_csv, cap
     assert not list(tmp_path.glob("x.*"))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["divmax", "none", "zscore"])
+def test_a_csv_of_labels_only_exits_3_under_every_scale(tmp_path, capsys, scale):
+    # a dataset without features is a data error, whatever the scaling would compute
+    data = tmp_path / "labels.csv"
+    data.write_text("0\n1\n0\n1\n")
+    assert main(["train", "--data", f"csv:{data}", "--scale", scale,
+                 "--out", str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err
+    assert "no feature columns" in err and "Traceback" not in err
+
+
 def test_data_errors_exit_3(tmp_path, blob_csv, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

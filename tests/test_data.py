@@ -126,6 +126,30 @@ def test_csv_error_cases(tmp_path):
         rs.load_csv(alpha)
 
 
+def test_a_dataset_without_feature_columns_is_a_data_error(tmp_path):
+    with pytest.raises(DataFormatError, match="no feature columns"):
+        rs.Dataset(features=np.zeros((3, 0)), labels=[1, 2, 1])
+    only_labels = tmp_path / "labels.csv"
+    only_labels.write_text("0\n1\n0\n")
+    with pytest.raises(DataFormatError, match="no feature columns"):
+        rs.load_csv(only_labels)
+
+
+@pytest.mark.parametrize("label", [1.5, 1e19, -1e19, 10**20, 2**53 + 1, float("nan")])
+def test_labels_that_are_not_exact_integers_are_data_errors(label):
+    # the cast would truncate 1.5 to 1 and overflow, or warn and wrap, on the rest
+    with pytest.raises(DataFormatError, match="sample 1: label is not an integer"):
+        rs.Dataset(features=np.zeros((2, 1)), labels=[2, label])
+
+
+@pytest.mark.parametrize("label", ["1.5", "1e19"])
+def test_csv_labels_that_are_not_exact_integers_are_data_errors(tmp_path, label):
+    path = tmp_path / "t.csv"
+    path.write_text(f"0.5,1\n0.25,{label}\n")
+    with pytest.raises(DataFormatError, match="sample 1: label is not an integer"):
+        rs.load_csv(path)
+
+
 def test_scaling_modes():
     data = rs.Dataset(features=np.array([[0.0, 100.0], [255.0, 50.0]]),
                       labels=np.array([1, 2]))

@@ -100,6 +100,23 @@ def test_zero_rows_are_a_caller_error_not_a_numeric_failure(call):
         _zero_row_calls()[call]()
 
 
+# checked before the cast, which would truncate 1.5 to class 1
+@pytest.mark.parametrize("labels", [[1.5, 2], [1e19, 1], [np.nan, 1]])
+def test_labels_that_are_not_class_integers_are_a_caller_error(rng, labels):
+    circuit = rs.construct_circuit(rs.random_region_graph(3, 1, 1, seed=0), 2, 2, 2)
+    params = rs.init_parameters(circuit, seed=0)
+    batch = rng.normal(size=(2, 3))
+    roots = rs.forward_log(circuit, params, batch)
+    calls = (
+        lambda: rs.cross_entropy(roots, labels),
+        lambda: rs.neg_log_likelihood(roots, labels, 3),
+        lambda: rs.backward_gradients(circuit, params, batch, labels, 0.5),
+    )
+    for call in calls:
+        with pytest.raises(InvalidInput, match=r"labels must be integers in 1\.\.2"):
+            call()
+
+
 def _fd_check(circuit, params, batch, labels, lam, missing=None, sum_dropout=None,
               step=1e-4, tol=1e-4):
     grads, _ = rs.backward_gradients(
@@ -369,23 +386,28 @@ def test_sum_dropout_sampler(rng):
         np.testing.assert_array_equal(a[key], b[key])
 
 
-def test_sum_dropout_sampler_draws_block_by_block():
-    # masks land in their plan group's tensor, but the stream is drawn per
-    # sum block in block-index order, redraws of empty rows included
+def test_sum_dropout_sampler_draws_group_by_group():
+    # one (G, N, K) draw per sum group that reads products, in plan order,
+    # each followed by that group's redraws of empty rows
     graph = rs.random_region_graph(9, 2, 3, seed=4)
     circuit = rs.construct_circuit(graph, 3, 2, 2)
-    masks = rs.sample_sum_dropout_mask(circuit, 0.2, 5, np.random.default_rng(9))
-    assert len(masks) > 1
+    sampler_rng = np.random.default_rng(9)
+    masks = rs.sample_sum_dropout_mask(circuit, 0.2, 5, sampler_rng)
+    groups = [group for group in circuit.plan if group.runs]
+    assert len(groups) > 1
+    assert list(masks) == [group.index for group in groups]
     rng = np.random.default_rng(9)
-    blocks = [b for b in circuit.blocks if b.kind == "sum"]
-    for block in blocks:
-        k = sum(b.width for b in block.inputs)
-        keep = rng.random((5, k)) < 0.2
-        while not keep.any(axis=1).all():
-            dead = ~keep.any(axis=1)
-            keep[dead] = rng.random((int(dead.sum()), k)) < 0.2
-        np.testing.assert_array_equal(masks[block.group][block.position], keep)
-    assert sum(len(mask) for mask in masks.values()) == len(blocks)
+    redraws = 0
+    for group in groups:
+        shape = (len(group.blocks), 5, group.columns)
+        keep = rng.random(shape) < 0.2
+        while not keep.any(axis=2).all():
+            dead = ~keep.any(axis=2)
+            keep[dead] = rng.random((int(dead.sum()), shape[2])) < 0.2
+            redraws += 1
+        np.testing.assert_array_equal(masks[group.index], keep)
+    assert redraws > 0
+    assert sampler_rng.random() == rng.random()  # nothing else was drawn
 
     # a single-variable root mixes leaves: nothing to drop, nothing drawn
     single = rs.construct_circuit(rs.random_region_graph(1, 1, 1, seed=0), 2, 2, 2)
@@ -589,12 +611,17 @@ def test_train_generative_nll_decreases():
     assert all(b <= a + 1e-3 for a, b in zip(nils, nils[1:]))
 
 
-def test_train_is_deterministic_and_supports_warm_start():
+@pytest.mark.parametrize(
+    "dropout",
+    [{}, {"input_keep": 0.9, "sum_keep": 0.75}],
+    ids=["no-dropout", "dropout"],
+)
+def test_train_is_deterministic_and_supports_warm_start(dropout):
     data = _blob_dataset(n=60)
     graph = rs.random_region_graph(4, 1, 2, seed=5)
     circuit = rs.construct_circuit(graph, 2, 2, 2)
     params = rs.init_parameters(circuit, seed=3)
-    config = rs.TrainConfig(lam=1.0, epochs=3, batch_size=30, seed=11)
+    config = rs.TrainConfig(lam=1.0, epochs=3, batch_size=30, seed=11, **dropout)
 
     p1, m1 = rs.train(circuit, params, data, None, config)
     p2, m2 = rs.train(circuit, params, data, None, config)
