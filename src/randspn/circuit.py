@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, StructureError
+from .errors import InvalidInput, StructureError, check_int
 from .leaves import bernoulli_terms, clamped_variances, gaussian_terms
 from .region_graph import Region, RegionGraph, validate_region_graph
 from .tiles import TILE, tile_matmul
@@ -358,7 +358,8 @@ class ParameterSet:
         """What the kernels read from a plan group's parameters, computed once.
 
         A sum group gives its ``sum_terms``. A leaf group gives
-        ``leaves.gaussian_terms`` (clamped variances with variance training)
+        ``leaves.gaussian_terms`` (clamped variances with variance training,
+        else ones)
         or ``leaves.bernoulli_terms``, group-major (G, I, d) as ``stacked``
         holds its parameters. Every array is read-only.
         """
@@ -369,13 +370,13 @@ class ParameterSet:
             elif ("leaf_logits", plan_group.index) in self._tensors:
                 terms = bernoulli_terms(self.stacked("leaf_logits", plan_group))
             else:
-                variances = None
+                means = self.stacked("leaf_means", plan_group)
+                variances = np.ones_like(means)
                 if self.train_variance:
                     variances = clamped_variances(self.stacked("leaf_log_vars", plan_group))
-                terms = gaussian_terms(self.stacked("leaf_means", plan_group), variances)
+                terms = gaussian_terms(means, variances)
             for array in terms:
-                if array is not None:
-                    _read_only(array)
+                _read_only(array)
             self._terms[plan_group.index] = terms
         return terms
 
@@ -393,8 +394,9 @@ def construct_circuit(
     ``validate_region_graph``. The blocks mirror a graph that passes, so the
     circuit is complete and decomposable by construction.
     """
-    if classes_C < 1 or sums_S < 1 or leaves_I < 1:
-        raise InvalidInput("classes_C, sums_S and leaves_I must all be >= 1")
+    classes_C = check_int("classes_C", classes_C, 1)
+    sums_S = check_int("sums_S", sums_S, 1)
+    leaves_I = check_int("leaves_I", leaves_I, 1)
     if leaf_family not in (GAUSSIAN, BERNOULLI):
         raise InvalidInput(f"unknown leaf family {leaf_family!r}")
     report = validate_region_graph(graph)
@@ -463,13 +465,21 @@ def init_parameters(
     Sum logits start near zero (spread 1e-2) so every mixture begins close
     to uniform. Gaussian means are standard normal draws, rescaled per
     feature to ``mean + std * z`` when ``feature_stats = (means, stds)`` of
-    the training data are supplied. Trainable log-variances start at 0.
-    Draws are taken block by block, in block index order.
+    the training data are supplied, each a ``(num_vars,)`` vector.
+    Trainable log-variances start at 0. Draws are taken block by block, in
+    block index order.
     """
+    if seed is not None:
+        seed = check_int("seed", seed, 0)
+    mu = sd = None
+    if feature_stats is not None:
+        stats = [np.asarray(stat, dtype=float) for stat in feature_stats]
+        if [stat.shape for stat in stats] != [(circuit.num_vars,)] * 2:
+            raise InvalidInput(f"feature_stats must be two ({circuit.num_vars},) vectors")
+        mu, sd = stats
     rng = np.random.default_rng(seed)
     params = ParameterSet(parameter_layout(circuit, train_variance))
     flat = np.zeros_like(params.flat)
-    mu, sd = (None, None) if feature_stats is None else feature_stats
 
     for block in circuit.blocks:
         if block.kind == PRODUCT:
@@ -486,6 +496,6 @@ def init_parameters(
             z = rng.standard_normal(means.shape)
             if mu is not None:
                 scope = list(block.scope)
-                z = np.asarray(mu)[scope] + np.asarray(sd)[scope] * z
+                z = mu[scope] + sd[scope] * z
             means[...] = z
     return ParameterSet(params.layout, flat)

@@ -54,7 +54,7 @@ from . import (
     train,
     uniform_log_prior,
 )
-from .data import Scaling
+from .data import Scaling, check_labels
 from .errors import DataFormatError, InvalidInput, NumericFailure
 from .inference import check_log_prior, logsumexp
 
@@ -256,20 +256,21 @@ def cmd_train(args):
 
 def _model_scaled(raw, circuit, meta, what="data"):
     """``raw`` under the model's scaling; DataFormatError unless it has the model's features."""
-    data = apply_scaling(raw, meta["scaling"] or Scaling(mode="none"))
-    if data.num_features != circuit.num_vars:
+    if raw.num_features != circuit.num_vars:  # before scaling, which needs the same width
         raise DataFormatError(
-            f"model expects {circuit.num_vars} features, {what} has {data.num_features}"
+            f"model expects {circuit.num_vars} features, {what} has {raw.num_features}"
         )
-    return data
+    return apply_scaling(raw, meta["scaling"] or Scaling(mode="none"))
 
 
 def _load_model_and_data(args, spec, require_labels):
     parse_data_spec(spec)  # config check before touching any file
     circuit, params, meta = load_model(args.model)
     raw = load_data_spec(spec)
-    if require_labels and raw.labels is None:
-        raise DataFormatError(f"dataset {spec!r} must carry labels")
+    if require_labels:
+        if raw.labels is None:
+            raise DataFormatError(f"dataset {spec!r} must carry labels")
+        check_labels(raw.labels, circuit.classes_C)  # before any pass over the data
     return circuit, params, meta, _model_scaled(raw, circuit, meta)
 
 

@@ -72,6 +72,17 @@ def _stored_numbers(d, key, ndim) -> np.ndarray:
     return array
 
 
+def check_labels(labels, num_classes: int) -> np.ndarray:
+    """``labels`` as an int64 vector; InvalidInput unless it holds integers in 1..num_classes."""
+    labels = np.asarray(labels)
+    # checked before the cast, which would truncate 1.5 to class 1; NaN fails too
+    if labels.ndim != 1 or labels.dtype.kind not in "iuf" or not (
+        (labels >= 1) & (labels <= num_classes) & (labels == np.rint(labels))
+    ).all():
+        raise InvalidInput(f"labels must be integers in 1..{num_classes}")
+    return labels.astype(np.int64)
+
+
 @dataclass
 class Dataset:
     features: np.ndarray               # (N, num_features) float64
@@ -173,8 +184,8 @@ def save_idx(features, image_path, label_path=None, labels=None, rows=None, cols
     the feature count, and ``cols`` to the features per row. Raises
     InvalidInput, before writing anything, for features that are not a
     (samples, features) matrix, a shape that does not hold the features, a
-    pixel that does not round into 0..255, or labels that are not one per
-    sample, in 1..256.
+    pixel that does not round into 0..255, or labels that are not one
+    integer per sample in 1..256.
     """
     features = np.asarray(features)
     if features.ndim != 2:
@@ -192,10 +203,9 @@ def save_idx(features, image_path, label_path=None, labels=None, rows=None, cols
     if not ((pixels >= 0) & (pixels <= 255)).all():  # NaN fails too
         raise InvalidInput("pixel values must round to integers in 0..255")
     if label_path is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (count,) or not ((labels >= 1) & (labels <= 256)).all():
-            raise InvalidInput(f"labels must be one per sample ({count}), in 1..256")
-        labels = labels.astype(int)
+        labels = check_labels(labels, 256)
+        if len(labels) != count:
+            raise InvalidInput(f"labels must be one per sample ({count})")
     with open(image_path, "wb") as handle:
         handle.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
         handle.write(pixels.astype(np.uint8).tobytes())
@@ -277,13 +287,21 @@ def scale_features(dataset: Dataset, mode: str) -> Dataset:
 
 
 def apply_scaling(dataset: Dataset, scaling: Scaling) -> Dataset:
-    """Apply previously-fitted statistics; never recomputes them."""
+    """Apply previously-fitted statistics; never recomputes them.
+
+    Raises DataFormatError unless zscore statistics hold one mean per feature.
+    """
     if scaling.mode == SCALE_NONE:
         features = dataset.features.copy()
     elif scaling.mode == SCALE_DIVMAX:
         divisor = scaling.max_value if scaling.max_value else 1.0
         features = dataset.features / divisor
     elif scaling.mode == SCALE_ZSCORE:
+        if np.shape(scaling.means) != (dataset.num_features,):
+            raise DataFormatError(
+                f"zscore scaling holds {np.size(scaling.means)} means, "
+                f"data has {dataset.num_features} features"
+            )
         features = (dataset.features - scaling.means) / scaling.stds
     else:
         raise InvalidInput(f"unknown scaling mode {scaling.mode!r}")

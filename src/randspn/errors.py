@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import numbers
 
 
 class InvalidInput(ValueError):
@@ -23,3 +25,15 @@ class NumericFailure(RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or []
+
+
+def check_int(name: str, value, minimum: int) -> int:
+    """``value`` as an int; InvalidInput unless it is an integer of at least ``minimum``.
+
+    Python and numpy integers pass; bool, float and anything else fail.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidInput(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

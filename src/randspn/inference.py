@@ -16,10 +16,12 @@ Product blocks are folded into the sums that read them (the einsum layer):
 a sum group exps each factor table once, shifted by its row max, and its
 inputs are the outer products of the factors: the only product table is
 the sum group's own linear-domain input ``x``. Marginalization
-is a per-sample boolean mask of missing variables, which zeroes the
-matching leaf statistics; conditioning is a difference of two marginal
-evaluations. Without tables, a pass covers as many rows as keep its
-largest temporary within a cache budget (``rows_per_pass``).
+is a per-sample boolean mask of missing variables: ``forward_log`` checks
+its shape against the batch once and hands each pass its rows, and the
+pass's ``leaves.leaf_statistics`` zeroes the matching statistics and
+checks that the observed values are finite. Conditioning is a difference
+of two marginal evaluations. Without tables, a pass covers as many rows
+as keep its largest temporary within a cache budget (``rows_per_pass``).
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, GAUSSIAN, LEAF, SUM, Group, ParameterSet, SumTerms
+from .data import check_labels
 from .errors import InvalidInput
 from .leaves import (
     LeafStatistics,
     bernoulli_block_log_mass,
     gaussian_block_log_density,
     leaf_statistics,
-    mask_batch,
 )
 from .tiles import TILE, padded, tile_matmul
 
@@ -249,18 +251,20 @@ def _leaf_group(circuit, params, group, stats: LeafStatistics):
     return bernoulli_block_log_mass(stats, params.terms(group))
 
 
-def _check_batch(circuit, batch):
+def _check_batch(circuit, batch, missing=None):
+    """The batch as floats and ``missing`` as bools; InvalidInput unless their shapes fit."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != circuit.num_vars:
         raise InvalidInput(
             f"batch of shape {batch.shape} does not match {circuit.num_vars} variables"
         )
-    return batch
-
-
-def leaf_input(circuit, batch, missing=None):
-    """The batch, checked and masked once: the ``(x, observed)`` leaves read."""
-    return mask_batch(_check_batch(circuit, batch), missing)
+    if missing is not None:
+        missing = np.asarray(missing, dtype=bool)
+        if missing.shape != batch.shape:
+            raise InvalidInput(
+                f"missing mask shape {missing.shape} != batch shape {batch.shape}"
+            )
+    return batch, missing
 
 
 def _check_dropout(circuit, sum_dropout, rows):
@@ -322,24 +326,24 @@ def forward_log(
     array, per variable its x², x and observed factor over the rows padded
     to whole tiles.
     """
-    x, observed = leaf_input(circuit, batch, missing)
+    x, missing = _check_batch(circuit, batch, missing)
     sum_dropout = sum_dropout or {}
     _check_dropout(circuit, sum_dropout, len(x))
     rows = len(x) if return_tables else rows_per_pass(circuit)
     if len(x) <= rows:
-        return _forward_pass(circuit, params, x, observed, sum_dropout, return_tables)
+        return _forward_pass(circuit, params, x, missing, sum_dropout, return_tables)
     return np.concatenate([
         _forward_pass(
-            circuit, params, x[part], None if observed is None else observed[part],
+            circuit, params, x[part], None if missing is None else missing[part],
             {key: keep[:, part] for key, keep in sum_dropout.items()}, False,
         )
         for part in (slice(start, start + rows) for start in range(0, len(x), rows))
     ])
 
 
-def _forward_pass(circuit, params, x, observed, sum_dropout, return_tables):
-    """``forward_log`` of a ``leaf_input`` in one pass over all its rows."""
-    stats = leaf_statistics(x, observed)
+def _forward_pass(circuit, params, x, missing, sum_dropout, return_tables):
+    """``forward_log`` of a checked batch and mask in one pass over all its rows."""
+    stats = leaf_statistics(x, missing)
     tables: list = []
     kernels = {}
     for group in circuit.plan:
@@ -369,9 +373,7 @@ def uniform_log_prior(num_classes: int) -> np.ndarray:
 
 
 def empirical_log_prior(labels, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if np.any(labels < 1) or np.any(labels > num_classes):
-        raise InvalidInput(f"labels must lie in 1..{num_classes}")
+    labels = check_labels(labels, num_classes)
     counts = np.bincount(labels - 1, minlength=num_classes).astype(float)
     if counts.sum() == 0:
         raise InvalidInput("cannot build an empirical prior from zero labels")
@@ -428,7 +430,7 @@ def conditional_log(
     if np.any(query_mask & evidence_mask):
         raise InvalidInput("query and evidence masks overlap")
     # joint and evidence marginals in one pass over the rows stacked twice
-    batch = _check_batch(circuit, batch)
+    batch, _ = _check_batch(circuit, batch)
     both = log_marginal_input(
         circuit, params, np.concatenate([batch, batch]), log_prior,
         missing=np.concatenate([~(query_mask | evidence_mask), ~evidence_mask]),

@@ -6,18 +6,18 @@ the log domain. Gaussian leaves are the working default; Bernoulli leaves
 exist so that discrete circuits can be checked against exhaustive
 enumeration.
 
-A batch is masked once, where it enters (``mask_batch``): masked entries
-become 0, with a 0/1 observed factor. Its sufficient statistics
-(``leaf_statistics``: x², x and the observed factor of every entry) are
-built once per forward pass, and every masked entry's statistics are 0.
-They are laid out by variable, rows last, so a plan group's take of its
-scope copies whole rows of statistics. A Gaussian leaf is the
-exponential-family form of Einsum Networks, the statistics contracted
-with natural coefficients (one GEMM per pass, see ``tiles``), so a masked
-term is exactly 0 whatever the parameters. A kernel takes a plan group's
-(G, d, 3, R) statistics and its group-major terms (``gaussian_terms`` or
-``bernoulli_terms`` of (G, I, d) parameters, which ``ParameterSet``
-computes once per parameter set) and returns the group's (G, N, I) table.
+A batch is masked in one place, ``leaf_statistics``, once per forward
+pass: it builds the sufficient statistics (x², x and the observed factor)
+of every entry, with masked entries 0 and an observed factor of 0, and
+checks that every observed value is finite. They are laid out by
+variable, rows last, so a plan group's take of its scope copies whole
+rows of statistics. A Gaussian leaf is the exponential-family form of
+Einsum Networks, the statistics contracted with natural coefficients (one
+GEMM per pass, see ``tiles``), so a masked term is exactly 0 whatever the
+parameters. A kernel takes a plan group's (G, d, 3, R) statistics and its
+group-major terms (``gaussian_terms`` or ``bernoulli_terms`` of (G, I, d)
+parameters, which ``ParameterSet`` computes once per parameter set) and
+returns the group's (G, N, I) table.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .tiles import padded, tile_matmul
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR = 1e-4
-# observed factor, indexed by the missing mask: 1 observed, 0 marginalized
-_OBSERVED = np.array([1.0, 0.0])
 _LOWEST = np.finfo(float).min
 # a log-density not above this is recomputed from squared differences
 _OVERFLOWED = -1e300
@@ -41,7 +39,8 @@ _OVERFLOWED = -1e300
 class GaussianTerms(NamedTuple):
     """Gaussian parameters of a group of G leaf blocks of I nodes, each (G, I, d).
 
-    The variance fields are None for unit variances. ``natural``, a
+    Unit variances are ones, with log-variances 0 and inverses 1, which
+    change no bit of a term: ``×1.0`` and ``+0.0`` are exact. ``natural``, a
     contiguous (G, 3d, I), holds the coefficients the density contracts
     the leaf statistics with: per scope variable, in the order (x², x,
     observed), ``a = -1/(2 var)``, ``b = mean/var`` and
@@ -49,9 +48,9 @@ class GaussianTerms(NamedTuple):
     """
 
     means: np.ndarray
-    variances: np.ndarray | None
-    log_variances: np.ndarray | None
-    inv_variances: np.ndarray | None
+    variances: np.ndarray
+    log_variances: np.ndarray
+    inv_variances: np.ndarray
     natural: np.ndarray
 
 
@@ -62,19 +61,15 @@ class BernoulliTerms(NamedTuple):
     log_q: np.ndarray
 
 
-def gaussian_terms(means, variances=None) -> GaussianTerms:
+def gaussian_terms(means, variances) -> GaussianTerms:
     """The terms ``gaussian_block_log_density`` reads, from (G, I, d) parameters."""
     mu = np.asarray(means, dtype=float)
     size, nodes, scope = mu.shape
-    var = log_var = inv_var = None
+    var = np.asarray(variances, dtype=float)
+    log_var, inv_var = np.log(var), 1.0 / var
     with np.errstate(over="ignore"):  # a coefficient that overflows is clipped below
-        if variances is None:
-            a, b, c = np.full_like(mu, -0.5), mu, -0.5 * (mu * mu + LOG_2PI)
-        else:
-            var = np.asarray(variances, dtype=float)
-            log_var, inv_var = np.log(var), 1.0 / var
-            a, b = -0.5 * inv_var, mu * inv_var
-            c = -0.5 * (mu * b + LOG_2PI + log_var)
+        a, b = -0.5 * inv_var, mu * inv_var
+        c = -0.5 * (mu * b + LOG_2PI + log_var)
     natural = np.moveaxis(np.stack((a, b, c), axis=-1), 1, -1)  # (G, d, 3, I)
     natural = np.clip(natural, _LOWEST, -_LOWEST).reshape(size, 3 * scope, nodes)
     return GaussianTerms(mu, var, log_var, inv_var, np.ascontiguousarray(natural))
@@ -87,28 +82,8 @@ def bernoulli_terms(success_logits) -> BernoulliTerms:
     return BernoulliTerms(-np.logaddexp(0.0, -logits), -np.logaddexp(0.0, logits))
 
 
-def mask_batch(x, missing=None):
-    """``x`` as floats with masked entries 0, and the 0/1 observed factor.
-
-    ``missing``, shaped like ``x``, marks the entries to marginalize out;
-    without it the factor is None. Raises InvalidInput unless every
-    observed value is finite.
-    """
-    x = np.asarray(x, dtype=float)
-    observed = None
-    if missing is not None:
-        missing = np.asarray(missing, dtype=bool)
-        if missing.shape != x.shape:
-            raise InvalidInput(f"missing mask shape {missing.shape} != batch shape {x.shape}")
-        x = np.where(missing, 0.0, x)
-        observed = _OBSERVED.take(missing)
-    if not np.isfinite(x).all():
-        raise InvalidInput("observed values must be finite")
-    return x, observed
-
-
 class LeafStatistics(NamedTuple):
-    """The sufficient statistics of a masked batch, padded to whole tiles.
+    """The sufficient statistics of a batch, padded to whole tiles.
 
     ``features`` is (..., 3, R) for an (N, ...) batch, rows last: per
     entry, in the order (x², x, observed); along the last axis, rows
@@ -120,12 +95,19 @@ class LeafStatistics(NamedTuple):
     rows: int
 
 
-def leaf_statistics(x, observed=None) -> LeafStatistics:
-    """The ``LeafStatistics`` of ``x, observed = mask_batch(values, missing)``.
+def leaf_statistics(x, missing=None) -> LeafStatistics:
+    """The ``LeafStatistics`` of an (N, ...) float batch ``x``: the one masking step.
 
-    A square that overflows is inf; the kernel that reads it recomputes
-    its row (see ``gaussian_block_log_density``).
+    ``missing``, a bool array shaped like ``x`` or None, marks the entries
+    to marginalize out: their x², x and observed factor are all 0. Raises
+    InvalidInput unless every observed value is finite. A square that
+    overflows is inf; the kernel that reads it recomputes its row (see
+    ``gaussian_block_log_density``).
     """
+    if missing is not None:
+        x = np.where(missing, 0.0, x)
+    if not np.isfinite(x).all():
+        raise InvalidInput("observed values must be finite")
     rows = len(x)
     features = np.empty(x.shape[1:] + (3, padded(rows)))
     features[..., rows:] = 0.0
@@ -135,7 +117,7 @@ def leaf_statistics(x, observed=None) -> LeafStatistics:
     with np.errstate(over="ignore"):
         np.square(x, out=by_row[..., 0])
     by_row[..., 1] = x
-    by_row[..., 2] = 1.0 if observed is None else observed
+    by_row[..., 2] = 1.0 if missing is None else ~missing
     return LeafStatistics(features, rows)
 
 
@@ -144,8 +126,7 @@ def gaussian_block_log_density(stats: LeafStatistics, terms: GaussianTerms):
 
     ``stats`` is the group's (G, d, 3, R) ``LeafStatistics``, the take of
     its scope from the pass's ``leaf_statistics``, and ``terms`` the
-    ``gaussian_terms`` of its (G, I, d) means and variances (None for unit
-    variance).
+    ``gaussian_terms`` of its (G, I, d) means and variances.
 
     The density is the exponential-family form θ·T(x) - A(θ) of Einsum
     Networks: the statistics (x², x, observed) of each variable times the
@@ -176,10 +157,8 @@ def _difference_form(out, features, terms, rows):
     x, observed = chosen[..., 1], chosen[..., 2]
     with np.errstate(over="ignore"):
         diff = (x - mu[member]) * observed  # before squaring: a masked term is exactly 0
-        quad = diff * diff if inv_var is None else diff * diff * inv_var[member]
-        quad = quad.sum(axis=-1)  # (M, I)
-    if log_var is not None:
-        quad += (observed * log_var[member]).sum(axis=-1)
+        quad = (diff * diff * inv_var[member]).sum(axis=-1)  # (M, I)
+    quad += (observed * log_var[member]).sum(axis=-1)
     quad += LOG_2PI * observed.sum(axis=-1)
     out[member, row] = -0.5 * quad
 

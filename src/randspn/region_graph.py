@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import check_int
 
 
 class Region:
@@ -149,12 +149,11 @@ def random_region_graph(
     so the root ends up with at most ``repetitions`` child partitions.
     Deterministic for a fixed seed.
     """
-    if num_vars < 1:
-        raise InvalidInput(f"num_vars must be >= 1, got {num_vars}")
-    if depth < 1:
-        raise InvalidInput(f"depth must be >= 1, got {depth}")
-    if repetitions < 1:
-        raise InvalidInput(f"repetitions must be >= 1, got {repetitions}")
+    num_vars = check_int("num_vars", num_vars, 1)
+    depth = check_int("depth", depth, 1)
+    repetitions = check_int("repetitions", repetitions, 1)
+    if seed is not None:
+        seed = check_int("seed", seed, 0)
 
     rng = np.random.default_rng(seed)
     builder = _Builder(num_vars, depth, repetitions, seed)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import BERNOULLI, Circuit, LEAF, ParameterSet
-from .data import batch_iterator
-from .errors import InvalidInput, NumericFailure
+from .data import batch_iterator, check_labels
+from .errors import InvalidInput, NumericFailure, check_int
 from .inference import SumKernel, forward_log, logsumexp
 from .leaves import VARIANCE_FLOOR, LeafStatistics
 
@@ -44,12 +44,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidInput(f"lambda must be in [0, 1], got {self.lam}")
-        if self.epochs < 0:
-            raise InvalidInput("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise InvalidInput("batch_size must be >= 1")
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
+        self.epochs = check_int("epochs", self.epochs, 0)
+        self.batch_size = check_int("batch_size", self.batch_size, 1)
+        self.seed = check_int("seed", self.seed, 0)
         for name in ("input_keep", "sum_keep"):
             rate = getattr(self, name)
             if not 0.0 < rate <= 1.0:
@@ -73,10 +70,7 @@ def _check_roots_labels(roots, labels):
         raise InvalidInput("roots must hold at least one sample")
     if labels.shape != (roots.shape[0],):
         raise InvalidInput("labels must be one integer per sample")
-    # before the cast, which would truncate 1.5 to class 1; NaN fails too
-    if not ((labels >= 1) & (labels <= roots.shape[1]) & (labels == np.rint(labels))).all():
-        raise InvalidInput(f"labels must be integers in 1..{roots.shape[1]}")
-    return roots, labels.astype(int)
+    return roots, check_labels(labels, roots.shape[1])
 
 
 def cross_entropy(roots, labels) -> float:
@@ -227,21 +221,21 @@ def _leaf_gradients(circuit, params, d_flat, group, g, stats: LeafStatistics):
     g_sq, g_x, g_observed = sums.reshape(size, scope, 3, width).transpose(2, 0, 3, 1)
 
     if circuit.leaf_family == BERNOULLI:
-        name, centers, var, inv_var = "leaf_logits", np.exp(terms.log_p), None, None
+        name, centers = "leaf_logits", np.exp(terms.log_p)
     else:
-        name, (centers, var, _, inv_var, _) = "leaf_means", terms
+        name, centers = "leaf_means", terms.means
     d_centers = params.stacked(name, group, d_flat)
     np.subtract(g_x, centers * g_observed, out=d_centers)
-    if var is None:
+    if not params.train_variance:
         return
-    d_centers *= inv_var
+    d_centers *= terms.inv_variances
     d_log_vars = params.stacked("leaf_log_vars", group, d_flat)
     # mu * (mu * g.T @ observed), not mu² g.T @ observed: a masked mean of
     # 1e200 has mu² = inf, and inf * 0 is NaN
     squares = g_sq - centers * (2.0 * g_x - centers * g_observed)
-    np.multiply(0.5 * inv_var, squares, out=d_log_vars)
+    np.multiply(0.5 * terms.inv_variances, squares, out=d_log_vars)
     d_log_vars -= 0.5 * g_observed
-    d_log_vars *= var > VARIANCE_FLOOR
+    d_log_vars *= terms.variances > VARIANCE_FLOOR
 
 
 def backward_gradients(

@@ -279,12 +279,60 @@ def test_memoized_terms_equal_fresh_computation(leaf_family, train_variance):
         else:
             variances = (
                 clamped_variances(params.stacked("leaf_log_vars", group))
-                if train_variance else None
+                if train_variance else np.ones_like(params.stacked("leaf_means", group))
             )
             fresh = gaussian_terms(params.stacked("leaf_means", group), variances)
         for got, want in zip(terms, fresh):
-            if want is None:
-                assert got is None
-            else:
-                np.testing.assert_array_equal(got, want)
-                assert not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+
+
+def _integer_cases():
+    graph = rs.random_region_graph(8, 2, 2, seed=0)
+    circuit = rs.construct_circuit(graph, 2, 2, 2)
+    return {
+        "classes-float": lambda: rs.construct_circuit(graph, 2.5, 2, 2),
+        "sums-bool": lambda: rs.construct_circuit(graph, 2, True, 2),
+        "leaves-zero": lambda: rs.construct_circuit(graph, 2, 2, 0),
+        "num-vars-float": lambda: rs.random_region_graph(8.0, 2, 2),
+        "depth-float": lambda: rs.random_region_graph(8, 1.5, 2),
+        "repetitions-float": lambda: rs.random_region_graph(8, 2, 2.5),
+        "graph-seed-float": lambda: rs.random_region_graph(8, 2, 2, seed=1.5),
+        "graph-seed-negative": lambda: rs.random_region_graph(8, 2, 2, seed=-1),
+        "init-seed-float": lambda: rs.init_parameters(circuit, seed=1.5),
+        "init-seed-negative": lambda: rs.init_parameters(circuit, seed=-1),
+        "init-seed-bool": lambda: rs.init_parameters(circuit, seed=True),
+        "epochs-float": lambda: rs.TrainConfig(epochs=1.5),
+        "batch-size-float": lambda: rs.TrainConfig(batch_size=10.0),
+        "train-seed-negative": lambda: rs.TrainConfig(seed=-1),
+        "train-seed-bool": lambda: rs.TrainConfig(seed=False),
+        "stats-longer": lambda: rs.init_parameters(
+            circuit, feature_stats=(np.zeros(9), np.ones(9))),
+        "stats-shorter": lambda: rs.init_parameters(
+            circuit, feature_stats=(np.zeros(7), np.ones(7))),
+        "stats-2d": lambda: rs.init_parameters(
+            circuit, feature_stats=(np.zeros((1, 8)), np.ones((1, 8)))),
+        "stats-three": lambda: rs.init_parameters(
+            circuit, feature_stats=(np.zeros(8), np.ones(8), np.ones(8))),
+    }
+
+
+@pytest.mark.parametrize("case", list(_integer_cases()))
+def test_malformed_integer_and_shape_arguments_are_caller_errors(case):
+    # each is caught where it is passed in, not as a TypeError, numpy's
+    # ValueError or a silently cut vector further on
+    with pytest.raises(InvalidInput):
+        _integer_cases()[case]()
+
+
+def test_numpy_integers_are_accepted_as_python_integers(tmp_path):
+    graph = rs.random_region_graph(np.int64(8), np.int32(2), np.uint8(2), seed=np.int64(3))
+    circuit = rs.construct_circuit(graph, np.int64(2), np.int16(2), np.int8(2))
+    params = rs.init_parameters(circuit, seed=np.int64(4))
+    want_graph = rs.random_region_graph(8, 2, 2, seed=3)
+    want = rs.init_parameters(rs.construct_circuit(want_graph, 2, 2, 2), seed=4)
+    np.testing.assert_array_equal(params.flat, want.flat)
+    rs.save_model(circuit, params, tmp_path / "m.json")  # the seed is stored as JSON
+    config = rs.TrainConfig(epochs=np.int64(1), batch_size=np.int32(5), seed=np.uint8(2))
+    assert (config.epochs, config.batch_size, config.seed) == (1, 5, 2)
+    assert all(type(v) is int for v in (config.epochs, config.batch_size, config.seed))

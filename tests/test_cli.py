@@ -354,7 +354,48 @@ def test_empirical_prior_from_labels_beyond_the_model_classes_exits_2(tmp_path, 
     assert main(["eval", "--model", str(model), "--data", f"csv:{data}", "--prior", "empirical",
                  "--out", str(tmp_path / "e")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage error: labels must lie in 1..3") and "Traceback" not in err
+    assert err.startswith("usage error: labels must be integers in 1..3") and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["eval", "sweep-missing"])
+def test_labels_beyond_the_model_classes_exit_2(tmp_path, blob_csv, capsys, command):
+    # a 2-class model on data whose labels reach 3: sweep-missing would
+    # otherwise count the extra class as misclassified and exit 0
+    model = _train(tmp_path, blob_csv, extra=("--epochs", "1"))
+    data = tmp_path / "three.csv"
+    features = np.random.default_rng(0).random((30, 6))
+    _write_rows(data, np.column_stack([features, np.arange(30) % 3]))
+    capsys.readouterr()
+    assert main([command, "--model", str(model), "--data", f"csv:{data}",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: labels must be integers in 1..2") and "Traceback" not in err
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["eval", "ood", "sweep-missing", "train"])
+def test_data_of_another_width_than_a_zscore_model_exits_3(tmp_path, blob_csv, capsys,
+                                                            command):
+    # the width is checked before the model's 6 stored means are applied
+    model = _train(tmp_path, blob_csv, extra=("--scale", "zscore", "--epochs", "1"))
+    narrow = tmp_path / "narrow.csv"
+    _write_rows(narrow, np.column_stack([np.random.default_rng(0).random((20, 4)),
+                                         np.arange(20) % 2]))
+    spec = f"csv:{narrow}"
+    argv = {
+        "eval": ["eval", "--model", str(model), "--data", spec],
+        "ood": ["ood", "--model", str(model), "--in-data", spec, "--out-data", spec],
+        "sweep-missing": ["sweep-missing", "--model", str(model), "--data", spec],
+        "train": ["train", "--warm-start", str(model), "--data", spec, "--epochs", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: model expects 6 features, data has 4"), err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_a_class_absent_from_training_is_stored_as_a_null_prior(tmp_path, blob_csv):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import randspn as rs
-from randspn.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
+from randspn.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, check_labels
 from randspn.errors import DataFormatError, InvalidInput
 
 
@@ -50,6 +50,36 @@ def test_save_idx_rejects_values_a_byte_cannot_hold(tmp_path, pixel, labels):
     with pytest.raises(InvalidInput):
         rs.save_idx(features, tmp_path / "img", tmp_path / "lbl", labels=labels)
     assert not list(tmp_path.iterdir())  # nothing written
+
+
+# one rule for class labels wherever they are read: an integer vector in 1..C
+@pytest.mark.parametrize("labels", [
+    [1.5, 2], [np.nan, 1], [True, False], ["1", "2"], [[1], [2]], 1,
+])
+def test_labels_that_are_not_an_integer_vector_are_rejected_alike(tmp_path, labels):
+    roots = np.zeros((2, 2))
+    calls = {
+        "check_labels": lambda: check_labels(labels, 2),
+        "empirical_log_prior": lambda: rs.empirical_log_prior(labels, 2),
+        "cross_entropy": lambda: rs.cross_entropy(roots, labels),
+        "save_idx": lambda: rs.save_idx(np.zeros((2, 4)), tmp_path / "img",
+                                        tmp_path / "lbl", labels=labels),
+    }
+    for call in calls.values():
+        with pytest.raises(InvalidInput, match="labels must be"):
+            call()
+    assert not list(tmp_path.iterdir())  # save_idx wrote nothing
+
+
+def test_labels_must_lie_in_1_to_c_and_whole_floats_count_as_integers():
+    for labels in ([0, 1], [1, 3]):
+        with pytest.raises(InvalidInput, match=r"labels must be integers in 1\.\.2"):
+            rs.empirical_log_prior(labels, 2)
+    got = check_labels(np.array([1.0, 2.0, 2.0]), 2)
+    assert got.dtype == np.int64 and got.tolist() == [1, 2, 2]
+    np.testing.assert_array_equal(
+        rs.empirical_log_prior([1.0, 2.0, 2.0], 2), np.log([1 / 3, 2 / 3])
+    )
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 2), (4,), ()])
@@ -188,6 +218,13 @@ def test_scaling_statistics_transfer_without_refit():
     scaled = rs.apply_scaling(test, fitted.scaling)
     assert scaled.features[0, 0] == pytest.approx(2.0)  # stats from train only
     assert scaled.scaling.max_value == 10.0
+
+
+def test_zscore_statistics_of_another_width_are_a_data_error():
+    fitted = rs.scale_features(rs.Dataset(np.arange(12.0).reshape(2, 6)), "zscore")
+    for width in (4, 1):  # 1 column would broadcast over the 6 means
+        with pytest.raises(DataFormatError, match=f"6 means, data has {width} features"):
+            rs.apply_scaling(rs.Dataset(np.ones((3, width))), fitted.scaling)
 
 
 def test_batch_iterator_partition_property():

@@ -135,6 +135,33 @@ def test_shape_mismatch_rejected(rng):
         rs.forward_log(circuit, params, np.zeros((2, 5)), missing=np.zeros((3, 5), bool))
 
 
+@pytest.mark.parametrize("mask_rows", [505, 495])
+def test_a_mask_is_checked_against_the_whole_batch_not_each_pass(mask_rows):
+    # a mask of the wrong height must fail even though every pass's slice of
+    # it would have the pass's shape (the first 495 rows cover whole passes)
+    circuit = rs.construct_circuit(rs.random_region_graph(64, 2, 8, seed=1), 10, 8, 8)
+    params = rs.init_parameters(circuit, seed=1)
+    assert rs.inference.rows_per_pass(circuit) < 500
+    batch = np.random.default_rng(0).random((500, 64))
+    with pytest.raises(InvalidInput, match="missing mask shape"):
+        rs.forward_log(circuit, params, batch, missing=np.zeros((mask_rows, 64), bool))
+
+
+def test_a_nan_is_marginalized_when_masked_and_rejected_when_observed():
+    # the finiteness check runs per pass, after masking: a NaN in a later
+    # pass is rejected all the same, and a masked one acts as any value
+    circuit = rs.construct_circuit(rs.random_region_graph(64, 2, 8, seed=1), 10, 8, 8)
+    params = rs.init_parameters(circuit, seed=1)
+    batch = np.random.default_rng(0).random((500, 64))
+    missing = np.zeros(batch.shape, bool)
+    missing[450, 3] = True
+    want = rs.forward_log(circuit, params, batch, missing)
+    batch[450, 3] = np.nan
+    np.testing.assert_array_equal(rs.forward_log(circuit, params, batch, missing), want)
+    with pytest.raises(InvalidInput, match="observed values must be finite"):
+        rs.forward_log(circuit, params, batch)
+
+
 def test_sum_dropout_masks_are_checked():
     graph = rs.random_region_graph(4, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, 2, 2, 2)

@@ -9,19 +9,18 @@ from randspn.leaves import (
     gaussian_block_log_density,
     gaussian_terms,
     leaf_statistics,
-    mask_batch,
 )
 
 
 def group_call(kernel, terms, values, missing=None):
     """(G, N, I): ``kernel`` on (N, G, d) ``values``, masked and gathered as the engine does."""
-    x, observed = mask_batch(values, missing)
-    return kernel(leaf_statistics(x, observed), terms)
+    return kernel(leaf_statistics(values, missing), terms)
 
 
 def gaussian(values, means, variances=None, missing=None):
     """(N, I) log-densities of one block of (I, d) Gaussians: a group of one."""
-    terms = gaussian_terms(means[None], None if variances is None else variances[None])
+    variances = np.ones_like(means) if variances is None else variances
+    terms = gaussian_terms(means[None], variances[None])
     return group_call(
         gaussian_block_log_density, terms, values[:, None],
         None if missing is None else missing[:, None],
@@ -45,6 +44,22 @@ def test_gaussian_at_its_mean():
 def test_all_missing_gives_log_one():
     value = gaussian(np.array([[99.0]]), np.array([[3.0]]), missing=np.array([[True]]))[0, 0]
     assert value == 0.0
+
+
+def test_masked_entries_have_statistics_of_exactly_zero():
+    # a masked NaN or inf is dropped before the finiteness check and the square
+    x = np.array([[np.nan, 2.0], [3.0, -np.inf]])
+    missing = np.array([[True, False], [False, True]])
+    features = leaf_statistics(x, missing).features  # (V, 3, R)
+    assert features.shape == (2, 3, 8)
+    np.testing.assert_array_equal(features[0, :, 0], 0.0)
+    np.testing.assert_array_equal(features[1, :, 1], 0.0)
+    np.testing.assert_array_equal(features[0, :, 1], [9.0, 3.0, 1.0])
+    np.testing.assert_array_equal(features[1, :, 0], [4.0, 2.0, 1.0])
+    np.testing.assert_array_equal(features[..., 2:], 0.0)  # padding rows
+    for mask in (None, np.array([[False, False], [False, True]])):  # NaN left observed
+        with pytest.raises(InvalidInput, match="observed values must be finite"):
+            leaf_statistics(x, mask)
 
 
 def test_fair_coin_pair():
@@ -128,8 +143,9 @@ def family_kernel(family, params, variances):
     """(kernel, terms) of a leaf family on (G, I, d) parameters."""
     if family == "bernoulli":
         return bernoulli_block_log_mass, bernoulli_terms(params)
-    terms = gaussian_terms(params, variances if family == "gaussian-var" else None)
-    return gaussian_block_log_density, terms
+    if family == "gaussian":
+        variances = np.ones_like(params)
+    return gaussian_block_log_density, gaussian_terms(params, variances)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "gaussian-var", "bernoulli"])
@@ -226,7 +242,8 @@ def test_expanded_leaf_meets_its_cancellation_bound_on_unscaled_pixels():
         group, scope = circuit.plan[block.group], list(block.scope)
         means = params.stacked("leaf_means", group)[block.position]  # (I, d)
         variances = clamped_variances(params.stacked("leaf_log_vars", group)[block.position])
-        x, observed = mask_batch(pixels[:, scope], missing[:, scope])
+        observed = ~missing[:, scope]
+        x = np.where(observed, pixels[:, scope], 0.0)
         got = gaussian(pixels[:, scope], means, variances, missing[:, scope])
         scale = ((np.abs(x)[:, None] + np.abs(means)) ** 2 / (2 * variances)
                  + np.abs(np.log(2 * np.pi * variances)) / 2)  # (N, I, d)

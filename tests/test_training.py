@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import randspn as rs
 from randspn.circuit import ParamTensor, softmax
 from randspn.errors import InvalidInput, NumericFailure
-from randspn.inference import leaf_input, sum_block_forward
+from randspn.inference import sum_block_forward
 from randspn.leaves import VARIANCE_FLOOR
 from randspn.training import (
     AdamState,
@@ -722,21 +722,20 @@ def test_factor_gradient_contractions_equal_width_sums(graph_args, sizes, covers
                 np.testing.assert_allclose(g, w, rtol=1e-13)
 
 
-def _leaf_gradients_per_node(circuit, params, group, g, x, observed):
+def _leaf_gradients_per_node(circuit, params, group, g, batch, missing):
     """{parameter name: (G, I, d)} gradients of a leaf group, term by term."""
     terms = params.terms(group)
-    x = x[:, group.scope]  # (N, G, d)
-    observed = np.ones_like(x) if observed is None else observed[:, group.scope]
+    x = batch[:, group.scope]  # (N, G, d)
+    observed = np.ones_like(x) if missing is None else ~missing[:, group.scope]
     if circuit.leaf_family == "bernoulli":
         name, centers, inv_var = "leaf_logits", np.exp(terms.log_p), 1.0
     else:
-        name, centers = "leaf_means", terms.means
-        inv_var = 1.0 if terms.inv_variances is None else terms.inv_variances
+        name, centers, inv_var = "leaf_means", terms.means, terms.inv_variances
     x, observed = x[:, :, None], observed[:, :, None]  # (N, G, 1, d)
     diff = (x - centers) * observed  # (N, G, I, d)
     scaled = diff * inv_var
     grads = {name: np.einsum("gni,ngiv->giv", g, scaled)}
-    if name == "leaf_means" and terms.variances is not None:
+    if params.train_variance:
         active = terms.variances > VARIANCE_FLOOR
         halves = 0.5 * (diff * scaled - observed)
         grads["leaf_log_vars"] = np.einsum("gni,ngiv->giv", g, halves) * active
@@ -764,13 +763,12 @@ def test_leaf_gradient_contractions_equal_the_per_node_formula(
         missing = rng.random((9, 12)) < 0.3
         missing[2] = True  # a fully masked row
     _, tables, kernels = rs.forward_log(circuit, params, batch, missing, return_tables=True)
-    x, observed = leaf_input(circuit, batch, missing)
     for group in (group for group in circuit.plan if group.kind == "leaf"):
         g = np.zeros_like(tables[group.index])  # the layout of a table gradient
         g[...] = rng.normal(size=g.shape)
         d_flat = np.zeros_like(params.flat)
         _leaf_gradients(circuit, params, d_flat, group, g, kernels[group.index])
-        want = _leaf_gradients_per_node(circuit, params, group, g, x, observed)
+        want = _leaf_gradients_per_node(circuit, params, group, g, batch, missing)
         assert len(want) == 1 + train_variance
         for name, value in want.items():
             np.testing.assert_allclose(params.stacked(name, group, d_flat), value, rtol=1e-12)
