@@ -299,19 +299,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 class SumTerms(NamedTuple):
     """What a sum kernel reads of its logits: (G, S, K) softmax weights
-    ``w``, and ``q``, (G, 1, S): each weight row's sum, by the tile GEMM
-    that mixes the inputs (``tiles.tile_matmul``), on a tile of ones.
+    ``w``; ``q``, (G, 1, S): each weight row's sum, by the tile GEMM that
+    mixes the inputs (``tiles.tile_matmul``), on a tile of ones; and its
+    log, ``log_q``.
     """
 
     w: np.ndarray
     q: np.ndarray
+    log_q: np.ndarray
 
 
 def sum_terms(logits: np.ndarray) -> SumTerms:
     """The ``SumTerms`` of sum logits."""
     w = softmax(logits)
     ones = np.ones(w.shape[:-2] + (TILE, w.shape[-1]))
-    return SumTerms(w, tile_matmul(ones, w.swapaxes(-1, -2))[..., :1, :])
+    q = tile_matmul(ones, w.swapaxes(-1, -2))[..., :1, :]
+    return SumTerms(w, q, np.log(q))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -338,10 +338,14 @@ def ranking_statistic(scores_in, scores_out) -> float:
     return float((rank_sum - n_in * (n_in + 1) / 2) / (n_in * n_out))
 
 
+# the most histogram bins ``ood`` writes: one CSV row each
+MAX_BINS = 100_000
+
+
 def cmd_ood(args):
     started = time.perf_counter()
-    if args.bins < 1:
-        raise InvalidInput(f"--bins must be >= 1, got {args.bins}")
+    if not 1 <= args.bins <= MAX_BINS:
+        raise InvalidInput(f"--bins must lie in [1, {MAX_BINS}], got {args.bins}")
     if not 0.0 <= args.outlier_percentile <= 100.0:
         raise InvalidInput(
             f"--outlier-percentile must lie in [0, 100], got {args.outlier_percentile}"

@@ -218,12 +218,15 @@ def save_idx(features, image_path, label_path=None, labels=None, rows=None, cols
 def load_csv(path, label_column: int | str | None = "last", has_header=False) -> Dataset:
     """Load a rectangular numeric CSV; ``label_column`` may be None, 'last' or an index."""
     rows = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            rows.append((line_no, row))
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            for line_no, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                rows.append((line_no, row))
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
     if has_header and rows:
         rows = rows[1:]
     if not rows:

@@ -16,12 +16,15 @@ Product blocks are folded into the sums that read them (the einsum layer):
 a sum group exps each factor table once, shifted by its row max, and its
 inputs are the outer products of the factors: the only product table is
 the sum group's own linear-domain input ``x``. Marginalization
-is a per-sample boolean mask of missing variables: ``forward_log`` checks
-its shape against the batch once and hands each pass its rows, and the
-pass's ``leaves.leaf_statistics`` zeroes the matching statistics and
-checks that the observed values are finite. Conditioning is a difference
-of two marginal evaluations. Without tables, a pass covers as many rows
-as keep its largest temporary within a cache budget (``rows_per_pass``).
+is a per-sample boolean mask of missing variables, and the pass's
+``leaves.leaf_statistics`` zeroes the matching statistics and checks that
+the observed values are finite. Conditioning is a difference of two
+marginal evaluations. Every public query checks its inputs once (batch
+and mask shapes, a prior the caller passes, sum-dropout masks) and hands
+them to one pass runner (``_run_passes``); a pass reads only checked
+arrays and what ``ParameterSet.terms`` computes once per parameter set.
+Without tables, a pass covers as many rows as keep its largest temporary
+within a cache budget (``rows_per_pass``).
 """
 
 from __future__ import annotations
@@ -71,15 +74,16 @@ class SumKernel(NamedTuple):
     a dead row, whose kept inputs are all -inf); ``e`` the inputs in the
     linear domain divided by ``exp(m)``, 0 on dropped columns (all 0 in a
     dead row); ``w`` the softmax weights; ``p`` each row's products with
-    the weight rows and ``q`` the weight rows' sums (``SumTerms``). The
-    outputs are ``log p - log q + m`` (``sum_block_forward``).
+    the weight rows and ``log_q`` the log of the weight rows' sums
+    (``SumTerms``). The outputs are ``log p - log q + m``
+    (``sum_block_forward``).
     """
 
     m: np.ndarray
     e: np.ndarray
     w: np.ndarray
     p: np.ndarray
-    q: np.ndarray
+    log_q: np.ndarray
 
 
 def _tile_buffer(lead, rows, columns):
@@ -99,7 +103,7 @@ def _mix(m, e, terms: SumTerms) -> SumKernel:
     """
     rows = m.shape[-2]
     p = tile_matmul(e, terms.w.swapaxes(-1, -2))
-    return SumKernel(m, e[..., :rows, :], terms.w, p[..., :rows, :], terms.q)
+    return SumKernel(m, e[..., :rows, :], terms.w, p[..., :rows, :], terms.log_q)
 
 
 def _log_inputs(values, keep):
@@ -129,7 +133,8 @@ def sum_block_forward(kernel: SumKernel) -> np.ndarray:
 
     ``kernel`` is ``sum_group_kernel`` of a plan group; the outputs are
     ``log p - log q + m``, ``q`` each weight row's sum by the GEMM that gave
-    ``p`` (see ``_mix``). The softmax rows need not sum to exactly 1, but a
+    ``p`` (see ``_mix``), its log kept with the parameters (``SumTerms``).
+    The softmax rows need not sum to exactly 1, but a
     row whose inputs all equal ``v`` has ``e`` all ones, so ``p == q`` and it
     returns ``v`` exactly: a fully marginalized input (all zeros) stays
     exactly 0. A dead row (all inputs -inf, as under sum dropout) has
@@ -140,7 +145,10 @@ def sum_block_forward(kernel: SumKernel) -> np.ndarray:
     logit spread of about 700 nats.
     """
     with np.errstate(divide="ignore"):  # an underflowed p of 0 stands for -inf
-        return np.log(kernel.p) - np.log(kernel.q) + kernel.m
+        out = np.log(kernel.p)
+    out -= kernel.log_q
+    out += kernel.m
+    return out
 
 
 def sum_block_inputs(tables, group: Group, keep=None):
@@ -213,14 +221,15 @@ def sum_group_kernel(tables, group: Group, terms: SumTerms, keep=None) -> SumKer
     value as the shift (``_log_inputs``).
     """
     kernel = _mix(*sum_block_inputs(tables, group, keep), terms)
-    if keep is not None and group.runs:
+    # a lost row has every p below _FAINT, so one test over all of p comes first
+    if keep is not None and group.runs and (kernel.p < _FAINT).any():
         lost = (kernel.p.max(axis=-1) < _FAINT) & (kernel.m[..., 0] > NEG_INF)
         if lost.any():
-            _rescue(tables, group, kernel, keep, np.nonzero(lost))
+            _rescue(tables, group, kernel, terms, keep, np.nonzero(lost))
     return kernel
 
 
-def _rescue(tables, group, kernel, keep, rows):
+def _rescue(tables, group, kernel, terms, keep, rows):
     """Recompute the kernel terms of the (member, sample) ``rows`` in the log domain."""
     members, samples = rows
     values = []
@@ -234,7 +243,7 @@ def _rescue(tables, group, kernel, keep, rows):
     m, e = _log_inputs(
         np.concatenate(values, axis=-1)[:, None, :], keep[members, samples][:, None, :]
     )
-    again = _mix(m, e, SumTerms(kernel.w[members], kernel.q[members]))
+    again = _mix(m, e, SumTerms(*(array[members] for array in terms)))
     for name in ("m", "e", "p"):
         getattr(kernel, name)[members, samples] = getattr(again, name)[:, 0]
 
@@ -327,11 +336,20 @@ def forward_log(
     to whole tiles.
     """
     x, missing = _check_batch(circuit, batch, missing)
-    sum_dropout = sum_dropout or {}
-    _check_dropout(circuit, sum_dropout, len(x))
-    rows = len(x) if return_tables else rows_per_pass(circuit)
+    if sum_dropout:
+        _check_dropout(circuit, sum_dropout, len(x))
+    else:
+        sum_dropout = {}
+    if return_tables:
+        return _forward_pass(circuit, params, x, missing, sum_dropout, True)
+    return _run_passes(circuit, params, x, missing, sum_dropout)
+
+
+def _run_passes(circuit, params, x, missing, sum_dropout):
+    """The roots of a checked batch, mask and dropout, in passes of ``rows_per_pass``."""
+    rows = rows_per_pass(circuit)
     if len(x) <= rows:
-        return _forward_pass(circuit, params, x, missing, sum_dropout, return_tables)
+        return _forward_pass(circuit, params, x, missing, sum_dropout, False)
     return np.concatenate([
         _forward_pass(
             circuit, params, x[part], None if missing is None else missing[part],
@@ -397,12 +415,24 @@ def check_log_prior(log_prior, num_classes: int) -> np.ndarray:
     return log_prior
 
 
+def _log_joint(circuit, params, x, missing, log_prior) -> np.ndarray:
+    """``log_joint`` of a checked batch and mask under a checked prior.
+
+    A ``log_prior`` of None is the uniform prior, added as the scalar
+    ``-log C``: the same bits as adding ``uniform_log_prior(C)``.
+    """
+    roots = _run_passes(circuit, params, x, missing, {})
+    if log_prior is None:
+        return roots - np.log(circuit.classes_C)
+    return roots + log_prior[None, :]
+
+
 def log_joint(circuit, params, batch, log_prior=None, missing=None) -> np.ndarray:
     """Per-sample, per-class log p(x, c) = root_c(x) + log prior_c; uniform prior by default."""
-    if log_prior is None:
-        log_prior = uniform_log_prior(circuit.classes_C)
-    log_prior = check_log_prior(log_prior, circuit.classes_C)
-    return forward_log(circuit, params, batch, missing) + log_prior[None, :]
+    if log_prior is not None:
+        log_prior = check_log_prior(log_prior, circuit.classes_C)
+    x, missing = _check_batch(circuit, batch, missing)
+    return _log_joint(circuit, params, x, missing, log_prior)
 
 
 def classify(circuit, params, batch, log_prior=None, missing=None) -> np.ndarray:
@@ -421,7 +451,8 @@ def conditional_log(
     """log p(x_query | x_evidence), marginalizing everything else.
 
     ``query_mask`` and ``evidence_mask`` are per-sample boolean selections of
-    disjoint variable sets; values outside both sets are ignored.
+    disjoint variable sets, each shaped like ``batch``; values outside both
+    sets are ignored.
     """
     query_mask = np.asarray(query_mask, bool)
     evidence_mask = np.asarray(evidence_mask, bool)
@@ -429,10 +460,12 @@ def conditional_log(
         raise InvalidInput("query and evidence masks must have the same shape")
     if np.any(query_mask & evidence_mask):
         raise InvalidInput("query and evidence masks overlap")
+    batch, query_mask = _check_batch(circuit, batch, query_mask)
+    if log_prior is not None:
+        log_prior = check_log_prior(log_prior, circuit.classes_C)
     # joint and evidence marginals in one pass over the rows stacked twice
-    batch, _ = _check_batch(circuit, batch)
-    both = log_marginal_input(
-        circuit, params, np.concatenate([batch, batch]), log_prior,
-        missing=np.concatenate([~(query_mask | evidence_mask), ~evidence_mask]),
-    )
+    both = logsumexp(_log_joint(
+        circuit, params, np.concatenate([batch, batch]),
+        np.concatenate([~(query_mask | evidence_mask), ~evidence_mask]), log_prior,
+    ))
     return both[: len(batch)] - both[len(batch) :]

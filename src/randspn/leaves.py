@@ -143,9 +143,9 @@ def gaussian_block_log_density(stats: LeafStatistics, terms: GaussianTerms):
     flat = features.reshape(size, 3 * scope, rows).swapaxes(1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # recomputed below
         out = tile_matmul(flat, terms.natural)
-    lost = ~(out > _OVERFLOWED)
-    if lost.any():
-        _difference_form(out, features, terms, np.nonzero(lost.any(axis=-1)))
+    fine = out > _OVERFLOWED
+    if not fine.all():
+        _difference_form(out, features, terms, np.nonzero(~fine.all(axis=-1)))
     return out[:, : stats.rows]
 
 

@@ -258,6 +258,14 @@ def test_a_parameter_set_copies_the_vector_it_is_built_from():
     np.testing.assert_array_equal(rs.forward_log(circuit, built, batch), before)
 
 
+def test_sum_terms_keep_the_log_of_each_weight_row_sum():
+    from randspn.circuit import sum_terms
+
+    terms = sum_terms(np.random.default_rng(3).normal(0.0, 2.0, (4, 3, 6)))
+    np.testing.assert_array_equal(terms.log_q, np.log(terms.q))
+    assert terms.log_q.shape == (4, 1, 3)
+
+
 @pytest.mark.parametrize("leaf_family, train_variance", [
     ("gaussian", False), ("gaussian", True), ("bernoulli", False),
 ])

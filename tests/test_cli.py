@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import randspn as rs
-from randspn.cli import build_parser, main, ranking_statistic
+from randspn.cli import MAX_BINS, build_parser, main, ranking_statistic
 from randspn.region_graph import Partition, Region, RegionGraph
 from conftest import root_second, wiring_mirrors_graph
 
@@ -128,6 +129,32 @@ def test_a_csv_of_labels_only_exits_3_under_every_scale(tmp_path, capsys, scale)
                  "--out", str(tmp_path / "m")]) == 3
     err = capsys.readouterr().err
     assert "no feature columns" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bins", [MAX_BINS + 1, 10**12])
+def test_ood_bins_above_the_bound_exit_2_before_anything_is_loaded(tmp_path, capsys, bins):
+    # no model or data exists: a check after loading them would exit 3
+    absent = tmp_path / "absent"
+    build_parser()  # built once per process, before the allocations measured
+    tracemalloc.start()
+    code = main(["ood", "--model", str(absent), "--in-data", f"csv:{absent}",
+                 "--out-data", f"csv:{absent}", "--bins", str(bins), "--out", str(tmp_path / "o")])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2 and peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --bins") and "Traceback" not in err
+
+
+def test_a_csv_that_is_not_text_exits_3(tmp_path, blob_csv, capsys):
+    model = _train(tmp_path, blob_csv)
+    images = tmp_path / "images.idx"
+    rs.save_idx(np.full((4, 6), 200.0), images)  # bytes above 127: not UTF-8
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", f"csv-nolabel:{images}",
+                 "--out", str(tmp_path / "e")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {images}: not") and "Traceback" not in err
 
 
 def test_data_errors_exit_3(tmp_path, blob_csv, capsys):

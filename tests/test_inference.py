@@ -9,7 +9,7 @@ from scipy.special import logsumexp as reference_logsumexp
 import randspn as rs
 from randspn.circuit import sum_terms
 from randspn.errors import InvalidInput
-from randspn.inference import check_log_prior, logsumexp, sum_block_forward
+from randspn.inference import check_log_prior, logsumexp, rows_per_pass, sum_block_forward
 from randspn.tiles import TILE, padded, tile_matmul
 from randspn.training import sum_block_backward
 from randspn.oracle import enumerate_assignments
@@ -174,6 +174,10 @@ def test_sum_dropout_masks_are_checked():
         rs.forward_log(circuit, params, batch, sum_dropout={root.index: keep}),
         rs.forward_log(circuit, params, batch),
     )
+    np.testing.assert_array_equal(
+        rs.forward_log(circuit, params, batch, sum_dropout={}),
+        rs.forward_log(circuit, params, batch),
+    )
     for key in (leaf.index, len(circuit.plan), -1, "root"):  # not a sum group
         with pytest.raises(InvalidInput, match="not a sum group"):
             rs.forward_log(circuit, params, batch, sum_dropout={key: keep})
@@ -291,6 +295,55 @@ def test_conditional_log_ignores_values_outside_query_and_evidence(rng):
         bad[selected] = np.nan
         with pytest.raises(InvalidInput, match="observed values must be finite"):
             rs.conditional_log(circuit, params, bad, query, evidence)
+
+
+@pytest.fixture(scope="module")
+def desk_query():
+    """The desk config at randomized parameters, with 200 rows and their masks."""
+    circuit = rs.construct_circuit(rs.random_region_graph(64, 2, 8, seed=1), 10, 8, 8)
+    rng = np.random.default_rng(5)
+    params = randomize_params(rs.init_parameters(circuit, seed=1), rng, 0.5)
+    batch = rng.normal(size=(200, 64))
+    u = rng.random(batch.shape)
+    return circuit, params, batch, u < 0.3, (u >= 0.3) & (u < 0.65)
+
+
+@pytest.mark.parametrize("prior", ["uniform", "skewed"])
+@pytest.mark.parametrize("rows", [1, 3, 200])
+def test_conditional_log_is_a_difference_of_marginals_bit_for_bit(desk_query, rows, prior):
+    circuit, params, batch, query, evidence = desk_query
+    assert rows_per_pass(circuit) < 200  # the 200-row call spans several passes
+    log_prior = None if prior == "uniform" else np.log(np.arange(1, 11) / 55)
+    batch, query, evidence = batch[:rows], query[:rows], evidence[:rows]
+    got = rs.conditional_log(circuit, params, batch, query, evidence, log_prior)
+    joint = rs.log_marginal_input(circuit, params, batch, log_prior, ~(query | evidence))
+    marginal = rs.log_marginal_input(circuit, params, batch, log_prior, ~evidence)
+    np.testing.assert_array_equal(got, joint - marginal)
+
+
+def test_the_default_prior_is_the_uniform_prior_bit_for_bit(desk_query):
+    circuit, params, batch, query, _ = desk_query
+    uniform = rs.uniform_log_prior(circuit.classes_C)
+    for call in (rs.log_joint, rs.log_marginal_input, rs.classify):
+        np.testing.assert_array_equal(
+            call(circuit, params, batch, None, query), call(circuit, params, batch, uniform, query)
+        )
+
+
+def test_conditional_log_checks_its_masks_batch_and_prior(desk_query):
+    circuit, params, batch, query, evidence = desk_query
+    batch, query, evidence = batch[:3], query[:3], evidence[:3]
+    cases = [
+        (batch, query, evidence[:, 1:], None, "same shape"),
+        (batch, query, query, None, "overlap"),
+        (batch[:, 1:], query[:, 1:], evidence[:, 1:], None, "does not match 64 variables"),
+        (batch, query[:2], evidence[:2], None, "missing mask shape"),
+        (batch, query, evidence, np.zeros(10), "not normalized"),
+        (batch, query, evidence, np.log(np.full(3, 1 / 3)), "shape"),
+    ]
+    for x, q, e, log_prior, message in cases:
+        with pytest.raises(InvalidInput, match=message):
+            rs.conditional_log(circuit, params, x, q, e, log_prior)
 
 
 def test_conditional_on_independent_factors_equals_marginal(rng):
