@@ -162,8 +162,8 @@ def random_region_graph(
     def split(region: Region, budget: int):
         perm = rng.permutation(np.asarray(region.scope))
         cut = (len(perm) + 1) // 2
-        left = builder.region(tuple(np.sort(perm[:cut]).tolist()), region.level + 1)
-        right = builder.region(tuple(np.sort(perm[cut:]).tolist()), region.level + 1)
+        left = builder.region(tuple(sorted(perm[:cut].tolist())), region.level + 1)
+        right = builder.region(tuple(sorted(perm[cut:].tolist())), region.level + 1)
         builder.partition(region, left, right)
         if budget > 1:
             if len(left.scope) > 1:
