@@ -463,7 +463,7 @@ def conditional_log(
     batch, query_mask = _check_batch(circuit, batch, query_mask)
     if log_prior is not None:
         log_prior = check_log_prior(log_prior, circuit.classes_C)
-    # joint and evidence marginals in one pass over the rows stacked twice
+    # joint and evidence marginals in one run of passes over the rows stacked twice
     both = logsumexp(_log_joint(
         circuit, params, np.concatenate([batch, batch]),
         np.concatenate([~(query_mask | evidence_mask), ~evidence_mask]), log_prior,
