@@ -23,17 +23,17 @@ plan resolves once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput, StructureError, check_int
-from .leaves import bernoulli_terms, clamped_variances, gaussian_terms
+from .leaves import BERNOULLI, GAUSSIAN, bernoulli_terms, clamped_variances, gaussian_terms
 from .region_graph import Region, RegionGraph, validate_region_graph
 from .tiles import TILE, tile_matmul
 
 LEAF, SUM, PRODUCT = "leaf", "sum", "product"
-GAUSSIAN, BERNOULLI = "gaussian", "bernoulli"
 
 
 class Block:
@@ -250,6 +250,7 @@ class ParamTensor(NamedTuple):
     group: int  # plan group index
     offset: int
     shape: tuple[int, int, int]  # (members, rows, cols)
+    scope: tuple[int, ...] = ()  # a leaf tensor's variable per (member, col); () for sums
 
     @property
     def size(self) -> int:
@@ -281,7 +282,8 @@ def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[Pa
         for group in circuit.plan:
             if name in (leaf_names if group.kind == LEAF else ("sum_logits",)):
                 shape = (len(group.blocks), group.width, group.columns)
-                layout.append(ParamTensor(name, group.index, offset, shape))
+                scope = tuple(group.scope.ravel().tolist()) if group.kind == LEAF else ()
+                layout.append(ParamTensor(name, group.index, offset, shape, scope))
                 offset += layout[-1].size
     return tuple(layout)
 
@@ -337,8 +339,8 @@ class ParameterSet:
     ``ParameterSet(params.layout, params.flat + noise)``.
 
     ``terms(group)`` derives what the kernels read from a plan group's
-    parameters on first use and keeps it, so a set pays for it once however
-    many batches it evaluates.
+    parameters on first use and keeps it, and so does ``centre``, so a set
+    pays for them once however many batches it evaluates.
     """
 
     def __init__(self, layout: tuple[ParamTensor, ...], flat: np.ndarray | None = None):
@@ -357,14 +359,32 @@ class ParameterSet:
         """
         return self._tensors[name, plan_group.index].view(self.flat if flat is None else flat)
 
+    @cached_property
+    def centre(self) -> np.ndarray:
+        """The (V,) centre ``c`` of each variable's leaf statistics, computed once.
+
+        The mean of the variable's leaf means over every leaf group, so that
+        large, close values and means do not cancel, where it lies farther
+        from 0 than their spread and their squares are finite; else, and
+        for Bernoulli leaves, 0. Read-only.
+        """
+        num_vars = 1 + max(max(tensor.scope) for tensor in self.layout if tensor.scope)
+        moments = np.zeros((3, num_vars))  # leaf count, sum and sum of squared means
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan or 0 / 0: centre 0
+            for tensor in (t for t in self.layout if t.name == "leaf_means"):
+                means, scope = tensor.view(self.flat), np.array(tensor.scope)
+                for row, value in zip(moments, (means**0, means, means * means)):
+                    row += np.bincount(scope, value.sum(axis=1).ravel(), num_vars)
+            mean, mean_square = moments[1:] / moments[0]
+            return _read_only(np.where(2 * mean * mean > mean_square, mean, 0.0))
+
     def terms(self, plan_group: Group):
         """What the kernels read from a plan group's parameters, computed once.
 
         A sum group gives its ``sum_terms``. A leaf group gives
-        ``leaves.gaussian_terms`` (clamped variances with variance training,
-        else ones)
-        or ``leaves.bernoulli_terms``, group-major (G, I, d) as ``stacked``
-        holds its parameters. Every array is read-only.
+        ``leaves.gaussian_terms`` of its means less ``centre`` (clamped
+        variances with variance training, else ones) or ``bernoulli_terms``,
+        group-major (G, I, d) as ``stacked``. Every array is read-only.
         """
         terms = self._terms.get(plan_group.index)
         if terms is None:
@@ -377,7 +397,7 @@ class ParameterSet:
                 variances = np.ones_like(means)
                 if self.train_variance:
                     variances = clamped_variances(self.stacked("leaf_log_vars", plan_group))
-                terms = gaussian_terms(means, variances)
+                terms = gaussian_terms(means - self.centre[plan_group.scope][:, None], variances)
             for array in terms:
                 _read_only(array)
             self._terms[plan_group.index] = terms

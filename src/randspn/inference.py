@@ -5,9 +5,9 @@ every group of same-shape blocks is one (G, N, width) tensor, computed by
 one stacked numpy call per step, so Python dispatch scales with the number
 of groups, not of blocks. Tables hold log-values. Both contractions of a
 pass are one row-stable GEMM over tiles of ``tiles.TILE`` rows
-(``tiles.tile_matmul``). A leaf group contracts the statistics (x², x,
-observed) of its scope with its Gaussians' natural coefficients
-(``leaves.gaussian_block_log_density``). Sum blocks use the exp–dot–log
+(``tiles.tile_matmul``). A leaf group of either family contracts the
+statistics (x², x, observed) of its scope with its leaves' natural
+coefficients (``leaves.gaussian_block_log_density``). Sum blocks use the exp–dot–log
 form of Einsum Networks (Peharz et al. 2020): with ``m`` a per-row shift
 and ``w = softmax(logits)``, a block's outputs are
 ``log(x · w) - log(1 · w) + m``, where ``x`` holds its inputs in the
@@ -20,9 +20,9 @@ is a per-sample boolean mask of missing variables, and the pass's
 ``leaves.leaf_statistics`` zeroes the matching statistics and checks that
 the observed values are finite. Conditioning is a difference of two
 marginal evaluations. Every public query checks its inputs once (batch
-and mask shapes, a prior the caller passes, sum-dropout masks) and hands
-them to one pass runner (``_run_passes``); a pass reads only checked
-arrays and what ``ParameterSet.terms`` computes once per parameter set.
+and mask shapes, Bernoulli values, a prior the caller passes, sum-dropout
+masks) and hands them to one pass runner (``_run_passes``); a pass reads
+only checked arrays and what ``ParameterSet`` computes once per set.
 Without tables, a pass covers as many rows as keep its largest temporary
 within a cache budget (``rows_per_pass``).
 """
@@ -33,15 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, GAUSSIAN, LEAF, SUM, Group, ParameterSet, SumTerms
+from .circuit import Circuit, LEAF, SUM, Group, ParameterSet, SumTerms
 from .data import check_labels
 from .errors import InvalidInput
-from .leaves import (
-    LeafStatistics,
-    bernoulli_block_log_mass,
-    gaussian_block_log_density,
-    leaf_statistics,
-)
+from .leaves import LeafStatistics, check_support, gaussian_block_log_density, leaf_statistics
 from .tiles import TILE, padded, tile_matmul
 
 NEG_INF = -np.inf
@@ -248,20 +243,8 @@ def _rescue(tables, group, kernel, terms, keep, rows):
         getattr(kernel, name)[members, samples] = getattr(again, name)[:, 0]
 
 
-def _leaf_group(circuit, params, group, stats: LeafStatistics):
-    """(G, N, I) log-densities of a leaf group from the pass's ``leaf_statistics``.
-
-    One take along the variables gives the group's (G, d, 3, R) statistics,
-    a copy of whole rows.
-    """
-    stats = LeafStatistics(np.take(stats.features, group.scope, axis=0), stats.rows)
-    if circuit.leaf_family == GAUSSIAN:
-        return gaussian_block_log_density(stats, params.terms(group))
-    return bernoulli_block_log_mass(stats, params.terms(group))
-
-
 def _check_batch(circuit, batch, missing=None):
-    """The batch as floats and ``missing`` as bools; InvalidInput unless their shapes fit."""
+    """The batch as floats and ``missing`` as bools; InvalidInput unless both fit the circuit."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != circuit.num_vars:
         raise InvalidInput(
@@ -273,6 +256,7 @@ def _check_batch(circuit, batch, missing=None):
             raise InvalidInput(
                 f"missing mask shape {missing.shape} != batch shape {batch.shape}"
             )
+    check_support(circuit.leaf_family, batch, missing)
     return batch, missing
 
 
@@ -331,9 +315,8 @@ def forward_log(
     ``(roots, tables, kernels)``: ``tables[g]`` is the (G, N, width)
     log-value tensor of plan group ``g``, and ``kernels`` maps each sum
     group's index to its ``SumKernel`` and each leaf group's index to the
-    pass's ``leaf_statistics``, which the backward pass reuses: a (V, 3, R)
-    array, per variable its x², x and observed factor over the rows padded
-    to whole tiles.
+    pass's ``leaf_statistics``, which the backward pass reuses: per variable
+    its x², x (less ``params.centre``) and observed factor over the rows.
     """
     x, missing = _check_batch(circuit, batch, missing)
     if sum_dropout:
@@ -361,12 +344,13 @@ def _run_passes(circuit, params, x, missing, sum_dropout):
 
 def _forward_pass(circuit, params, x, missing, sum_dropout, return_tables):
     """``forward_log`` of a checked batch and mask in one pass over all its rows."""
-    stats = leaf_statistics(x, missing)
+    stats = leaf_statistics(x, missing, params.centre)
     tables: list = []
     kernels = {}
     for group in circuit.plan:
-        if group.kind == LEAF:
-            out, kernel = _leaf_group(circuit, params, group, stats), stats
+        if group.kind == LEAF:  # one take of whole rows: the group's (G, d, 3, R) statistics
+            kernel = LeafStatistics(np.take(stats.features, group.scope, axis=0), stats.rows)
+            out, kernel = gaussian_block_log_density(kernel, params.terms(group)), stats
         else:
             keep = sum_dropout.get(group.index)
             kernel = sum_group_kernel(tables, group, params.terms(group), keep)
@@ -460,12 +444,12 @@ def conditional_log(
         raise InvalidInput("query and evidence masks must have the same shape")
     if np.any(query_mask & evidence_mask):
         raise InvalidInput("query and evidence masks overlap")
-    batch, query_mask = _check_batch(circuit, batch, query_mask)
+    batch, outside = _check_batch(circuit, batch, ~(query_mask | evidence_mask))
     if log_prior is not None:
         log_prior = check_log_prior(log_prior, circuit.classes_C)
     # joint and evidence marginals in one run of passes over the rows stacked twice
     both = logsumexp(_log_joint(
         circuit, params, np.concatenate([batch, batch]),
-        np.concatenate([~(query_mask | evidence_mask), ~evidence_mask]), log_prior,
+        np.concatenate([outside, ~evidence_mask]), log_prior,
     ))
     return both[: len(batch)] - both[len(batch) :]

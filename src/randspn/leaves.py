@@ -1,23 +1,19 @@
-"""Leaf distribution log-densities with exact marginalization by masking.
+"""Leaf distribution log-values with exact marginalization by masking.
 
 Leaves factorize over their scope, so marginalizing a variable out is the
 same as dropping its univariate term: masked entries contribute exactly 0 in
 the log domain. Gaussian leaves are the working default; Bernoulli leaves
 exist so that discrete circuits can be checked against exhaustive
-enumeration.
-
-A batch is masked in one place, ``leaf_statistics``, once per forward
-pass: it builds the sufficient statistics (x², x and the observed factor)
-of every entry, with masked entries 0 and an observed factor of 0, and
+enumeration. Both are the exponential-family form of Einsum Networks, with
+one kernel (``gaussian_block_log_density``): for x in {0, 1}, x² = x. A
+batch is masked in one place, ``leaf_statistics``, once per forward
+pass: it builds the statistics (x², x, observed) of every entry, x less
+its variable's centre (``ParameterSet.centre``), masked entries 0, and
 checks that every observed value is finite. They are laid out by
 variable, rows last, so a plan group's take of its scope copies whole
-rows of statistics. A Gaussian leaf is the exponential-family form of
-Einsum Networks, the statistics contracted with natural coefficients (one
-GEMM per pass, see ``tiles``), so a masked term is exactly 0 whatever the
-parameters. A kernel takes a plan group's (G, d, 3, R) statistics and its
-group-major terms (``gaussian_terms`` or ``bernoulli_terms`` of (G, I, d)
-parameters, which ``ParameterSet`` computes once per parameter set) and
-returns the group's (G, N, I) table.
+rows. The kernel contracts a group's (G, d, 3, R) statistics with the
+natural coefficients of its terms (one GEMM per pass, see ``tiles``), so
+a masked term is exactly 0 whatever the parameters.
 """
 
 from __future__ import annotations
@@ -29,6 +25,7 @@ import numpy as np
 from .errors import InvalidInput
 from .tiles import padded, tile_matmul
 
+GAUSSIAN, BERNOULLI = "gaussian", "bernoulli"
 LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR = 1e-4
 _LOWEST = np.finfo(float).min
@@ -37,14 +34,14 @@ _OVERFLOWED = -1e300
 
 
 class GaussianTerms(NamedTuple):
-    """Gaussian parameters of a group of G leaf blocks of I nodes, each (G, I, d).
+    """Parameters of a group of G leaf blocks of I nodes, each (G, I, d), of either family.
 
-    Unit variances are ones, with log-variances 0 and inverses 1, which
-    change no bit of a term: ``×1.0`` and ``+0.0`` are exact. ``natural``, a
-    contiguous (G, 3d, I), holds the coefficients the density contracts
-    the leaf statistics with: per scope variable, in the order (x², x,
-    observed), ``a = -1/(2 var)``, ``b = mean/var`` and
-    ``c = -mean²/(2 var) - log(2 pi var)/2``, clipped to finite values.
+    Unit variances are ones, with log-variances 0 and inverses 1: ``×1.0``
+    and ``+0.0`` are exact. ``natural``, a contiguous (G, 3d, I), holds per
+    scope variable the coefficients of (x², x, observed): ``-1/(2 var)``,
+    ``mean/var`` and ``-mean²/(2 var) - log(2 pi var)/2``, clipped to
+    finite values. A Bernoulli leaf's mean is its success probability, its
+    variance 1 and its coefficients (0, logit, log(1 - p)).
     """
 
     means: np.ndarray
@@ -54,58 +51,63 @@ class GaussianTerms(NamedTuple):
     natural: np.ndarray
 
 
-class BernoulliTerms(NamedTuple):
-    """Log success and failure probabilities, shaped as ``GaussianTerms.means``."""
-
-    log_p: np.ndarray
-    log_q: np.ndarray
+def _coefficients(size, nodes, scope):
+    """An empty (G, 3d, I) ``natural`` and its (a, b, c) rows as (G, I, d) views."""
+    natural = np.empty((size, scope, 3, nodes))
+    return natural.reshape(size, 3 * scope, nodes), natural.transpose(2, 0, 3, 1)
 
 
 def gaussian_terms(means, variances) -> GaussianTerms:
-    """The terms ``gaussian_block_log_density`` reads, from (G, I, d) parameters."""
+    """The terms of (G, I, d) means and variances, the means less their variables' centre."""
     mu = np.asarray(means, dtype=float)
-    size, nodes, scope = mu.shape
     var = np.asarray(variances, dtype=float)
     log_var, inv_var = np.log(var), 1.0 / var
+    natural, (a, b, c) = _coefficients(*mu.shape)
     with np.errstate(over="ignore"):  # a coefficient that overflows is clipped below
-        a, b = -0.5 * inv_var, mu * inv_var
-        c = -0.5 * (mu * b + LOG_2PI + log_var)
-    natural = np.moveaxis(np.stack((a, b, c), axis=-1), 1, -1)  # (G, d, 3, I)
-    natural = np.clip(natural, _LOWEST, -_LOWEST).reshape(size, 3 * scope, nodes)
-    return GaussianTerms(mu, var, log_var, inv_var, np.ascontiguousarray(natural))
+        np.multiply(inv_var, -0.5, out=a)
+        np.multiply(mu, inv_var, out=b)
+        np.multiply(mu, b, out=c)
+        c += LOG_2PI
+        c += log_var
+        c *= -0.5
+    if not np.isfinite(natural).all():
+        np.clip(natural, _LOWEST, -_LOWEST, out=natural)
+    return GaussianTerms(mu, var, log_var, inv_var, natural)
 
 
-def bernoulli_terms(success_logits) -> BernoulliTerms:
-    """The terms ``bernoulli_block_log_mass`` reads, from (G, I, d) success log-odds."""
+def bernoulli_terms(success_logits) -> GaussianTerms:
+    """The terms of (G, I, d) success log-odds; finite logits give finite coefficients."""
     logits = np.asarray(success_logits, dtype=float)
-    # log sigmoid(l) = -log1p(exp(-l)), computed stably on both branches
-    return BernoulliTerms(-np.logaddexp(0.0, -logits), -np.logaddexp(0.0, logits))
+    natural, (a, b, c) = _coefficients(*logits.shape)
+    a[...], b[...] = 0.0, logits
+    # log p and log(1 - p) = -log1p(exp(-+l)), computed stably on both branches
+    np.negative(np.logaddexp(0.0, logits), out=c)
+    ones = np.ones_like(logits)
+    return GaussianTerms(np.exp(-np.logaddexp(0.0, -logits)), ones, 0.0 * ones, ones, natural)
 
 
 class LeafStatistics(NamedTuple):
     """The sufficient statistics of a batch, padded to whole tiles.
 
-    ``features`` is (..., 3, R) for an (N, ...) batch, rows last: per
-    entry, in the order (x², x, observed); along the last axis, rows
-    ``rows`` and after are zero, as a fully masked row is, up to
-    ``R = tiles.padded(rows)``.
+    ``features`` is (..., 3, R) for an (N, ...) batch, rows last: per entry
+    (x², x, observed) of x less its centre; rows ``rows`` to ``R =
+    tiles.padded(rows)`` are zero, as a fully masked row is.
     """
 
     features: np.ndarray
     rows: int
 
 
-def leaf_statistics(x, missing=None) -> LeafStatistics:
+def leaf_statistics(x, missing, centre) -> LeafStatistics:
     """The ``LeafStatistics`` of an (N, ...) float batch ``x``: the one masking step.
 
     ``missing``, a bool array shaped like ``x`` or None, marks the entries
-    to marginalize out: their x², x and observed factor are all 0. Raises
-    InvalidInput unless every observed value is finite. A square that
-    overflows is inf; the kernel that reads it recomputes its row (see
-    ``gaussian_block_log_density``).
+    to marginalize out: they take the value ``centre`` (a row of ``x``), so
+    their statistics are exactly 0 once shifted by it. InvalidInput unless
+    every observed value is finite; a square that overflows is inf.
     """
     if missing is not None:
-        x = np.where(missing, 0.0, x)
+        x = np.where(missing, centre, x)
     if not np.isfinite(x).all():
         raise InvalidInput("observed values must be finite")
     rows = len(x)
@@ -115,27 +117,35 @@ def leaf_statistics(x, missing=None) -> LeafStatistics:
     # transpose: two np.moveaxis calls tripled the cost of a 2-row build
     by_row = features.transpose(-1, *range(x.ndim))[:rows]
     with np.errstate(over="ignore"):
-        np.square(x, out=by_row[..., 0])
-    by_row[..., 1] = x
+        np.square(np.subtract(x, centre, out=by_row[..., 1]), out=by_row[..., 0])
     by_row[..., 2] = 1.0 if missing is None else ~missing
     return LeafStatistics(features, rows)
 
 
+def check_support(family, x, missing) -> None:
+    """For Bernoulli leaves, which read x² as x, InvalidInput unless every entry
+    of ``x`` that ``missing`` (as in ``leaf_statistics``) keeps is 0 or 1."""
+    if family == BERNOULLI:
+        observed = x if missing is None else x[~missing]
+        if not ((observed == 0.0) | (observed == 1.0)).all():
+            raise InvalidInput("Bernoulli observations must be 0 or 1")
+
+
 def gaussian_block_log_density(stats: LeafStatistics, terms: GaussianTerms):
-    """(G, N, I) log-densities of a group of G blocks of factorized Gaussians.
+    """(G, N, I) log-values of a group of G leaf blocks, of either family: the one leaf kernel.
 
     ``stats`` is the group's (G, d, 3, R) ``LeafStatistics``, the take of
     its scope from the pass's ``leaf_statistics``, and ``terms`` the
-    ``gaussian_terms`` of its (G, I, d) means and variances.
+    ``gaussian_terms`` or ``bernoulli_terms`` of its (G, I, d) parameters.
 
-    The density is the exponential-family form θ·T(x) - A(θ) of Einsum
-    Networks: the statistics (x², x, observed) of each variable times the
-    ``natural`` coefficients, summed over the scope by ``tile_matmul``. A
-    masked entry's statistics are all 0, so it adds exactly 0 whatever its
-    mean. A row whose output is not above -1e300 (a square that
+    The log-value is θ·T(x) - A(θ): the statistics of each variable times
+    the ``natural`` coefficients, summed over the scope by ``tile_matmul``,
+    so a masked entry adds exactly 0 whatever its parameters. In a Gaussian
+    group, a row whose output is not above -1e300 (a square that
     overflowed, or a clipped coefficient) is recomputed from the squared
     differences; an observed value whose squared distance to a mean
-    overflows there too has log-density -inf, without a warning.
+    overflows there too has log-density -inf, without a warning. A
+    Bernoulli group's x² coefficients are 0: its GEMM output is its value.
     """
     features = stats.features
     size, scope, _, rows = features.shape
@@ -144,7 +154,7 @@ def gaussian_block_log_density(stats: LeafStatistics, terms: GaussianTerms):
     with np.errstate(over="ignore", invalid="ignore"):  # recomputed below
         out = tile_matmul(flat, terms.natural)
     fine = out > _OVERFLOWED
-    if not fine.all():
+    if not fine.all() and terms.natural[:, ::3].any():
         _difference_form(out, features, terms, np.nonzero(~fine.all(axis=-1)))
     return out[:, : stats.rows]
 
@@ -161,18 +171,6 @@ def _difference_form(out, features, terms, rows):
     quad += (observed * log_var[member]).sum(axis=-1)
     quad += LOG_2PI * observed.sum(axis=-1)
     out[member, row] = -0.5 * quad
-
-
-def bernoulli_block_log_mass(stats: LeafStatistics, terms: BernoulliTerms):
-    """(G, N, I) log-masses of a group of G blocks of factorized Bernoullis.
-
-    Shapes as in ``gaussian_block_log_density``, with ``terms`` the
-    ``bernoulli_terms`` of success log-odds; x entries are in {0, 1}.
-    """
-    features = stats.features[..., : stats.rows]
-    x, observed = features[:, :, 1], features[:, :, 2]  # (G, d, N) each
-    successes = np.einsum("gdn,gid->gni", x, terms.log_p)
-    return successes + np.einsum("gdn,gid->gni", observed - x, terms.log_q)  # 0 where masked
 
 
 def clamped_variances(log_vars):

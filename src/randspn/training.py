@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BERNOULLI, Circuit, LEAF, ParameterSet
+from .circuit import Circuit, LEAF, ParameterSet
 from .data import batch_iterator, check_labels
 from .errors import InvalidInput, NumericFailure, check_int
 from .inference import SumKernel, forward_log, logsumexp
@@ -193,7 +193,7 @@ def _factor_gradients(grad_tables, tables, group, d_x):
             _accumulate(grad_tables, tables, (src, at[:, slots], unique), value)
 
 
-def _leaf_gradients(circuit, params, d_flat, group, g, stats: LeafStatistics):
+def _leaf_gradients(params, d_flat, group, g, stats: LeafStatistics):
     """Write a leaf group's parameter gradients into ``d_flat``.
 
     ``g`` is the group's (G, N, I) table gradient and ``stats`` the
@@ -202,14 +202,14 @@ def _leaf_gradients(circuit, params, d_flat, group, g, stats: LeafStatistics):
     forward pass did, rather than keep a copy for every leaf group through
     the backward pass. One contraction over the batch, the group's
     (G, 3d, N) statistics times ``g``, gives ``g.T @ x²``, ``g.T @ x`` and
-    ``g.T @ observed`` per plan group member. A Gaussian mean's gradient
-    ``sum_n g * observed * (x - mu) / var`` is then
-    ``(g.T @ x - mu * g.T @ observed) / var``, and its log-variance
-    gradient, of ``-0.5 (log var + (x - mu)² / var)``, is
-    ``0.5 / var * (g.T @ x² - mu * (2 g.T @ x - mu * g.T @ observed))
-    - 0.5 g.T @ observed``. A Bernoulli logit's gradient has the mean's
-    form, with the success probability in place of ``mu`` and no variance.
-    A masked entry adds exactly 0 to every contraction, and so to every
+    ``g.T @ observed`` per plan group member. With ``mu`` the
+    ``terms.means``, centred as ``x`` is, a Gaussian mean's gradient
+    ``sum_n g * observed * (x - mu) / var`` is ``(g.T @ x - mu * g.T @
+    observed) / var``, and its log-variance gradient, of ``-0.5 (log var
+    + (x - mu)² / var)``, is ``0.5 / var * (g.T @ x² - mu * (2 g.T @ x -
+    mu * g.T @ observed)) - 0.5 g.T @ observed``. A Bernoulli logit's has
+    the mean's form, ``mu`` its success probability and ``var`` 1. A
+    masked entry adds exactly 0 to every contraction, and so to every
     gradient, whatever its parameter.
     """
     terms = params.terms(group)
@@ -220,11 +220,8 @@ def _leaf_gradients(circuit, params, d_flat, group, g, stats: LeafStatistics):
     # (G, I, d) each
     g_sq, g_x, g_observed = sums.reshape(size, scope, 3, width).transpose(2, 0, 3, 1)
 
-    if circuit.leaf_family == BERNOULLI:
-        name, centers = "leaf_logits", np.exp(terms.log_p)
-    else:
-        name, centers = "leaf_means", terms.means
-    d_centers = params.stacked(name, group, d_flat)
+    name = next(t.name for t in params.layout if t.group == group.index and t.scope)
+    centers, d_centers = terms.means, params.stacked(name, group, d_flat)
     np.subtract(g_x, centers * g_observed, out=d_centers)
     if not params.train_variance:
         return
@@ -270,7 +267,7 @@ def backward_gradients(
         # each table gradient and kernel is read once: free it after
         g, grad_tables[group.index] = grad_tables[group.index], None
         if group.kind == LEAF:
-            _leaf_gradients(circuit, params, d_flat, group, g, kernels.pop(group.index))
+            _leaf_gradients(params, d_flat, group, g, kernels.pop(group.index))
         else:
             d_x, d_logits = sum_block_backward(g, kernels.pop(group.index))
             params.stacked("sum_logits", group, d_flat)[...] = d_logits

@@ -47,3 +47,15 @@ def test_training_and_a_query_record_every_engine_span():
         assert tracer.calls[span] >= 1, span
     # the wrappers are gone again
     assert rs.forward_log.__module__ == "randspn.inference"
+
+
+def test_a_bernoulli_circuit_runs_the_one_leaf_kernel():
+    # Bernoulli leaves share the Gaussian leaf's kernel, so the benchmark's
+    # leaf span sees them; a second leaf kernel would record no calls here
+    graph = rs.random_region_graph(4, 2, 2, seed=0)
+    circuit = rs.construct_circuit(graph, 2, 2, 2, "bernoulli")
+    params = rs.init_parameters(circuit, seed=0)
+    batch = np.array([[0.0, 1.0, 1.0, 0.0]])
+    with _tracing_module().Tracer() as tracer:
+        rs.forward_log(circuit, params, batch)
+    assert tracer.calls["inference.gaussian_block_log_density"] >= 1

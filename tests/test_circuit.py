@@ -289,10 +289,36 @@ def test_memoized_terms_equal_fresh_computation(leaf_family, train_variance):
                 clamped_variances(params.stacked("leaf_log_vars", group))
                 if train_variance else np.ones_like(params.stacked("leaf_means", group))
             )
-            fresh = gaussian_terms(params.stacked("leaf_means", group), variances)
+            centre = params.centre[group.scope][:, None, :]
+            fresh = gaussian_terms(params.stacked("leaf_means", group) - centre, variances)
         for got, want in zip(terms, fresh):
             np.testing.assert_array_equal(got, want)
             assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("leaf_family", ["gaussian", "bernoulli"])
+def test_the_centre_is_the_mean_leaf_mean_where_it_exceeds_the_spread(leaf_family):
+    # uneven splits: two leaf groups, and variables in leaves of both sizes.
+    # Each variable's leaf means alternate about 10, -10, 10, 0 and 0, by 1
+    graph = rs.random_region_graph(5, 2, 4, seed=0)
+    circuit = rs.construct_circuit(graph, 2, 3, 2, leaf_family)
+    params = rs.init_parameters(circuit, seed=4)
+    if leaf_family == "bernoulli":
+        np.testing.assert_array_equal(params.centre, np.zeros(5))
+        return
+    flat, means = params.flat.copy(), [[] for _ in range(5)]
+    for block in (b for b in circuit.blocks if b.kind == "leaf"):
+        matrix = params.stacked("leaf_means", circuit.plan[block.group], flat)[block.position]
+        for column, var in enumerate(block.scope):
+            for row in range(len(matrix)):
+                matrix[row, column] = (10.0, -10.0, 10.0, 0.0, 0.0)[var] + (-1) ** len(means[var])
+                means[var].append(matrix[row, column])
+    params = rs.ParameterSet(params.layout, flat)
+    centre = params.centre
+    assert params.centre is centre and not centre.flags.writeable
+    want = [np.mean(m) if np.mean(m) ** 2 > np.var(m) else 0.0 for m in means]
+    np.testing.assert_allclose(centre, want, rtol=1e-13)
+    assert (np.abs(centre[:3]) > 9).all() and (centre[3:] == 0).all()
 
 
 def _integer_cases():

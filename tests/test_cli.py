@@ -185,6 +185,25 @@ def test_data_errors_exit_3(tmp_path, blob_csv, capsys):
         assert err.startswith("data error:") and "Traceback" not in err
 
 
+def test_eval_of_a_bernoulli_model_on_non_binary_data_exits_2(tmp_path, capsys):
+    circuit = rs.construct_circuit(rs.random_region_graph(6, 1, 2, seed=0), 2, 2, 2, "bernoulli")
+    model = tmp_path / "coin.model.json"
+    rs.save_model(circuit, rs.init_parameters(circuit, seed=0), model)
+    rows = (np.random.default_rng(0).random((8, 6)) < 0.5).astype(float).tolist()
+    data = tmp_path / "coins.csv"
+    for cell, code in ((None, 0), (0.5, 2)):
+        if cell is not None:
+            rows[5][2] = cell
+        lines = [",".join(map(repr, row)) + f",{n % 2}\n" for n, row in enumerate(rows)]
+        data.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", f"csv:{data}",
+                     "--out", str(tmp_path / "e")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: Bernoulli observations must be 0 or 1")
+    assert "Traceback" not in err
+
+
 def test_eval_overfit_model_and_prior_flag(tmp_path, blob_csv, capsys):
     model = _train(tmp_path, blob_csv)
     assert main(["eval", "--model", str(model), "--data", f"csv:{blob_csv}",

@@ -162,6 +162,36 @@ def test_a_nan_is_marginalized_when_masked_and_rejected_when_observed():
         rs.forward_log(circuit, params, batch)
 
 
+def test_bernoulli_observations_outside_0_and_1_are_rejected_once_per_query(monkeypatch):
+    # an observed 0.5 would read as 0.5 log p + 0.5 log q, where the oracle
+    # gives log(1 - p): it is rejected, in a later pass too, by one check
+    circuit = rs.construct_circuit(rs.random_region_graph(64, 2, 8, seed=1), 10, 8, 8, "bernoulli")
+    params = rs.init_parameters(circuit, seed=1)
+    assert rs.inference.rows_per_pass(circuit) < 500
+    batch = (np.random.default_rng(0).random((500, 64)) < 0.5).astype(float)
+    missing = np.zeros(batch.shape, bool)
+    missing[450, 3] = True
+    want = rs.forward_log(circuit, params, batch, missing)
+    batch[450, 3] = 0.5
+    np.testing.assert_array_equal(rs.forward_log(circuit, params, batch, missing), want)
+    calls = []
+    check = rs.inference.check_support
+    monkeypatch.setattr(rs.inference, "check_support", lambda *args: calls.append(check(*args)))
+    with pytest.raises(InvalidInput, match="Bernoulli observations must be 0 or 1"):
+        rs.forward_log(circuit, params, batch)
+    assert calls == []  # the one call raised
+    rs.forward_log(circuit, params, batch, missing)
+    assert len(calls) == 1
+    query = np.zeros(batch.shape, bool)
+    query[:, 0] = True
+    evidence = np.zeros(batch.shape, bool)
+    evidence[:, 1] = True
+    rs.conditional_log(circuit, params, batch, query, evidence)  # 0.5 is outside both
+    evidence[450, 3] = True
+    with pytest.raises(InvalidInput, match="Bernoulli observations must be 0 or 1"):
+        rs.conditional_log(circuit, params, batch, query, evidence)
+
+
 def test_sum_dropout_masks_are_checked():
     graph = rs.random_region_graph(4, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, 2, 2, 2)

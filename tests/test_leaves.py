@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import randspn as rs
 from randspn.errors import InvalidInput
 from randspn.leaves import (
-    bernoulli_block_log_mass,
     bernoulli_terms,
     gaussian_block_log_density,
     gaussian_terms,
@@ -12,27 +12,33 @@ from randspn.leaves import (
 )
 
 
-def group_call(kernel, terms, values, missing=None):
-    """(G, N, I): ``kernel`` on (N, G, d) ``values``, masked and gathered as the engine does."""
-    return kernel(leaf_statistics(values, missing), terms)
+def group_call(terms, values, missing=None, centre=0.0):
+    """(G, N, I): the leaf kernel on (N, G, d) ``values``, masked and centred as in a pass."""
+    return gaussian_block_log_density(leaf_statistics(values, missing, centre), terms)
 
 
-def gaussian(values, means, variances=None, missing=None):
+def gaussian(values, means, variances=None, missing=None, centre=0.0):
     """(N, I) log-densities of one block of (I, d) Gaussians: a group of one."""
     variances = np.ones_like(means) if variances is None else variances
-    terms = gaussian_terms(means[None], variances[None])
+    terms = gaussian_terms(means[None] - centre, variances[None])
     return group_call(
-        gaussian_block_log_density, terms, values[:, None],
-        None if missing is None else missing[:, None],
+        terms, values[:, None], None if missing is None else missing[:, None], centre
     )[0]
 
 
 def bernoulli(values, logits, missing=None):
     """(N, I) log-masses of one block of (I, d) Bernoullis: a group of one."""
-    return group_call(
-        bernoulli_block_log_mass, bernoulli_terms(logits[None]), values[:, None],
-        None if missing is None else missing[:, None],
-    )[0]
+    terms = bernoulli_terms(logits[None])
+    return group_call(terms, values[:, None], None if missing is None else missing[:, None])[0]
+
+
+def einsum_log_mass(values, logits, missing=None):
+    """(G, N, I) Bernoulli log-masses of (N, G, d) values by two einsums over x and observed."""
+    observed = np.ones_like(values) if missing is None else ~missing
+    x = np.where(observed, values, 0.0)
+    log_p, log_q = -np.logaddexp(0.0, -logits), -np.logaddexp(0.0, logits)
+    return (np.einsum("ngd,gid->gni", x, log_p)
+            + np.einsum("ngd,gid->gni", observed - x, log_q))
 
 
 def test_gaussian_at_its_mean():
@@ -50,7 +56,7 @@ def test_masked_entries_have_statistics_of_exactly_zero():
     # a masked NaN or inf is dropped before the finiteness check and the square
     x = np.array([[np.nan, 2.0], [3.0, -np.inf]])
     missing = np.array([[True, False], [False, True]])
-    features = leaf_statistics(x, missing).features  # (V, 3, R)
+    features = leaf_statistics(x, missing, 0.0).features  # (V, 3, R)
     assert features.shape == (2, 3, 8)
     np.testing.assert_array_equal(features[0, :, 0], 0.0)
     np.testing.assert_array_equal(features[1, :, 1], 0.0)
@@ -59,7 +65,7 @@ def test_masked_entries_have_statistics_of_exactly_zero():
     np.testing.assert_array_equal(features[..., 2:], 0.0)  # padding rows
     for mask in (None, np.array([[False, False], [False, True]])):  # NaN left observed
         with pytest.raises(InvalidInput, match="observed values must be finite"):
-            leaf_statistics(x, mask)
+            leaf_statistics(x, mask, 0.0)
 
 
 def test_fair_coin_pair():
@@ -139,13 +145,13 @@ def test_variance_floor_applies_to_trainable_variances():
     assert clamped_variances(np.array([0.0]))[0] == pytest.approx(1.0)
 
 
-def family_kernel(family, params, variances):
-    """(kernel, terms) of a leaf family on (G, I, d) parameters."""
+def family_terms(family, params, variances):
+    """The terms of a leaf family on (G, I, d) parameters."""
     if family == "bernoulli":
-        return bernoulli_block_log_mass, bernoulli_terms(params)
+        return bernoulli_terms(params)
     if family == "gaussian":
         variances = np.ones_like(params)
-    return gaussian_block_log_density, gaussian_terms(params, variances)
+    return gaussian_terms(params, variances)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "gaussian-var", "bernoulli"])
@@ -160,12 +166,12 @@ def test_group_call_equals_block_calls_bit_for_bit(rng, family):
         x = (x > 0).astype(float)
 
     for mask in (None, missing):
-        group = group_call(*family_kernel(family, params, variances), x, mask)
+        group = group_call(family_terms(family, params, variances), x, mask)
         assert group.shape == (3, 6, 5)
         for g in range(3):
             member = slice(g, g + 1)
             alone = group_call(
-                *family_kernel(family, params[member], variances[member]),
+                family_terms(family, params[member], variances[member]),
                 x[:, member], None if mask is None else mask[:, member],
             )
             np.testing.assert_array_equal(group[g], alone[0])
@@ -196,7 +202,7 @@ def test_masked_entries_contribute_exactly_zero(rng, family):
         x = (x > 0).astype(float)
 
     def kernel(x, p):
-        return group_call(*family_kernel(family, p, variances), x, missing)
+        return group_call(family_terms(family, p, variances), x, missing)
 
     base = kernel(np.where(missing, 0.0, x), params)
     wild_x = np.where(missing, np.nan, x)
@@ -210,12 +216,12 @@ def test_masked_entries_contribute_exactly_zero(rng, family):
 def test_expanded_leaf_meets_its_cancellation_bound_on_unscaled_pixels():
     # 0..255 features with data-aware means and variances: x² and mean² are
     # about 1e4 times a term's log-density, the worst case for the expanded
-    # form. Each leaf's log-density must lie within the README's bound,
-    # 3d eps sum_observed((|x| + |mean|)² / (2 var) + |log(2 pi var)| / 2),
+    # form. Each leaf's log-density, on statistics centred by the set's
+    # centre c, must lie within the README's bound, 3d eps
+    # sum_observed((|x - c| + |mean - c|)² / (2 var) + |log(2 pi var)| / 2),
     # of the oracle's, which multiplies the per-variable densities.
     import math
 
-    import randspn as rs
     from randspn.leaves import clamped_variances
     from randspn.model_io import model_to_dict
     from randspn.oracle import load_model_dict
@@ -242,10 +248,10 @@ def test_expanded_leaf_meets_its_cancellation_bound_on_unscaled_pixels():
         group, scope = circuit.plan[block.group], list(block.scope)
         means = params.stacked("leaf_means", group)[block.position]  # (I, d)
         variances = clamped_variances(params.stacked("leaf_log_vars", group)[block.position])
-        observed = ~missing[:, scope]
-        x = np.where(observed, pixels[:, scope], 0.0)
-        got = gaussian(pixels[:, scope], means, variances, missing[:, scope])
-        scale = ((np.abs(x)[:, None] + np.abs(means)) ** 2 / (2 * variances)
+        observed, centre = ~missing[:, scope], params.centre[scope]
+        x = np.where(observed, pixels[:, scope] - centre, 0.0)
+        got = gaussian(pixels[:, scope], means, variances, missing[:, scope], centre)
+        scale = ((np.abs(x)[:, None] + np.abs(means - centre)) ** 2 / (2 * variances)
                  + np.abs(np.log(2 * np.pi * variances)) / 2)  # (N, I, d)
         bound = 3 * len(scope) * eps * (scale * observed[:, None]).sum(axis=-1)
         for n, row in enumerate(pixels):
@@ -256,3 +262,62 @@ def test_expanded_leaf_meets_its_cancellation_bound_on_unscaled_pixels():
                 assert error <= bound[n, i], (block, n, i, error, bound[n, i])
                 worst = max(worst, error / bound[n, i])
     assert 0.0 < worst < 1.0
+    assert (params.centre != 0).any()
+
+
+@pytest.mark.parametrize("values, means", [
+    ([1e8 + 1], [1e8]),
+    ([3e5 + 0.5], [3e5]),
+    ([1e150], [1e150]),
+    ([1e8 + 1], [1e8, 1e8 + 2]),  # a centre between two means
+], ids=["1e8", "3e5", "1e150", "two-means"])
+def test_large_close_values_and_means_keep_their_digits(values, means):
+    # one variable at unit variance, through the parameter set's centre:
+    # the uncentred expansion gave -1.0, -1.0439377 and 0.0 on the first three
+    import math
+
+    circuit = rs.construct_circuit(rs.random_region_graph(1, 1, 1, seed=0), 1, 1, len(means))
+    params = rs.init_parameters(circuit, seed=0)
+    (leaf,) = [group for group in circuit.plan if group.kind == "leaf"]
+    flat = params.flat.copy()
+    params.stacked("leaf_means", leaf, flat)[0, :, 0] = means
+    params = rs.ParameterSet(params.layout, flat)
+    _, tables, _ = rs.forward_log(circuit, params, np.array([values]), return_tables=True)
+    want = [-0.5 * (values[0] - mean) ** 2 - 0.5 * math.log(2 * math.pi) for mean in means]
+    np.testing.assert_allclose(tables[leaf.index][0, 0], want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_bernoulli_leaves_match_the_einsum_over_x_and_observed(rng, masked):
+    # the one GEMM, with coefficients (0, logit, log q), against
+    # x log p + (observed - x) log q on binary data
+    x = (rng.random((20, 3, 4)) < 0.5).astype(float)
+    logits = rng.normal(0.0, 3.0, (3, 5, 4))
+    missing = rng.random(x.shape) < 0.3 if masked else None
+    got = group_call(bernoulli_terms(logits), x, missing)
+    np.testing.assert_allclose(got, einsum_log_mass(x, logits, missing), rtol=1e-14)
+
+
+def test_huge_bernoulli_logits_are_not_recomputed_as_gaussians(monkeypatch):
+    # logits of +-1e305 give log-masses down to about -1e305, below the
+    # Gaussian rescue's -1e300: they are the GEMM's values, as the einsum's
+    import randspn.leaves
+
+    def rescue(*args):
+        raise AssertionError("a Bernoulli row went through the difference form")
+
+    monkeypatch.setattr(randspn.leaves, "_difference_form", rescue)
+    circuit = rs.construct_circuit(rs.random_region_graph(4, 1, 2, seed=0), 2, 2, 3, "bernoulli")
+    params = rs.init_parameters(circuit, seed=0)
+    flat = params.flat.copy()
+    leaves = [group for group in circuit.plan if group.kind == "leaf"]
+    for group in leaves:
+        logits = params.stacked("leaf_logits", group, flat)
+        logits[:] = np.where(np.arange(logits.size).reshape(logits.shape) % 2, 1e305, -1e305)
+    params = rs.ParameterSet(params.layout, flat)
+    batch = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+    _, tables, _ = rs.forward_log(circuit, params, batch, return_tables=True)
+    for group in leaves:
+        want = einsum_log_mass(batch[:, group.scope], params.stacked("leaf_logits", group))
+        assert (want < -1e300).any()
+        np.testing.assert_allclose(tables[group.index], want, rtol=1e-14)

@@ -725,12 +725,10 @@ def test_factor_gradient_contractions_equal_width_sums(graph_args, sizes, covers
 def _leaf_gradients_per_node(circuit, params, group, g, batch, missing):
     """{parameter name: (G, I, d)} gradients of a leaf group, term by term."""
     terms = params.terms(group)
-    x = batch[:, group.scope]  # (N, G, d)
+    x = batch[:, group.scope] - params.centre[group.scope]  # (N, G, d), centred as the means are
     observed = np.ones_like(x) if missing is None else ~missing[:, group.scope]
-    if circuit.leaf_family == "bernoulli":
-        name, centers, inv_var = "leaf_logits", np.exp(terms.log_p), 1.0
-    else:
-        name, centers, inv_var = "leaf_means", terms.means, terms.inv_variances
+    name = "leaf_logits" if circuit.leaf_family == "bernoulli" else "leaf_means"
+    centers, inv_var = terms.means, terms.inv_variances
     x, observed = x[:, :, None], observed[:, :, None]  # (N, G, 1, d)
     diff = (x - centers) * observed  # (N, G, I, d)
     scaled = diff * inv_var
@@ -767,7 +765,7 @@ def test_leaf_gradient_contractions_equal_the_per_node_formula(
         g = np.zeros_like(tables[group.index])  # the layout of a table gradient
         g[...] = rng.normal(size=g.shape)
         d_flat = np.zeros_like(params.flat)
-        _leaf_gradients(circuit, params, d_flat, group, g, kernels[group.index])
+        _leaf_gradients(params, d_flat, group, g, kernels[group.index])
         want = _leaf_gradients_per_node(circuit, params, group, g, batch, missing)
         assert len(want) == 1 + train_variance
         for name, value in want.items():
