@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvalidInput, StructureError, check_int
 from .leaves import BERNOULLI, GAUSSIAN, bernoulli_terms, clamped_variances, gaussian_terms
 from .region_graph import Region, RegionGraph, validate_region_graph
-from .tiles import TILE, tile_matmul
+from .tiles import tile_matmul
 
 LEAF, SUM, PRODUCT = "leaf", "sum", "product"
 
@@ -250,7 +250,13 @@ class ParamTensor(NamedTuple):
     group: int  # plan group index
     offset: int
     shape: tuple[int, int, int]  # (members, rows, cols)
-    scope: tuple[int, ...] = ()  # a leaf tensor's variable per (member, col); () for sums
+    scope: np.ndarray | None = None  # a leaf tensor's variable per (member, col), read-only
+
+    def __eq__(self, other):  # an array field compares by value
+        return self[:4] == other[:4] and np.array_equal(self.scope, other.scope)
+
+    def __ne__(self, other):
+        return not self == other
 
     @property
     def size(self) -> int:
@@ -282,7 +288,7 @@ def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[Pa
         for group in circuit.plan:
             if name in (leaf_names if group.kind == LEAF else ("sum_logits",)):
                 shape = (len(group.blocks), group.width, group.columns)
-                scope = tuple(group.scope.ravel().tolist()) if group.kind == LEAF else ()
+                scope = _read_only(group.scope.ravel()) if group.kind == LEAF else None
                 layout.append(ParamTensor(name, group.index, offset, shape, scope))
                 offset += layout[-1].size
     return tuple(layout)
@@ -302,8 +308,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 class SumTerms(NamedTuple):
     """What a sum kernel reads of its logits: (G, S, K) softmax weights
     ``w``; ``q``, (G, 1, S): each weight row's sum, by the tile GEMM that
-    mixes the inputs (``tiles.tile_matmul``), on a tile of ones; and its
-    log, ``log_q``.
+    mixes the inputs (``tiles.tile_matmul``), on a row-major row of ones;
+    and its log, ``log_q``.
     """
 
     w: np.ndarray
@@ -314,8 +320,7 @@ class SumTerms(NamedTuple):
 def sum_terms(logits: np.ndarray) -> SumTerms:
     """The ``SumTerms`` of sum logits."""
     w = softmax(logits)
-    ones = np.ones(w.shape[:-2] + (TILE, w.shape[-1]))
-    q = tile_matmul(ones, w.swapaxes(-1, -2))[..., :1, :]
+    q = tile_matmul(np.ones(w.shape[:-2] + (1, w.shape[-1])), w.swapaxes(-1, -2))
     return SumTerms(w, q, np.log(q))
 
 
@@ -368,13 +373,14 @@ class ParameterSet:
         from 0 than their spread and their squares are finite; else, and
         for Bernoulli leaves, 0. Read-only.
         """
-        num_vars = 1 + max(max(tensor.scope) for tensor in self.layout if tensor.scope)
+        num_vars = 1 + max(t.scope.max() for t in self.layout if t.scope is not None)
         moments = np.zeros((3, num_vars))  # leaf count, sum and sum of squared means
         with np.errstate(over="ignore", invalid="ignore"):  # inf, nan or 0 / 0: centre 0
             for tensor in (t for t in self.layout if t.name == "leaf_means"):
-                means, scope = tensor.view(self.flat), np.array(tensor.scope)
-                for row, value in zip(moments, (means**0, means, means * means)):
-                    row += np.bincount(scope, value.sum(axis=1).ravel(), num_vars)
+                means = tensor.view(self.flat)
+                moments[0] += np.bincount(tensor.scope, minlength=num_vars) * means.shape[1]
+                for row, value in zip(moments[1:], (means, means * means)):
+                    row += np.bincount(tensor.scope, value.sum(axis=1).ravel(), num_vars)
             mean, mean_square = moments[1:] / moments[0]
             return _read_only(np.where(2 * mean * mean > mean_square, mean, 0.0))
 
@@ -496,7 +502,10 @@ def init_parameters(
         seed = check_int("seed", seed, 0)
     mu = sd = None
     if feature_stats is not None:
-        stats = [np.asarray(stat, dtype=float) for stat in feature_stats]
+        try:
+            stats = [np.asarray(stat, dtype=float) for stat in feature_stats]
+        except (TypeError, ValueError):
+            stats = []
         if [stat.shape for stat in stats] != [(circuit.num_vars,)] * 2:
             raise InvalidInput(f"feature_stats must be two ({circuit.num_vars},) vectors")
         mu, sd = stats

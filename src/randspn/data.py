@@ -14,12 +14,13 @@ carried along so test data can be transformed without refitting.
 from __future__ import annotations
 
 import csv
+import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidInput
+from .errors import DataFormatError, InvalidInput, check_int
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -311,16 +312,23 @@ def apply_scaling(dataset: Dataset, scaling: Scaling) -> Dataset:
     return Dataset(features=features, labels=dataset.labels, scaling=scaling)
 
 
+def _rng(seed):
+    """``np.random.default_rng(seed)``; InvalidInput for a seed numpy rejects."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"seed must be None or an integer >= 0, got {seed!r:.80}") from None
+
+
 def batch_iterator(dataset: Dataset, batch_size: int, shuffle_seed=None):
     """Yield (features, labels) batches covering the dataset exactly once.
 
     The order is a seeded shuffle; the final partial batch is included.
     """
-    if batch_size < 1:
-        raise InvalidInput("batch_size must be >= 1")
+    batch_size = check_int("batch_size", batch_size, 1)
     order = np.arange(len(dataset))
     if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(order)
+        order = _rng(shuffle_seed).permutation(order)
     for start in range(0, len(dataset), batch_size):
         idx = order[start : start + batch_size]
         labels = None if dataset.labels is None else dataset.labels[idx]
@@ -329,19 +337,21 @@ def batch_iterator(dataset: Dataset, batch_size: int, shuffle_seed=None):
 
 def random_missing_mask(dataset_or_shape, fraction_missing: float, seed=None) -> np.ndarray:
     """Boolean (N, num_features) mask, each entry missing with the given probability."""
-    if not 0.0 <= fraction_missing <= 1.0:
-        raise InvalidInput(f"missing fraction must be in [0, 1], got {fraction_missing}")
+    if not (isinstance(fraction_missing, numbers.Real) and 0.0 <= fraction_missing <= 1.0):
+        raise InvalidInput(f"missing fraction must be in [0, 1], got {fraction_missing!r}")
     if isinstance(dataset_or_shape, Dataset):
         shape = dataset_or_shape.features.shape
+    elif isinstance(dataset_or_shape, (tuple, list)):
+        shape = tuple(check_int("shape entry", size, 0) for size in dataset_or_shape)
     else:
-        shape = tuple(dataset_or_shape)
-    return np.random.default_rng(seed).random(shape) < fraction_missing
+        raise InvalidInput(f"expected a Dataset or a shape, got {dataset_or_shape!r:.80}")
+    return _rng(seed).random(shape) < fraction_missing
 
 
 def split_dataset(dataset: Dataset, valid_fraction: float, seed=None):
     """Carve a validation split off a dataset. Returns (train, valid), neither empty."""
-    if not 0.0 < valid_fraction < 1.0:
-        raise InvalidInput(f"valid_fraction must be in (0, 1), got {valid_fraction}")
+    if not (isinstance(valid_fraction, numbers.Real) and 0.0 < valid_fraction < 1.0):
+        raise InvalidInput(f"valid_fraction must be in (0, 1), got {valid_fraction!r}")
     n = len(dataset)
     n_valid = int(round(n * valid_fraction))
     if not 0 < n_valid < n:
@@ -349,7 +359,7 @@ def split_dataset(dataset: Dataset, valid_fraction: float, seed=None):
             f"{valid_fraction} of {n} rows leaves {n_valid} for validation and "
             f"{n - n_valid} for training; each side needs at least one"
         )
-    order = np.random.default_rng(seed).permutation(n)
+    order = _rng(seed).permutation(n)
     valid_idx, train_idx = order[:n_valid], order[n_valid:]
 
     def take(idx):

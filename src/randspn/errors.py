@@ -28,12 +28,12 @@ class NumericFailure(RuntimeError):
 
 
 def check_int(name: str, value, minimum: int) -> int:
-    """``value`` as an int; InvalidInput unless it is an integer of at least ``minimum``.
+    """``value`` as an int; InvalidInput unless it is an integer in [``minimum``, 2**63).
 
     Python and numpy integers pass; bool, float and anything else fail.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidInput(f"{name} must be >= {minimum}, got {value}")
+    if not minimum <= value < 2**63:
+        raise InvalidInput(f"{name} must be >= {minimum} and below 2**63, got {value}")
     return int(value)

@@ -1,30 +1,22 @@
 """Batched log-domain circuit evaluation and probabilistic queries.
 
 Evaluation follows the circuit's compiled layer plan (``Circuit.plan``):
-every group of same-shape blocks is one (G, N, width) tensor, computed by
-one stacked numpy call per step, so Python dispatch scales with the number
-of groups, not of blocks. Tables hold log-values. Both contractions of a
-pass are one row-stable GEMM over tiles of ``tiles.TILE`` rows
-(``tiles.tile_matmul``). A leaf group of either family contracts the
-statistics (x², x, observed) of its scope with its leaves' natural
-coefficients (``leaves.gaussian_block_log_density``). Sum blocks use the exp–dot–log
-form of Einsum Networks (Peharz et al. 2020): with ``m`` a per-row shift
-and ``w = softmax(logits)``, a block's outputs are
-``log(x · w) - log(1 · w) + m``, where ``x`` holds its inputs in the
-linear domain, divided by ``exp(m)``.
-Product blocks are folded into the sums that read them (the einsum layer):
-a sum group exps each factor table once, shifted by its row max, and its
-inputs are the outer products of the factors: the only product table is
-the sum group's own linear-domain input ``x``. Marginalization
-is a per-sample boolean mask of missing variables, and the pass's
-``leaves.leaf_statistics`` zeroes the matching statistics and checks that
-the observed values are finite. Conditioning is a difference of two
-marginal evaluations. Every public query checks its inputs once (batch
-and mask shapes, Bernoulli values, a prior the caller passes, sum-dropout
-masks) and hands them to one pass runner (``_run_passes``); a pass reads
-only checked arrays and what ``ParameterSet`` computes once per set.
-Without tables, a pass covers as many rows as keep its largest temporary
-within a cache budget (``rows_per_pass``).
+every group of same-shape blocks is one (G, N, width) log-value tensor,
+computed by one stacked numpy call per step, so Python dispatch scales with
+the number of groups, not of blocks. Both contractions of a pass are one
+row-stable GEMM over tiles (``tiles.tile_matmul``), on exactly the pass's
+rows. A leaf group of either family contracts the statistics (x², x,
+observed) of its scope with its leaves' natural coefficients
+(``leaves.gaussian_block_log_density``). Sum blocks use the exp–dot–log form
+of Einsum Networks (Peharz et al. 2020): with ``m`` a per-row shift and
+``w = softmax(logits)``, a block's outputs are ``log(x · w) - log(1 · w) +
+m``, where ``x`` holds its inputs in the linear domain, divided by
+``exp(m)``. Products are folded into the sums that read them (the einsum
+layer): a sum group's input ``x`` is the outer products of its factor
+tables, so no product table is built. Marginalization is a per-sample mask
+of missing variables, applied once per pass by ``leaves.leaf_statistics``;
+conditioning is a difference of two marginals. Every public query checks its
+inputs once and hands them to one pass runner (``_run_passes``).
 """
 
 from __future__ import annotations
@@ -35,9 +27,9 @@ import numpy as np
 
 from .circuit import Circuit, LEAF, SUM, Group, ParameterSet, SumTerms
 from .data import check_labels
-from .errors import InvalidInput
-from .leaves import LeafStatistics, check_support, gaussian_block_log_density, leaf_statistics
-from .tiles import TILE, padded, tile_matmul
+from .errors import InvalidInput, check_int
+from .leaves import check_support, gaussian_block_log_density, leaf_statistics
+from .tiles import TILE, tile_matmul
 
 NEG_INF = -np.inf
 
@@ -65,13 +57,12 @@ _LOWEST = np.finfo(float).min
 class SumKernel(NamedTuple):
     """The exp–dot–log terms of a sum group, shared by forward and backward.
 
-    ``m`` is each row's shift, kept as a trailing axis of length 1 (-inf in
-    a dead row, whose kept inputs are all -inf); ``e`` the inputs in the
-    linear domain divided by ``exp(m)``, 0 on dropped columns (all 0 in a
-    dead row); ``w`` the softmax weights; ``p`` each row's products with
-    the weight rows and ``log_q`` the log of the weight rows' sums
-    (``SumTerms``). The outputs are ``log p - log q + m``
-    (``sum_block_forward``).
+    ``m`` is each row's shift, a trailing axis of length 1 (-inf in a dead
+    row, whose kept inputs are all -inf); ``e`` the row-major (G, N, K)
+    inputs in the linear domain divided by ``exp(m)``, 0 on dropped columns
+    (all 0 in a dead row); ``w`` the softmax weights; ``p`` each row's
+    products with the weight rows and ``log_q`` the log of the weight rows'
+    sums (``SumTerms``). The outputs are ``log p - log q + m``.
     """
 
     m: np.ndarray
@@ -81,24 +72,13 @@ class SumKernel(NamedTuple):
     log_q: np.ndarray
 
 
-def _tile_buffer(lead, rows, columns):
-    """An empty (*lead, padded(rows), columns) array whose padding rows are 0."""
-    buffer = np.empty((*lead, padded(rows), columns))
-    buffer[..., rows:, :] = 0.0
-    return buffer
-
-
 def _mix(m, e, terms: SumTerms) -> SumKernel:
-    """The one mixing core: ``e`` times the weights, by ``tile_matmul``.
+    """The one mixing core: the row-major ``e`` times the weights, by ``tile_matmul``.
 
-    ``e`` holds the rows of ``m`` padded to whole tiles, the padding rows
-    0; the kernel keeps views of the real rows. A row's bits depend on no
-    other row, and a ones row of ``e`` gives ``p == q`` bit for bit: ``q``
-    is the same GEMM on a ones tile.
+    A ones row of ``e`` gives ``p == q`` bit for bit: ``q`` is the same GEMM
+    on a row-major row of ones.
     """
-    rows = m.shape[-2]
-    p = tile_matmul(e, terms.w.swapaxes(-1, -2))
-    return SumKernel(m, e[..., :rows, :], terms.w, p[..., :rows, :], terms.log_q)
+    return SumKernel(m, e, terms.w, tile_matmul(e, terms.w.swapaxes(-1, -2)), terms.log_q)
 
 
 def _log_inputs(values, keep):
@@ -111,28 +91,24 @@ def _log_inputs(values, keep):
     """
     masked = values if keep is None else values + _DROP_SHIFT.take(keep)
     m = masked.max(axis=-1, keepdims=True)
-    *lead, rows, columns = values.shape
-    e = _tile_buffer(lead, rows, columns)
-    real = e[..., :rows, :]
-    np.subtract(values, np.where(np.isfinite(m), m, 0.0), out=real)
+    # row-major whatever the layout of ``values``: the layout picks the GEMM
+    e = np.empty(values.shape)
+    np.subtract(values, np.where(np.isfinite(m), m, 0.0), out=e)
     if keep is not None:
-        np.minimum(real, 0.0, out=real)  # a dropped column may exceed the kept max
-    np.exp(real, out=real)  # in place: for a group, e is the largest temporary
+        np.minimum(e, 0.0, out=e)  # a dropped column may exceed the kept max
+    np.exp(e, out=e)  # in place: for a group, e is the largest temporary
     if keep is not None:
-        real *= keep
+        e *= keep
     return m, e
 
 
 def sum_block_forward(kernel: SumKernel) -> np.ndarray:
     """Mixture outputs log sum_k w[s, k] exp(values[n, k]) from a ``SumKernel``.
 
-    ``kernel`` is ``sum_group_kernel`` of a plan group; the outputs are
-    ``log p - log q + m``, ``q`` each weight row's sum by the GEMM that gave
-    ``p`` (see ``_mix``), its log kept with the parameters (``SumTerms``).
-    The softmax rows need not sum to exactly 1, but a
-    row whose inputs all equal ``v`` has ``e`` all ones, so ``p == q`` and it
-    returns ``v`` exactly: a fully marginalized input (all zeros) stays
-    exactly 0. A dead row (all inputs -inf, as under sum dropout) has
+    The outputs are ``log p - log q + m`` (see ``SumKernel``). The softmax
+    rows need not sum to exactly 1, but a row whose inputs all equal ``v``
+    has ``e`` all ones, so ``p == q`` and it returns ``v`` exactly: a fully
+    marginalized input (all zeros) stays exactly 0. A dead row (all inputs -inf, as under sum dropout) has
     ``p == 0`` and gives -inf, never NaN.
     Precision limit: a live row underflows to -inf only when every term
     ``log w[s, k] + values[n, k] - m`` (logit gap plus input gap) is below
@@ -157,9 +133,9 @@ def sum_block_inputs(tables, group: Group, keep=None):
     several partitions shifts each row by the largest of these, ``m``, and
     scales partition j by ``exp(m_j - m)``, its log added to the left factor
     before the exp. The (G, N, K) keep-mask ``keep``, None without sum
-    dropout, multiplies the columns. ``e`` is (G, padded(N), K), its padding
-    rows 0, for ``tile_matmul``. A group with no runs mixes a leaf table
-    directly, through ``_log_inputs``.
+    dropout, multiplies the columns. ``e`` is a row-major (G, N, K), as
+    ``_mix`` needs. A group with no runs mixes a leaf table directly,
+    through ``_log_inputs``.
     """
     if not group.runs:
         (src, at, _), = group.reads
@@ -188,17 +164,16 @@ def sum_block_inputs(tables, group: Group, keep=None):
     for f, _ in factors:
         np.exp(f, out=f)
     size, n, _ = m.shape
-    x = _tile_buffer((size,), n, group.columns)
-    real = x[:, :n]
+    x = np.empty((size, n, group.columns))
     for run in group.runs:
         (left, left_slots), (right, right_slots) = run.left, run.right
         np.multiply(
             factors[left][0][:, left_slots].transpose(0, 2, 1, 3)[..., :, None],
             factors[right][0][:, right_slots].transpose(0, 2, 1, 3)[..., None, :],
-            out=real[..., run.columns].reshape((size, n) + run.shape, copy=False),
+            out=x[..., run.columns].reshape((size, n) + run.shape, copy=False),
         )
     if keep is not None:
-        real *= keep
+        x *= keep
     return m, x
 
 
@@ -245,7 +220,10 @@ def _rescue(tables, group, kernel, terms, keep, rows):
 
 def _check_batch(circuit, batch, missing=None):
     """The batch as floats and ``missing`` as bools; InvalidInput unless both fit the circuit."""
-    batch = np.asarray(batch, dtype=float)
+    try:
+        batch = np.asarray(batch, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"batch is not a numeric matrix: {batch!r:.80}") from None
     if batch.ndim != 2 or batch.shape[1] != circuit.num_vars:
         raise InvalidInput(
             f"batch of shape {batch.shape} does not match {circuit.num_vars} variables"
@@ -262,6 +240,8 @@ def _check_batch(circuit, batch, missing=None):
 
 def _check_dropout(circuit, sum_dropout, rows):
     """InvalidInput unless every mask is a (G, N, K) bool array keyed by a sum group."""
+    if not isinstance(sum_dropout, dict):
+        raise InvalidInput(f"sum_dropout must be a dict, got {type(sum_dropout).__name__}")
     sums = {group.index: group for group in circuit.plan if group.kind == SUM}
     for key, keep in sum_dropout.items():
         group = sums.get(key)
@@ -315,8 +295,7 @@ def forward_log(
     ``(roots, tables, kernels)``: ``tables[g]`` is the (G, N, width)
     log-value tensor of plan group ``g``, and ``kernels`` maps each sum
     group's index to its ``SumKernel`` and each leaf group's index to the
-    pass's ``leaf_statistics``, which the backward pass reuses: per variable
-    its x², x (less ``params.centre``) and observed factor over the rows.
+    pass's (V, 3, N) ``leaf_statistics``, which the backward pass reuses.
     """
     x, missing = _check_batch(circuit, batch, missing)
     if sum_dropout:
@@ -348,8 +327,8 @@ def _forward_pass(circuit, params, x, missing, sum_dropout, return_tables):
     tables: list = []
     kernels = {}
     for group in circuit.plan:
-        if group.kind == LEAF:  # one take of whole rows: the group's (G, d, 3, R) statistics
-            kernel = LeafStatistics(np.take(stats.features, group.scope, axis=0), stats.rows)
+        if group.kind == LEAF:  # one take of whole rows: the group's (G, d, 3, N) statistics
+            kernel = np.take(stats, group.scope, axis=0)
             out, kernel = gaussian_block_log_density(kernel, params.terms(group)), stats
         else:
             keep = sum_dropout.get(group.index)
@@ -371,6 +350,7 @@ def _forward_pass(circuit, params, x, missing, sum_dropout, return_tables):
 
 
 def uniform_log_prior(num_classes: int) -> np.ndarray:
+    num_classes = check_int("num_classes", num_classes, 1)
     return np.full(num_classes, -np.log(num_classes))
 
 
@@ -388,7 +368,10 @@ def check_log_prior(log_prior, num_classes: int) -> np.ndarray:
 
     Entries are log-probabilities: -inf for a class of prior 0, never NaN or +inf.
     """
-    log_prior = np.asarray(log_prior, dtype=float)
+    try:
+        log_prior = np.asarray(log_prior, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"prior is not a numeric vector: {log_prior!r:.80}") from None
     if log_prior.shape != (num_classes,):
         raise InvalidInput(f"prior must have shape ({num_classes},)")
     if not (log_prior < np.inf).all():  # NaN compares False too

@@ -6,14 +6,8 @@ the log domain. Gaussian leaves are the working default; Bernoulli leaves
 exist so that discrete circuits can be checked against exhaustive
 enumeration. Both are the exponential-family form of Einsum Networks, with
 one kernel (``gaussian_block_log_density``): for x in {0, 1}, x² = x. A
-batch is masked in one place, ``leaf_statistics``, once per forward
-pass: it builds the statistics (x², x, observed) of every entry, x less
-its variable's centre (``ParameterSet.centre``), masked entries 0, and
-checks that every observed value is finite. They are laid out by
-variable, rows last, so a plan group's take of its scope copies whole
-rows. The kernel contracts a group's (G, d, 3, R) statistics with the
-natural coefficients of its terms (one GEMM per pass, see ``tiles``), so
-a masked term is exactly 0 whatever the parameters.
+batch is masked once per forward pass, by ``leaf_statistics``, whose
+(V, 3, N) statistics each leaf group takes its scope's rows of.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .tiles import padded, tile_matmul
+from .tiles import tile_matmul
 
 GAUSSIAN, BERNOULLI = "gaussian", "bernoulli"
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -86,40 +80,26 @@ def bernoulli_terms(success_logits) -> GaussianTerms:
     return GaussianTerms(np.exp(-np.logaddexp(0.0, -logits)), ones, 0.0 * ones, ones, natural)
 
 
-class LeafStatistics(NamedTuple):
-    """The sufficient statistics of a batch, padded to whole tiles.
+def leaf_statistics(x, missing, centre) -> np.ndarray:
+    """The (..., 3, N) statistics of an (N, ...) float batch ``x``: the one masking step.
 
-    ``features`` is (..., 3, R) for an (N, ...) batch, rows last: per entry
-    (x², x, observed) of x less its centre; rows ``rows`` to ``R =
-    tiles.padded(rows)`` are zero, as a fully masked row is.
-    """
-
-    features: np.ndarray
-    rows: int
-
-
-def leaf_statistics(x, missing, centre) -> LeafStatistics:
-    """The ``LeafStatistics`` of an (N, ...) float batch ``x``: the one masking step.
-
-    ``missing``, a bool array shaped like ``x`` or None, marks the entries
-    to marginalize out: they take the value ``centre`` (a row of ``x``), so
-    their statistics are exactly 0 once shifted by it. InvalidInput unless
-    every observed value is finite; a square that overflows is inf.
+    Per entry, rows last: (x², x, observed) of x less its ``centre`` (a row
+    of ``x``). ``missing``, a bool array like ``x`` or None, marks the
+    entries to marginalize out: they take the value ``centre``, so their
+    statistics are 0. InvalidInput unless every observed value is finite.
     """
     if missing is not None:
         x = np.where(missing, centre, x)
     if not np.isfinite(x).all():
         raise InvalidInput("observed values must be finite")
-    rows = len(x)
-    features = np.empty(x.shape[1:] + (3, padded(rows)))
-    features[..., rows:] = 0.0
-    # the writes go through one (N, ..., 3) view of the real rows, a single
-    # transpose: two np.moveaxis calls tripled the cost of a 2-row build
-    by_row = features.transpose(-1, *range(x.ndim))[:rows]
+    features = np.empty(x.shape[1:] + (3, len(x)))
+    # the writes go through one (N, ..., 3) view, a single transpose: two
+    # np.moveaxis calls tripled the cost of a 2-row build
+    by_row = features.transpose(-1, *range(x.ndim))
     with np.errstate(over="ignore"):
         np.square(np.subtract(x, centre, out=by_row[..., 1]), out=by_row[..., 0])
     by_row[..., 2] = 1.0 if missing is None else ~missing
-    return LeafStatistics(features, rows)
+    return features
 
 
 def check_support(family, x, missing) -> None:
@@ -131,11 +111,11 @@ def check_support(family, x, missing) -> None:
             raise InvalidInput("Bernoulli observations must be 0 or 1")
 
 
-def gaussian_block_log_density(stats: LeafStatistics, terms: GaussianTerms):
+def gaussian_block_log_density(features, terms: GaussianTerms):
     """(G, N, I) log-values of a group of G leaf blocks, of either family: the one leaf kernel.
 
-    ``stats`` is the group's (G, d, 3, R) ``LeafStatistics``, the take of
-    its scope from the pass's ``leaf_statistics``, and ``terms`` the
+    ``features`` is the group's (G, d, 3, N) statistics, the take of its
+    scope from the pass's ``leaf_statistics``, and ``terms`` the
     ``gaussian_terms`` or ``bernoulli_terms`` of its (G, I, d) parameters.
 
     The log-value is θ·T(x) - A(θ): the statistics of each variable times
@@ -147,16 +127,14 @@ def gaussian_block_log_density(stats: LeafStatistics, terms: GaussianTerms):
     overflows there too has log-density -inf, without a warning. A
     Bernoulli group's x² coefficients are 0: its GEMM output is its value.
     """
-    features = stats.features
     size, scope, _, rows = features.shape
-    # a (G, R, 3d) view whose rows have unit stride
-    flat = features.reshape(size, 3 * scope, rows).swapaxes(1, 2)
+    flat = features.reshape(size, 3 * scope, rows).swapaxes(1, 2)  # rows of unit stride
     with np.errstate(over="ignore", invalid="ignore"):  # recomputed below
         out = tile_matmul(flat, terms.natural)
     fine = out > _OVERFLOWED
     if not fine.all() and terms.natural[:, ::3].any():
         _difference_form(out, features, terms, np.nonzero(~fine.all(axis=-1)))
-    return out[:, : stats.rows]
+    return out
 
 
 def _difference_form(out, features, terms, rows):

@@ -8,9 +8,12 @@ family plays the role of out-of-domain data with matching shape and range.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .data import Dataset
+from .errors import InvalidInput, check_int
 
 
 def make_class_prototypes(num_classes=10, side=8, family_seed=7):
@@ -27,8 +30,13 @@ def make_synthetic_classes(
     sample_seed=0,
 ) -> Dataset:
     """Draw a labeled dataset of noisy class prototypes (labels 1..C)."""
+    num_samples = check_int("num_samples", num_samples, 0)
+    num_classes, side = check_int("num_classes", num_classes, 1), check_int("side", side, 1)
+    seeds = [check_int("family_seed", family_seed, 0), check_int("sample_seed", sample_seed, 0)]
+    if not (isinstance(noise, numbers.Real) and 0.0 <= noise < np.inf):
+        raise InvalidInput(f"noise must be finite and >= 0, got {noise!r}")
     prototypes = make_class_prototypes(num_classes, side, family_seed)
-    rng = np.random.default_rng(np.random.SeedSequence([family_seed, sample_seed]))
+    rng = np.random.default_rng(np.random.SeedSequence(seeds))
     labels = 1 + (np.arange(num_samples) % num_classes)
     rng.shuffle(labels)
     features = prototypes[labels - 1] + rng.normal(0.0, noise, (num_samples, side * side))
@@ -37,5 +45,6 @@ def make_synthetic_classes(
 
 def make_uniform_noise(num_samples, side=8, seed=0) -> Dataset:
     """Shape-matched uniform noise, for out-of-domain scoring."""
-    rng = np.random.default_rng(seed)
-    return Dataset(features=rng.uniform(0.0, 1.0, size=(num_samples, side * side)))
+    shape = (check_int("num_samples", num_samples, 0), check_int("side", side, 1) ** 2)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
+    return Dataset(features=rng.uniform(0.0, 1.0, size=shape))

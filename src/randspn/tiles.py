@@ -1,43 +1,48 @@
 """The one row-stable contraction: a GEMM over tiles of a fixed number of rows.
 
-A BLAS may sum a matrix product's elements in an order that depends on the
-call's shape: a one-row product goes to a matrix-vector kernel, and larger
-ones to other blockings, so the same row gets different bits in different
-calls. ``tile_matmul`` cuts the rows into tiles of exactly ``TILE`` rows and
-evaluates them as one batched product of ``(TILE, K) @ (K, S)`` GEMMs: every
-call has that shape whatever the batch, so a row's bits depend neither on
-the other rows nor on its position in its tile, for a BLAS whose GEMM order
-per element depends only on the call's shape, not on the row's position in
-the tile (numpy's bundled OpenBLAS; the row-stability and tile-position tests
-check this on the installed BLAS). The caller allocates its rows padded to
-``padded(rows)``, the padding rows zero, so no copy is made here. The sum
-mix and the Gaussian leaf both go through it: the sum mix with row-major
-rows, the leaf with a view of its statistics whose rows have unit stride
-(a transposed GEMM operand). Each layout is row-stable on its own; the
-two may differ in the last bit.
+A BLAS may sum a product's elements in an order that depends on the call's
+shape, so a row gets different bits in different calls. ``tile_matmul``
+evaluates rows as ``(TILE, K) @ (K, S)`` GEMMs whatever the batch, so a
+row's bits depend neither on the other rows nor on its position in its tile,
+for a BLAS whose GEMM order depends only on the call's shape (numpy's bundled
+OpenBLAS; the row-stability tests check the installed one). Only this module
+knows about tiles: callers pass exactly their rows, row-major (the sum mix)
+or with rows of unit stride (the leaf); the two layouts may differ in the
+last bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# rows per GEMM call. A desk query pads its 2 rows to one tile: 16 rows
-# made it x1.19 slower and 32 rows x1.58 (BENCH_tiled_contractions.json)
+# rows per GEMM call. A desk query's 2 rows take one tile: 16 rows made it
+# x1.19 slower and 32 rows x1.58 (BENCH_tiled_contractions.json)
 TILE = 8
 
 
-def padded(rows: int) -> int:
-    """``rows`` rounded up to whole tiles."""
-    return -(-rows // TILE) * TILE
-
-
 def tile_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over tiles of ``TILE`` rows: (..., R, K) @ (..., K, S) -> (..., R, S).
+    """``a @ b`` over tiles of ``TILE`` rows: (..., N, K) @ (..., K, S) -> (..., N, S).
 
-    ``R`` is a multiple of ``TILE`` (see ``padded``), and the rows of ``a``
-    split into tiles without a copy: its last axis or its rows have unit
-    stride.
+    Whole tiles are views of ``a``, and the rows after them come from the
+    product of the last ``TILE`` rows. Only ``N < TILE`` rows are copied, into
+    a zero tile of ``a``'s layout: rows of unit stride when ``a.strides[-2] <=
+    a.strides[-1]``, else row-major. One row's strides do not say which; the
+    rule reads the leaf's one-row view, strides (8, 8), and a row-major row
+    of K > 1 columns, (8K, 8), as the engine means them.
     """
     *lead, rows, k = a.shape
-    tiles = a.reshape((*lead, rows // TILE, TILE, k), copy=False)
-    return (tiles @ b[..., None, :, :]).reshape((*lead, rows, b.shape[-1]))
+    if rows < TILE:
+        if a.strides[-2] <= a.strides[-1]:
+            tile = np.zeros((*lead, k, TILE)).swapaxes(-1, -2)
+        else:
+            tile = np.zeros((*lead, TILE, k))
+        tile[..., :rows, :] = a
+        return (tile @ b)[..., :rows, :]
+    out = np.empty((*lead, rows, b.shape[-1]))
+    whole = rows - rows % TILE
+    if whole < rows:
+        np.matmul(a[..., -TILE:, :], b, out=out[..., -TILE:, :])
+    tiles = (*lead, whole // TILE, TILE, -1)
+    np.matmul(a[..., :whole, :].reshape(tiles, copy=False), b[..., None, :, :],
+              out=out[..., :whole, :].reshape(tiles, copy=False))
+    return out

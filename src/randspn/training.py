@@ -17,6 +17,7 @@ gradient.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .circuit import Circuit, LEAF, ParameterSet
 from .data import batch_iterator, check_labels
 from .errors import InvalidInput, NumericFailure, check_int
 from .inference import SumKernel, forward_log, logsumexp
-from .leaves import VARIANCE_FLOOR, LeafStatistics
+from .leaves import VARIANCE_FLOOR
 
 
 @dataclass
@@ -42,23 +43,24 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise InvalidInput(f"lambda must be in [0, 1], got {self.lam}")
+        if not (isinstance(self.lam, numbers.Real) and 0.0 <= self.lam <= 1.0):
+            raise InvalidInput(f"lambda must be in [0, 1], got {self.lam!r}")
         self.epochs = check_int("epochs", self.epochs, 0)
         self.batch_size = check_int("batch_size", self.batch_size, 1)
         self.seed = check_int("seed", self.seed, 0)
         for name in ("input_keep", "sum_keep"):
             rate = getattr(self, name)
-            if not 0.0 < rate <= 1.0:
-                raise InvalidInput(f"{name} must be in (0, 1], got {rate}")
+            if not (isinstance(rate, numbers.Real) and 0.0 < rate <= 1.0):
+                raise InvalidInput(f"{name} must be in (0, 1], got {rate!r}")
         for name in ("beta1", "beta2"):
             beta = getattr(self, name)
-            if not 0.0 <= beta < 1.0:
-                raise InvalidInput(f"{name} must be in [0, 1), got {beta}")
+            if not (isinstance(beta, numbers.Real) and 0.0 <= beta < 1.0):
+                raise InvalidInput(f"{name} must be in [0, 1), got {beta!r}")
         for name in ("learning_rate", "epsilon"):
             value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise InvalidInput(f"{name} must be finite and > 0, got {value}")
+            if not (isinstance(value, numbers.Real) and 0.0 < value < np.inf):
+                raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
+
 
 
 def _check_roots_labels(roots, labels):
@@ -91,7 +93,7 @@ def neg_log_likelihood(roots, labels, num_vars: int) -> float:
 
 
 def hybrid_objective(roots, labels, num_vars: int, lam: float) -> float:
-    if not 0.0 <= lam <= 1.0:
+    if not (isinstance(lam, numbers.Real) and 0.0 <= lam <= 1.0):
         raise InvalidInput(f"lambda must be in [0, 1], got {lam}")
     return lam * cross_entropy(roots, labels) + (1.0 - lam) * neg_log_likelihood(
         roots, labels, num_vars
@@ -193,11 +195,11 @@ def _factor_gradients(grad_tables, tables, group, d_x):
             _accumulate(grad_tables, tables, (src, at[:, slots], unique), value)
 
 
-def _leaf_gradients(params, d_flat, group, g, stats: LeafStatistics):
+def _leaf_gradients(params, d_flat, group, g, stats):
     """Write a leaf group's parameter gradients into ``d_flat``.
 
     ``g`` is the group's (G, N, I) table gradient and ``stats`` the
-    (V, 3, R) ``LeafStatistics`` of the forward pass, whose ``x`` is 0
+    (V, 3, N) ``leaf_statistics`` of the forward pass, whose ``x`` is 0
     where masked; the group takes its scope's statistics again, as the
     forward pass did, rather than keep a copy for every leaf group through
     the backward pass. One contraction over the batch, the group's
@@ -215,12 +217,12 @@ def _leaf_gradients(params, d_flat, group, g, stats: LeafStatistics):
     terms = params.terms(group)
     size, n, width = g.shape
     scope = group.columns
-    features = np.take(stats.features, group.scope, axis=0)  # (G, d, 3, R)
-    sums = features.reshape(size, 3 * scope, features.shape[-1])[..., :n] @ g
+    # the group's (G, 3d, N) statistics times g
+    sums = np.take(stats, group.scope, axis=0).reshape(size, 3 * scope, n) @ g
     # (G, I, d) each
     g_sq, g_x, g_observed = sums.reshape(size, scope, 3, width).transpose(2, 0, 3, 1)
 
-    name = next(t.name for t in params.layout if t.group == group.index and t.scope)
+    name = next(t.name for t in params.layout if t.group == group.index and t.scope is not None)
     centers, d_centers = terms.means, params.stacked(name, group, d_flat)
     np.subtract(g_x, centers * g_observed, out=d_centers)
     if not params.train_variance:
@@ -279,9 +281,10 @@ def backward_gradients(
 
 def sample_input_dropout_mask(num_vars, batch_size, keep_rate, rng) -> np.ndarray:
     """Missing-variable mask: each entry kept with probability ``keep_rate``."""
-    if not 0.0 < keep_rate <= 1.0:
-        raise InvalidInput(f"keep rate must be in (0, 1], got {keep_rate}")
-    return rng.random((batch_size, num_vars)) >= keep_rate
+    if not (isinstance(keep_rate, numbers.Real) and 0.0 < keep_rate <= 1.0):
+        raise InvalidInput(f"keep rate must be in (0, 1], got {keep_rate!r}")
+    shape = (check_int("batch_size", batch_size, 0), check_int("num_vars", num_vars, 1))
+    return rng.random(shape) >= keep_rate
 
 
 def sample_sum_dropout_mask(
@@ -295,8 +298,9 @@ def sample_sum_dropout_mask(
     group's rows that would drop every column are redrawn together until
     none does.
     """
-    if not 0.0 < keep_rate <= 1.0:
-        raise InvalidInput(f"keep rate must be in (0, 1], got {keep_rate}")
+    if not (isinstance(keep_rate, numbers.Real) and 0.0 < keep_rate <= 1.0):
+        raise InvalidInput(f"keep rate must be in (0, 1], got {keep_rate!r}")
+    batch_size = check_int("batch_size", batch_size, 0)
     masks = {}
     for group in circuit.plan:
         if not group.runs:  # a leaf group, or a single-variable root mixing leaves

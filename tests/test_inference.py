@@ -3,14 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp as reference_logsumexp
 
 import randspn as rs
 from randspn.circuit import sum_terms
 from randspn.errors import InvalidInput
 from randspn.inference import check_log_prior, logsumexp, rows_per_pass, sum_block_forward
-from randspn.tiles import TILE, padded, tile_matmul
+from randspn.tiles import TILE, tile_matmul
 from randspn.training import sum_block_backward
 from randspn.oracle import enumerate_assignments
 from conftest import (
@@ -82,8 +82,20 @@ def _reference_sum_block(values, logits):
         return joint - reference_logsumexp(logits, axis=-1)[None, :]
 
 
+def _f_ordered_case():
+    """An F-ordered (N, K) input, as a transposed table is, with two constant rows."""
+    rng = np.random.default_rng(5)
+    values = rng.normal(0.0, 3.0, (3, 64))
+    values[0], values[2] = 0.0, 3.7
+    logits = rng.uniform(-25.0, 25.0, (10, 64))
+    return np.asfortranarray(values), logits, np.array([True, False, True])
+
+
 @settings(max_examples=200, deadline=None)
 @given(sum_block_cases())
+# a ones row of e must be row-major whatever the layout of the inputs, or p
+# comes from another GEMM variant than q and loses p == q
+@example(_f_ordered_case())
 def test_sum_block_forward_matches_reference_lse(case):
     values, logits, constant = case
     with warnings.catch_warnings():
@@ -539,6 +551,29 @@ def test_a_rows_bits_do_not_depend_on_the_call_it_comes_in(
         np.testing.assert_array_equal(alone, call(slice(None)), err_msg=name)
 
 
+@pytest.mark.parametrize("rows", [9, 100])
+def test_one_rows_tables_are_its_rows_in_a_batch(rows):
+    # one row takes tile_matmul's pad copy in every group; in a batch of 9 or
+    # 100 rows it sits in a whole tile or in the last rows' tile. The leaf
+    # table and every sum table give it the same bits either way
+    graph = rs.random_region_graph(64, 2, 8, seed=1)
+    circuit = rs.construct_circuit(graph, 10, 8, 8)
+    rng = np.random.default_rng(4)
+    params = randomize_params(rs.init_parameters(circuit, seed=1), rng, 0.5)
+    batch = rng.normal(size=(rows, 64))
+    missing = (rng.random(batch.shape) < 0.3) & (rng.random((rows, 1)) < 0.5)
+    _, tables, _ = rs.forward_log(circuit, params, batch, missing, return_tables=True)
+    assert {group.kind for group in circuit.plan} == {"leaf", "sum"}
+    for row in range(rows):
+        _, alone, _ = rs.forward_log(
+            circuit, params, batch[row : row + 1], missing[row : row + 1], return_tables=True
+        )
+        for group, whole, one in zip(circuit.plan, tables, alone):
+            np.testing.assert_array_equal(
+                one[:, 0], whole[:, row], err_msg=f"row {row}, {group.kind} group {group.index}"
+            )
+
+
 @pytest.mark.parametrize("members, columns, sums, rows_unit_stride", [
     pytest.param(16, 64, 8, False, id="16-64-8"),  # the desk config's inner sum group
     pytest.param(1, 512, 10, False, id="1-512-10"),  # the desk root
@@ -553,16 +588,19 @@ def test_a_rows_bits_do_not_depend_on_its_tile_position_or_companions(
     members, columns, sums, rows_unit_stride
 ):
     # the tile GEMM's contract: a row gives the same bits at every position of
-    # its tile, whatever the other rows hold, and a ones row gives the same
-    # bits too: q exactly, for the row-major operand the sum mix passes
+    # its tile, whatever the other rows hold and however many rows the call
+    # has, and a ones row gives the same bits too: q exactly, for the
+    # row-major operand the sum mix passes. One row is read in the layout its
+    # strides give (see tile_matmul): the leaf's one-row view as rows of unit
+    # stride, a row-major row as row-major
     rng = np.random.default_rng(11)
     terms = sum_terms(rng.normal(0.0, 2.0, (members, sums, columns)))
     weights = terms.w.swapaxes(-1, -2)
 
     def product(a):
         """``tile_matmul`` of (members, rows, columns) ``a`` in the layout under test."""
-        if rows_unit_stride:  # as the leaf passes its (G, 3d, R) statistics
-            a = np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+        if rows_unit_stride:  # as the leaf passes its (G, 3d, N) statistics
+            a = unit_row_stride(a)
         return tile_matmul(a, weights)
 
     row = rng.random((members, columns))
@@ -580,7 +618,45 @@ def test_a_rows_bits_do_not_depend_on_its_tile_position_or_companions(
         got = product(batch)
         np.testing.assert_array_equal(got[:, TILE + position], want)
         np.testing.assert_array_equal(got[:, position], ones)
-    assert [padded(rows) for rows in (0, 1, TILE, TILE + 1)] == [0, TILE, TILE, 2 * TILE]
+    for rows in (0, 1, 2, 7, TILE, 9, 17):
+        assert product(rng.random((members, rows, columns))).shape == (members, rows, sums)
+        for position in range(rows):
+            batch = rng.random((members, rows, columns))
+            batch[:, position] = row
+            if rows > 1:
+                batch[:, position - 1] = 1.0
+            got = product(batch)
+            np.testing.assert_array_equal(got[:, position], want)
+            if rows > 1:
+                np.testing.assert_array_equal(got[:, position - 1], ones)
+
+
+def unit_row_stride(a):
+    """``a`` as a view of a new (..., columns, rows) array, as the leaf builds it."""
+    base = np.empty(a.shape[:-2] + a.shape[:-3:-1])
+    base[...] = a.swapaxes(-1, -2)
+    return base.swapaxes(-1, -2)
+
+
+def test_one_rows_layout_is_read_from_its_strides():
+    # one row has no layout of its own: tile_matmul reads strides[-2] <=
+    # strides[-1] as rows of unit stride, so the leaf's one-row view (8, 8)
+    # takes the transposed tile and a row-major row (8K, 8) the row-major
+    # one, whose last bits may differ. A one-row copy of a transposed view
+    # (np.ascontiguousarray) has strides (8K, 8) and reads as row-major
+    rng = np.random.default_rng(11)
+    row = rng.random((32, 1, 48))
+    weights = sum_terms(rng.normal(0.0, 2.0, (32, 8, 48))).w.swapaxes(-1, -2)
+    tile = np.zeros((32, TILE, 48))
+    tile[:, :1] = row
+    transposed, row_major = unit_row_stride(tile) @ weights, tile @ weights
+    leaf_view = unit_row_stride(row)
+    copied = np.ascontiguousarray(row.swapaxes(-1, -2)).swapaxes(-1, -2)
+    assert (leaf_view.strides[1:], row.strides[1:]) == ((8, 8), (8 * 48, 8))
+    assert copied.strides[1:] == (8 * 48, 8)
+    np.testing.assert_array_equal(tile_matmul(leaf_view, weights), transposed[:, :1])
+    np.testing.assert_array_equal(tile_matmul(row, weights), row_major[:, :1])
+    np.testing.assert_array_equal(tile_matmul(copied, weights), row_major[:, :1])
 
 
 def test_forward_memory_does_not_grow_with_the_rows(rng):

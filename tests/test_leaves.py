@@ -56,13 +56,17 @@ def test_masked_entries_have_statistics_of_exactly_zero():
     # a masked NaN or inf is dropped before the finiteness check and the square
     x = np.array([[np.nan, 2.0], [3.0, -np.inf]])
     missing = np.array([[True, False], [False, True]])
-    features = leaf_statistics(x, missing, 0.0).features  # (V, 3, R)
-    assert features.shape == (2, 3, 8)
+    features = leaf_statistics(x, missing, 0.0)  # (V, 3, N)
+    assert features.shape == (2, 3, 2)
     np.testing.assert_array_equal(features[0, :, 0], 0.0)
     np.testing.assert_array_equal(features[1, :, 1], 0.0)
     np.testing.assert_array_equal(features[0, :, 1], [9.0, 3.0, 1.0])
     np.testing.assert_array_equal(features[1, :, 0], [4.0, 2.0, 1.0])
-    np.testing.assert_array_equal(features[..., 2:], 0.0)  # padding rows
+    # a fully masked row's statistics are zeros, at any row count
+    wide = np.tile(x, (5, 1))
+    features = leaf_statistics(wide, np.ones_like(wide, bool), 0.0)
+    assert features.shape == (2, 3, 10)
+    np.testing.assert_array_equal(features, 0.0)
     for mask in (None, np.array([[False, False], [False, True]])):  # NaN left observed
         with pytest.raises(InvalidInput, match="observed values must be finite"):
             leaf_statistics(x, mask, 0.0)
