@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, StructureError, check_int
+from .errors import InvalidInput, StructureError, check_floats, check_int
 from .leaves import BERNOULLI, GAUSSIAN, bernoulli_terms, clamped_variances, gaussian_terms
 from .region_graph import Region, RegionGraph, validate_region_graph
 from .tiles import tile_matmul
@@ -91,13 +91,10 @@ class Group:
     order, and ``runs`` (see ``Run``) says which slots of which take
     multiply into which input columns. A sum group that mixes leaves
     directly (a single-variable root) has one read of one slot and no
-    runs; a leaf group reads nothing. ``release`` lists the groups this
-    group is the last reader of.
+    runs; a leaf group reads nothing.
     """
 
-    __slots__ = (
-        "index", "kind", "blocks", "width", "columns", "scope", "reads", "runs", "release",
-    )
+    __slots__ = ("index", "kind", "blocks", "width", "columns", "scope", "reads", "runs")
 
     def __init__(self, index: int, blocks: list[Block]):
         first = blocks[0]
@@ -110,7 +107,6 @@ class Group:
         )
         self.scope = np.array([b.scope for b in blocks]) if first.kind == LEAF else None
         self.reads, self.runs = _fold(blocks) if first.kind == SUM else ((), ())
-        self.release: tuple[int, ...] = ()
 
 
 def _factors(block: Block) -> list[Block]:
@@ -205,9 +201,6 @@ def compile_plan(blocks: list[Block]) -> list[Group]:
             for position, block in enumerate(group_blocks):
                 block.group, block.position = len(plan), position
             plan.append(Group(len(plan), group_blocks))
-    last_reader = {src: group.index for group in plan for src, _, _ in group.reads}
-    for group in plan:
-        group.release = tuple(s for s, reader in last_reader.items() if reader == group.index)
     return plan
 
 
@@ -496,22 +489,24 @@ def init_parameters(
     feature to ``mean + std * z`` when ``feature_stats = (means, stds)`` of
     the training data are supplied, each a ``(num_vars,)`` vector.
     Trainable log-variances start at 0. Draws are taken block by block, in
-    block index order.
+    block index order. Raises InvalidInput ("model too large") when numpy
+    cannot allocate the parameter vector.
     """
     if seed is not None:
         seed = check_int("seed", seed, 0)
     mu = sd = None
     if feature_stats is not None:
-        try:
-            stats = [np.asarray(stat, dtype=float) for stat in feature_stats]
-        except (TypeError, ValueError):
-            stats = []
-        if [stat.shape for stat in stats] != [(circuit.num_vars,)] * 2:
+        stats = check_floats("feature_stats", feature_stats)
+        if stats.shape != (2, circuit.num_vars):
             raise InvalidInput(f"feature_stats must be two ({circuit.num_vars},) vectors")
         mu, sd = stats
     rng = np.random.default_rng(seed)
-    params = ParameterSet(parameter_layout(circuit, train_variance))
-    flat = np.zeros_like(params.flat)
+    layout = parameter_layout(circuit, train_variance)
+    try:
+        params = ParameterSet(layout)
+        flat = np.zeros_like(params.flat)
+    except (MemoryError, ValueError) as exc:  # ValueError: more entries than numpy can index
+        raise InvalidInput(f"model too large: {exc}") from exc
 
     for block in circuit.blocks:
         if block.kind == PRODUCT:

@@ -55,7 +55,7 @@ from . import (
     uniform_log_prior,
 )
 from .data import Scaling, check_labels
-from .errors import DataFormatError, InvalidInput, NumericFailure
+from .errors import DataFormatError, InvalidInput, NumericFailure, check_int, check_real
 from .inference import check_log_prior, logsumexp
 
 
@@ -167,10 +167,9 @@ def _prior_from_flag(args, circuit, meta, data):
 def cmd_train(args):
     started = time.perf_counter()
     parse_data_spec(args.data)  # config check before any work
-    if not 0 <= args.valid_fraction < 1:  # NaN fails too
-        raise InvalidInput("--valid-fraction must lie in [0, 1)")
-    if args.classes is not None and args.classes < 1:
-        raise InvalidInput(f"--classes must be >= 1, got {args.classes}")
+    check_real("--valid-fraction", args.valid_fraction, 0, 1, "[)")
+    if args.classes is not None:
+        check_int("--classes", args.classes, 1)
     raw = load_data_spec(args.data)
     if raw.labels is None:
         raise DataFormatError("training data must carry labels")
@@ -185,15 +184,12 @@ def cmd_train(args):
             train_set.num_features, args.depth, args.repetitions, args.seed
         )
         circuit = construct_circuit(graph, num_classes, args.sums, args.leaves)
-        try:
-            params = init_parameters(
-                circuit,
-                seed=args.seed,
-                feature_stats=train_set.feature_stats() if args.init == "data" else None,
-                train_variance=args.train_variance,
-            )
-        except MemoryError as exc:  # the size flags ask for more than can be allocated
-            raise InvalidInput(f"model too large: {exc}") from exc
+        params = init_parameters(
+            circuit,
+            seed=args.seed,
+            feature_stats=train_set.feature_stats() if args.init == "data" else None,
+            train_variance=args.train_variance,
+        )
         meta = None
     scaling = train_set.scaling
 
@@ -305,8 +301,8 @@ def cmd_sweep_missing(args):
     except ValueError:
         raise InvalidInput(f"--p-list {args.p_list!r} is not a comma-separated "
                            "list of numbers") from None
-    if any(not 0.0 <= p <= 1.0 for p in fractions):
-        raise InvalidInput("missing fractions must lie in [0, 1]")
+    for p in fractions:
+        check_real("--p-list", p, 0, 1)
     circuit, params, meta, data = _load_model_and_data(args, args.data, True)
     log_prior = _prior_from_flag(args, circuit, meta, data)
 
@@ -344,12 +340,8 @@ MAX_BINS = 100_000
 
 def cmd_ood(args):
     started = time.perf_counter()
-    if not 1 <= args.bins <= MAX_BINS:
-        raise InvalidInput(f"--bins must lie in [1, {MAX_BINS}], got {args.bins}")
-    if not 0.0 <= args.outlier_percentile <= 100.0:
-        raise InvalidInput(
-            f"--outlier-percentile must lie in [0, 100], got {args.outlier_percentile}"
-        )
+    check_int("--bins", args.bins, 1, MAX_BINS)
+    check_real("--outlier-percentile", args.outlier_percentile, 0, 100)
     parse_data_spec(args.out_data)
     circuit, params, meta, data_in = _load_model_and_data(args, args.in_data, False)
     data_out = _model_scaled(load_data_spec(args.out_data), circuit, meta, "out-of-domain data")
@@ -496,8 +488,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(effective)
     args.effective_argv = effective
     try:
-        if args.seed < 0:  # numpy's generators take no negative seed
-            raise InvalidInput(f"--seed must be >= 0, got {args.seed}")
+        check_int("--seed", args.seed, 0)  # numpy's generators take no negative seed
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone raises here, not at exit
         return code

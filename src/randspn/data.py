@@ -14,13 +14,12 @@ carried along so test data can be transformed without refitting.
 from __future__ import annotations
 
 import csv
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidInput, check_int
+from .errors import DataFormatError, InvalidInput, check_floats, check_int, check_real
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -91,7 +90,7 @@ class Dataset:
     scaling: Scaling | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
+        self.features = check_floats("features", self.features)
         if self.features.ndim != 2:
             raise InvalidInput("features must be a 2-D matrix")
         if self.features.shape[1] == 0:
@@ -103,9 +102,9 @@ class Dataset:
                 f"sample {row}, feature {column}: non-finite value {self.features[row, column]}"
             )
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=float)
+            labels = check_floats("labels", self.labels)
             if labels.shape != (len(self.features),):
-                raise DataFormatError(f"{len(self.features)} samples but {len(labels)} labels")
+                raise DataFormatError(f"{len(self.features)} samples, labels of shape {labels.shape}")
             # checked before the cast, which would truncate 1.5 to 1 and wrap
             # 1e19; float64 holds every integer below 2**53 exactly
             whole = (labels == np.rint(labels)) & (np.abs(labels) < 2.0**53)  # NaN fails
@@ -184,21 +183,20 @@ def save_idx(features, image_path, label_path=None, labels=None, rows=None, cols
     Images are ``rows`` x ``cols``: ``rows`` defaults to the square root of
     the feature count, and ``cols`` to the features per row. Raises
     InvalidInput, before writing anything, for features that are not a
-    (samples, features) matrix, a shape that does not hold the features, a
-    pixel that does not round into 0..255, or labels that are not one
-    integer per sample in 1..256.
+    (samples, features) matrix of numbers, sides that are not integers in
+    0..2**32 - 1 or do not hold the features, a pixel that does not round
+    into 0..255, or labels that are not one integer per sample in 1..256.
     """
-    features = np.asarray(features)
+    features = check_floats("features", features)
     if features.ndim != 2:
         raise InvalidInput(
             f"features must be a (samples, features) matrix, got shape {features.shape}"
         )
     count, num_feat = features.shape
-    if rows is None:
-        rows = int(np.sqrt(num_feat))
-    if cols is None:
-        cols = num_feat // max(rows, 1)
-    if rows < 0 or cols < 0 or rows * cols != num_feat:
+    # each side is a 32-bit header field
+    rows = int(np.sqrt(num_feat)) if rows is None else check_int("rows", rows, 0, 2**32 - 1)
+    cols = num_feat // max(rows, 1) if cols is None else check_int("cols", cols, 0, 2**32 - 1)
+    if rows * cols != num_feat:
         raise InvalidInput(f"cannot shape {num_feat} features as {rows}x{cols}")
     pixels = np.rint(features)
     if not ((pixels >= 0) & (pixels <= 255)).all():  # NaN fails too
@@ -337,8 +335,7 @@ def batch_iterator(dataset: Dataset, batch_size: int, shuffle_seed=None):
 
 def random_missing_mask(dataset_or_shape, fraction_missing: float, seed=None) -> np.ndarray:
     """Boolean (N, num_features) mask, each entry missing with the given probability."""
-    if not (isinstance(fraction_missing, numbers.Real) and 0.0 <= fraction_missing <= 1.0):
-        raise InvalidInput(f"missing fraction must be in [0, 1], got {fraction_missing!r}")
+    check_real("missing fraction", fraction_missing, 0, 1)
     if isinstance(dataset_or_shape, Dataset):
         shape = dataset_or_shape.features.shape
     elif isinstance(dataset_or_shape, (tuple, list)):
@@ -350,8 +347,7 @@ def random_missing_mask(dataset_or_shape, fraction_missing: float, seed=None) ->
 
 def split_dataset(dataset: Dataset, valid_fraction: float, seed=None):
     """Carve a validation split off a dataset. Returns (train, valid), neither empty."""
-    if not (isinstance(valid_fraction, numbers.Real) and 0.0 < valid_fraction < 1.0):
-        raise InvalidInput(f"valid_fraction must be in (0, 1), got {valid_fraction!r}")
+    check_real("valid_fraction", valid_fraction, 0, 1, "()")
     n = len(dataset)
     n_valid = int(round(n * valid_fraction))
     if not 0 < n_valid < n:

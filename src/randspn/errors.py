@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the checks of caller input that raise one."""
 
 import numbers
+
+import numpy as np
 
 
 class InvalidInput(ValueError):
@@ -27,13 +29,37 @@ class NumericFailure(RuntimeError):
         self.diagnostics = diagnostics or []
 
 
-def check_int(name: str, value, minimum: int) -> int:
-    """``value`` as an int; InvalidInput unless it is an integer in [``minimum``, 2**63).
+def check_real(name: str, value, low, high, ends: str = "[]"):
+    """``value`` unchanged; InvalidInput unless it is a real number in the interval.
 
-    Python and numpy integers pass; bool, float and anything else fail.
+    ``ends`` holds the interval's brackets, ``[`` or ``(`` for ``low`` and
+    ``]`` or ``)`` for ``high``. Python and numpy reals pass; bool, NaN and
+    anything else fail.
+    """
+    opened, closed = ends
+    if not (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and (low <= value if opened == "[" else low < value)
+        and (value <= high if closed == "]" else value < high)
+    ):
+        raise InvalidInput(f"{name} must be in {opened}{low}, {high}{closed}, got {value!r}")
+    return value
+
+
+def check_int(name: str, value, minimum: int, maximum: int = 2**63 - 1) -> int:
+    """``value`` as an int; InvalidInput unless it is an integer in [``minimum``, ``maximum``].
+
+    Python and numpy integers pass; bool, float and anything else fail. The
+    default ``maximum`` is the largest int64.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    if not minimum <= value < 2**63:
-        raise InvalidInput(f"{name} must be >= {minimum} and below 2**63, got {value}")
-    return int(value)
+    return int(check_real(name, value, minimum, maximum))
+
+
+def check_floats(name: str, value) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``; InvalidInput naming ``name`` unless numpy converts it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond any float
+        raise InvalidInput(f"{name} must be a numeric array, got {value!r:.80}") from None

@@ -27,7 +27,7 @@ import numpy as np
 
 from .circuit import Circuit, LEAF, SUM, Group, ParameterSet, SumTerms
 from .data import check_labels
-from .errors import InvalidInput, check_int
+from .errors import InvalidInput, check_floats, check_int
 from .leaves import check_support, gaussian_block_log_density, leaf_statistics
 from .tiles import TILE, tile_matmul
 
@@ -220,10 +220,7 @@ def _rescue(tables, group, kernel, terms, keep, rows):
 
 def _check_batch(circuit, batch, missing=None):
     """The batch as floats and ``missing`` as bools; InvalidInput unless both fit the circuit."""
-    try:
-        batch = np.asarray(batch, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInput(f"batch is not a numeric matrix: {batch!r:.80}") from None
+    batch = check_floats("batch", batch)
     if batch.ndim != 2 or batch.shape[1] != circuit.num_vars:
         raise InvalidInput(
             f"batch of shape {batch.shape} does not match {circuit.num_vars} variables"
@@ -289,9 +286,8 @@ def forward_log(
     maps a sum group's plan index to its (G, N, K) bool keep-mask over
     (member, sample, input column), as ``sample_sum_dropout_mask`` draws
     it; dropped columns enter the mixtures as -inf. The circuit's plan
-    runs one group at a time, and a group's tensor is dropped after its last
-    reader, in passes of ``rows_per_pass(circuit)`` rows, unless
-    ``return_tables`` is set; then one pass over all rows gives
+    runs one group at a time, in passes of ``rows_per_pass(circuit)``
+    rows, unless ``return_tables`` is set; then one pass over all rows gives
     ``(roots, tables, kernels)``: ``tables[g]`` is the (G, N, width)
     log-value tensor of plan group ``g``, and ``kernels`` maps each sum
     group's index to its ``SumKernel`` and each leaf group's index to the
@@ -338,9 +334,6 @@ def _forward_pass(circuit, params, x, missing, sum_dropout, return_tables):
             kernels[group.index] = kernel
         del kernel  # the largest temporary: free it before the next group
         tables.append(out)
-        if not return_tables:
-            for src in group.release:
-                tables[src] = None
 
     root = circuit.root_block
     roots = tables[root.group][root.position]
@@ -368,10 +361,7 @@ def check_log_prior(log_prior, num_classes: int) -> np.ndarray:
 
     Entries are log-probabilities: -inf for a class of prior 0, never NaN or +inf.
     """
-    try:
-        log_prior = np.asarray(log_prior, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInput(f"prior is not a numeric vector: {log_prior!r:.80}") from None
+    log_prior = check_floats("prior", log_prior)
     if log_prior.shape != (num_classes,):
         raise InvalidInput(f"prior must have shape ({num_classes},)")
     if not (log_prior < np.inf).all():  # NaN compares False too

@@ -26,6 +26,11 @@ import numpy as np
 
 from .errors import check_int
 
+# the most repetitions a graph draws, far above the R = 10 of the 784-variable
+# config: 4 variables at depth 1 draw for about 0.7 s at the cap, and their
+# draws merge into 3 partitions
+MAX_REPETITIONS = 100_000
+
 
 class Region:
     """One region node. Identity is the node, not the scope."""
@@ -147,11 +152,12 @@ def random_region_graph(
     halves (a uniformly random permutation cut at ceil(n/2)) down to ``depth``
     levels, stopping early at singleton regions. Identical draws are merged,
     so the root ends up with at most ``repetitions`` child partitions.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. ``repetitions`` lies in [1,
+    ``MAX_REPETITIONS``].
     """
     num_vars = check_int("num_vars", num_vars, 1)
     depth = check_int("depth", depth, 1)
-    repetitions = check_int("repetitions", repetitions, 1)
+    repetitions = check_int("repetitions", repetitions, 1, MAX_REPETITIONS)
     if seed is not None:
         seed = check_int("seed", seed, 0)
 

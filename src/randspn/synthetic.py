@@ -8,12 +8,10 @@ family plays the role of out-of-domain data with matching shape and range.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidInput, check_int
+from .errors import check_int, check_real
 
 
 def make_class_prototypes(num_classes=10, side=8, family_seed=7):
@@ -33,8 +31,7 @@ def make_synthetic_classes(
     num_samples = check_int("num_samples", num_samples, 0)
     num_classes, side = check_int("num_classes", num_classes, 1), check_int("side", side, 1)
     seeds = [check_int("family_seed", family_seed, 0), check_int("sample_seed", sample_seed, 0)]
-    if not (isinstance(noise, numbers.Real) and 0.0 <= noise < np.inf):
-        raise InvalidInput(f"noise must be finite and >= 0, got {noise!r}")
+    check_real("noise", noise, 0, np.inf, "[)")
     prototypes = make_class_prototypes(num_classes, side, family_seed)
     rng = np.random.default_rng(np.random.SeedSequence(seeds))
     labels = 1 + (np.arange(num_samples) % num_classes)

@@ -17,14 +17,13 @@ gradient.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, LEAF, ParameterSet
-from .data import batch_iterator, check_labels
-from .errors import InvalidInput, NumericFailure, check_int
+from .data import Dataset, batch_iterator, check_labels
+from .errors import InvalidInput, NumericFailure, check_floats, check_int, check_real
 from .inference import SumKernel, forward_log, logsumexp
 from .leaves import VARIANCE_FLOOR
 
@@ -43,28 +42,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.lam, numbers.Real) and 0.0 <= self.lam <= 1.0):
-            raise InvalidInput(f"lambda must be in [0, 1], got {self.lam!r}")
+        check_real("lambda", self.lam, 0, 1)
         self.epochs = check_int("epochs", self.epochs, 0)
         self.batch_size = check_int("batch_size", self.batch_size, 1)
         self.seed = check_int("seed", self.seed, 0)
-        for name in ("input_keep", "sum_keep"):
-            rate = getattr(self, name)
-            if not (isinstance(rate, numbers.Real) and 0.0 < rate <= 1.0):
-                raise InvalidInput(f"{name} must be in (0, 1], got {rate!r}")
-        for name in ("beta1", "beta2"):
-            beta = getattr(self, name)
-            if not (isinstance(beta, numbers.Real) and 0.0 <= beta < 1.0):
-                raise InvalidInput(f"{name} must be in [0, 1), got {beta!r}")
-        for name in ("learning_rate", "epsilon"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0.0 < value < np.inf):
-                raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
-
+        for name, high, ends in (
+            ("input_keep", 1, "(]"), ("sum_keep", 1, "(]"), ("beta1", 1, "[)"),
+            ("beta2", 1, "[)"), ("learning_rate", np.inf, "()"), ("epsilon", np.inf, "()"),
+        ):
+            check_real(name, getattr(self, name), 0, high, ends)
 
 
 def _check_roots_labels(roots, labels):
-    roots = np.asarray(roots, dtype=float)
+    roots = check_floats("roots", roots)
     labels = np.asarray(labels)
     if roots.ndim != 2:
         raise InvalidInput("roots must be a (samples, classes) matrix")
@@ -86,15 +76,13 @@ def cross_entropy(roots, labels) -> float:
 def neg_log_likelihood(roots, labels, num_vars: int) -> float:
     """Negative mean log-likelihood of the labeled root, per variable."""
     roots, labels = _check_roots_labels(roots, labels)
-    if num_vars < 1:
-        raise InvalidInput("num_vars must be >= 1")
+    num_vars = check_int("num_vars", num_vars, 1)
     picked = roots[np.arange(len(labels)), labels - 1]
     return float(-picked.mean() / num_vars)
 
 
 def hybrid_objective(roots, labels, num_vars: int, lam: float) -> float:
-    if not (isinstance(lam, numbers.Real) and 0.0 <= lam <= 1.0):
-        raise InvalidInput(f"lambda must be in [0, 1], got {lam}")
+    check_real("lambda", lam, 0, 1)
     return lam * cross_entropy(roots, labels) + (1.0 - lam) * neg_log_likelihood(
         roots, labels, num_vars
     )
@@ -281,8 +269,7 @@ def backward_gradients(
 
 def sample_input_dropout_mask(num_vars, batch_size, keep_rate, rng) -> np.ndarray:
     """Missing-variable mask: each entry kept with probability ``keep_rate``."""
-    if not (isinstance(keep_rate, numbers.Real) and 0.0 < keep_rate <= 1.0):
-        raise InvalidInput(f"keep rate must be in (0, 1], got {keep_rate!r}")
+    check_real("keep rate", keep_rate, 0, 1, "(]")
     shape = (check_int("batch_size", batch_size, 0), check_int("num_vars", num_vars, 1))
     return rng.random(shape) >= keep_rate
 
@@ -298,8 +285,7 @@ def sample_sum_dropout_mask(
     group's rows that would drop every column are redrawn together until
     none does.
     """
-    if not (isinstance(keep_rate, numbers.Real) and 0.0 < keep_rate <= 1.0):
-        raise InvalidInput(f"keep rate must be in (0, 1], got {keep_rate!r}")
+    check_real("keep rate", keep_rate, 0, 1, "(]")
     batch_size = check_int("batch_size", batch_size, 0)
     masks = {}
     for group in circuit.plan:
@@ -383,6 +369,10 @@ def train(circuit, params, train_data, valid_data, config: TrainConfig):
     metric rows. Warm starts are just calls with previously trained params.
     Raises NumericFailure when an epoch's metrics objective is not finite.
     """
+    if not isinstance(train_data, Dataset) or not isinstance(valid_data, (Dataset, type(None))):
+        raise InvalidInput("train_data must be a Dataset, and valid_data a Dataset or None")
+    if not isinstance(config, TrainConfig):
+        raise InvalidInput(f"config must be a TrainConfig, got {config!r:.80}")
     rng = np.random.default_rng(config.seed)
     state = AdamState.initial(params)
     metrics = []

@@ -95,8 +95,12 @@ def test_save_idx_derives_cols_from_rows(tmp_path):
     rs.save_idx(features, tmp_path / "img", rows=2)
     assert rs.load_idx(tmp_path / "img").features.tolist() == features.tolist()
     assert struct.unpack(">IIII", (tmp_path / "img").read_bytes()[:16])[2:] == (2, 3)
-    for rows, cols in ((4, None), (0, None), (-2, -3)):
+    for rows, cols in ((4, None), (0, None)):
         with pytest.raises(InvalidInput, match="cannot shape 6 features"):
+            rs.save_idx(features, tmp_path / "bad", rows=rows, cols=cols)
+    # a negative, fractional or wider-than-32-bit side fails before the shape
+    for rows, cols, name in ((-2, -3, "rows"), (2, 3.0, "cols"), (2**32, 0, "rows")):
+        with pytest.raises(InvalidInput, match=f"^{name} must be"):
             rs.save_idx(features, tmp_path / "bad", rows=rows, cols=cols)
     assert not (tmp_path / "bad").exists()
 
