@@ -43,17 +43,28 @@ print(f"\ncircuit: {len(circuit.blocks)} blocks: {kinds}")
 # groups of same-shape blocks that read the same groups, and each group is
 # one stacked (G, N, width) tensor computed by one numpy call. Product
 # blocks get no group: each sum group folds in its products, taking their
-# factors' tables and mixing the outer products.
+# factors' tables and mixing the outer products. A run of partitions takes
+# its left and right factors from slots of the group's reads, and a read's
+# take indices name the member of the group read, and so its region.
+
+
+def factor(group, member, side, j):
+    """The scope and plan group of partition j's factor on one side of a run."""
+    read, slots = side
+    source, at, _ = group.reads[read]
+    region = circuit.plan[source].regions[at[member, slots.start + j]]
+    return f"{list(graph.regions[region].scope)} (group {source})"
+
+
 print(f"\nlayer plan: {len(circuit.plan)} groups")
 for group in circuit.plan:
-    print(f"  group {group.index}: {group.kind}x{group.width} times {len(group.blocks)}")
-    for block in group.blocks if group.kind == "sum" else ():
-        folded = [b for b in block.inputs if b.kind == "product"]
+    print(f"  group {group.index}: {group.kind}x{group.width} times {len(group.regions)}")
+    for member, region in enumerate(group.regions if group.kind == "sum" else ()):
         splits = "; ".join(
-            " | ".join(f"{list(f.scope)} (group {f.group})" for f in product.inputs)
-            for product in folded
+            " | ".join(factor(group, member, side, j) for side in (run.left, run.right))
+            for run in group.runs for j in range(run.shape[0])
         )
-        print(f"    {list(block.scope)} folds {splits}")
+        print(f"    {list(graph.regions[region].scope)} folds {splits}")
 
 print(f"\nsum/product stack depth: {circuit.stack_depth()} (= 2 * depth)")
 print(f"parameters: {rs.count_parameters(circuit)}")

@@ -12,12 +12,13 @@ The one structure Algorithm-style construction leaves open is a single
 variable: the root then has no partitions, so it holds ``classes_C`` sum
 nodes mixing a block of ``leaves_I`` distributions over that variable.
 
-Construction also compiles the leaf and sum blocks into a layer plan of
-groups of same-shape blocks that read the same groups, so the engine
-evaluates a whole group with one stacked numpy call. Product blocks get no
-group: the engine folds them into the sums that read them, and a sum group
-reads its products' factor tables directly, through the take indices the
-plan resolves once.
+Construction compiles the leaf and sum blocks into a layer plan of groups
+of same-shape blocks that read the same groups, so the engine evaluates a
+whole group with one stacked numpy call. Product blocks get no group: the
+engine folds them into the sums that read them, and a sum group reads its
+products' factor tables directly, through the take indices the plan
+resolves once. After construction the plan is the circuit; its last group
+holds only the root, an ancestor of every other region.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, StructureError, check_floats, check_int
+from .errors import InvalidInput, StructureError, check_floats, check_int, too_large
 from .leaves import BERNOULLI, GAUSSIAN, bernoulli_terms, clamped_variances, gaussian_terms
 from .region_graph import Region, RegionGraph, validate_region_graph
 from .tiles import tile_matmul
@@ -39,7 +40,7 @@ LEAF, SUM, PRODUCT = "leaf", "sum", "product"
 class Block:
     """A block of identically-wired nodes attached to one region or partition."""
 
-    __slots__ = ("index", "kind", "node", "width", "inputs", "group", "position")
+    __slots__ = ("index", "kind", "node", "width", "inputs")
 
     def __init__(self, index, kind, node, width, inputs=()):
         self.index = index
@@ -47,16 +48,11 @@ class Block:
         self.node = node  # Region for leaf/sum blocks, Partition for products
         self.width = width
         self.inputs: tuple[Block, ...] = tuple(inputs)
-        self.group = -1  # plan group index of a leaf or sum block, set by compile_plan
-        self.position = -1  # index within that group
 
     @property
     def scope(self) -> tuple[int, ...]:
         node = self.node
         return node.scope if isinstance(node, Region) else node.parent.scope
-
-    def __repr__(self):
-        return f"Block#{self.index}({self.kind}, width={self.width}, scope={list(self.scope)})"
 
 
 class Run(NamedTuple):
@@ -78,8 +74,8 @@ class Run(NamedTuple):
 class Group:
     """Same-shape leaf or sum blocks of one level, evaluated together as one tensor.
 
-    The group's table is a (G, N, width) tensor, row ``position`` of which
-    is the (N, width) table of member block ``blocks[position]``.
+    The group's table is a (G, N, width) tensor, row ``m`` of which is the
+    (N, width) table of member ``m``, the block on region ``regions[m]``.
     ``scope`` holds the (G, d) variable indices of a leaf group.
     ``columns`` is a member's parameter columns: a leaf group's scope size
     d, a sum group's input columns K.
@@ -94,19 +90,19 @@ class Group:
     runs; a leaf group reads nothing.
     """
 
-    __slots__ = ("index", "kind", "blocks", "width", "columns", "scope", "reads", "runs")
+    __slots__ = ("index", "kind", "regions", "width", "columns", "scope", "reads", "runs")
 
-    def __init__(self, index: int, blocks: list[Block]):
+    def __init__(self, index: int, blocks: list[Block], place: dict[int, tuple[int, int]]):
         first = blocks[0]
         self.index = index
         self.kind = first.kind
-        self.blocks = tuple(blocks)
+        self.regions = tuple(b.node.index for b in blocks)
         self.width = first.width
         self.columns = (
             len(first.scope) if first.kind == LEAF else sum(b.width for b in first.inputs)
         )
         self.scope = np.array([b.scope for b in blocks]) if first.kind == LEAF else None
-        self.reads, self.runs = _fold(blocks) if first.kind == SUM else ((), ())
+        self.reads, self.runs = _fold(blocks, place) if first.kind == SUM else ((), ())
 
 
 def _factors(block: Block) -> list[Block]:
@@ -116,23 +112,24 @@ def _factors(block: Block) -> list[Block]:
     return [p.inputs[side] for side in (0, 1) for p in block.inputs]
 
 
-def _fold(blocks: list[Block]):
-    """The ``reads`` and ``runs`` of a sum group (see ``Group``)."""
+def _fold(blocks: list[Block], place: dict[int, tuple[int, int]]):
+    """The ``reads`` and ``runs`` of a sum group (see ``Group``); ``place`` is
+    ``compile_plan``'s (plan group, member) of each block index."""
     first = blocks[0]
     rows = [_factors(block) for block in blocks]
-    slot_groups = [child.group for child in rows[0]]
+    slot_groups = [place[child.index][0] for child in rows[0]]
     reads, where = [], {}  # where[slot] = (read, slot's index within that take)
     for src in dict.fromkeys(slot_groups):
         taken = [s for s, g in enumerate(slot_groups) if g == src]
         where.update((s, (len(reads), k)) for k, s in enumerate(taken))
-        at = np.array([[row[s].position for s in taken] for row in rows])
+        at = np.array([[place[row[s].index][1] for s in taken] for row in rows])
         reads.append((src, at, len(set(at.flat)) == at.size))
     if first.inputs[0].kind != PRODUCT:
         return tuple(reads), ()
 
     def factors(j):
         left, right = first.inputs[j].inputs
-        return left.group, right.group, left.width, right.width
+        return place[left.index][0], place[right.index][0], left.width, right.width
 
     parts = len(first.inputs)
     runs, start, column = [], 0, 0
@@ -176,8 +173,7 @@ def compile_plan(blocks: list[Block]) -> list[Group]:
     of the blocks it reads (``_factors``). Within a level, leaves group by
     (width, scope size) and sums by width and the (width, group) of every
     block they read. Groups follow level order, and within a level the
-    order of their first block; members keep block-index order. Sets each
-    grouped block's ``group`` and ``position``.
+    order of their first block; members keep block-index order.
     """
     levels: dict[int, int] = {}
     for block in _bottom_up([b for b in blocks if b.kind != PRODUCT]):
@@ -189,18 +185,19 @@ def compile_plan(blocks: list[Block]) -> list[Group]:
         if block.kind != PRODUCT:
             layers.setdefault(levels[block.index], []).append(block)
     plan: list[Group] = []
+    place: dict[int, tuple[int, int]] = {}  # block index -> (plan group, member)
     for depth in sorted(layers):
         members: dict[tuple, list[Block]] = {}
         for block in layers[depth]:
             if block.kind == LEAF:
                 key = (LEAF, block.width, len(block.scope))
             else:
-                key = (SUM, block.width, tuple((b.width, b.group) for b in _factors(block)))
+                key = (SUM, block.width,
+                       tuple((b.width, place[b.index][0]) for b in _factors(block)))
             members.setdefault(key, []).append(block)
         for group_blocks in members.values():
-            for position, block in enumerate(group_blocks):
-                block.group, block.position = len(plan), position
-            plan.append(Group(len(plan), group_blocks))
+            place.update((b.index, (len(plan), m)) for m, b in enumerate(group_blocks))
+            plan.append(Group(len(plan), group_blocks, place))
     return plan
 
 
@@ -211,26 +208,26 @@ class Circuit:
     sums_S: int
     leaves_I: int
     leaf_family: str
+    # only construction reads blocks; they are kept, with kind, width, inputs and
+    # scope, because the benchmark's workloads.computed_counts counts from them
     blocks: list[Block]
-    region_block: dict[int, Block]  # region index -> sum or leaf block
-    plan: list[Group]  # compiled layer plan, in evaluation order
+    plan: list[Group]  # compiled layer plan, in evaluation order; the root is plan[-1] member 0
 
     @property
     def num_vars(self) -> int:
         return self.graph.num_vars
 
-    @property
-    def root_block(self) -> Block:
-        return self.region_block[self.graph.root.index]
-
     def stack_depth(self) -> int:
-        """Longest chain of sum/product blocks from the root down to a leaf block."""
-        depth: dict[int, int] = {}
-        for block in _bottom_up(self.blocks):
-            depth[block.index] = (
-                0 if block.kind == LEAF else 1 + max(depth[b.index] for b in block.inputs)
-            )
-        return depth[self.root_block.index]
+        """Longest chain of sum and product layers from the root down to a leaf.
+
+        2 more than the deepest child of each partition, in scope-size order
+        (no recursion); 0 for a leaf region, 1 for a single-variable root.
+        """
+        depth: dict[int, int] = {}  # region index -> depth, of split regions
+        for part in sorted(self.graph.partitions, key=lambda p: len(p.parent.scope)):
+            below = 2 + max(depth.get(child.index, 0) for child in part.children)
+            depth[part.parent.index] = max(depth.get(part.parent.index, 0), below)
+        return depth.get(self.graph.root.index, 1)
 
 
 PARAM_NAMES = ("sum_logits", "leaf_means", "leaf_log_vars", "leaf_logits")
@@ -267,7 +264,7 @@ def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[Pa
     one row per node and one column per scope variable, holding Gaussian
     means (plus log-variances when ``train_variance``) or Bernoulli logits.
     A plan group's matrices of one name form one (G, rows, cols) tensor,
-    member ``block.position`` holding its block's. Tensors come in
+    one per member. Tensors come in
     ``PARAM_NAMES`` order, within each name in plan order.
     """
     if circuit.leaf_family == BERNOULLI:
@@ -280,7 +277,7 @@ def parameter_layout(circuit: Circuit, train_variance: bool = False) -> tuple[Pa
     for name in PARAM_NAMES:
         for group in circuit.plan:
             if name in (leaf_names if group.kind == LEAF else ("sum_logits",)):
-                shape = (len(group.blocks), group.width, group.columns)
+                shape = (len(group.regions), group.width, group.columns)
                 scope = _read_only(group.scope.ravel()) if group.kind == LEAF else None
                 layout.append(ParamTensor(name, group.index, offset, shape, scope))
                 offset += layout[-1].size
@@ -327,10 +324,10 @@ class ParameterSet:
 
     ``flat`` is a private copy of the vector it was built from, holding
     every parameter in ``layout`` order: a plan group's matrices are
-    ``stacked(name, group)`` and a block's matrix is
-    ``stacked(name, plan[block.group])[block.position]``. A sum block's
+    ``stacked(name, group)``, and member ``m``'s, on region
+    ``group.regions[m]``, is ``stacked(name, group)[m]``. A sum member's
     logit matrix has one row per sum node and one column per input column;
-    normalized weights are softmax rows. A leaf block holds a (width, scope
+    normalized weights are softmax rows. A leaf member holds a (width, scope
     size) matrix of Gaussian means, plus the matching log-variances when
     ``train_variance``, or Bernoulli success log-odds. Every view is
     read-only; new values make a new set, e.g.
@@ -426,7 +423,7 @@ def construct_circuit(
         raise StructureError(f"invalid region graph: {report.violations}")
 
     blocks: list[Block] = []
-    region_block: dict[int, Block] = {}
+    on_region: dict[int, Block] = {}  # region index -> its sum or leaf block
 
     def new_block(kind, node, width, inputs=()):
         block = Block(len(blocks), kind, node, width, inputs)
@@ -444,13 +441,13 @@ def construct_circuit(
             block = new_block(SUM, region, classes_C, [leaf])
         else:
             block = new_block(LEAF, region, leaves_I)
-        region_block[region.index] = block
+        on_region[region.index] = block
 
     for part in graph.partitions:  # in index order, so a sum's inputs are too
-        left = region_block[part.children[0].index]
-        right = region_block[part.children[1].index]
+        left = on_region[part.children[0].index]
+        right = on_region[part.children[1].index]
         product = new_block(PRODUCT, part, left.width * right.width, [left, right])
-        region_block[part.parent.index].inputs += (product,)
+        on_region[part.parent.index].inputs += (product,)
 
     return Circuit(
         graph=graph,
@@ -459,7 +456,6 @@ def construct_circuit(
         leaves_I=leaves_I,
         leaf_family=leaf_family,
         blocks=blocks,
-        region_block=region_block,
         plan=compile_plan(blocks),
     )
 
@@ -488,9 +484,10 @@ def init_parameters(
     to uniform. Gaussian means are standard normal draws, rescaled per
     feature to ``mean + std * z`` when ``feature_stats = (means, stds)`` of
     the training data are supplied, each a ``(num_vars,)`` vector.
-    Trainable log-variances start at 0. Draws are taken block by block, in
-    block index order. Raises InvalidInput ("model too large") when numpy
-    cannot allocate the parameter vector.
+    Trainable log-variances start at 0. Draws are taken member by member,
+    in region order, a single-variable root's leaves before its sums.
+    Raises InvalidInput ("model too large") when numpy cannot allocate the
+    parameter vector.
     """
     if seed is not None:
         seed = check_int("seed", seed, 0)
@@ -502,27 +499,27 @@ def init_parameters(
         mu, sd = stats
     rng = np.random.default_rng(seed)
     layout = parameter_layout(circuit, train_variance)
-    try:
+    with too_large("model"):
         params = ParameterSet(layout)
         flat = np.zeros_like(params.flat)
-    except (MemoryError, ValueError) as exc:  # ValueError: more entries than numpy can index
-        raise InvalidInput(f"model too large: {exc}") from exc
 
-    for block in circuit.blocks:
-        if block.kind == PRODUCT:
-            continue
-        group = circuit.plan[block.group]
-        if block.kind == SUM:
-            logits = params.stacked("sum_logits", group, flat)[block.position]
+    members = sorted(  # (region, a sum, plan group, member): leaves first on a shared region
+        (region, group.kind == SUM, group.index, m)
+        for group in circuit.plan for m, region in enumerate(group.regions)
+    )
+    for _, _, index, m in members:
+        group = circuit.plan[index]
+        if group.kind == SUM:
+            logits = params.stacked("sum_logits", group, flat)[m]
             logits[...] = rng.normal(0.0, 1e-2, size=logits.shape)
         elif circuit.leaf_family == BERNOULLI:
-            logits = params.stacked("leaf_logits", group, flat)[block.position]
+            logits = params.stacked("leaf_logits", group, flat)[m]
             logits[...] = rng.standard_normal(logits.shape)
         else:
-            means = params.stacked("leaf_means", group, flat)[block.position]
+            means = params.stacked("leaf_means", group, flat)[m]
             z = rng.standard_normal(means.shape)
             if mu is not None:
-                scope = list(block.scope)
+                scope = group.scope[m]
                 z = mu[scope] + sd[scope] * z
             means[...] = z
     return ParameterSet(params.layout, flat)

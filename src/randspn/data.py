@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidInput, check_floats, check_int, check_real
+from .errors import DataFormatError, InvalidInput, check_floats, check_int, check_real, too_large
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -216,6 +216,9 @@ def save_idx(features, image_path, label_path=None, labels=None, rows=None, cols
 
 def load_csv(path, label_column: int | str | None = "last", has_header=False) -> Dataset:
     """Load a rectangular numeric CSV; ``label_column`` may be None, 'last' or an index."""
+    last = isinstance(label_column, str) and label_column == "last"
+    if label_column is not None and not last:
+        label_column = check_int("label_column", label_column, 0)
     rows = []
     try:
         with open(path, newline="") as handle:
@@ -254,7 +257,7 @@ def load_csv(path, label_column: int | str | None = "last", has_header=False) ->
 
     if label_column is None:
         return Dataset(features=table)
-    col = width - 1 if label_column == "last" else int(label_column)
+    col = width - 1 if last else label_column
     if not 0 <= col < width:
         raise DataFormatError(f"{path}: label column {col} out of range")
     features = np.delete(table, col, axis=1)
@@ -342,7 +345,9 @@ def random_missing_mask(dataset_or_shape, fraction_missing: float, seed=None) ->
         shape = tuple(check_int("shape entry", size, 0) for size in dataset_or_shape)
     else:
         raise InvalidInput(f"expected a Dataset or a shape, got {dataset_or_shape!r:.80}")
-    return _rng(seed).random(shape) < fraction_missing
+    rng = _rng(seed)
+    with too_large("mask"):
+        return rng.random(shape) < fraction_missing
 
 
 def split_dataset(dataset: Dataset, valid_fraction: float, seed=None):

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checks of caller input that raise one."""
 
+import contextlib
 import numbers
 
 import numpy as np
@@ -63,3 +64,23 @@ def check_floats(name: str, value) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond any float
         raise InvalidInput(f"{name} must be a numeric array, got {value!r:.80}") from None
+
+
+# numpy's ValueErrors for an array whose size it cannot hold
+_SIZE_ERRORS = ("array is too big", "Maximum allowed dimension exceeded")
+
+
+@contextlib.contextmanager
+def too_large(what: str):
+    """Turn an allocation the caller's sizes make impossible into InvalidInput.
+
+    Inside the block, a ``MemoryError`` or one of numpy's size ``ValueError``s
+    becomes ``InvalidInput("<what> too large: ...")``; every other error
+    passes unchanged.
+    """
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not any(s in str(exc) for s in _SIZE_ERRORS):
+            raise
+        raise InvalidInput(f"{what} too large: {exc}") from exc

@@ -27,7 +27,7 @@ import numpy as np
 
 from .circuit import Circuit, LEAF, SUM, Group, ParameterSet, SumTerms
 from .data import check_labels
-from .errors import InvalidInput, check_floats, check_int
+from .errors import InvalidInput, check_floats, check_int, too_large
 from .leaves import check_support, gaussian_block_log_density, leaf_statistics
 from .tiles import TILE, tile_matmul
 
@@ -244,7 +244,7 @@ def _check_dropout(circuit, sum_dropout, rows):
         group = sums.get(key)
         if group is None:
             raise InvalidInput(f"sum_dropout key {key!r} is not a sum group of the plan")
-        shape = (len(group.blocks), rows, group.columns)
+        shape = (len(group.regions), rows, group.columns)
         if not (isinstance(keep, np.ndarray) and keep.dtype == bool and keep.shape == shape):
             raise InvalidInput(f"sum_dropout[{key}] must be a bool array of shape {shape}")
 
@@ -266,7 +266,7 @@ def rows_per_pass(circuit: Circuit) -> int:
     a pass's memory does not grow with the dataset.
     """
     widest = max(
-        8 * len(group.blocks) * group.columns * (3 if group.kind == LEAF else 1)
+        8 * len(group.regions) * group.columns * (3 if group.kind == LEAF else 1)
         for group in circuit.plan
     )
     return TILE * max(1, _PASS_BYTES // (TILE * widest))
@@ -335,8 +335,7 @@ def _forward_pass(circuit, params, x, missing, sum_dropout, return_tables):
         del kernel  # the largest temporary: free it before the next group
         tables.append(out)
 
-    root = circuit.root_block
-    roots = tables[root.group][root.position]
+    roots = tables[-1][0]  # the root: the one member of the last group
     if return_tables:
         return roots, tables, kernels
     return roots
@@ -344,12 +343,15 @@ def _forward_pass(circuit, params, x, missing, sum_dropout, return_tables):
 
 def uniform_log_prior(num_classes: int) -> np.ndarray:
     num_classes = check_int("num_classes", num_classes, 1)
-    return np.full(num_classes, -np.log(num_classes))
+    with too_large("prior"):
+        return np.full(num_classes, -np.log(num_classes))
 
 
 def empirical_log_prior(labels, num_classes: int) -> np.ndarray:
+    num_classes = check_int("num_classes", num_classes, 1)
     labels = check_labels(labels, num_classes)
-    counts = np.bincount(labels - 1, minlength=num_classes).astype(float)
+    with too_large("prior"):
+        counts = np.bincount(labels - 1, minlength=num_classes).astype(float)
     if counts.sum() == 0:
         raise InvalidInput("cannot build an empirical prior from zero labels")
     with np.errstate(divide="ignore"):

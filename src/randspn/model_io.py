@@ -97,9 +97,8 @@ def model_to_dict(
     if params.train_variance:
         groups["leaf_log_vars"] = {}
     for tensor in params.layout:
-        members = circuit.plan[tensor.group].blocks
-        for block, matrix in zip(members, tensor.view(params.flat)):
-            groups[tensor.name][str(block.node.index)] = _encode_array(matrix, encoding)
+        for region, matrix in zip(circuit.plan[tensor.group].regions, tensor.view(params.flat)):
+            groups[tensor.name][str(region)] = _encode_array(matrix, encoding)
 
     return {
         "format": FORMAT_NAME,
@@ -221,8 +220,8 @@ def _decode_document(document: dict):
         raise DataFormatError("provenance must be an object")
     layout = parameter_layout(circuit, train_variance)
     entries = [  # (name, region key, matrix shape), in flat order
-        (t.name, str(b.node.index), t.shape[1:])
-        for t in layout for b in circuit.plan[t.group].blocks
+        (t.name, str(region), t.shape[1:])
+        for t in layout for region in circuit.plan[t.group].regions
     ]
     stored = {(name, region) for name, matrices in stored_params.items() for region in matrices}
     expected = {(name, region) for name, region, _ in entries}

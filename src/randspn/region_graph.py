@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_int, too_large
 
 # the most repetitions a graph draws, far above the R = 10 of the 784-variable
 # config: 4 variables at depth 1 draw for about 0.7 s at the cap, and their
@@ -163,7 +163,6 @@ def random_region_graph(
 
     rng = np.random.default_rng(seed)
     builder = _Builder(num_vars, depth, repetitions, seed)
-    root = builder.region(tuple(range(num_vars)), 0)
 
     def split(region: Region, budget: int):
         perm = rng.permutation(np.asarray(region.scope))
@@ -177,10 +176,11 @@ def random_region_graph(
             if len(right.scope) > 1:
                 split(right, budget - 1)
 
-    for _ in range(repetitions):
-        if num_vars > 1:
-            split(root, depth)
-
+    with too_large("region graph"):
+        root = builder.region(tuple(range(num_vars)), 0)
+        for _ in range(repetitions):
+            if num_vars > 1:
+                split(root, depth)
     return builder.graph
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import Circuit, LEAF, ParameterSet
 from .data import Dataset, batch_iterator, check_labels
-from .errors import InvalidInput, NumericFailure, check_floats, check_int, check_real
+from .errors import InvalidInput, NumericFailure, check_floats, check_int, check_real, too_large
 from .inference import SumKernel, forward_log, logsumexp
 from .leaves import VARIANCE_FLOOR
 
@@ -103,14 +103,15 @@ def _objective_root_gradient(roots, labels, num_vars, lam):
 
 
 def _table_diagnostics(circuit, tables):
-    """A note per block whose table holds NaN or an all -inf row, in plan order."""
+    """A note per plan member whose table holds NaN or an all -inf row, in plan order."""
     notes = []
     for group, table in zip(circuit.plan, tables):
         nan = np.isnan(table).any(axis=(1, 2))
         dead = np.isneginf(table).all(axis=2).any(axis=1)
         for position in np.flatnonzero(nan | dead):
             fault = "table contains NaN" if nan[position] else "some sample rows are entirely -inf"
-            notes.append(f"{group.blocks[position]}: {fault}")
+            notes.append(f"plan group {group.index}, member {position} "
+                         f"({group.kind} on region {group.regions[position]}): {fault}")
     return notes
 
 
@@ -246,12 +247,9 @@ def backward_gradients(
         )
 
     d_flat = np.zeros_like(params.flat)
-    root = circuit.root_block
     grad_tables: list = [None] * len(circuit.plan)
-    grad_tables[root.group] = np.zeros_like(tables[root.group])
-    grad_tables[root.group][root.position] = _objective_root_gradient(
-        roots, labels, circuit.num_vars, lam
-    )
+    # the root is the one member of the last group
+    grad_tables[-1] = _objective_root_gradient(roots, labels, circuit.num_vars, lam)[None]
 
     for group in reversed(circuit.plan):
         # each table gradient and kernel is read once: free it after
@@ -271,7 +269,8 @@ def sample_input_dropout_mask(num_vars, batch_size, keep_rate, rng) -> np.ndarra
     """Missing-variable mask: each entry kept with probability ``keep_rate``."""
     check_real("keep rate", keep_rate, 0, 1, "(]")
     shape = (check_int("batch_size", batch_size, 0), check_int("num_vars", num_vars, 1))
-    return rng.random(shape) >= keep_rate
+    with too_large("dropout mask"):
+        return rng.random(shape) >= keep_rate
 
 
 def sample_sum_dropout_mask(
@@ -291,9 +290,10 @@ def sample_sum_dropout_mask(
     for group in circuit.plan:
         if not group.runs:  # a leaf group, or a single-variable root mixing leaves
             continue
-        keep = rng.random((len(group.blocks), batch_size, group.columns)) < keep_rate
-        while (dead := ~keep.any(axis=2)).any():
-            keep[dead] = rng.random((int(dead.sum()), group.columns)) < keep_rate
+        with too_large("dropout mask"):
+            keep = rng.random((len(group.regions), batch_size, group.columns)) < keep_rate
+            while (dead := ~keep.any(axis=2)).any():
+                keep[dead] = rng.random((int(dead.sum()), group.columns)) < keep_rate
         masks[group.index] = keep
     return masks
 
@@ -349,6 +349,7 @@ def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState, confi
 
 def evaluate_metrics(circuit, params, features, labels, lam):
     """Dropout-free objective / CE / nLL / accuracy over a whole dataset."""
+    check_real("lambda", lam, 0, 1)
     roots = forward_log(circuit, params, features)
     ce = cross_entropy(roots, labels)
     nll = neg_log_likelihood(roots, labels, circuit.num_vars)

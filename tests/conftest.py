@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 import randspn as rs
-from randspn.circuit import LEAF, PRODUCT, SUM, sum_terms
+from randspn.circuit import LEAF, SUM, sum_terms
 from randspn.inference import _log_inputs, _mix
 
 
@@ -27,32 +27,78 @@ def partitions_of(graph, region):
     return [part for part in graph.partitions if part.parent is region]
 
 
-def wiring_mirrors_graph(circuit) -> bool:
-    """Whether the circuit's blocks mirror its region graph.
+def plan_members(circuit):
+    """{(kind, region index): (plan group, member)} of every member of the plan."""
+    return {
+        (group.kind, region): (group.index, member)
+        for group in circuit.plan
+        for member, region in enumerate(group.regions)
+    }
 
-    The root block sits on region 0, a region that no partition splits holds
-    a leaf block, each other sum block reads, in index order, the products of
-    the partitions that name its region as parent, and each product reads its
-    partition's children's blocks. On a graph that passes
+
+def factor_members(circuit, group, member):
+    """The (plan group, member) pairs a sum member's runs take, left then right
+    factor of each partition in partition order, or its reads if it has no runs."""
+    if not group.runs:
+        return [(source, int(k)) for source, at, _ in group.reads for k in at[member]]
+    taken = []
+    for run in group.runs:
+        for j in range(run.shape[0]):
+            for read, slots in (run.left, run.right):
+                source, at, _ = group.reads[read]
+                taken.append((source, int(at[member, slots.start + j])))
+    return taken
+
+
+def leaf_members(circuit):
+    """(plan group, member, region) of every leaf member, in region order."""
+    return sorted(
+        (
+            (group, member, circuit.graph.regions[index])
+            for group in circuit.plan if group.kind == LEAF
+            for member, index in enumerate(group.regions)
+        ),
+        key=lambda leaf: leaf[2].index,
+    )
+
+
+def wiring_mirrors_graph(circuit) -> bool:
+    """Whether the circuit's layer plan mirrors its region graph.
+
+    Each region is one plan member: a sum member if a partition splits it,
+    else a leaf member whose scope is the region's; a single-variable root
+    also has a sum member that reads only its own leaves. The root is the
+    one member of the last group. A sum member's runs take, in partition
+    order, the left and right child of each partition that splits its
+    region, and cover its input columns once. On a graph that passes
     ``validate_region_graph`` this makes the circuit complete and decomposable.
     """
-    graph, region_block = circuit.graph, circuit.region_block
-    split: dict[int, list] = {}  # id(region) -> the partitions that split it
-    for part in graph.partitions:
-        split.setdefault(id(part.parent), []).append(part)
-    ok = circuit.root_block.node is graph.regions[0]
+    graph, plan = circuit.graph, circuit.plan
+    where = plan_members(circuit)
+    ok = plan[-1].regions == (graph.root.index,)
+    ok &= len(where) == sum(len(group.regions) for group in plan)  # no region twice per kind
     for region in graph.regions:
-        block = region_block[region.index]
-        ok &= block.node is region
-        parts = split.get(id(region), [])
+        parts = partitions_of(graph, region)
+        node = (SUM if parts else LEAF, region.index)
+        ok &= node in where
+        if not ok:
+            return False
+        group, member = plan[where[node][0]], where[node][1]
         if not parts:
-            ok &= block.kind == LEAF or [b.kind for b in block.inputs] == [LEAF]
+            ok &= list(group.scope[member]) == list(region.scope)
+            sums = where.get((SUM, region.index))
+            if sums is not None:  # only a single-variable root mixes its own leaves
+                ok &= region is graph.root and factor_members(
+                    circuit, plan[sums[0]], sums[1]) == [where[node]]
             continue
-        ok &= block.kind == SUM and [b.node for b in block.inputs] == parts
-        for product, part in zip(block.inputs, parts):
-            ok &= product.kind == PRODUCT and product.inputs == tuple(
-                region_block[child.index] for child in part.children
-            )
+        ok &= (LEAF, region.index) not in where
+        ok &= [i for run in group.runs for i in range(run.parts.start, run.parts.stop)] == list(
+            range(len(parts)))
+        ok &= [c for run in group.runs for c in range(run.columns.start, run.columns.stop)] == list(
+            range(group.columns))
+        children = [(SUM if partitions_of(graph, child) else LEAF, child.index)
+                    for part in parts for child in part.children]
+        ok &= factor_members(circuit, group, member) == [where[child] for child in children]
     return ok
 
 
@@ -74,13 +120,13 @@ def root_second(doc):
         }
 
 
-def block_matrices(circuit, params, name):
-    """{block index: matrix} of one parameter name, each a view of ``params.flat``."""
+def region_matrices(circuit, params, name):
+    """{region index: matrix} of one parameter name, each a view of ``params.flat``."""
     return {
-        block.index: matrix
+        region: matrix
         for tensor in params.layout
         if tensor.name == name
-        for block, matrix in zip(circuit.plan[tensor.group].blocks, tensor.view(params.flat))
+        for region, matrix in zip(circuit.plan[tensor.group].regions, tensor.view(params.flat))
     }
 
 

@@ -41,12 +41,12 @@ def test_computed_counts_match_the_plan(num_vars):
         return [group for group in circuit.plan if group.kind == kind]
 
     def table_bytes(kind):
-        return sum(8 * len(g.blocks) * g.width * g.columns for g in members(kind))
+        return sum(8 * len(g.regions) * g.width * g.columns for g in members(kind))
 
     assert counts == {
-        "computed.inference.blocks_per_pass.leaf": sum(len(g.blocks) for g in members("leaf")),
+        "computed.inference.blocks_per_pass.leaf": sum(len(g.regions) for g in members("leaf")),
         "computed.inference.blocks_per_pass.product": len(graph.partitions),
-        "computed.inference.blocks_per_pass.sum": sum(len(g.blocks) for g in members("sum")),
+        "computed.inference.blocks_per_pass.sum": sum(len(g.regions) for g in members("sum")),
         # one training step and one metrics pass over every sample
         "computed.inference.forward_passes_per_sample": 2.0,
         "computed.inference.sum_bytes_per_sample": table_bytes("sum"),

@@ -1,36 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import randspn as rs
-from randspn.circuit import LEAF, PRODUCT, SUM, parameter_layout
+from randspn.circuit import LEAF, SUM, parameter_layout
 from randspn.errors import InvalidInput, StructureError
 from randspn.inference import logsumexp
 from randspn.region_graph import Region
-from conftest import block_matrices, wiring_mirrors_graph
+from conftest import (
+    leaf_members, partitions_of, plan_members, region_matrices, wiring_mirrors_graph,
+)
 
 
 def test_worked_example_block_widths():
     # 7 vars, 3 classes, depth 2, 2 repetitions, 2 sums, 2 leaves per region
     graph = rs.random_region_graph(7, 2, 2, seed=123)
     circuit = rs.construct_circuit(graph, classes_C=3, sums_S=2, leaves_I=2)
-    assert circuit.root_block.width == 3
-    for block in circuit.blocks:
-        if block.kind == SUM and block is not circuit.root_block:
-            assert block.width == 2
-        if block.kind == LEAF:
-            assert block.width == 2
+    assert circuit.plan[-1].regions == (0,) and circuit.plan[-1].width == 3
+    for group in circuit.plan[:-1]:  # every inner sum and every leaf
+        assert group.width == 2
     assert wiring_mirrors_graph(circuit)
 
 
 def test_two_variable_cross_product_wiring():
     graph = rs.random_region_graph(2, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, classes_C=1, sums_S=1, leaves_I=2)
-    root = circuit.root_block
+    root = circuit.plan[-1]
     assert root.width == 1
-    assert [b.kind for b in root.inputs] == [PRODUCT]
-    assert root.inputs[0].width == 4  # 2 x 2 products pairing the leaf blocks
+    assert [run.shape for run in root.runs] == [(1, 2, 2)]  # one partition's 2 x 2 products
+    assert root.columns == 4
     params = rs.init_parameters(circuit, seed=1)
-    assert block_matrices(circuit, params, "sum_logits")[root.index].shape == (1, 4)
+    assert region_matrices(circuit, params, "sum_logits")[0].shape == (1, 4)
 
 
 def test_stack_depth_is_twice_the_split_depth(rng):
@@ -59,6 +59,7 @@ def test_single_variable_circuit_is_a_mixture_over_leaves():
     counts = rs.count_parameters(circuit)
     assert counts == {"num_sum_logits": 1, "num_leaf_params": 1, "total": 2}
     assert wiring_mirrors_graph(circuit)
+    assert circuit.stack_depth() == 1  # one sum layer over the leaves
     params = rs.init_parameters(circuit, seed=0)
     roots = rs.forward_log(circuit, params, np.zeros((3, 1)))
     assert roots.shape == (3, 1)
@@ -134,7 +135,7 @@ def test_normalized_weights_sum_to_one(rng):
     graph = rs.random_region_graph(9, 2, 2, seed=17)
     circuit = rs.construct_circuit(graph, 3, 3, 2)
     params = rs.init_parameters(circuit, seed=3)
-    for idx, logits in block_matrices(circuit, params, "sum_logits").items():
+    for logits in region_matrices(circuit, params, "sum_logits").values():
         logits = logits + rng.normal(0, 2.0, logits.shape)
         weights = np.exp(logits - logsumexp(logits)[..., None])
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
@@ -159,10 +160,58 @@ def test_data_aware_initialization_tracks_feature_stats():
     mu = np.linspace(10.0, 20.0, 6)
     sd = np.full(6, 0.01)
     params = rs.init_parameters(circuit, seed=0, feature_stats=(mu, sd))
-    for block in (b for b in circuit.blocks if b.kind == LEAF):
-        means = block_matrices(circuit, params, "leaf_means")[block.index]
-        expected = mu[list(block.scope)]
+    for region, means in region_matrices(circuit, params, "leaf_means").items():
+        expected = mu[list(circuit.graph.regions[region].scope)]
         assert np.abs(means - expected[None, :]).max() < 0.1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    config=st.tuples(*[st.integers(1, 3)] * 5),  # depth, repetitions, C, S, I
+    num_vars=st.integers(1, 9),
+    leaf_family=st.sampled_from(["gaussian", "bernoulli"]),
+    train_variance=st.booleans(),
+    data_aware=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example((2, 2, 2, 2, 2), 1, "gaussian", True, True, 0)  # one variable: leaves, then sums
+@example((2, 3, 3, 3, 2), 9, "gaussian", False, True, 1)  # C == S
+@example((2, 4, 2, 3, 2), 5, "bernoulli", False, False, 2)  # leaf scopes of sizes 1 and 2
+def test_init_draws_fill_regions_in_region_order_leaves_first(
+    config, num_vars, leaf_family, train_variance, data_aware, seed
+):
+    # the contract of the random stream: the k-th group of draws fills the
+    # k-th region, in graph.regions order, a region's leaves before its sums
+    depth, repetitions, classes, sums, leaves = config
+    graph = rs.random_region_graph(num_vars, depth, repetitions, seed)
+    circuit = rs.construct_circuit(graph, classes, sums, leaves, leaf_family)
+    stats_rng = np.random.default_rng(seed + 1)
+    stats = (stats_rng.normal(size=num_vars), stats_rng.uniform(0.5, 2.0, num_vars))
+    gaussian = leaf_family == "gaussian"
+    stats = stats if data_aware and gaussian else None
+    params = rs.init_parameters(circuit, seed, stats, train_variance)
+    leaf_name = "leaf_means" if gaussian else "leaf_logits"
+    got = {name: region_matrices(circuit, params, name) for name in (leaf_name, "sum_logits")}
+
+    def width(region):
+        return sums if partitions_of(graph, region) else leaves
+
+    rng = np.random.default_rng(seed)
+    for region in graph.regions:
+        parts = partitions_of(graph, region)
+        if not parts:
+            scope = list(region.scope)
+            z = rng.standard_normal((leaves, len(scope)))
+            want = z if stats is None else stats[0][scope] + stats[1][scope] * z
+            np.testing.assert_array_equal(got[leaf_name][region.index], want)
+        if parts or region is graph.root:
+            columns = sum(width(a) * width(b) for a, b in (p.children for p in parts)) or leaves
+            rows = classes if region is graph.root else sums
+            want = rng.normal(0.0, 1e-2, (rows, columns))
+            np.testing.assert_array_equal(got["sum_logits"][region.index], want)
+    assert set(got["sum_logits"]) | set(got[leaf_name]) == {r.index for r in graph.regions}
+    if train_variance and gaussian:
+        assert not any(m.any() for m in region_matrices(circuit, params, "leaf_log_vars").values())
 
 
 @pytest.mark.parametrize(
@@ -170,6 +219,7 @@ def test_data_aware_initialization_tracks_feature_stats():
     [
         ((64, 2, 8, 10, 8, 8), ["leaf", "sum", "sum"]),
         ((784, 3, 10, 10, 10, 10), ["leaf", "sum", "sum", "sum"]),
+        ((1, 2, 3, 2, 2, 2), ["leaf", "sum"]),  # a single-variable root mixing its leaves
     ],
 )
 def test_plan_has_one_group_per_layer_on_even_splits(config, kinds):
@@ -178,17 +228,25 @@ def test_plan_has_one_group_per_layer_on_even_splits(config, kinds):
     circuit = rs.construct_circuit(graph, classes, sums, leaves)
     assert [group.kind for group in circuit.plan] == kinds
     assert len(parameter_layout(circuit)) == len(kinds)  # one tensor per plan group
-    placed = [(b.group, b.position) for b in circuit.blocks if b.kind != PRODUCT]
-    assert sorted(placed) == sorted(
-        (g.index, k) for g in circuit.plan for k in range(len(g.blocks))
-    )
+    assert circuit.plan[-1].regions == (graph.root.index,)  # the root: last group, member 0
+    where = plan_members(circuit)
+    assert len(where) == sum(len(group.regions) for group in circuit.plan)  # no member twice
+    split = {r.index for r in graph.regions if partitions_of(graph, r)}
+    assert sorted(r for kind, r in where if kind == SUM) == sorted(split | {graph.root.index})
+    assert sorted(r for kind, r in where if kind == LEAF) == sorted(
+        r.index for r in graph.regions if r.index not in split)
+
+    def member_of(region):
+        return where[SUM if region.index in split else LEAF, region.index]
+
     for group in circuit.plan:
-        for position, block in enumerate(group.blocks):
-            assert (block.group, block.position) == (group.index, position)
-            assert block.width == group.width
-            factors = [p.inputs[side] for side in (0, 1) for p in block.inputs]
-            taken = [(src, k) for src, at, _ in group.reads for k in at[position]]
-            assert sorted(taken) == sorted((f.group, f.position) for f in factors)
+        for member, index in enumerate(group.regions):
+            parts = partitions_of(graph, graph.regions[index])
+            factors = [member_of(child) for part in parts for child in part.children]
+            if group.kind == SUM and not parts:  # a single-variable root reads its own leaves
+                factors = [where[LEAF, index]]
+            taken = [(src, k) for src, at, _ in group.reads for k in at[member]]
+            assert sorted(taken) == sorted(factors)
 
 
 @pytest.mark.parametrize("leaf_family, train_variance", [
@@ -207,9 +265,9 @@ def test_stacked_parameters_are_zero_copy_views_of_flat(leaf_family, train_varia
         for name in names[group.kind]:
             stacked = params.stacked(name, group)
             assert np.shares_memory(stacked, params.flat)
-            per_block = block_matrices(circuit, params, name)
+            per_region = region_matrices(circuit, params, name)
             np.testing.assert_array_equal(
-                stacked, np.stack([per_block[b.index] for b in group.blocks])
+                stacked, np.stack([per_region[region] for region in group.regions])
             )
 
 
@@ -218,7 +276,7 @@ def _assert_read_only(circuit, params):
     sum_group = next(g for g in circuit.plan if g.kind == SUM)
     for array in (
         params.flat,
-        block_matrices(circuit, params, "sum_logits")[circuit.root_block.index],
+        region_matrices(circuit, params, "sum_logits")[circuit.graph.root.index],
         params.stacked("sum_logits", sum_group),
     ):
         assert not array.flags.writeable
@@ -307,9 +365,9 @@ def test_the_centre_is_the_mean_leaf_mean_where_it_exceeds_the_spread(leaf_famil
         np.testing.assert_array_equal(params.centre, np.zeros(5))
         return
     flat, means = params.flat.copy(), [[] for _ in range(5)]
-    for block in (b for b in circuit.blocks if b.kind == "leaf"):
-        matrix = params.stacked("leaf_means", circuit.plan[block.group], flat)[block.position]
-        for column, var in enumerate(block.scope):
+    for group, member, region in leaf_members(circuit):
+        matrix = params.stacked("leaf_means", group, flat)[member]
+        for column, var in enumerate(region.scope):
             for row in range(len(matrix)):
                 matrix[row, column] = (10.0, -10.0, 10.0, 0.0, 0.0)[var] + (-1) ** len(means[var])
                 means[var].append(matrix[row, column])

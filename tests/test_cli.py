@@ -288,7 +288,7 @@ def test_overflowing_training_input_exits_4(tmp_path, blob_csv, capsys):
         "--init", "normal", "--out", str(tmp_path / "h"),
     ]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure:") and "Block#" in err
+    assert err.startswith("numeric failure:") and "plan group" in err
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 """The two quick demos run to completion against the package in ``src/``.
 
-Demos 03-05 train desk-scale models for a minute or more each and are left
+Demos 03-05 train desk-scale models in about 5, 3 and 3 s each (2-core
+Xeon); together they would add about 12 s to the suite, so they are left
 to be run by hand.
 """
 

@@ -6,8 +6,11 @@ traceback."""
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from randspn.errors import (
     check_real,
 )
 from randspn.region_graph import MAX_REPETITIONS
-from randspn.training import sample_input_dropout_mask, sample_sum_dropout_mask
+from randspn.training import evaluate_metrics, sample_input_dropout_mask, sample_sum_dropout_mask
 
 OURS = (InvalidInput, StructureError, DataFormatError, NumericFailure)
 # typed pools: zero, negative, beyond int64, fractional, non-finite, wrong kinds
@@ -33,6 +36,15 @@ def save_idx(**kwargs):
     with tempfile.TemporaryDirectory() as scratch:
         rs.save_idx(image_path=os.path.join(scratch, "images"),
                     label_path=os.path.join(scratch, "labels"), **kwargs)
+
+
+def load_csv(**kwargs):
+    """``rs.load_csv`` of a three-column labelled CSV, written to a directory removed afterwards."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "data.csv")
+        with open(path, "w") as handle:
+            handle.write("0,0.5,1\n1,0.25,2\n")
+        return rs.load_csv(path, **kwargs)
 
 
 @cache
@@ -87,6 +99,10 @@ def calls():
         "train": (rs.train, dict(circuit=circuit, params=params, train_data=data,
                                  valid_data=data, config=rs.TrainConfig(epochs=1))),
         "save_idx": (save_idx, dict(features=np.zeros((2, 4)), labels=[1, 2], rows=2, cols=2)),
+        "evaluate_metrics": (evaluate_metrics, dict(
+            circuit=circuit, params=params, features=data.features[:2], labels=[1, 2], lam=0.5)),
+        "empirical_log_prior": (rs.empirical_log_prior, dict(labels=[1, 2], num_classes=2)),
+        "load_csv": (load_csv, dict(label_column="last", has_header=False)),
     }
 
 
@@ -125,6 +141,9 @@ ARGUMENTS = [
 @example(("init_parameters of a new circuit", "leaves_I"), 2**62)
 @example(("init_parameters of a new circuit", "classes_C"), 2**62)
 @example(("random_region_graph", "repetitions"), MAX_REPETITIONS + 1)
+@example(("evaluate_metrics", "lam"), "abc")
+@example(("empirical_log_prior", "num_classes"), "abc")
+@example(("load_csv", "label_column"), "abc")
 def test_a_malformed_argument_raises_only_the_packages_errors(target, value):
     # a call either succeeds or raises an error of the package; warnings are
     # errors in this suite, so a call that warns fails too
@@ -157,9 +176,64 @@ def test_a_rate_or_fraction_of_bool_type_is_refused():
             call()
 
 
+def test_values_once_silently_accepted_are_refused():
+    function, kwargs = calls()["evaluate_metrics"]
+    with pytest.raises(InvalidInput, match="^lambda must be in"):
+        function(**dict(kwargs, lam=5))
+    for column in (5.7, True):  # once cut to 5 and read as column 1
+        with pytest.raises(InvalidInput, match="^label_column must be"):
+            load_csv(label_column=column)
+    assert load_csv(label_column=np.int64(0)).labels.tolist() == [1, 2]
+
+
 def test_repetitions_above_the_cap_are_refused():
     with pytest.raises(InvalidInput, match=f"^repetitions must be in \\[1, {MAX_REPETITIONS}\\]"):
         rs.random_region_graph(4, 1, MAX_REPETITIONS + 1, seed=0)
+
+
+# a caller size of 2**40, which no machine holds, for each public function
+# that allocates by one: (call, argument, value)
+HUGE = 2**40
+OVERSIZED = [
+    ("random_region_graph", "num_vars", HUGE),
+    ("init_parameters of a new circuit", "leaves_I", HUGE),
+    ("uniform_log_prior", "num_classes", HUGE),
+    ("empirical_log_prior", "num_classes", HUGE),
+    ("random_missing_mask", "dataset_or_shape", (HUGE, HUGE)),
+    ("sample_input_dropout_mask", "num_vars", HUGE),
+    ("sample_input_dropout_mask", "batch_size", HUGE),
+    ("sample_sum_dropout_mask", "batch_size", HUGE),
+    ("make_synthetic_classes", "num_samples", HUGE),
+    ("make_synthetic_classes", "side", HUGE),
+    ("make_uniform_noise", "num_samples", HUGE),
+    ("make_uniform_noise", "side", HUGE),
+]
+# run in a child that caps its own address space at 2 GiB before numpy
+# loads, so that no call can allocate for real, whatever the host allows
+_OVERSIZED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+sys.path[:0] = sys.argv[1:3]
+from test_error_contract import OVERSIZED, calls
+from randspn.errors import InvalidInput
+for name, arg, value in OVERSIZED:
+    function, kwargs = calls()[name]
+    try:
+        function(**dict(kwargs, **{arg: value}))
+    except InvalidInput as exc:
+        assert "too large" in str(exc), (name, arg, exc)
+    else:
+        raise AssertionError(f"{name} with {arg}={value} returned")
+"""
+
+
+def test_a_size_too_large_to_allocate_is_a_usage_error():
+    tests = Path(__file__).resolve().parent
+    child = subprocess.run(
+        [sys.executable, "-c", _OVERSIZED_CHILD, str(tests), str(tests.parent / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
 
 
 # typed pools of flag values: numbers, words and paths, the paths relative to

@@ -4,8 +4,8 @@ Every sum group above the leaves folds its products in: it exps each factor
 table once and mixes their outer products. These tests draw real plans
 (random region graphs, so uneven splits, shared child regions and
 multi-partition roots all occur) and feed each sum group random factor
-tables, then compare with ``LSE_k(l_i + r_j + log w)`` computed per block
-from the same tables.
+tables, then compare with ``LSE_k(l_i + r_j + log w)`` computed per member
+from the same tables, its products built from the region graph.
 """
 
 import warnings
@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp as reference_logsumexp
 
 import randspn as rs
-from randspn.circuit import PRODUCT, sum_terms
+from randspn.circuit import LEAF, SUM, sum_terms
 from randspn.inference import sum_block_forward, sum_group_kernel
 from randspn.oracle import finite_diff_gradient
 from randspn.training import _factor_gradients, sum_block_backward
+from conftest import partitions_of, plan_members
 
 
 def _random_tables(circuit, n, rng, scale, far=False):
@@ -33,7 +34,7 @@ def _random_tables(circuit, n, rng, scale, far=False):
     tables = [None] * len(circuit.plan)
     spread = 800.0 if far else scale
     for group in circuit.plan:
-        t = rng.normal(0.0, 1.0, (len(group.blocks), n, group.width)) * spread
+        t = rng.normal(0.0, 1.0, (len(group.regions), n, group.width)) * spread
         t += rng.normal(0.0, 20.0)
         t[rng.random(t.shape) < 0.15] = -np.inf
         rows = rng.random(t.shape[:2])
@@ -44,24 +45,30 @@ def _random_tables(circuit, n, rng, scale, far=False):
     return tables
 
 
-def _block_inputs(tables, block):
-    """(N, K) log-domain input table of one sum block, products built explicitly."""
-    def table(b):
-        return tables[b.group][b.position]
+def _member_inputs(circuit, tables, group, member):
+    """(N, K) log-domain input table of one sum member, products built explicitly
+    from the partitions of its region."""
+    graph, where = circuit.graph, plan_members(circuit)
 
-    if block.inputs[0].kind != PRODUCT:
-        return table(block.inputs[0])
+    def table(region):  # a region's sums if a partition splits it, else its leaves
+        source, at = where[SUM if partitions_of(graph, region) else LEAF, region.index]
+        return tables[source][at]
+
+    region = graph.regions[group.regions[member]]
+    parts = partitions_of(graph, region)
+    if not parts:  # a single-variable root mixes its own leaves
+        return table(region)
     columns = []
-    for product in block.inputs:
-        left, right = (table(b) for b in product.inputs)
+    for part in parts:
+        left, right = (table(child) for child in part.children)
         columns.append((left[:, :, None] + right[:, None, :]).reshape(len(left), -1))
     return np.concatenate(columns, axis=1)
 
 
-def _reference(tables, group, logits, keep):
+def _reference(circuit, tables, group, logits, keep):
     out = []
-    for position, block in enumerate(group.blocks):
-        values = _block_inputs(tables, block)
+    for position in range(len(group.regions)):
+        values = _member_inputs(circuit, tables, group, position)
         if keep is not None:
             values = np.where(keep[position], values, -np.inf)
         with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -97,10 +104,10 @@ def folded_cases(draw):
         if group.kind != "sum":
             continue
         k = group.columns
-        logits = rng.uniform(-0.5, 0.5, (len(group.blocks), group.width, k)) * spread
+        logits = rng.uniform(-0.5, 0.5, (len(group.regions), group.width, k)) * spread
         keep = None
         if drop is not None and group.runs:
-            keep = rng.random((len(group.blocks), n, k)) >= drop
+            keep = rng.random((len(group.regions), n, k)) >= drop
             keep[rng.random(keep.shape[:2]) < 0.2] = False  # rows dropping every column
         cases.append((group, logits, keep))
     return circuit, tables, cases
@@ -115,7 +122,7 @@ def test_folded_sums_match_the_log_domain_reference(case):
             warnings.simplefilter("error")  # no RuntimeWarning on dead rows
             kernel = sum_group_kernel(tables, group, sum_terms(logits), keep)
             got = sum_block_forward(kernel)
-        expected = _reference(tables, group, logits, keep)
+        expected = _reference(circuit, tables, group, logits, keep)
         assert got.shape == expected.shape
         assert not np.isnan(got).any()
         np.testing.assert_array_equal(np.isneginf(got), np.isneginf(expected))
@@ -123,8 +130,8 @@ def test_folded_sums_match_the_log_domain_reference(case):
         np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-12, atol=1e-9)
         # a row whose inputs all equal v gives v, bit for bit (all-missing rows give 0)
         if keep is None:
-            for position, block in enumerate(group.blocks):
-                values = _block_inputs(tables, block)
+            for position in range(len(group.regions)):
+                values = _member_inputs(circuit, tables, group, position)
                 same = (values == values[:, :1]).all(axis=1)
                 same &= np.isfinite(values[:, 0]) | np.isneginf(values).all(axis=1)
                 np.testing.assert_array_equal(
@@ -183,22 +190,22 @@ def test_dropout_rescue_keeps_a_far_column(far):
             tensor.view(flat)[:, 1] = far
     params = rs.ParameterSet(params.layout, flat)
     batch = np.zeros((3, 2))
-    root = circuit.root_block
+    root = circuit.plan[-1]  # the root's group, whose one member is the root
     keep = np.zeros((1, 3, 4), bool)
     keep[..., 3] = True
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = rs.forward_log(circuit, params, batch, sum_dropout={root.group: keep})
+        roots = rs.forward_log(circuit, params, batch, sum_dropout={root.index: keep})
     expected = np.log(0.25) + 2 * (-0.5 * np.log(2 * np.pi) - 0.5 * far**2)
     np.testing.assert_allclose(roots, expected, rtol=1e-14)
 
     # the rescued rows' gradients are those of the log-domain form
     labels = np.ones(3, int)
-    grads, _ = rs.backward_gradients(circuit, params, batch, labels, 0.0, None, {root.group: keep})
+    grads, _ = rs.backward_gradients(circuit, params, batch, labels, 0.0, None, {root.index: keep})
 
     def objective(work):
         probe = rs.ParameterSet(params.layout, work["flat"])
-        out = rs.forward_log(circuit, probe, batch, None, {root.group: keep})
+        out = rs.forward_log(circuit, probe, batch, None, {root.index: keep})
         return rs.hybrid_objective(out, labels, 2, 0.0)
 
     approx = finite_diff_gradient(objective, {"flat": params.flat}, 1e-5)["flat"]
@@ -209,16 +216,17 @@ def test_multi_partition_sum_scales_each_partition():
     # the root mixes 3 partitions whose factor shifts differ by up to 150 nats
     graph = rs.random_region_graph(4, 1, 4, seed=5)
     circuit = rs.construct_circuit(graph, 2, 2, 3)
-    root = circuit.plan[circuit.root_block.group]
+    root = circuit.plan[-1]
     assert root.runs and root.runs[-1].parts.stop == 3
     rng = np.random.default_rng(5)
     tables = [None] * len(circuit.plan)
     for src, at, _ in root.reads:
-        tables[src] = rng.normal(0.0, 3.0, (len(circuit.plan[src].blocks), 5, 3))
+        tables[src] = rng.normal(0.0, 3.0, (len(circuit.plan[src].regions), 5, 3))
         tables[src] -= 75.0 * rng.integers(0, 3, tables[src].shape[:2])[..., None]
     logits = rng.normal(0.0, 1.0, (1, 2, root.columns))
     got = sum_block_forward(sum_group_kernel(tables, root, sum_terms(logits)))
-    np.testing.assert_allclose(got, _reference(tables, root, logits, None), rtol=1e-13)
+    want = _reference(circuit, tables, root, logits, None)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_equal_rows_need_equal_partition_shifts_and_no_drop():
@@ -226,20 +234,21 @@ def test_equal_rows_need_equal_partition_shifts_and_no_drop():
     # is a genuine mixture, not an equal row
     graph = rs.random_region_graph(4, 1, 4, seed=5)
     circuit = rs.construct_circuit(graph, 1, 1, 3)
-    root = circuit.plan[circuit.root_block.group]
+    root = circuit.plan[-1]
     (src, at, _), = root.reads
     tables = [None] * len(circuit.plan)
-    tables[src] = np.zeros((len(circuit.plan[src].blocks), 2, 3))
+    tables[src] = np.zeros((len(circuit.plan[src].regions), 2, 3))
     tables[src][at[0, 0], 1] = -3.0  # partition 0 has shift -3 in sample 1
     logits = np.random.default_rng(0).normal(0.0, 1.0, (1, 1, root.columns))
     kernel = sum_group_kernel(tables, root, sum_terms(logits))
     got = sum_block_forward(kernel)
     assert got[0, 0, 0] == 0.0
-    np.testing.assert_allclose(got, _reference(tables, root, logits, None), rtol=1e-13)
+    want = _reference(circuit, tables, root, logits, None)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
     keep = np.ones((1, 2, root.columns), bool)
     keep[0, 0, 1] = False  # a dropped column makes sample 0 a mixture too
     kernel = sum_group_kernel(tables, root, sum_terms(logits), keep)
     np.testing.assert_allclose(
-        sum_block_forward(kernel), _reference(tables, root, logits, keep),
+        sum_block_forward(kernel), _reference(circuit, tables, root, logits, keep),
         rtol=1e-13,
     )

@@ -15,10 +15,12 @@ from randspn.training import sum_block_backward
 from randspn.oracle import enumerate_assignments
 from conftest import (
     block_kernel,
-    block_matrices,
+    partitions_of,
+    plan_members,
     quadrature_mass_2d,
     random_circuit,
     randomize_params,
+    region_matrices,
     sum_block_cases,
 )
 
@@ -209,7 +211,7 @@ def test_sum_dropout_masks_are_checked():
     circuit = rs.construct_circuit(graph, 2, 2, 2)
     params = rs.init_parameters(circuit, seed=0)
     batch = np.zeros((3, 4))
-    root = circuit.plan[circuit.root_block.group]
+    root = circuit.plan[-1]
     leaf = next(g for g in circuit.plan if g.kind == "leaf")
     keep = np.ones((1, 3, root.columns), bool)
     np.testing.assert_array_equal(
@@ -452,28 +454,28 @@ def test_scale_stability_leaf_shift(rng):
     params = randomize_params(rs.init_parameters(circuit, seed=2), rng)
     batch = rng.normal(size=(3, 4))
     _, tables, _ = rs.forward_log(circuit, params, batch, return_tables=True)
+    graph, where = circuit.graph, plan_members(circuit)
+    logits_of = region_matrices(circuit, params, "sum_logits")
 
     def forward_with_shift(k, var):
-        shifted = {}
+        def table(region):  # the engine's leaf tables; products and sums rebuilt from the graph
+            parts = partitions_of(graph, region)
+            if not parts:
+                group, member = where["leaf", region.index]
+                t = tables[group][member].copy()
+                if set(region.scope) == {var}:
+                    t += k
+                return t
+            products = []
+            for part in parts:
+                left, right = (table(child) for child in part.children)
+                products.append((left[:, :, None] + right[:, None, :]).reshape(len(batch), -1))
+            x = np.concatenate(products, axis=1)
+            logits = logits_of[region.index]
+            log_w = logits - logsumexp(logits)[..., None]
+            return logsumexp(x[:, None, :] + log_w[None, :, :])
 
-        def table(block):
-            if block.index not in shifted:
-                if block.kind == "leaf":
-                    t = tables[block.group][block.position].copy()
-                    if set(block.scope) == {var}:
-                        t += k
-                elif block.kind == "product":
-                    left, right = (table(b) for b in block.inputs)
-                    t = (left[:, :, None] + right[:, None, :]).reshape(len(batch), block.width)
-                else:
-                    x = np.concatenate([table(b) for b in block.inputs], axis=1)
-                    logits = block_matrices(circuit, params, "sum_logits")[block.index]
-                    log_w = logits - logsumexp(logits)[..., None]
-                    t = logsumexp(x[:, None, :] + log_w[None, :, :])
-                shifted[block.index] = t
-            return shifted[block.index]
-
-        return table(circuit.root_block)
+        return table(graph.root)
 
     base = forward_with_shift(0.0, 1)
     moved = forward_with_shift(2.5, 1)

@@ -10,6 +10,7 @@ from randspn.leaves import (
     gaussian_terms,
     leaf_statistics,
 )
+from conftest import leaf_members
 
 
 def group_call(terms, values, missing=None, centre=0.0):
@@ -239,19 +240,19 @@ def test_expanded_leaf_meets_its_cancellation_bound_on_unscaled_pixels():
     )
     rng = np.random.default_rng(6)
     flat = params.flat.copy()
-    for block in (b for b in circuit.blocks if b.kind == "leaf"):
-        log_vars = params.stacked("leaf_log_vars", circuit.plan[block.group], flat)
-        noise = rng.normal(0.0, 0.3, log_vars[block.position].shape)
-        log_vars[block.position] = 2.0 * np.log(stds[list(block.scope)]) + noise
+    for group, member, region in leaf_members(circuit):
+        log_vars = params.stacked("leaf_log_vars", group, flat)
+        noise = rng.normal(0.0, 0.3, log_vars[member].shape)
+        log_vars[member] = 2.0 * np.log(stds[list(region.scope)]) + noise
     params = rs.ParameterSet(params.layout, flat)
     model = load_model_dict(model_to_dict(circuit, params))
     missing = rng.random(pixels.shape) < 0.2
     eps = np.finfo(float).eps
     worst = 0.0
-    for block in (b for b in circuit.blocks if b.kind == "leaf"):
-        group, scope = circuit.plan[block.group], list(block.scope)
-        means = params.stacked("leaf_means", group)[block.position]  # (I, d)
-        variances = clamped_variances(params.stacked("leaf_log_vars", group)[block.position])
+    for group, member, region in leaf_members(circuit):
+        scope = list(region.scope)
+        means = params.stacked("leaf_means", group)[member]  # (I, d)
+        variances = clamped_variances(params.stacked("leaf_log_vars", group)[member])
         observed, centre = ~missing[:, scope], params.centre[scope]
         x = np.where(observed, pixels[:, scope] - centre, 0.0)
         got = gaussian(pixels[:, scope], means, variances, missing[:, scope], centre)
@@ -261,9 +262,9 @@ def test_expanded_leaf_meets_its_cancellation_bound_on_unscaled_pixels():
         for n, row in enumerate(pixels):
             gone = set(np.flatnonzero(missing[n]).tolist())
             for i in range(len(means)):
-                want = math.log(model._leaf_value(block.node.index, i, row, gone))
+                want = math.log(model._leaf_value(region.index, i, row, gone))
                 error = abs(got[n, i] - want)
-                assert error <= bound[n, i], (block, n, i, error, bound[n, i])
+                assert error <= bound[n, i], (region, n, i, error, bound[n, i])
                 worst = max(worst, error / bound[n, i])
     assert 0.0 < worst < 1.0
     assert (params.centre != 0).any()

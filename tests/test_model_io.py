@@ -353,7 +353,9 @@ def mutated_documents(draw):
 
 def _wiring(circuit):
     return circuit.leaf_family, [
-        (b.kind, b.width, b.scope, [i.index for i in b.inputs]) for b in circuit.blocks
+        (g.kind, g.regions, g.width, g.columns, None if g.scope is None else g.scope.tolist(),
+         [(source, at.tolist()) for source, at, _ in g.reads], g.runs)
+        for g in circuit.plan
     ]
 
 

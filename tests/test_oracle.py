@@ -31,10 +31,9 @@ def test_single_bernoulli_leaf_model():
     graph = rs.random_region_graph(1, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, 1, 1, 1, leaf_family="bernoulli")
     params = rs.init_parameters(circuit, seed=0)
-    block = circuit.root_block.inputs[0]
+    leaves = circuit.plan[0]  # the root's own leaves, its one leaf member
     flat = params.flat.copy()
-    logits = params.stacked("leaf_logits", circuit.plan[block.group], flat)
-    logits[block.position] = 0.0  # p = 0.5
+    params.stacked("leaf_logits", leaves, flat)[0] = 0.0  # p = 0.5
     params = rs.ParameterSet(params.layout, flat)
     model = load_model_dict(model_to_dict(circuit, params))
     table = brute_force_mass(model)

@@ -19,10 +19,12 @@ from randspn.training import (
 from randspn.oracle import enumerate_assignments, finite_diff_gradient, load_model_dict
 from conftest import (
     block_kernel,
-    block_matrices,
+    leaf_members,
     partitions_of,
+    plan_members,
     random_circuit,
     randomize_params,
+    region_matrices,
     sum_block_cases,
 )
 
@@ -143,7 +145,7 @@ def test_gradients_match_finite_differences(rng):
         batch = rng.normal(size=(5, circuit.num_vars))
         labels = rng.integers(1, circuit.classes_C + 1, 5)
         grads = _fd_check(circuit, params, batch, labels, lam)
-        for logit_grad in block_matrices(circuit, grads, "sum_logits").values():
+        for logit_grad in region_matrices(circuit, grads, "sum_logits").values():
             assert np.abs(logit_grad.sum(axis=1)).max() < 1e-10
 
 
@@ -180,9 +182,9 @@ def test_gradients_respect_masks_and_dropout(rng):
         circuit, params, batch, labels, 0.0, np.ones((4, 6), bool)
     )
     assert obj == 0.0
-    for arr in block_matrices(circuit, grads, "leaf_means").values():
+    for arr in region_matrices(circuit, grads, "leaf_means").values():
         np.testing.assert_array_equal(arr, np.zeros_like(arr))
-    for arr in block_matrices(circuit, grads, "sum_logits").values():
+    for arr in region_matrices(circuit, grads, "sum_logits").values():
         assert np.abs(arr).max() < 1e-15
 
 
@@ -253,14 +255,18 @@ def test_gradients_with_a_dead_row_in_an_inner_sum_block(rng):
     batch = rng.normal(size=(4, 4))
     labels = rng.integers(1, 3, 4)
     sum_dropout = rs.sample_sum_dropout_mask(circuit, 0.6, 4, rng)
-    inner = [b for b in circuit.blocks if b.kind == "sum" and b is not circuit.root_block]
+    inner = sorted(  # (region, plan group, member) of each sum below the root
+        (region, group.index, member)
+        for group in circuit.plan[:-1] if group.kind == "sum"
+        for member, region in enumerate(group.regions)
+    )
     assert len(inner) == 4  # the two repetitions split the root differently
-    dead = inner[0]
-    sum_dropout[dead.group][dead.position, 1] = False
+    _, dead, member = inner[0]
+    sum_dropout[dead][member, 1] = False
     roots, tables, _ = rs.forward_log(
         circuit, params, batch, sum_dropout=sum_dropout, return_tables=True
     )
-    assert np.isneginf(tables[dead.group][dead.position][1]).all()
+    assert np.isneginf(tables[dead][member][1]).all()
     assert np.isfinite(roots).all()
     _fd_check(circuit, params, batch, labels, 0.5, None, sum_dropout)
 
@@ -286,10 +292,9 @@ def test_masked_inputs_get_exactly_zero_gradient(num_vars, leaf_family, batch_si
         circuit, params, batch, labels, 0.5, missing, sum_dropout
     )
     name = "leaf_means" if leaf_family == "gaussian" else "leaf_logits"
-    leaf_grads = block_matrices(circuit, grads, name)
-    for block in (b for b in circuit.blocks if b.kind == "leaf"):
-        columns = hidden[list(block.scope)]
-        assert np.all(leaf_grads[block.index][:, columns] == 0.0)
+    for region, leaf_grads in region_matrices(circuit, grads, name).items():
+        columns = hidden[list(circuit.graph.regions[region].scope)]
+        assert np.all(leaf_grads[:, columns] == 0.0)
     assert np.isfinite(grads.flat).all()
 
 
@@ -311,11 +316,11 @@ def test_masked_entries_add_exactly_zero_to_gradients(rng, leaf_family):
     name = "leaf_means" if leaf_family == "gaussian" else "leaf_logits"
     wild = params.flat.copy()
     columns = np.zeros(params.flat.shape, bool)
-    for block in (b for b in circuit.blocks if b.kind == "leaf" and 2 in b.scope):
-        group = circuit.plan[block.group]
-        column = block.scope.index(2)
-        params.stacked(name, group, wild)[block.position][:, column] = 1e200
-        params.stacked(name, group, columns)[block.position][:, column] = True
+    for group, member, region in leaf_members(circuit):
+        if 2 in region.scope:
+            column = region.scope.index(2)
+            params.stacked(name, group, wild)[member][:, column] = 1e200
+            params.stacked(name, group, columns)[member][:, column] = True
     wild_batch = batch.copy()
     wild_batch[:, 2] = np.nan
 
@@ -335,15 +340,19 @@ def test_non_finite_objective_raises_with_diagnostics(rng):
     batch = rng.normal(size=(3, 4))
     labels = np.array([1, 2, 1])
     # kill every root input column for one sample, bypassing the keep-one guard
-    root = circuit.root_block
-    keep = np.ones((1, 3, sum(b.width for b in root.inputs)), bool)
+    root = circuit.plan[-1]
+    keep = np.ones((1, 3, root.columns), bool)
     keep[0, 0, :] = False
     with pytest.raises(NumericFailure) as excinfo:
         rs.backward_gradients(
-            circuit, params, batch, labels, 1.0, sum_dropout={root.group: keep}
+            circuit, params, batch, labels, 1.0, sum_dropout={root.index: keep}
         )
     assert any("-inf" in note for note in excinfo.value.diagnostics)
-    assert any("Block#" in note for note in excinfo.value.diagnostics)
+    assert any("plan group" in note for note in excinfo.value.diagnostics)
+    assert excinfo.value.diagnostics[-1] == (
+        f"plan group {root.index}, member 0 (sum on region 0): "
+        "some sample rows are entirely -inf"
+    )
 
 
 def test_input_dropout_mask_sampler(rng):
@@ -370,7 +379,7 @@ def test_sum_dropout_sampler(rng):
     # and the keep-one guard means no row is ever empty
     graph4 = rs.random_region_graph(4, 1, 1, seed=3)
     circuit4 = rs.construct_circuit(graph4, 1, 2, 2)
-    root = circuit4.root_block.group  # the root's group has one member
+    root = circuit4.plan[-1].index  # the root's group has one member
     counts = []
     sampler_rng = np.random.default_rng(7)
     for _ in range(400):
@@ -399,7 +408,7 @@ def test_sum_dropout_sampler_draws_group_by_group():
     rng = np.random.default_rng(9)
     redraws = 0
     for group in groups:
-        shape = (len(group.blocks), 5, group.columns)
+        shape = (len(group.regions), 5, group.columns)
         keep = rng.random(shape) < 0.2
         while not keep.any(axis=2).all():
             dead = ~keep.any(axis=2)
@@ -422,15 +431,15 @@ def test_dropping_all_but_one_product(rng):
     circuit = rs.construct_circuit(graph, 1, 1, 2)
     params = randomize_params(rs.init_parameters(circuit, seed=2), rng)
     batch = rng.normal(size=(3, 2))
-    root = circuit.root_block
     keep = np.zeros((1, 3, 4), bool)
     keep[..., 2] = True
-    roots = rs.forward_log(circuit, params, batch, sum_dropout={root.group: keep})
+    roots = rs.forward_log(circuit, params, batch, sum_dropout={circuit.plan[-1].index: keep})
 
     _, tables, _ = rs.forward_log(circuit, params, batch, return_tables=True)
-    left, right = (tables[b.group][b.position] for b in root.inputs[0].inputs)
+    (part,), where = circuit.graph.partitions, plan_members(circuit)
+    left, right = (tables[g][m] for g, m in (where["leaf", c.index] for c in part.children))
     product = (left[:, :, None] + right[:, None, :]).reshape(len(batch), -1)
-    logits = block_matrices(circuit, params, "sum_logits")[root.index][0]
+    logits = region_matrices(circuit, params, "sum_logits")[0][0]
     log_w = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
     np.testing.assert_allclose(roots[:, 0], log_w[2] + product[:, 2], atol=1e-10)
 
@@ -463,11 +472,12 @@ def test_a_non_finite_gradient_names_its_plan_group_and_member():
     circuit = rs.construct_circuit(graph, 2, 2, 2)
     params = rs.init_parameters(circuit, seed=0, train_variance=True)
     for tensor in params.layout:
-        for block in circuit.plan[tensor.group].blocks[1:]:
+        group = circuit.plan[tensor.group]
+        for member in range(1, len(group.regions)):
             grad = params.flat * 0.0
-            matrix = params.stacked(tensor.name, circuit.plan[block.group], grad)[block.position]
+            matrix = params.stacked(tensor.name, group, grad)[member]
             matrix[-1, -1] = np.inf
-            where = f"{tensor.name} of plan group {block.group}, member {block.position}$"
+            where = f"{tensor.name} of plan group {group.index}, member {member}$"
             with pytest.raises(NumericFailure, match=where):
                 rs.adam_step(
                     params, rs.ParameterSet(params.layout, grad), AdamState.initial(params),
@@ -498,9 +508,8 @@ def test_objective_decreases_on_convex_toy():
     graph = rs.random_region_graph(1, 1, 1, seed=0)
     circuit = rs.construct_circuit(graph, 1, 1, 3)
     params = rs.init_parameters(circuit, seed=4)
-    block = circuit.root_block.inputs[0]
     flat = params.flat.copy()
-    means = params.stacked("leaf_means", circuit.plan[block.group], flat)[block.position]
+    means = params.stacked("leaf_means", circuit.plan[0], flat)[0]  # the root's own leaves
     means[:] = np.array([[-1.0], [0.0], [2.0]])
     params = rs.ParameterSet(params.layout, flat)
     rng = np.random.default_rng(1)
@@ -644,7 +653,7 @@ def test_overflowing_observation_fails_training_with_numeric_failure(rng):
     for lam in (0.0, 0.2, 1.0):
         with pytest.raises(NumericFailure) as excinfo:
             rs.backward_gradients(circuit, params, batch, labels, lam)
-        assert any("Block#" in note for note in excinfo.value.diagnostics)
+        assert any("plan group" in note for note in excinfo.value.diagnostics)
 
 
 def test_shared_child_regions_and_two_leaf_groups():
